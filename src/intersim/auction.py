@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .network import Topology, broadcast_round, graph_ell, is_strongly_connected
+from .network import Topology, broadcast_round, graph_ell
 
 UNASSIGNED = 0
 
@@ -152,8 +152,6 @@ def run_cbaam(bids: Mapping[int, float], topology: Topology) -> tuple[PriorityAs
         raise ValueError("bid map and topology nodes must coincide")
     if not agents:
         raise ValueError("auction needs at least one participant")
-    if not is_strongly_connected(topology):
-        raise ValueError("auction requires a strongly connected topology")
     if any(b <= 0 for b in bids.values()):
         raise ValueError("bids must be > 0")
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -21,14 +20,7 @@ import numpy as np
 
 from .dynamics import AgentParams, AgentState, DiscreteModel, rollout
 from .geometry import SafetyMargins, smooth_overlap_core
-from .paths import (
-    PathClampWarning,
-    PathSpec,
-    RegionBounds,
-    StraightSegment,
-    sample_path_many,
-    smoothed_curvature,
-)
+from .paths import PathSpec, RegionBounds
 
 
 @dataclass(frozen=True)
@@ -121,18 +113,6 @@ class SolverReport:
     violation_history: tuple[float, ...]
 
 
-def stage_cost(x: AgentState, u: float, v_ref: float, q: float, r: float) -> float:
-    if q <= 0 or r <= 0:
-        raise ValueError("weights must be > 0")
-    return q * (x.v - v_ref) ** 2 + r * u * u
-
-
-def terminal_cost(x_n: AgentState, v_ref: float, q_n: float) -> float:
-    if q_n <= 0:
-        raise ValueError("weight must be > 0")
-    return q_n * (x_n.v - v_ref) ** 2
-
-
 def preview_residual(s_n: float, s_cr_out: float, s_stop: float) -> float:
     """Hinge product: zero iff the horizon clears the critical region or
     ends before the stopping line."""
@@ -183,10 +163,7 @@ class OcpProblem:
         self.margins = margins
         self.horizon = horizon
         self.x0 = z.own_state
-        shrink = 1.0 - self.ENFORCE_BACKOFF
-        self._v_hi = params.v_max * shrink
-        self._ay_hi = params.a_y_max * shrink
-        self._atot_sq_hi = (params.a_tot_max * shrink) ** 2
+        self._table = path.table
 
         n = horizon
         a_d, b_d = model.a_d, model.b_d
@@ -201,69 +178,6 @@ class OcpProblem:
         self.g_mat = g
         self.base = self.f_mat @ self.x0.as_array()
         self.tracks = tuple(_shift_forecast(nb, horizon) for nb in z.neighbors)
-        self._build_geometry_tables()
-
-    def _build_geometry_tables(self) -> None:
-        """Flatten path segments into arrays for branch-free horizon sampling."""
-        segs = self.path.segments
-        self._cum = np.asarray(self.path.cumulative)
-        n_seg = len(segs)
-        self._is_arc = np.zeros(n_seg, dtype=bool)
-        self._sx = np.zeros(n_seg)
-        self._sy = np.zeros(n_seg)
-        self._shead = np.zeros(n_seg)
-        self._acx = np.zeros(n_seg)
-        self._acy = np.zeros(n_seg)
-        self._arad = np.ones(n_seg)
-        self._ath0 = np.zeros(n_seg)
-        self._asgn = np.zeros(n_seg)
-        kap_seg = np.zeros(n_seg)
-        for idx, seg in enumerate(segs):
-            if isinstance(seg, StraightSegment):
-                self._sx[idx], self._sy[idx], self._shead[idx] = seg.x0, seg.y0, seg.heading
-            else:
-                self._is_arc[idx] = True
-                self._acx[idx], self._acy[idx], self._arad[idx] = seg.cx, seg.cy, seg.radius
-                self._ath0[idx] = seg.start_angle
-                self._asgn[idx] = 1.0 if seg.sweep >= 0 else -1.0
-                kap_seg[idx] = self._asgn[idx] / seg.radius
-        self._kap_seg = kap_seg
-        # curvature blend windows, placed on the lower-magnitude side
-        blends = []
-        for j in range(1, n_seg):
-            k1, k2 = kap_seg[j - 1], kap_seg[j]
-            if k1 == k2:
-                continue
-            sb = self._cum[j]
-            w = min(0.5, segs[j - 1].length / 2.0, segs[j].length / 2.0)
-            if abs(k2) >= abs(k1):
-                blends.append((sb - w, sb, k1, k2, w))
-            else:
-                blends.append((sb, sb + w, k1, k2, w))
-        self._blends = blends
-
-    def _geom(self, s_cl: np.ndarray):
-        """Pose, smoothed curvature and its slope at clipped coordinates."""
-        idx = np.clip(np.searchsorted(self._cum, s_cl, side="right") - 1, 0, len(self._is_arc) - 1)
-        ds = s_cl - self._cum[idx]
-        arc = self._is_arc[idx]
-        rad = self._arad[idx]
-        ang = self._ath0[idx] + self._asgn[idx] * ds / rad
-        cos_a, sin_a = np.cos(ang), np.sin(ang)
-        head = self._shead[idx]
-        x = np.where(arc, self._acx[idx] + rad * cos_a, self._sx[idx] + ds * np.cos(head))
-        y = np.where(arc, self._acy[idx] + rad * sin_a, self._sy[idx] + ds * np.sin(head))
-        psi = np.where(arc, ang + self._asgn[idx] * np.pi / 2.0, head)
-        kap_exact = self._kap_seg[idx]
-        kap = kap_exact.copy()
-        dkap = np.zeros_like(kap)
-        for z0, z1, k1, k2, w in self._blends:
-            m = (s_cl >= z0) & (s_cl <= z1)
-            if np.any(m):
-                t = (s_cl[m] - z0) / w
-                kap[m] = k1 + (k2 - k1) * (3.0 * t * t - 2.0 * t**3)
-                dkap[m] = (k2 - k1) * (6.0 * t - 6.0 * t * t) / w
-        return x, y, psi, kap, dkap, kap_exact
 
     # -- state prediction -------------------------------------------------
 
@@ -301,10 +215,24 @@ class OcpProblem:
         return value, dv_ds, dv_dv
 
     def _horizon_geometry(self, s):
+        """Pose, smoothed curvature and its slope, and exact curvature along
+        the horizon, plus a 0/1 mask of the coordinates strictly inside the path."""
         s_cl = np.clip(s, 0.0, self.path.total_length)
         inside = ((s > 0.0) & (s < self.path.total_length)).astype(float)
-        x, y, psi, kap, dkap, kap_exact = self._geom(s_cl)
+        x, y, psi, kap_exact = self._table.pose(s_cl)
+        kap, dkap = self._table.smoothed(s_cl, kap_exact)
         return x, y, psi, kap, dkap, kap_exact, inside
+
+    def _limit_residuals(self, aj, vj, ay, shrink):
+        """Speed (low, high), lateral and total-acceleration violations
+        against the limits scaled by `shrink`."""
+        p = self.params
+        return (
+            np.maximum(0.0, -vj),
+            np.maximum(0.0, vj - p.v_max * shrink),
+            np.maximum(0.0, np.abs(ay) - p.a_y_max * shrink),
+            np.maximum(0.0, aj * aj + ay * ay - (p.a_tot_max * shrink) ** 2),
+        )
 
     # -- penalty objective -------------------------------------------------
 
@@ -325,19 +253,16 @@ class OcpProblem:
         aj, vj, sj = a[1:], v[1:], s[1:]
         x, y, psi, kap, dkap, kap_exact, inside = self._horizon_geometry(sj)
 
-        r_lo = np.maximum(0.0, -vj)
-        r_hi = np.maximum(0.0, vj - self._v_hi)
+        ay = kap * vj * vj
+        r_lo, r_hi, r_ay, r_tot = self._limit_residuals(aj, vj, ay, 1.0 - self.ENFORCE_BACKOFF)
         value += weight * float(np.sum(r_lo**2) + np.sum(r_hi**2))
         adj[1:, 1] += weight * (2.0 * r_hi - 2.0 * r_lo)
 
-        ay = kap * vj * vj
-        r_ay = np.maximum(0.0, np.abs(ay) - self._ay_hi)
         sgn = np.sign(ay)
         value += weight * float(np.sum(r_ay**2))
         adj[1:, 1] += weight * 4.0 * r_ay * sgn * kap * vj
         adj[1:, 2] += weight * 2.0 * r_ay * sgn * dkap * vj * vj
 
-        r_tot = np.maximum(0.0, aj * aj + ay * ay - self._atot_sq_hi)
         value += weight * float(np.sum(r_tot**2))
         adj[1:, 0] += weight * 4.0 * r_tot * aj
         adj[1:, 1] += weight * 8.0 * r_tot * ay * kap * vj
@@ -364,77 +289,22 @@ class OcpProblem:
     # -- constraint stack ---------------------------------------------------
 
     def residual_stack(self, u: np.ndarray) -> np.ndarray:
+        """Nonnegative constraint violations against the true limits.
+
+        Layout: speed below zero, speed above v_max, lateral and total
+        acceleration (N entries each), one block of N per neighbor track,
+        then the preview hinge product.
+        """
         states = self.states(u)
-        traj_arrays = states[:, 0], states[:, 1], states[:, 2]
-        return _residual_stack(
-            *traj_arrays, self.params, self.regions, self.margins, self.path, self.tracks
-        )
-
-
-def _residual_stack(a, v, s, params, regions, margins, path, tracks) -> np.ndarray:
-    """Nonnegative constraint violations of a predicted trajectory."""
-    vj, sj, aj = v[1:], s[1:], a[1:]
-    s_cl = np.clip(sj, 0.0, path.total_length)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PathClampWarning)
-        x, y, psi, _ = sample_path_many(path, s_cl)
-    kap, _ = smoothed_curvature(path, s_cl)
-    ay = kap * vj * vj
-    pieces = [
-        np.maximum(0.0, -vj),
-        np.maximum(0.0, vj - params.v_max),
-        np.maximum(0.0, np.abs(ay) - params.a_y_max),
-        np.maximum(0.0, aj * aj + ay * ay - params.a_tot_max**2),
-    ]
-    for track in tracks:
-        rel = track.psi[1:] - psi
-        closing = np.maximum(0.0, vj - track.v[1:] * np.cos(rel))
-        ext = margins.headway * closing
-        value, *_ = smooth_overlap_core(
-            x + 0.5 * ext * np.cos(psi),
-            y + 0.5 * ext * np.sin(psi),
-            psi,
-            params.length / 2.0 + margins.long + ext / 2.0,
-            params.width / 2.0 + margins.lat,
-            track.x_g[1:], track.y_g[1:], track.psi[1:],
-            track.length / 2.0, track.width / 2.0,
-            margins.sharpness,
-        )
-        pieces.append(value)
-    pieces.append(np.array([preview_residual(float(s[-1]), regions.s_cr_out, regions.s_stop)]))
-    return np.concatenate(pieces)
-
-
-def constraint_residuals(
-    traj: PredictedTrajectory,
-    params: AgentParams,
-    neighbors: tuple[NeighborForecast, ...],
-    regions: RegionBounds,
-    margins: SafetyMargins,
-    path: PathSpec,
-) -> np.ndarray:
-    """Stacked violations of a trajectory against all soft constraints.
-
-    Neighbor forecasts are expected unshifted (fresh broadcasts); the same
-    one-step alignment used by the solver is applied here.
-    """
-    horizon = len(traj.states) - 1
-    a = np.array([st.a_x for st in traj.states])
-    v = np.array([st.v for st in traj.states])
-    s = np.array([st.s for st in traj.states])
-    tracks = tuple(_shift_forecast(nb, horizon) for nb in neighbors)
-    return _residual_stack(a, v, s, params, regions, margins, path, tracks)
-
-
-def penalty_objective(
-    u: np.ndarray, z: OcpParameter, weight: float, context: OcpProblem
-) -> tuple[float, np.ndarray]:
-    """Penalized objective and analytic gradient for a control sequence."""
-    if weight < 0:
-        raise ValueError("weight must be >= 0")
-    if context.x0 != z.own_state:
-        raise ValueError("context was built for a different measured state")
-    return context.value_and_grad(np.asarray(u, dtype=float), weight)
+        a, v, s = states[:, 0], states[:, 1], states[:, 2]
+        aj, vj = a[1:], v[1:]
+        x, y, psi, kap, _, kap_exact, inside = self._horizon_geometry(s[1:])
+        pieces = list(self._limit_residuals(aj, vj, kap * vj * vj, 1.0))
+        for track in self.tracks:
+            pieces.append(self._ca_terms(x, y, psi, kap_exact, inside, vj, track)[0])
+        r_prev = preview_residual(float(s[-1]), self.regions.s_cr_out, self.regions.s_stop)
+        pieces.append(np.array([r_prev]))
+        return np.concatenate(pieces)
 
 
 def _lbfgs_direction(pairs: deque, r: np.ndarray) -> np.ndarray:
@@ -559,9 +429,7 @@ def _trajectory_from_states(states: list[AgentState], path: PathSpec) -> Predict
     s = np.array([st.s for st in states])
     v = np.array([st.v for st in states])
     a = np.array([st.a_x for st in states])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PathClampWarning)
-        x, y, psi, kap = sample_path_many(path, np.clip(s, 0.0, path.total_length))
+    x, y, psi, kap = path.table.pose(np.clip(s, 0.0, path.total_length))
     a_y = kap[1:] * v[1:] * v[1:]
     a_tot = np.sqrt(a[1:] ** 2 + a_y**2)
     return PredictedTrajectory(states, x, y, psi, v, a_y, a_tot)

@@ -241,8 +241,8 @@ def run_simulation(
 
     sim_log = SimulationLog()
     timing = TimingReport()
-    ell_cache: dict[tuple, int] = {}
-    topo_cache: dict[int, "Topology"] = {}
+    # (schedule entry, participants) -> (topology, ell)
+    topo_cache: dict[tuple, tuple["Topology", int]] = {}
 
     for k in range(cfg.steps):
         t_now = k * cfg.t_s
@@ -265,13 +265,11 @@ def run_simulation(
         ell = 1
         if participants:
             sched_idx = sum(1 for from_step, _ in sorted(cfg.topology_schedule) if k >= from_step)
-            if sched_idx not in topo_cache:
-                topo_cache[sched_idx] = cfg.topology_at(k)
-            topo = topo_cache[sched_idx].induced(participants)
             key = (sched_idx, frozenset(participants))
-            if key not in ell_cache:
-                ell_cache[key] = graph_ell(topo)
-            ell = ell_cache[key]
+            if key not in topo_cache:
+                topo = cfg.topology_among(k, participants)
+                topo_cache[key] = (topo, graph_ell(topo))
+            topo, ell = topo_cache[key]
             assignment, iterations = run_cbaam(bids, topo)
 
         views = {

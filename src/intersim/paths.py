@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,6 +23,7 @@ _OUTBOUND = {"N": (0.0, 1.0), "E": (1.0, 0.0), "S": (0.0, -1.0), "W": (-1.0, 0.0
 
 _REGION_SCAN_STEP = 0.05
 _POLYLINE_STEP = 0.1
+_CURVATURE_BLEND = 0.5
 
 
 class PathClampWarning(UserWarning):
@@ -122,6 +123,84 @@ class PathSpec:
         for seg in self.segments:
             out.append(out[-1] + seg.length)
         return tuple(out)
+
+    @cached_property
+    def table(self) -> PathTable:
+        """The path's sampling table, built on first use."""
+        return PathTable(self)
+
+
+class PathTable:
+    """Per-segment constants of one path, built once and read by every sampler.
+
+    Holds the cumulative segment starts, each segment's exact curvature and
+    the windows over which the smoothed curvature bridges the jumps of the
+    exact one at segment junctions.
+    """
+
+    def __init__(self, path: PathSpec):
+        segs = path.segments
+        self.segments = segs
+        self.cum = np.asarray(path.cumulative)
+        self.kappa = np.array([
+            0.0 if isinstance(seg, StraightSegment) else math.copysign(1.0 / seg.radius, seg.sweep)
+            for seg in segs
+        ])
+        # (z0, z1, k1, k2, width) per junction where the curvature jumps; the
+        # window sits on the lower-|kappa| side of the junction
+        blends = []
+        for j in range(1, len(segs)):
+            k1, k2 = self.kappa[j - 1], self.kappa[j]
+            if k1 == k2:
+                continue
+            sb = self.cum[j]
+            w = min(_CURVATURE_BLEND, segs[j - 1].length / 2.0, segs[j].length / 2.0)
+            if abs(k2) >= abs(k1):
+                blends.append((sb - w, sb, k1, k2, w))  # ramp up before the sharper segment
+            else:
+                blends.append((sb, sb + w, k1, k2, w))  # hold the sharper value past the junction
+        self.blends = tuple(blends)
+
+    def pose(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(x_g, y_g, psi, kappa) at coordinates already inside [0, total_length]."""
+        idx = np.clip(np.searchsorted(self.cum, s, side="right") - 1, 0, len(self.segments) - 1)
+        ds = s - self.cum[idx]
+        x = np.empty_like(s)
+        y = np.empty_like(s)
+        psi = np.empty_like(s)
+        for i, seg in enumerate(self.segments):
+            m = idx == i
+            if not m.any():
+                continue
+            if isinstance(seg, StraightSegment):
+                x[m] = seg.x0 + ds[m] * math.cos(seg.heading)
+                y[m] = seg.y0 + ds[m] * math.sin(seg.heading)
+                psi[m] = seg.heading
+            else:
+                sgn = 1.0 if seg.sweep >= 0 else -1.0
+                ang = seg.start_angle + sgn * ds[m] / seg.radius
+                x[m] = seg.cx + seg.radius * np.cos(ang)
+                y[m] = seg.cy + seg.radius * np.sin(ang)
+                psi[m] = ang + sgn * math.pi / 2.0
+        return x, y, psi, self.kappa[idx]
+
+    def smoothed(self, s: np.ndarray, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Smoothed curvature and its slope d/ds at s, given the exact kappa there.
+
+        Each jump of the exact curvature becomes a C1 smoothstep over its
+        blend window, so the magnitude never drops below the exact one:
+        gradient consumers get a continuous profile while constraints stay
+        conservative.
+        """
+        smooth = kappa.copy()
+        dsmooth = np.zeros_like(kappa)
+        for z0, z1, k1, k2, w in self.blends:
+            m = (s >= z0) & (s <= z1)
+            if m.any():
+                t = (s[m] - z0) / w
+                smooth[m] = k1 + (k2 - k1) * (3.0 * t * t - 2.0 * t**3)
+                dsmooth[m] = (k2 - k1) * (6.0 * t - 6.0 * t * t) / w
+        return smooth, dsmooth
 
 
 @dataclass(frozen=True)
@@ -245,7 +324,17 @@ def _clamp_s(path: PathSpec, s: float) -> float:
     return s
 
 
-def _sample_segment(seg: Segment, ds: float) -> PathSample:
+def sample_path(path: PathSpec, s: float) -> PathSample:
+    """Evaluate position, heading and curvature at path coordinate s.
+
+    Out-of-range s clamps to the nearest path end and emits PathClampWarning.
+    """
+    s = _clamp_s(path, s)
+    cum = path.table.cum
+    # last segment whose start is <= s; s == total_length falls in the final one
+    idx = min(int(np.searchsorted(cum, s, side="right")) - 1, len(path.segments) - 1)
+    seg = path.segments[idx]
+    ds = s - float(cum[idx])
     if isinstance(seg, StraightSegment):
         return PathSample(
             seg.x0 + ds * math.cos(seg.heading),
@@ -263,86 +352,13 @@ def _sample_segment(seg: Segment, ds: float) -> PathSample:
     )
 
 
-def sample_path(path: PathSpec, s: float) -> PathSample:
-    """Evaluate position, heading and curvature at path coordinate s.
-
-    Out-of-range s clamps to the nearest path end and emits PathClampWarning.
-    """
-    s = _clamp_s(path, s)
-    cum = path.cumulative
-    # last segment whose start is <= s; s == total_length falls in the final one
-    idx = min(int(np.searchsorted(cum, s, side="right")) - 1, len(path.segments) - 1)
-    return _sample_segment(path.segments[idx], s - cum[idx])
-
-
 def sample_path_many(path: PathSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized sample_path: returns (x_g, y_g, psi, kappa) arrays."""
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0) or np.any(s > path.total_length):
         warnings.warn("path coordinates outside range, clamped", PathClampWarning, stacklevel=2)
         s = np.clip(s, 0.0, path.total_length)
-    cum = np.asarray(path.cumulative)
-    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(path.segments) - 1)
-    ds = s - cum[idx]
-    x = np.empty_like(s)
-    y = np.empty_like(s)
-    psi = np.empty_like(s)
-    kappa = np.empty_like(s)
-    for i, seg in enumerate(path.segments):
-        m = idx == i
-        if not np.any(m):
-            continue
-        if isinstance(seg, StraightSegment):
-            x[m] = seg.x0 + ds[m] * math.cos(seg.heading)
-            y[m] = seg.y0 + ds[m] * math.sin(seg.heading)
-            psi[m] = seg.heading
-            kappa[m] = 0.0
-        else:
-            sgn = 1.0 if seg.sweep >= 0 else -1.0
-            ang = seg.start_angle + sgn * ds[m] / seg.radius
-            x[m] = seg.cx + seg.radius * np.cos(ang)
-            y[m] = seg.cy + seg.radius * np.sin(ang)
-            psi[m] = ang + sgn * math.pi / 2.0
-            kappa[m] = sgn / seg.radius
-    return x, y, psi, kappa
-
-
-def smoothed_curvature(path: PathSpec, s: np.ndarray, blend: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-    """Curvature profile with C1 smoothstep blends at segment junctions.
-
-    The exact curvature jumps where a straight meets an arc. Here each jump
-    is bridged over a `blend`-long window placed on the lower-|kappa| side of
-    the junction, so the magnitude never drops below the exact one; gradient
-    consumers get a continuous profile while constraints stay conservative.
-    Returns (kappa, dkappa/ds).
-    """
-    s = np.asarray(s, dtype=float)
-    s_cl = np.clip(s, 0.0, path.total_length)
-    cum = np.asarray(path.cumulative)
-    idx = np.clip(np.searchsorted(cum, s_cl, side="right") - 1, 0, len(path.segments) - 1)
-    base = np.array([
-        0.0 if isinstance(seg, StraightSegment) else math.copysign(1.0 / seg.radius, seg.sweep)
-        for seg in path.segments
-    ])
-    kap = base[idx]
-    dkap = np.zeros_like(kap)
-    for j in range(1, len(path.segments)):
-        k1, k2 = base[j - 1], base[j]
-        if k1 == k2:
-            continue
-        sb = cum[j]
-        w = min(blend, path.segments[j - 1].length / 2.0, path.segments[j].length / 2.0)
-        if abs(k2) >= abs(k1):
-            z0, z1 = sb - w, sb  # ramp up before entering the sharper segment
-        else:
-            z0, z1 = sb, sb + w  # hold the sharper value past the junction
-        m = (s_cl >= z0) & (s_cl <= z1)
-        if not np.any(m):
-            continue
-        t = (s_cl[m] - z0) / w
-        kap[m] = k1 + (k2 - k1) * (3.0 * t * t - 2.0 * t**3)
-        dkap[m] = (k2 - k1) * (6.0 * t - 6.0 * t * t) / w
-    return kap, dkap
+    return path.table.pose(s)
 
 
 def _refine_crossing(path: PathSpec, inside, s_out: float, s_in: float, tol: float = 1e-10) -> float:

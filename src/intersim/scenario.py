@@ -107,12 +107,25 @@ class ScenarioConfig:
         return self._build(self.topology)
 
     def topology_at(self, step: int) -> Topology:
-        """Topology for a given step, honoring any scheduled overrides."""
+        """Topology over all agents for a given step, honoring any scheduled overrides."""
+        return self.topology_among(step, [a.agent_id for a in self.agents])
+
+    def topology_among(self, step: int, participants) -> Topology:
+        """Topology among the given agents for a given step.
+
+        Named topologies are built over exactly these agents, so a ring
+        closes up again when a member leaves; an explicit arc list keeps the
+        arcs among them.
+        """
         spec = self.topology
         for from_step, override in sorted(self.topology_schedule):
             if step >= from_step:
                 spec = override
-        return self._build(spec)
+        if spec == "complete":
+            return Topology.complete(participants)
+        if spec == "ring":
+            return Topology.ring(participants)
+        return self._build(spec).induced(participants)
 
     def initial_s(self, agent: AgentConfig) -> float:
         s0, _ = project_onto_path(build_path(agent.route), *agent.initial_position)
@@ -305,13 +318,15 @@ def load_scenario(source: str | Path | dict) -> ScenarioConfig:
         return use_case_1()
     if source == "use_case_2":
         return use_case_2()
-    candidate = Path(source)
-    if candidate.exists():
-        return _parse_document(json.loads(candidate.read_text()))
+    # JSON text first: text longer than the OS file-name limit would make
+    # the file test below raise
     text = source.strip()
     if text.startswith("{"):
         try:
             return _parse_document(json.loads(text))
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"invalid JSON: {exc}") from exc
+    candidate = Path(source)
+    if candidate.exists():
+        return _parse_document(json.loads(candidate.read_text()))
     raise ScenarioError(f"unknown scenario source {source!r} (not a preset, file, or JSON)")

@@ -8,6 +8,7 @@ to see the per-criterion lines.
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from intersim.dynamics import discretize
 from intersim.mpc import OcpParameter, OcpProblem, PenaltyConfig, box_solve
 from intersim.network import Topology, graph_ell
 from intersim.orchestrator import export_logs, run_simulation
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def report(num: int, description: str, ok: bool):
@@ -287,3 +291,23 @@ def test_criterion_9_byte_identical_exports(uc1, uc1_rerun, tmp_path):
         "simulated timing columns identical",
         same and bounds_a == bounds_b,
     )
+
+
+def first_difference(got: bytes, want: bytes) -> str | None:
+    """None when the two exports are byte-identical, else where they first differ."""
+    if got == want:
+        return None
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    for num, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
+        if g != w:
+            return f"line {num}: got {g.decode()!r}, golden {w.decode()!r}"
+    return f"{len(got_lines)} lines, golden has {len(want_lines)}"
+
+
+@pytest.mark.parametrize("fixture, preset", [("uc1", "use_case_1"), ("uc2", "use_case_2")])
+def test_preset_runs_match_golden_exports(fixture, preset, request, tmp_path):
+    _, log, timing = request.getfixturevalue(fixture)
+    export_logs(log, timing, tmp_path)
+    for name in ("trajectory.csv", "priorities.csv"):
+        diff = first_difference((tmp_path / name).read_bytes(), (GOLDEN / preset / name).read_bytes())
+        assert diff is None, f"{preset} {name} differs from tests/golden: {diff}"

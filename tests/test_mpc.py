@@ -13,13 +13,9 @@ from intersim.mpc import (
     OcpProblem,
     PenaltyConfig,
     box_solve,
-    constraint_residuals,
     initial_broadcast,
-    penalty_objective,
     preview_residual,
     solve_ocp,
-    stage_cost,
-    terminal_cost,
 )
 from intersim.paths import IntersectionGeometry, RouteSpec, build_path, compute_regions
 
@@ -55,6 +51,20 @@ def crossing_neighbor(agent_id=3, offset=0.0, speed=14.0, horizon=50, t_s=0.1):
 # -- costs ---------------------------------------------------------------------
 
 
+def stage_cost(x: AgentState, u: float, v_ref: float, q: float, r: float) -> float:
+    """Tracking-cost oracle: one stage of the objective value_and_grad sums."""
+    if q <= 0 or r <= 0:
+        raise ValueError("weights must be > 0")
+    return q * (x.v - v_ref) ** 2 + r * u * u
+
+
+def terminal_cost(x_n: AgentState, v_ref: float, q_n: float) -> float:
+    """Tracking-cost oracle: the terminal term of the objective."""
+    if q_n <= 0:
+        raise ValueError("weight must be > 0")
+    return q_n * (x_n.v - v_ref) ** 2
+
+
 def test_stage_cost_at_reference_is_zero():
     assert stage_cost(AgentState(0, 14.0, 0), 0.0, 14.0, 1.0, 20.0) == 0.0
 
@@ -86,31 +96,27 @@ def test_preview_residual_branches():
 # -- constraint residuals -----------------------------------------------------------
 
 
+def cruise_residuals(path, bounds, speed):
+    """Residual stack of a zero-input horizon from steady cruise at `speed`."""
+    z = OcpParameter(AgentState(0.0, speed, 0.0))
+    return OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, z, 50).residual_stack(np.zeros(50))
+
+
 def test_cruising_agent_has_zero_residuals():
     path, bounds = make_env(approach=300.0)
-    z = OcpParameter(AgentState(0.0, 14.0, 0.0))
-    traj = initial_broadcast(z.own_state, path, 50, 0.1)
-    stack = constraint_residuals(traj, PARAMS, (), bounds, MARGINS, path)
+    stack = cruise_residuals(path, bounds, 14.0)
     assert np.all(stack == 0.0)
 
 
 def test_speed_violation_magnitude():
     path, bounds = make_env(approach=300.0)
-    states = [AgentState(0.0, 16.0, j * 1.6) for j in range(51)]
-    from intersim.mpc import _trajectory_from_states
-
-    traj = _trajectory_from_states(states, path)
-    stack = constraint_residuals(traj, PARAMS, (), bounds, MARGINS, path)
+    stack = cruise_residuals(path, bounds, 16.0)
     assert np.max(stack) == pytest.approx(1.0)  # v - v_max = 16 - 15
 
 
 def test_zero_curvature_kills_lateral_residuals():
     path, bounds = make_env(approach=300.0)
-    states = [AgentState(0.0, 15.0, j * 1.5) for j in range(51)]
-    from intersim.mpc import _trajectory_from_states
-
-    traj = _trajectory_from_states(states, path)
-    stack = constraint_residuals(traj, PARAMS, (), bounds, MARGINS, path)
+    stack = cruise_residuals(path, bounds, 15.0)
     lateral = stack[100:150]  # third block of 50
     assert np.all(lateral == 0.0)
 
@@ -122,7 +128,7 @@ def test_unconstrained_optimum_has_zero_objective_and_gradient():
     path, bounds = make_env(approach=300.0)
     z = OcpParameter(AgentState(0.0, 14.0, 0.0))
     prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, z, 50)
-    value, grad = penalty_objective(np.zeros(50), z, 10.0, prob)
+    value, grad = prob.value_and_grad(np.zeros(50), 10.0)
     assert value == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
@@ -132,7 +138,7 @@ def test_zero_weight_reduces_to_tracking_objective():
     z = OcpParameter(AgentState(0.0, 16.0, 0.0))  # above the speed cap
     prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, z, 50)
     u = np.full(50, 0.5)
-    value0, _ = penalty_objective(u, z, 0.0, prob)
+    value0, _ = prob.value_and_grad(u, 0.0)
     states = rollout(MODEL, z.own_state, u)
     expect = sum(
         stage_cost(st, float(ui), PARAMS.v_ref, PARAMS.q, PARAMS.r)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from intersim.network import Topology
 from intersim.orchestrator import export_logs, run_simulation
 from intersim.scenario import (
     ScenarioConfig,
@@ -85,6 +86,31 @@ def test_json_roundtrip_and_field_errors(tmp_path):
     bad2["agents"] = [{k: v for k, v in doc["agents"][0].items() if k != "route"}]
     with pytest.raises(ScenarioError, match="route"):
         load_scenario(bad2)
+
+
+# Agent 2 starts inside the critical region and leaves the auction after step 0.
+THREE_AGENT_RING = {
+    "sampling_time_s": 0.1,
+    "horizon": 50,
+    "steps": 4,
+    "topology": "ring",
+    "agents": [
+        {"id": 1, "route": {"entry": "N", "exit": "S"},
+         "initial_position_m": [-2.0, 82.0], "initial_speed_mps": 14.0},
+        {"id": 2, "route": {"entry": "W", "exit": "E"},
+         "initial_position_m": [5.5, -2.0], "initial_speed_mps": 14.0},
+        {"id": 3, "route": {"entry": "E", "exit": "W"},
+         "initial_position_m": [81.0, 2.0], "initial_speed_mps": 14.0},
+    ],
+}
+
+
+def test_json_text_longer_than_a_file_name():
+    text = json.dumps(THREE_AGENT_RING)
+    assert len(text) > 255
+    cfg = load_scenario(text)
+    assert [a.agent_id for a in cfg.agents] == [1, 2, 3]
+    assert cfg.topology == "ring" and cfg.steps == 4
 
 
 def test_duplicate_ids_rejected():
@@ -234,6 +260,16 @@ def test_topology_variants_and_schedule():
     cfg3 = load_scenario(doc)
     assert cfg3.build_topology().arcs == frozenset({(1, 2), (2, 1)})
     assert cfg3.topology_at(5).arcs == cfg3._build("complete").arcs
+
+
+def test_ring_closes_up_when_an_agent_leaves():
+    cfg = load_scenario(THREE_AGENT_RING)
+    assert cfg.topology_at(0) == Topology.ring([1, 2, 3])
+    log, timing = run_simulation(cfg)
+    ranked = {(p.step, p.agent) for p in log.priorities if p.rank > 0}
+    assert (0, 2) in ranked and (1, 2) not in ranked
+    # 3-ring at step 0 (ell = 2), then the 2-ring of agents 1 and 3 (ell = 1)
+    assert [r.cbaam_bound_ms for r in timing.rows] == pytest.approx([18.0, 6.0, 6.0, 6.0])
 
 
 def test_penalty_violation_mostly_monotone_across_outer_iterations():

@@ -5,8 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intersim.paths import (
+    ARMS,
     ArcSegment,
     IntersectionGeometry,
     PathClampWarning,
@@ -145,6 +148,65 @@ def test_curvature_is_heading_rate(maker):
     _, _, psi0, kappa = sample_path_many(path, s)
     _, _, psi1, _ = sample_path_many(path, s + h)
     assert np.all(np.abs(kappa * h - (psi1 - psi0)) < 1e-4)
+
+
+# -- the sampling table -------------------------------------------------------
+
+ROUTE_PATHS = st.builds(
+    lambda arms, radius: build_path(RouteSpec(*arms, turn_radius=radius)),
+    st.sampled_from([(e, x) for e in ARMS for x in ARMS if e != x]),
+    st.sampled_from([4.0, 8.0, 12.0]),
+)
+FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20)
+
+
+def kernel_points(path, fractions, margin=0.0):
+    """Coordinates spread along the path, inside every curvature blend window,
+    and at every junction and window edge, kept `margin` inside the ends."""
+    table = path.table
+    f = np.asarray(fractions)
+    pieces = [f * path.total_length, table.cum]
+    for z0, z1, *_ in table.blends:
+        pieces += [z0 + f * (z1 - z0), np.array([z0, z1])]
+    return np.clip(np.concatenate(pieces), margin, path.total_length - margin)
+
+
+@settings(deadline=None)
+@given(ROUTE_PATHS, FRACTIONS)
+def test_kernel_matches_scalar_sampler(path, fractions):
+    s = kernel_points(path, fractions)
+    x, y, psi, kappa = path.table.pose(s)
+    scalar = [sample_path(path, float(v)) for v in s]
+    # array and scalar cosines may differ in the last ulp; nothing else does
+    np.testing.assert_allclose(x, [p.x_g for p in scalar], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(y, [p.y_g for p in scalar], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(psi, [p.psi for p in scalar])
+    np.testing.assert_array_equal(kappa, [p.kappa for p in scalar])
+
+
+@settings(deadline=None)
+@given(ROUTE_PATHS, FRACTIONS)
+def test_smoothed_curvature_bounds_exact_magnitude(path, fractions):
+    s = kernel_points(path, fractions)
+    kappa = path.table.pose(s)[3]
+    smooth, _ = path.table.smoothed(s, kappa)
+    assert np.all(np.abs(smooth) >= np.abs(kappa))
+
+
+@settings(deadline=None)
+@given(ROUTE_PATHS, FRACTIONS)
+def test_curvature_slope_matches_central_differences(path, fractions):
+    h = 1e-6
+    table = path.table
+
+    def smoothed(at):
+        return table.smoothed(at, table.pose(at)[3])
+
+    s = kernel_points(path, fractions, margin=h)
+    _, slope = smoothed(s)
+    above, _ = smoothed(s + h)
+    below, _ = smoothed(s - h)
+    np.testing.assert_allclose(slope, (above - below) / (2.0 * h), rtol=0, atol=1e-5)
 
 
 def test_c0_continuity_validation():
