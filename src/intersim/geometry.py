@@ -237,8 +237,9 @@ def smooth_overlap_core(
     d_n = -dx * sin_t + dy * cos_t
     delta = theta_o - theta
     cd, sd = np.cos(delta), np.sin(delta)
-    rho_u = a_o * np.abs(cd) + b_o * np.abs(sd)
-    rho_n = a_o * np.abs(sd) + b_o * np.abs(cd)
+    abs_cd, abs_sd = np.abs(cd), np.abs(sd)
+    rho_u = a_o * abs_cd + b_o * abs_sd
+    rho_n = a_o * abs_sd + b_o * abs_cd
     o_u = a_r + rho_u - np.abs(d_u)
     o_n = b_r + rho_n - np.abs(d_n)
 
@@ -249,19 +250,23 @@ def smooth_overlap_core(
     d_on = sp_u * sg_n
 
     sign_du, sign_dn = np.sign(d_u), np.sign(d_n)
-    drho_u = (-a_o * np.sign(cd) * sd + b_o * np.sign(sd) * cd)
-    drho_n = (a_o * np.sign(sd) * cd - b_o * np.sign(cd) * sd)
+    sign_cd, sign_sd = np.sign(cd), np.sign(sd)
+    drho_u = (-a_o * sign_cd * sd + b_o * sign_sd * cd)
+    drho_n = (a_o * sign_sd * cd - b_o * sign_cd * sd)
 
-    d_crx = d_ou * (-sign_du) * (-cos_t) + d_on * (-sign_dn) * (sin_t)
-    d_cry = d_ou * (-sign_du) * (-sin_t) + d_on * (-sign_dn) * (-cos_t)
+    # dV/d(d_u) and dV/d(d_n); the centers enter d_u, d_n through +-(cos, sin)
+    dv_du, dv_dn = d_ou * (-sign_du), d_on * (-sign_dn)
+    neg_cos, neg_sin = -cos_t, -sin_t
+    d_crx = dv_du * neg_cos + dv_dn * (sin_t)
+    d_cry = dv_du * neg_sin + dv_dn * neg_cos
     # d(d_u)/dtheta = d_n, d(d_n)/dtheta = -d_u, d(delta)/dtheta = -1
     d_theta = (
         d_ou * (-sign_du * d_n - drho_u)
         + d_on * (sign_dn * d_u - drho_n)
     )
     d_ar = d_ou
-    d_cox = d_ou * (-sign_du) * cos_t + d_on * (-sign_dn) * (-sin_t)
-    d_coy = d_ou * (-sign_du) * sin_t + d_on * (-sign_dn) * cos_t
+    d_cox = dv_du * cos_t + dv_dn * neg_sin
+    d_coy = dv_du * sin_t + dv_dn * cos_t
     return value, d_crx, d_cry, d_theta, d_ar, d_cox, d_coy
 
 

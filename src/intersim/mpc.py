@@ -15,6 +15,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,6 +134,26 @@ def _shift_forecast(nb: NeighborForecast, horizon: int) -> NeighborForecast:
     )
 
 
+@lru_cache(maxsize=64)
+def _sensitivities(a_d: bytes, b_d: bytes, horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Free-response powers f_mat (N+1, 3, 3), input sensitivities g_mat
+    (N+1, 3, N) and g_mat flattened to (3(N+1), N), for the model with these
+    a_d/b_d bytes. Read-only: every problem on an equal model shares them."""
+    a_d = np.frombuffer(a_d).reshape(3, 3).copy()
+    b_d = np.frombuffer(b_d).copy()
+    powers = [np.eye(3)]
+    for _ in range(horizon):
+        powers.append(a_d @ powers[-1])
+    f_mat = np.stack(powers)
+    g_mat = np.zeros((horizon + 1, 3, horizon))
+    for j in range(1, horizon + 1):
+        g_mat[j] = a_d @ g_mat[j - 1]
+        g_mat[j][:, j - 1] = b_d
+    for arr in (f_mat, g_mat):
+        arr.setflags(write=False)
+    return f_mat, g_mat, g_mat.reshape(-1, horizon)
+
+
 class OcpProblem:
     """Precomputed sensitivities and penalty evaluation for one agent/step.
 
@@ -141,6 +162,9 @@ class OcpProblem:
     residual, and the backoff keeps the closed-loop state inside the true
     bounds without needing extreme weights. Reported residuals
     (residual_stack) are measured against the true bounds.
+
+    The neighbor tracks are stacked into (T, N) arrays, so one evaluation
+    handles every track with a single smooth_overlap_core call.
     """
 
     ENFORCE_BACKOFF = 0.015
@@ -165,19 +189,22 @@ class OcpProblem:
         self.x0 = z.own_state
         self._table = path.table
 
-        n = horizon
-        a_d, b_d = model.a_d, model.b_d
-        powers = [np.eye(3)]
-        for _ in range(n):
-            powers.append(a_d @ powers[-1])
-        self.f_mat = np.stack(powers)  # (N+1, 3, 3)
-        g = np.zeros((n + 1, 3, n))
-        for j in range(1, n + 1):
-            g[j] = a_d @ g[j - 1]
-            g[j][:, j - 1] = b_d
-        self.g_mat = g
-        self.base = self.f_mat @ self.x0.as_array()
+        self.f_mat, self.g_mat, self._g_flat = _sensitivities(
+            model.a_d.tobytes(), model.b_d.tobytes(), horizon
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.base = self.f_mat @ self.x0.as_array()
+        if not np.all(np.isfinite(self.base)):
+            raise ValueError(f"state {self.x0} overflows the {horizon}-step prediction")
         self.tracks = tuple(_shift_forecast(nb, horizon) for nb in z.neighbors)
+
+        def stack(field):
+            return np.array([getattr(t, field)[1:] for t in self.tracks]).reshape(-1, horizon)
+
+        # (T, N) neighbor poses at prediction steps 1..N, and (T, 1) half extents
+        self._ox, self._oy, self._opsi, self._ov = (stack(f) for f in ("x_g", "y_g", "psi", "v"))
+        self._oa = np.array([[t.length / 2.0] for t in self.tracks])
+        self._ob = np.array([[t.width / 2.0] for t in self.tracks])
 
     # -- state prediction -------------------------------------------------
 
@@ -186,16 +213,20 @@ class OcpProblem:
 
     # -- collision-avoidance terms ----------------------------------------
 
-    def _ca_terms(self, x, y, psi, kap, inside, v, track):
+    def _ca_terms(self, x, y, psi, kap, s, v):
+        """Surrogate overlap with every track and its derivatives w.r.t. the
+        own path coordinate and speed, as (T, N) arrays. The pose is held
+        where s is clamped to a path end, so only coordinates strictly inside
+        the path move it."""
         p = self.params
         m = self.margins
-        ox, oy, opsi, ov = track.x_g[1:], track.y_g[1:], track.psi[1:], track.v[1:]
-        rel = opsi - psi
-        closing = v - ov * np.cos(rel)
+        inside = ((s > 0.0) & (s < self.path.total_length)).astype(float)
+        rel = self._opsi - psi
+        closing = v - self._ov * np.cos(rel)
         active = (closing > 0).astype(float)
         ext = m.headway * np.maximum(0.0, closing)
         dext_dv = m.headway * active
-        dext_dpsi = m.headway * active * (-ov * np.sin(rel))
+        dext_dpsi = m.headway * active * (-self._ov * np.sin(rel))
 
         cos_p, sin_p = np.cos(psi), np.sin(psi)
         a_r = p.length / 2.0 + m.long + ext / 2.0
@@ -203,7 +234,7 @@ class OcpProblem:
         crx = x + 0.5 * ext * cos_p
         cry = y + 0.5 * ext * sin_p
         value, dcrx, dcry, dth, dar, _, _ = smooth_overlap_core(
-            crx, cry, psi, a_r, b_r, ox, oy, opsi, track.length / 2.0, track.width / 2.0,
+            crx, cry, psi, a_r, b_r, self._ox, self._oy, self._opsi, self._oa, self._ob,
             m.sharpness,
         )
         dpsi_ds = kap * inside
@@ -216,12 +247,11 @@ class OcpProblem:
 
     def _horizon_geometry(self, s):
         """Pose, smoothed curvature and its slope, and exact curvature along
-        the horizon, plus a 0/1 mask of the coordinates strictly inside the path."""
-        s_cl = np.clip(s, 0.0, self.path.total_length)
-        inside = ((s > 0.0) & (s < self.path.total_length)).astype(float)
+        the horizon, with s clamped to the path."""
+        s_cl = np.minimum(np.maximum(0.0, s), self.path.total_length)
         x, y, psi, kap_exact = self._table.pose(s_cl)
         kap, dkap = self._table.smoothed(s_cl, kap_exact)
-        return x, y, psi, kap, dkap, kap_exact, inside
+        return x, y, psi, kap, dkap, kap_exact
 
     def _limit_residuals(self, aj, vj, ay, shrink):
         """Speed (low, high), lateral and total-acceleration violations
@@ -239,51 +269,58 @@ class OcpProblem:
     def value_and_grad(self, u: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
         p = self.params
         n = self.horizon
-        states = self.states(u)
+        total = np.add.reduce
+        states = self.base + self.g_mat @ u
         a, v, s = states[:, 0], states[:, 1], states[:, 2]
         adj = np.zeros((n + 1, 3))
 
         dv_ref = v - p.v_ref
-        value = p.q * float(np.sum(dv_ref[:n] ** 2)) + p.q_n * float(dv_ref[n] ** 2)
-        value += p.r * float(np.sum(u * u))
+        value = p.q * float(total(dv_ref[:n] ** 2)) + p.q_n * float(dv_ref[n] ** 2)
+        value += p.r * float(total(u * u))
         adj[:n, 1] += 2.0 * p.q * dv_ref[:n]
         adj[n, 1] += 2.0 * p.q_n * dv_ref[n]
         grad_direct = 2.0 * p.r * u
 
         aj, vj, sj = a[1:], v[1:], s[1:]
-        x, y, psi, kap, dkap, kap_exact, inside = self._horizon_geometry(sj)
+        x, y, psi, kap, dkap, kap_exact = self._horizon_geometry(sj)
 
         ay = kap * vj * vj
         r_lo, r_hi, r_ay, r_tot = self._limit_residuals(aj, vj, ay, 1.0 - self.ENFORCE_BACKOFF)
-        value += weight * float(np.sum(r_lo**2) + np.sum(r_hi**2))
+        value += weight * float(total(r_lo**2) + total(r_hi**2))
         adj[1:, 1] += weight * (2.0 * r_hi - 2.0 * r_lo)
 
         sgn = np.sign(ay)
-        value += weight * float(np.sum(r_ay**2))
+        value += weight * float(total(r_ay**2))
         adj[1:, 1] += weight * 4.0 * r_ay * sgn * kap * vj
         adj[1:, 2] += weight * 2.0 * r_ay * sgn * dkap * vj * vj
 
-        value += weight * float(np.sum(r_tot**2))
+        value += weight * float(total(r_tot**2))
         adj[1:, 0] += weight * 4.0 * r_tot * aj
         adj[1:, 1] += weight * 8.0 * r_tot * ay * kap * vj
         adj[1:, 2] += weight * 4.0 * r_tot * ay * dkap * vj * vj
 
-        for track in self.tracks:
+        if self.tracks:
             # heading chain uses exact curvature: the evaluated pose is the
             # exact path map, so only this keeps gradients FD-consistent
-            ca, dca_ds, dca_dv = self._ca_terms(x, y, psi, kap_exact, inside, vj, track)
-            value += weight * float(np.sum(ca**2))
-            adj[1:, 2] += weight * 2.0 * ca * dca_ds
-            adj[1:, 1] += weight * 2.0 * ca * dca_dv
+            ca, dca_ds, dca_dv = self._ca_terms(x, y, psi, kap_exact, sj, vj)
+            scaled = weight * 2.0 * ca
+            by_s, by_v = scaled * dca_ds, scaled * dca_dv
+            # one track at a time, in order, so the sums round as they always have
+            for sq, row_s, row_v in zip(total(ca**2, axis=1).tolist(), by_s, by_v):
+                value += weight * sq
+                adj[1:, 2] += row_s
+                adj[1:, 1] += row_v
 
-        h1 = max(0.0, self.regions.s_cr_out - s[n])
-        h2 = max(0.0, s[n] - self.regions.s_stop)
+        s_n = float(s[n])
+        h1 = max(0.0, self.regions.s_cr_out - s_n)
+        h2 = max(0.0, s_n - self.regions.s_stop)
         r_prev = h1 * h2
         value += weight * r_prev * r_prev
         d_prev = -float(h1 > 0) * h2 + h1 * float(h2 > 0)
         adj[n, 2] += weight * 2.0 * r_prev * d_prev
 
-        grad = grad_direct + np.tensordot(adj, self.g_mat, axes=([0, 1], [0, 1]))
+        # the (1, 3(N+1)) x (3(N+1), N) product that tensordot(adj, g_mat) performs
+        grad = grad_direct + np.dot(adj.reshape(1, -1), self._g_flat).reshape(n)
         return value, grad
 
     # -- constraint stack ---------------------------------------------------
@@ -298,10 +335,10 @@ class OcpProblem:
         states = self.states(u)
         a, v, s = states[:, 0], states[:, 1], states[:, 2]
         aj, vj = a[1:], v[1:]
-        x, y, psi, kap, _, kap_exact, inside = self._horizon_geometry(s[1:])
+        x, y, psi, kap, _, kap_exact = self._horizon_geometry(s[1:])
         pieces = list(self._limit_residuals(aj, vj, kap * vj * vj, 1.0))
-        for track in self.tracks:
-            pieces.append(self._ca_terms(x, y, psi, kap_exact, inside, vj, track)[0])
+        if self.tracks:
+            pieces.append(self._ca_terms(x, y, psi, kap_exact, s[1:], vj)[0].ravel())
         r_prev = preview_residual(float(s[-1]), self.regions.s_cr_out, self.regions.s_stop)
         pieces.append(np.array([r_prev]))
         return np.concatenate(pieces)
@@ -342,7 +379,7 @@ def box_solve(
     """
 
     def clip(z):
-        return np.clip(z, lower, upper)
+        return np.minimum(np.maximum(lower, z), upper)
 
     u = clip(np.asarray(u0, dtype=float))
     f, g = value_grad(u)

@@ -160,28 +160,39 @@ class PathTable:
             else:
                 blends.append((sb, sb + w, k1, k2, w))  # hold the sharper value past the junction
         self.blends = tuple(blends)
+        # per-segment constants that pose() gathers by segment index: the
+        # straight-line terms (zero on arcs, which overwrite them) and the
+        # arc terms (inert on straights)
+        rows = []
+        for seg in segs:
+            if isinstance(seg, StraightSegment):
+                h = seg.heading
+                rows.append((seg.x0, seg.y0, math.cos(h), math.sin(h), h, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0))
+            else:
+                sgn = 1.0 if seg.sweep >= 0 else -1.0
+                rows.append((0.0, 0.0, 0.0, 0.0, 0.0,
+                             seg.cx, seg.cy, seg.radius, seg.start_angle, sgn, sgn * math.pi / 2.0))
+        (self._x0, self._y0, self._cos, self._sin, self._heading,
+         self._cx, self._cy, self._radius, self._start, self._sgn, self._quarter) = np.array(rows).T.copy()
+        self._is_arc = np.array([isinstance(seg, ArcSegment) for seg in segs])
+        self._junctions = self.cum[1:-1]
 
     def pose(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(x_g, y_g, psi, kappa) at coordinates already inside [0, total_length]."""
-        idx = np.clip(np.searchsorted(self.cum, s, side="right") - 1, 0, len(self.segments) - 1)
+        # the last segment whose start is <= s; total_length falls in the final one
+        idx = np.searchsorted(self._junctions, s, side="right")
         ds = s - self.cum[idx]
-        x = np.empty_like(s)
-        y = np.empty_like(s)
-        psi = np.empty_like(s)
-        for i, seg in enumerate(self.segments):
-            m = idx == i
-            if not m.any():
-                continue
-            if isinstance(seg, StraightSegment):
-                x[m] = seg.x0 + ds[m] * math.cos(seg.heading)
-                y[m] = seg.y0 + ds[m] * math.sin(seg.heading)
-                psi[m] = seg.heading
-            else:
-                sgn = 1.0 if seg.sweep >= 0 else -1.0
-                ang = seg.start_angle + sgn * ds[m] / seg.radius
-                x[m] = seg.cx + seg.radius * np.cos(ang)
-                y[m] = seg.cy + seg.radius * np.sin(ang)
-                psi[m] = ang + sgn * math.pi / 2.0
+        x = self._x0[idx] + ds * self._cos[idx]
+        y = self._y0[idx] + ds * self._sin[idx]
+        psi = self._heading[idx]
+        on_arc = self._is_arc[idx]
+        if on_arc.any():
+            j = idx[on_arc]
+            radius = self._radius[j]
+            ang = self._start[j] + self._sgn[j] * ds[on_arc] / radius
+            x[on_arc] = self._cx[j] + radius * np.cos(ang)
+            y[on_arc] = self._cy[j] + radius * np.sin(ang)
+            psi[on_arc] = ang + self._quarter[j]
         return x, y, psi, self.kappa[idx]
 
     def smoothed(self, s: np.ndarray, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,14 @@
 """Objective assembly, penalty gradients, box solver, and full OCP tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from intersim import mpc
 from intersim.dynamics import AgentParams, AgentState, discretize, rollout
-from intersim.geometry import SafetyMargins
+from intersim.geometry import SafetyMargins, smooth_overlap_core
 from intersim.mpc import (
     NeighborForecast,
     OcpParameter,
@@ -147,6 +149,206 @@ def test_zero_weight_reduces_to_tracking_objective():
     assert value0 == pytest.approx(expect, rel=1e-12)
 
 
+def reference_geometry(prob, s):
+    """Horizon-geometry oracle: np.clip clamp plus the inside-the-path mask."""
+    total = prob.path.total_length
+    s_cl = np.clip(s, 0.0, total)
+    inside = ((s > 0.0) & (s < total)).astype(float)
+    x, y, psi, kap_exact = prob.path.table.pose(s_cl)
+    kap, dkap = prob.path.table.smoothed(s_cl, kap_exact)
+    return x, y, psi, kap, dkap, kap_exact, inside
+
+
+def reference_ca_terms(prob, x, y, psi, kap, inside, v, track):
+    """Collision-avoidance oracle: one neighbor track at a time."""
+    p, m = prob.params, prob.margins
+    ox, oy, opsi, ov = track.x_g[1:], track.y_g[1:], track.psi[1:], track.v[1:]
+    rel = opsi - psi
+    closing = v - ov * np.cos(rel)
+    active = (closing > 0).astype(float)
+    ext = m.headway * np.maximum(0.0, closing)
+    dext_dv = m.headway * active
+    dext_dpsi = m.headway * active * (-ov * np.sin(rel))
+    cos_p, sin_p = np.cos(psi), np.sin(psi)
+    a_r = p.length / 2.0 + m.long + ext / 2.0
+    b_r = p.width / 2.0 + m.lat
+    crx = x + 0.5 * ext * cos_p
+    cry = y + 0.5 * ext * sin_p
+    value, dcrx, dcry, dth, dar, _, _ = smooth_overlap_core(
+        crx, cry, psi, a_r, b_r, ox, oy, opsi, track.length / 2.0, track.width / 2.0,
+        m.sharpness,
+    )
+    dpsi_ds = kap * inside
+    dext_ds = dext_dpsi * dpsi_ds
+    dcrx_ds = cos_p * inside + 0.5 * (dext_ds * cos_p - ext * sin_p * dpsi_ds)
+    dcry_ds = sin_p * inside + 0.5 * (dext_ds * sin_p + ext * cos_p * dpsi_ds)
+    dv_ds = dcrx * dcrx_ds + dcry * dcry_ds + dth * dpsi_ds + dar * 0.5 * dext_ds
+    dv_dv = dcrx * 0.5 * dext_dv * cos_p + dcry * 0.5 * dext_dv * sin_p + dar * 0.5 * dext_dv
+    return value, dv_ds, dv_dv
+
+
+def reference_value_and_grad(prob, u, weight):
+    """Penalty-objective oracle: per-track loop, np.sum and a tensordot gradient."""
+    p, n = prob.params, prob.horizon
+    states = prob.base + prob.g_mat @ u
+    a, v, s = states[:, 0], states[:, 1], states[:, 2]
+    adj = np.zeros((n + 1, 3))
+    dv_ref = v - p.v_ref
+    value = p.q * float(np.sum(dv_ref[:n] ** 2)) + p.q_n * float(dv_ref[n] ** 2)
+    value += p.r * float(np.sum(u * u))
+    adj[:n, 1] += 2.0 * p.q * dv_ref[:n]
+    adj[n, 1] += 2.0 * p.q_n * dv_ref[n]
+    grad_direct = 2.0 * p.r * u
+    aj, vj, sj = a[1:], v[1:], s[1:]
+    x, y, psi, kap, dkap, kap_exact, inside = reference_geometry(prob, sj)
+    ay = kap * vj * vj
+    shrink = 1.0 - OcpProblem.ENFORCE_BACKOFF
+    r_lo = np.maximum(0.0, -vj)
+    r_hi = np.maximum(0.0, vj - p.v_max * shrink)
+    r_ay = np.maximum(0.0, np.abs(ay) - p.a_y_max * shrink)
+    r_tot = np.maximum(0.0, aj * aj + ay * ay - (p.a_tot_max * shrink) ** 2)
+    value += weight * float(np.sum(r_lo**2) + np.sum(r_hi**2))
+    adj[1:, 1] += weight * (2.0 * r_hi - 2.0 * r_lo)
+    sgn = np.sign(ay)
+    value += weight * float(np.sum(r_ay**2))
+    adj[1:, 1] += weight * 4.0 * r_ay * sgn * kap * vj
+    adj[1:, 2] += weight * 2.0 * r_ay * sgn * dkap * vj * vj
+    value += weight * float(np.sum(r_tot**2))
+    adj[1:, 0] += weight * 4.0 * r_tot * aj
+    adj[1:, 1] += weight * 8.0 * r_tot * ay * kap * vj
+    adj[1:, 2] += weight * 4.0 * r_tot * ay * dkap * vj * vj
+    for track in prob.tracks:
+        ca, dca_ds, dca_dv = reference_ca_terms(prob, x, y, psi, kap_exact, inside, vj, track)
+        value += weight * float(np.sum(ca**2))
+        adj[1:, 2] += weight * 2.0 * ca * dca_ds
+        adj[1:, 1] += weight * 2.0 * ca * dca_dv
+    h1 = max(0.0, prob.regions.s_cr_out - s[n])
+    h2 = max(0.0, s[n] - prob.regions.s_stop)
+    r_prev = h1 * h2
+    value += weight * r_prev * r_prev
+    d_prev = -float(h1 > 0) * h2 + h1 * float(h2 > 0)
+    adj[n, 2] += weight * 2.0 * r_prev * d_prev
+    return value, grad_direct + np.tensordot(adj, prob.g_mat, axes=([0, 1], [0, 1]))
+
+
+def reference_residual_stack(prob, u):
+    p = prob.params
+    states = prob.base + prob.g_mat @ u
+    a, v, s = states[:, 0], states[:, 1], states[:, 2]
+    aj, vj = a[1:], v[1:]
+    x, y, psi, kap, _, kap_exact, inside = reference_geometry(prob, s[1:])
+    ay = kap * vj * vj
+    pieces = [
+        np.maximum(0.0, -vj),
+        np.maximum(0.0, vj - p.v_max),
+        np.maximum(0.0, np.abs(ay) - p.a_y_max),
+        np.maximum(0.0, aj * aj + ay * ay - p.a_tot_max**2),
+    ]
+    for track in prob.tracks:
+        pieces.append(reference_ca_terms(prob, x, y, psi, kap_exact, inside, vj, track)[0])
+    r_prev = preview_residual(float(s[-1]), prob.regions.s_cr_out, prob.regions.s_stop)
+    return np.concatenate(pieces + [np.array([r_prev])])
+
+
+def random_neighbor(rng, agent_id, horizon=50):
+    """A crossing or oncoming vehicle near the intersection, or a slow leader."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return crossing_neighbor(agent_id, offset=rng.uniform(-10.0, 20.0),
+                                 speed=rng.uniform(0.0, 15.0), horizon=horizon)
+    t = np.arange(horizon + 1) * 0.1
+    speed = rng.uniform(0.0, 15.0)
+    heading = rng.uniform(-math.pi, math.pi)
+    x0, y0 = rng.uniform(-15.0, 15.0, 2)
+    if kind == 2:  # ahead on the southbound N-S lane
+        x0, y0, heading = -2.0, rng.uniform(-10.0, 40.0), -math.pi / 2
+    return NeighborForecast(
+        agent_id,
+        x0 + speed * t * math.cos(heading),
+        y0 + speed * t * math.sin(heading),
+        np.full(horizon + 1, heading) + rng.normal(0.0, 0.05, horizon + 1),
+        np.full(horizon + 1, speed),
+        rng.uniform(3.0, 6.0),
+        rng.uniform(1.5, 2.5),
+    )
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_kernel_matches_per_track_reference_bit_for_bit():
+    """240 random problems with 0-3 tracks on straight and turning routes,
+    some with horizons that leave the path at either end."""
+    rng = np.random.default_rng(2024)
+    routes = [RouteSpec("N", "S"), RouteSpec("W", "N"), RouteSpec("E", "N"), RouteSpec("S", "W")]
+    envs = [make_env(r) for r in routes]
+    active = 0
+    for trial in range(240):
+        path, bounds = envs[trial % len(envs)]
+        tracks = tuple(random_neighbor(rng, 2 + i) for i in range((trial // 4) % 4))
+        if trial % 10 == 9:  # rolling back past the path start, or running off its end
+            s0 = rng.choice([rng.uniform(0.0, 0.5), path.total_length - rng.uniform(0.0, 20.0)])
+            state = AgentState(rng.uniform(-2.0, 0.0), rng.uniform(0.0, 1.0) + (s0 > 1.0) * 14.0, s0)
+            end = path.table.pose(np.array([path.total_length]))
+            parked = NeighborForecast(9, *(np.full(51, c[0]) for c in end[:3]), np.zeros(51), 5.0, 2.0)
+            tracks = (parked,) + tracks[1:]
+        else:
+            state = AgentState(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 16.0), rng.uniform(0.0, 110.0))
+        prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, OcpParameter(state, tracks), 50)
+        for weight in (0.0, 10.0, 1250.0):
+            u = np.clip(rng.normal(0.0, 3.0, 50), -7.0, 4.0)
+            value, grad = prob.value_and_grad(u, weight)
+            ref_value, ref_grad = reference_value_and_grad(prob, u, weight)
+            assert same_bits(value, ref_value), trial
+            assert same_bits(grad, ref_grad), trial
+        stack = prob.residual_stack(u)
+        assert same_bits(stack, reference_residual_stack(prob, u)), trial
+        active += bool(np.any(stack[200:-1] > 1e-3))
+    assert active >= 20  # the avoidance terms were exercised, not just zeros
+
+
+def test_sensitivities_are_shared_read_only_and_exact():
+    path, bounds = make_env()
+    z = OcpParameter(AgentState(0.0, 14.0, 10.0))
+
+    def problem(t_ax, horizon=50):
+        return OcpProblem(discretize(t_ax, 0.1), PARAMS, path, bounds, MARGINS, z, horizon)
+
+    first, second = problem(0.3), problem(0.3)
+    assert first.f_mat is second.f_mat and first.g_mat is second.g_mat
+    assert problem(0.5).g_mat is not first.g_mat
+    assert problem(0.3, 40).g_mat.shape == (41, 3, 40)
+    assert mpc._sensitivities.cache_info().maxsize is not None
+    for arr in (first.f_mat, first.g_mat):
+        with pytest.raises(ValueError):
+            arr[1, 0, 0] = 0.0
+    # bit for bit the per-solve construction they replace
+    a_d, b_d = first.model.a_d, first.model.b_d
+    powers = [np.eye(3)]
+    for _ in range(50):
+        powers.append(a_d @ powers[-1])
+    g = np.zeros((51, 3, 50))
+    for j in range(1, 51):
+        g[j] = a_d @ g[j - 1]
+        g[j][:, j - 1] = b_d
+    assert same_bits(first.f_mat, np.stack(powers)) and same_bits(first.g_mat, g)
+    u = np.linspace(-7.0, 4.0, 50)
+    expect = [st.as_array() for st in rollout(first.model, z.own_state, u)]
+    np.testing.assert_allclose(first.states(u), expect, rtol=1e-12, atol=1e-9)
+
+
+def test_overflowing_state_is_rejected_before_evaluation():
+    path, bounds = make_env()
+    z = OcpParameter(AgentState(0.0, 8.9e307, 1.0e308))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="overflows"):
+            OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, z, 50)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def gradient_fd_check(prob, u, weight, h=1e-6):
     value, grad = prob.value_and_grad(u, weight)
     fd = np.array(
@@ -161,18 +363,26 @@ def gradient_fd_check(prob, u, weight, h=1e-6):
 
 
 def test_gradient_matches_finite_differences_on_random_instances():
-    """20 randomized instances with active avoidance and preview terms.
+    """30 randomized instances with active avoidance and preview terms.
 
     Start points come from a partial solve so penalty terms are active but
     the objective stays moderate; wildly infeasible points make the
     finite-difference oracle itself noisier than the target tolerance.
+    Trials 20-29 carry two or three neighbors, so every row of the stacked
+    track arrays feeds the gradient.
     """
     rng = np.random.default_rng(17)
     worst = 0.0
-    for trial in range(20):
+    for trial in range(30):
         route = RouteSpec("W", "N") if trial % 2 else RouteSpec("N", "S")
         path, bounds = make_env(route)
-        neighbors = (crossing_neighbor(offset=rng.uniform(0, 15)),) if trial % 3 else ()
+        if trial >= 20:
+            neighbors = tuple(
+                crossing_neighbor(3 + i, offset=rng.uniform(20, 45), speed=rng.uniform(8.0, 14.0))
+                for i in range(2 + trial % 2)
+            )
+        else:
+            neighbors = (crossing_neighbor(offset=rng.uniform(0, 15)),) if trial % 3 else ()
         s0 = rng.uniform(30.0, 70.0)
         z = OcpParameter(AgentState(rng.uniform(-0.5, 0.5), rng.uniform(8.0, 14.0), s0), neighbors)
         prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, z, 50)

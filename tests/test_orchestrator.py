@@ -1,6 +1,7 @@
 """Scenario loading, simulation-loop, and export tests on small runs."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -218,8 +219,12 @@ def test_non_finite_state_aborts_with_context():
             # large enough that the plant update overflows to infinity
             rts[1].state = AgentState(0.0, 8.9e307, 1.0e308)
 
-    with pytest.raises(RuntimeError, match="agent 1 at step"):
-        run_simulation(cfg, pre_solve_hook=corrupt)
+    # rejected at the solver boundary, before any numpy overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RuntimeError, match="agent 1 at step"):
+            run_simulation(cfg, pre_solve_hook=corrupt)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_speed_stays_nonnegative_and_progress_monotone():

@@ -209,6 +209,68 @@ def test_curvature_slope_matches_central_differences(path, fractions):
     np.testing.assert_allclose(slope, (above - below) / (2.0 * h), rtol=0, atol=1e-5)
 
 
+def masked_loop_pose(path, s):
+    """Pose oracle: the per-segment masked loop that pose() replaced, one
+    boolean mask and one formula per segment."""
+    cum = np.asarray(path.cumulative)
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(path.segments) - 1)
+    ds = s - cum[idx]
+    x, y, psi, kappa = (np.empty_like(s) for _ in range(4))
+    for i, seg in enumerate(path.segments):
+        m = idx == i
+        if not m.any():
+            continue
+        if isinstance(seg, StraightSegment):
+            x[m] = seg.x0 + ds[m] * math.cos(seg.heading)
+            y[m] = seg.y0 + ds[m] * math.sin(seg.heading)
+            psi[m] = seg.heading
+            kappa[m] = 0.0
+        else:
+            sgn = 1.0 if seg.sweep >= 0 else -1.0
+            ang = seg.start_angle + sgn * ds[m] / seg.radius
+            x[m] = seg.cx + seg.radius * np.cos(ang)
+            y[m] = seg.cy + seg.radius * np.sin(ang)
+            psi[m] = ang + sgn * math.pi / 2.0
+            kappa[m] = sgn / seg.radius
+    return x, y, psi, kappa
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("radius", [4.0, 8.0, 12.0])
+@pytest.mark.parametrize("arms", [(e, x) for e in ARMS for x in ARMS if e != x])
+def test_pose_matches_masked_loop_oracle_bit_for_bit(arms, radius):
+    path = build_path(RouteSpec(*arms, turn_radius=radius))
+    total = path.total_length
+    # the dense compute_regions grid
+    grid = np.arange(0.0, total + 0.05, 0.05)
+    grid[-1] = total
+    assert_same_bits(path.table.pose(grid), masked_loop_pose(path, grid))
+    # 50-point horizons: random windows, windows across every junction and
+    # blend-window edge, and the path end; plus the junctions themselves
+    rng = np.random.default_rng(len(arms[0] + arms[1]) * 100 + int(radius))
+    marks = [*path.table.cum, *(z for b in path.table.blends for z in b[:2])]
+    starts = [*rng.uniform(0.0, total - 30.0, 8), *(max(0.0, m - 3.0) for m in marks)]
+    for s0 in starts:
+        s = np.minimum(s0 + np.sort(rng.uniform(0.0, 6.0, 50)), total)
+        assert_same_bits(path.table.pose(s), masked_loop_pose(path, s))
+    at = np.asarray(marks)
+    assert_same_bits(path.table.pose(at), masked_loop_pose(path, at))
+
+
+def test_pose_matches_masked_loop_oracle_on_two_arcs():
+    # an S-bend: left quarter arc, right quarter arc, then a straight
+    left = ArcSegment(0.0, 10.0, 10.0, -math.pi / 2, math.pi / 2)
+    right = ArcSegment(20.0, 10.0, 10.0, math.pi, -math.pi / 2)
+    exit_ = StraightSegment(*right.end_pose()[:2], 0.0, 5.0)
+    path = PathSpec((left, right, exit_), left.length + right.length + 5.0)
+    s = np.linspace(0.0, path.total_length, 997)
+    assert_same_bits(path.table.pose(s), masked_loop_pose(path, s))
+
+
 def test_c0_continuity_validation():
     good = left_turn_wn()
     assert len(good.segments) == 3
