@@ -18,8 +18,6 @@ from .geometry import (
     smooth_area_overlap,
 )
 from .mpc import (
-    ControlSequence,
-    OcpParameter,
     PenaltyConfig,
     PredictedTrajectory,
     SolverReport,

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 from .orchestrator import export_logs, run_simulation
-from .scenario import ScenarioError, load_scenario
+from .scenario import NAMED_TOPOLOGIES, ScenarioError, load_scenario, parse_topology
 
 
 def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
@@ -39,7 +42,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_scenario(args.scenario)
-    except ScenarioError as exc:
+        if args.command == "simulate" and args.steps is not None:
+            cfg = replace(cfg, steps=args.steps)
+        if args.command == "simulate" and args.topology is not None:
+            spec = args.topology
+            if spec not in NAMED_TOPOLOGIES:
+                spec = json.loads(Path(spec).read_text())
+            cfg = replace(cfg, topology=parse_topology(spec, "--topology"))
+    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
 
@@ -49,19 +59,6 @@ def main(argv=None) -> int:
             f"steps={cfg.steps}, topology={cfg.topology}"
         )
         return 0
-
-    from dataclasses import replace
-
-    if args.steps is not None:
-        cfg = replace(cfg, steps=args.steps)
-    if args.topology is not None:
-        if args.topology in ("complete", "ring"):
-            cfg = replace(cfg, topology=args.topology)
-        else:
-            import json
-
-            arcs = tuple(tuple(a) for a in json.loads(open(args.topology).read()))
-            cfg = replace(cfg, topology=arcs)
 
     sim_log, timing = run_simulation(cfg, workers=args.workers)
     files = export_logs(sim_log, timing, args.out)

@@ -16,12 +16,19 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .dynamics import AgentParams, AgentState, DiscreteModel, rollout
 from .geometry import SafetyMargins, smooth_overlap_core
 from .paths import PathSpec, RegionBounds
+
+
+# bound on |a_x|, |v| and |s| of a state the solver accepts: no vehicle
+# comes near it, and the penalty terms, up to eighth powers of the state
+# (the squared total-acceleration residual), stay far from overflowing
+_STATE_LIMIT = 1e6
 
 
 @dataclass(frozen=True)
@@ -43,63 +50,17 @@ class PenaltyConfig:
             raise ValueError("initial weight must be > 0")
 
 
-@dataclass
-class NeighborForecast:
-    """A conflicting agent's broadcast trajectory from the previous step."""
+@dataclass(frozen=True, eq=False)
+class PredictedTrajectory:
+    """What a vehicle broadcasts after its solve: its predicted poses at
+    steps 0..N of the horizon, and its own footprint."""
 
-    agent_id: int
     x_g: np.ndarray
     y_g: np.ndarray
     psi: np.ndarray
     v: np.ndarray
     length: float
     width: float
-
-    def __post_init__(self):
-        n = len(self.x_g)
-        for arr in (self.y_g, self.psi, self.v):
-            if len(arr) != n:
-                raise ValueError("neighbor forecast arrays must share one length")
-        for arr in (self.x_g, self.y_g, self.psi, self.v):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("neighbor forecast contains non-finite values")
-
-
-@dataclass
-class OcpParameter:
-    """Everything measured or received that parameterizes one solve."""
-
-    own_state: AgentState
-    neighbors: tuple[NeighborForecast, ...] = ()
-
-    def validate(self, horizon: int) -> None:
-        for nb in self.neighbors:
-            if len(nb.x_g) != horizon + 1:
-                raise ValueError(
-                    f"neighbor {nb.agent_id} forecast length {len(nb.x_g)} != horizon+1 {horizon + 1}"
-                )
-
-
-@dataclass
-class ControlSequence:
-    u: np.ndarray
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if np.any(self.u < self.lower - 1e-12) or np.any(self.u > self.upper + 1e-12):
-            raise ValueError("control sequence leaves its box")
-
-
-@dataclass
-class PredictedTrajectory:
-    states: list[AgentState]
-    x_g: np.ndarray
-    y_g: np.ndarray
-    psi: np.ndarray
-    v: np.ndarray
-    a_y: np.ndarray  # per step 1..N, exact curvature
-    a_tot: np.ndarray
 
 
 @dataclass
@@ -120,18 +81,6 @@ def preview_residual(s_n: float, s_cr_out: float, s_stop: float) -> float:
     if s_stop >= s_cr_out:
         raise ValueError("stop line must precede the critical-region exit")
     return max(0.0, s_cr_out - s_n) * max(0.0, s_n - s_stop)
-
-
-def _shift_forecast(nb: NeighborForecast, horizon: int) -> NeighborForecast:
-    """Align a previous-step broadcast with the current horizon.
-
-    Prediction step j here corresponds to the neighbor's step j+1 of its
-    own (one step older) horizon; the terminal entry is held.
-    """
-    idx = np.minimum(np.arange(horizon + 1) + 1, len(nb.x_g) - 1)
-    return NeighborForecast(
-        nb.agent_id, nb.x_g[idx], nb.y_g[idx], nb.psi[idx], nb.v[idx], nb.length, nb.width
-    )
 
 
 @lru_cache(maxsize=64)
@@ -176,35 +125,45 @@ class OcpProblem:
         path: PathSpec,
         regions: RegionBounds,
         margins: SafetyMargins,
-        z: OcpParameter,
+        state: AgentState,
+        neighbours: Sequence[PredictedTrajectory],
         horizon: int,
     ):
-        z.validate(horizon)
         self.model = model
         self.params = params
         self.path = path
         self.regions = regions
         self.margins = margins
         self.horizon = horizon
-        self.x0 = z.own_state
+        self.x0 = state
         self._table = path.table
-
+        if not np.all(np.abs(state.as_array()) <= _STATE_LIMIT):
+            raise ValueError(
+                f"state {state} is out of range: |a_x|, |v| and |s| must not exceed "
+                f"{_STATE_LIMIT:g}, which keeps every penalty term far from where float64 overflows"
+            )
         self.f_mat, self.g_mat, self._g_flat = _sensitivities(
             model.a_d.tobytes(), model.b_d.tobytes(), horizon
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.base = self.f_mat @ self.x0.as_array()
-        if not np.all(np.isfinite(self.base)):
-            raise ValueError(f"state {self.x0} overflows the {horizon}-step prediction")
-        self.tracks = tuple(_shift_forecast(nb, horizon) for nb in z.neighbors)
+        self.base = self.f_mat @ state.as_array()
 
-        def stack(field):
-            return np.array([getattr(t, field)[1:] for t in self.tracks]).reshape(-1, horizon)
-
-        # (T, N) neighbor poses at prediction steps 1..N, and (T, 1) half extents
-        self._ox, self._oy, self._opsi, self._ov = (stack(f) for f in ("x_g", "y_g", "psi", "v"))
-        self._oa = np.array([[t.length / 2.0] for t in self.tracks])
-        self._ob = np.array([[t.width / 2.0] for t in self.tracks])
+        # the V2V input boundary: every broadcast holds N+1 finite poses
+        self.tracks = tuple(neighbours)
+        n_poses = horizon + 1
+        fields = [[getattr(nb, name) for nb in self.tracks] for name in ("x_g", "y_g", "psi", "v")]
+        if any(len(arr) != n_poses for field in fields for arr in field):
+            raise ValueError(f"a neighbour broadcast does not hold horizon+1 = {n_poses} poses")
+        poses = np.array(fields, dtype=float).reshape(4, len(self.tracks), n_poses)
+        extents = np.array([(nb.length, nb.width) for nb in self.tracks], dtype=float).reshape(-1, 2)
+        if not (np.all(np.isfinite(poses)) and np.all(np.isfinite(extents))):
+            raise ValueError("a neighbour broadcast holds a non-finite value")
+        # a broadcast is one step old: prediction step j reads the sender's
+        # step j+1, and its last pose is held
+        shift = np.minimum(np.arange(2, n_poses + 1), horizon)
+        # (T, N) neighbour poses at prediction steps 1..N, and (T, 1) half extents
+        self._ox, self._oy, self._opsi, self._ov = poses.take(shift, axis=2)
+        self._oa = extents[:, :1] / 2.0
+        self._ob = extents[:, 1:] / 2.0
 
     # -- state prediction -------------------------------------------------
 
@@ -451,25 +410,19 @@ def box_solve(
     return u, iterations, converged, float(f)
 
 
-def initial_broadcast(x0: AgentState, path: PathSpec, horizon: int, t_s: float) -> PredictedTrajectory:
-    """Constant-speed, zero-acceleration forecast for the very first step.
-
-    The first sample keeps the measured state; later samples hold the
-    measured speed with the drivetrain state dropped.
-    """
+def initial_broadcast(
+    x0: AgentState, path: PathSpec, params: AgentParams, horizon: int, t_s: float
+) -> PredictedTrajectory:
+    """Constant-speed forecast: the first step's broadcast, and that of a
+    vehicle past its control region, which no longer solves."""
     s = x0.s + np.arange(horizon + 1) * t_s * x0.v
-    states = [x0] + [AgentState(0.0, x0.v, float(si)) for si in s[1:]]
-    return _trajectory_from_states(states, path)
+    s[0] = x0.s
+    return _broadcast(s, np.full(horizon + 1, x0.v), path, params)
 
 
-def _trajectory_from_states(states: list[AgentState], path: PathSpec) -> PredictedTrajectory:
-    s = np.array([st.s for st in states])
-    v = np.array([st.v for st in states])
-    a = np.array([st.a_x for st in states])
-    x, y, psi, kap = path.table.pose(np.clip(s, 0.0, path.total_length))
-    a_y = kap[1:] * v[1:] * v[1:]
-    a_tot = np.sqrt(a[1:] ** 2 + a_y**2)
-    return PredictedTrajectory(states, x, y, psi, v, a_y, a_tot)
+def _broadcast(s: np.ndarray, v: np.ndarray, path: PathSpec, params: AgentParams) -> PredictedTrajectory:
+    x, y, psi, _ = path.table.pose(np.clip(s, 0.0, path.total_length))
+    return PredictedTrajectory(x, y, psi, v, params.length, params.width)
 
 
 @dataclass
@@ -526,7 +479,8 @@ def _penalty_loop(problem: OcpProblem, u0: np.ndarray, cfg: PenaltyConfig) -> _C
 
 
 def solve_ocp(
-    z: OcpParameter,
+    state: AgentState,
+    neighbours: Sequence[PredictedTrajectory],
     model: DiscreteModel,
     params: AgentParams,
     path: PathSpec,
@@ -535,8 +489,10 @@ def solve_ocp(
     margins: SafetyMargins,
     horizon: int,
     warm: np.ndarray | None = None,
-) -> tuple[ControlSequence, PredictedTrajectory, SolverReport]:
-    """Receding-horizon solve for one agent at one sampling instant.
+) -> tuple[np.ndarray, PredictedTrajectory, SolverReport]:
+    """Receding-horizon solve for one agent at one sampling instant, against
+    the neighbours' previous-step broadcasts. Returns the input sequence,
+    this agent's own broadcast, and a report.
 
     Besides the warm start, a full-throttle start is tried whenever the
     warm solution does not already clear the critical region: the preview
@@ -548,8 +504,7 @@ def solve_ocp(
     the lower violation.
     """
     t_start = time.perf_counter()
-    problem = OcpProblem(model, params, path, regions, margins, z, horizon)
-    lo, hi = params.a_x_min, params.a_x_max
+    problem = OcpProblem(model, params, path, regions, margins, state, neighbours, horizon)
     u0 = np.zeros(horizon) if warm is None else np.asarray(warm, dtype=float)
 
     chosen = _penalty_loop(problem, u0, cfg)
@@ -560,10 +515,10 @@ def solve_ocp(
     # binding: the horizon end sits near or past the stop line yet short of
     # the critical-region exit
     if (
-        z.own_state.s < regions.s_cr_out
+        state.s < regions.s_cr_out
         and regions.s_stop - 2.0 <= s_end < regions.s_cr_out - 1e-9
     ):
-        go = _penalty_loop(problem, np.full(horizon, hi), cfg)
+        go = _penalty_loop(problem, np.full(horizon, params.a_x_max), cfg)
         inner_total += go.inner
         outer_total = max(outer_total, go.outer)
         tol = cfg.constraint_tolerance
@@ -575,8 +530,10 @@ def solve_ocp(
             chosen = go
 
     u = chosen.u
-    states = rollout(model, z.own_state, u)
-    traj = _trajectory_from_states(states, path)
+    states = rollout(model, state, u)
+    broadcast = _broadcast(
+        np.array([st.s for st in states]), np.array([st.v for st in states]), path, params
+    )
     report = SolverReport(
         outer_iterations=outer_total,
         inner_iterations=inner_total,
@@ -587,4 +544,4 @@ def solve_ocp(
         converged=chosen.violation <= cfg.constraint_tolerance,
         violation_history=chosen.history,
     )
-    return ControlSequence(u, lo, hi), traj, report
+    return u, broadcast, report

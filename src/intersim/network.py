@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, TypeVar
 
 T = TypeVar("T")
@@ -94,11 +95,13 @@ def is_strongly_connected(t: Topology) -> bool:
     return all(len(_bfs_dists(adj, i)) == n for i in t.nodes)
 
 
+@lru_cache(maxsize=256)
 def graph_ell(t: Topology) -> int:
     """Largest over ordered node pairs of the shortest directed path length.
 
     Bounds how many synchronous rounds a max-consensus sweep needs; a single
-    node still costs one round.
+    node still costs one round. Memoised per topology, so the auction and
+    the timing bound of one step share one computation.
     """
     if len(t.nodes) <= 1:
         return 1

@@ -32,13 +32,7 @@ from .geometry import (
     paths_conflict,
     safety_region,
 )
-from .mpc import (
-    NeighborForecast,
-    OcpParameter,
-    PredictedTrajectory,
-    initial_broadcast,
-    solve_ocp,
-)
+from .mpc import PredictedTrajectory, initial_broadcast, solve_ocp
 from .network import LatencyModel, cbaam_time_bound, graph_ell
 from .paths import PathClampWarning, build_path, compute_regions, region_of, sample_path
 from .scenario import ScenarioConfig
@@ -140,7 +134,7 @@ def _build_runtimes(cfg: ScenarioConfig) -> dict[int, _AgentRuntime]:
             bounds=bounds,
             model=discretize(agent.params.t_ax, cfg.t_s),
             state=state,
-            broadcast=initial_broadcast(state, path, cfg.horizon, cfg.t_s),
+            broadcast=initial_broadcast(state, path, agent.params, cfg.horizon, cfg.t_s),
         )
     return out
 
@@ -165,19 +159,6 @@ def _conflict_matrix(cfg: ScenarioConfig, rts: dict[int, _AgentRuntime]) -> dict
                 cfg.geometry.cr_half_width,
             )
     return out
-
-
-def _forecast_of(rt: _AgentRuntime) -> NeighborForecast:
-    bc = rt.broadcast
-    return NeighborForecast(
-        rt.agent_id,
-        bc.x_g,
-        bc.y_g,
-        bc.psi,
-        bc.v,
-        rt.config.params.length,
-        rt.config.params.width,
-    )
 
 
 def _pair_metrics(
@@ -241,8 +222,6 @@ def run_simulation(
 
     sim_log = SimulationLog()
     timing = TimingReport()
-    # (schedule entry, participants) -> (topology, ell)
-    topo_cache: dict[tuple, tuple["Topology", int]] = {}
 
     for k in range(cfg.steps):
         t_now = k * cfg.t_s
@@ -264,12 +243,8 @@ def run_simulation(
         iterations = 0
         ell = 1
         if participants:
-            sched_idx = sum(1 for from_step, _ in sorted(cfg.topology_schedule) if k >= from_step)
-            key = (sched_idx, frozenset(participants))
-            if key not in topo_cache:
-                topo = cfg.topology_among(k, participants)
-                topo_cache[key] = (topo, graph_ell(topo))
-            topo, ell = topo_cache[key]
+            topo = cfg.topology_among(k, participants)
+            ell = graph_ell(topo)
             assignment, iterations = run_cbaam(bids, topo)
 
         views = {
@@ -291,21 +266,20 @@ def run_simulation(
                 )
             sets_i = conflict_sets(i, views, cross)
             partners[i] = sets_i.combined
-            neighbors = tuple(_forecast_of(rts[l]) for l in sorted(sets_i.combined))
-            solve_list.append((i, neighbors))
+            solve_list.append((i, tuple(rts[l].broadcast for l in sorted(sets_i.combined))))
 
         next_broadcasts: dict[int, PredictedTrajectory] = {}
         if pre_solve_hook is not None:
             pre_solve_hook(k, rts, next_broadcasts)
 
         def run_one(item):
-            i, neighbors = item
+            i, neighbours = item
             rt = rts[i]
-            z = OcpParameter(rt.state, neighbors)
             warm = _shift_warm(rt.warm) if rt.warm is not None else None
             try:
                 return i, solve_ocp(
-                    z,
+                    rt.state,
+                    neighbours,
                     rt.model,
                     rt.config.params,
                     rt.path,
@@ -316,10 +290,7 @@ def run_simulation(
                     warm,
                 )
             except ValueError as exc:
-                raise RuntimeError(
-                    f"solver produced a non-finite result for agent {i} at step {k}: "
-                    f"state={rt.state}"
-                ) from exc
+                raise RuntimeError(f"solve failed for agent {i} at step {k}: {exc}") from exc
 
         if workers > 1 and len(solve_list) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -328,10 +299,10 @@ def run_simulation(
             results = dict(map(run_one, solve_list))
 
         max_mpc_ms = 0.0
-        for i, (seq, traj, report) in sorted(results.items()):
-            rts[i].warm = seq.u
-            rts[i].applied_u = float(seq.u[0])
-            next_broadcasts[i] = traj
+        for i, (u, broadcast, report) in sorted(results.items()):
+            rts[i].warm = u
+            rts[i].applied_u = float(u[0])
+            next_broadcasts[i] = broadcast
             max_mpc_ms = max(max_mpc_ms, report.wall_ms)
             sim_log.solver_violation_histories.append(report.violation_history)
             if not report.converged:
@@ -403,7 +374,9 @@ def run_simulation(
                 rts[i].broadcast = results[i][1]
             else:
                 # outside the control region: broadcast a constant-speed hold
-                rts[i].broadcast = initial_broadcast(rts[i].state, rts[i].path, cfg.horizon, cfg.t_s)
+                rts[i].broadcast = initial_broadcast(
+                    rts[i].state, rts[i].path, rts[i].config.params, cfg.horizon, cfg.t_s
+                )
 
         n_part = len(participants)
         bound_ms = cbaam_time_bound(n_part, ell, latency) if n_part else 0.0

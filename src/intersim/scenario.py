@@ -7,17 +7,19 @@ reports the offending field path so config errors are quick to locate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .auction import BidParams
 from .dynamics import AgentParams
 from .geometry import SafetyMargins
 from .mpc import PenaltyConfig
-from .network import Topology
+from .network import Topology, is_strongly_connected
 from .paths import IntersectionGeometry, RouteSpec, build_path, project_onto_path
 
 PRESETS = ("use_case_1", "use_case_2")
+NAMED_TOPOLOGIES = ("complete", "ring")
 _MAX_POSITION_ERROR = 0.1
 
 
@@ -87,6 +89,19 @@ class ScenarioConfig:
             self.bid_params.check_separation(max(a.params.v_max for a in self.agents))
         except ValueError as exc:
             raise ScenarioError(f"bid_params: {exc}") from exc
+        specs = [("topology", self.topology)] + [
+            (f"topology_schedule[{k}].topology", spec)
+            for k, (_, spec) in enumerate(self.topology_schedule)
+        ]
+        for where, spec in specs:
+            if spec in NAMED_TOPOLOGIES:
+                continue
+            try:
+                topo = Topology(frozenset(ids), frozenset(spec))
+            except ValueError as exc:
+                raise ScenarioError(f"{where}: {exc}") from exc
+            if not is_strongly_connected(topo):
+                raise ScenarioError(f"{where}: arcs must connect every agent to every other")
         for pos, a in enumerate(self.agents):
             path = build_path(a.route)
             _, dist = project_onto_path(path, *a.initial_position)
@@ -94,21 +109,6 @@ class ScenarioConfig:
                 raise ScenarioError(
                     f"agents[{pos}].initial_position: {dist:.3f} m off the route path"
                 )
-
-    def _build(self, spec) -> Topology:
-        ids = [a.agent_id for a in self.agents]
-        if spec == "complete":
-            return Topology.complete(ids)
-        if spec == "ring":
-            return Topology.ring(ids)
-        return Topology(frozenset(ids), frozenset(tuple(arc) for arc in spec))
-
-    def build_topology(self) -> Topology:
-        return self._build(self.topology)
-
-    def topology_at(self, step: int) -> Topology:
-        """Topology over all agents for a given step, honoring any scheduled overrides."""
-        return self.topology_among(step, [a.agent_id for a in self.agents])
 
     def topology_among(self, step: int, participants) -> Topology:
         """Topology among the given agents for a given step.
@@ -118,14 +118,15 @@ class ScenarioConfig:
         arcs among them.
         """
         spec = self.topology
-        for from_step, override in sorted(self.topology_schedule):
+        for from_step, override in sorted(self.topology_schedule, key=lambda entry: entry[0]):
             if step >= from_step:
                 spec = override
         if spec == "complete":
             return Topology.complete(participants)
         if spec == "ring":
             return Topology.ring(participants)
-        return self._build(spec).induced(participants)
+        ids = frozenset(a.agent_id for a in self.agents)
+        return Topology(ids, frozenset(spec)).induced(participants)
 
     def initial_s(self, agent: AgentConfig) -> float:
         s0, _ = project_onto_path(build_path(agent.route), *agent.initial_position)
@@ -165,19 +166,42 @@ def use_case_1() -> ScenarioConfig:
 
 def use_case_2() -> ScenarioConfig:
     """Same as use_case_1, but agent 2 turns into an emergency vehicle at 0.5 s."""
-    base = use_case_1()
-    return ScenarioConfig(
-        t_s=base.t_s,
-        horizon=base.horizon,
-        steps=base.steps,
-        agents=base.agents,
-        geometry=base.geometry,
-        bid_params=base.bid_params,
-        margins=base.margins,
-        penalty=base.penalty,
-        topology=base.topology,
-        events=(EventSpec(0.5, 2),),
+    return replace(use_case_1(), events=(EventSpec(0.5, 2),))
+
+
+_REQUIRED = object()
+
+# dataclass field -> document key of the numeric fields read from each section
+_ROUTE_KEYS = {
+    "lane_offset": "lane_offset_m",
+    "turn_radius": "turn_radius_m",
+    "approach_length": "approach_length_m",
+    "exit_length": "exit_length_m",
+}
+_PARAM_KEYS = {
+    "t_ax": "t_ax_s", "a_x_min": "a_x_min", "a_x_max": "a_x_max", "v_max": "v_max",
+    "a_y_max": "a_y_max", "a_tot_max": "a_tot_max", "length": "length_m", "width": "width_m",
+    "q": "q", "q_n": "q_n", "r": "r", "v_ref": "v_ref_mps",
+}
+_GEOMETRY_KEYS = {
+    "cr_half_width": "cr_half_width_m", "icr_radius": "icr_radius_m",
+    "brake_margin": "brake_margin_m", "stop_setback": "stop_setback_m",
+}
+_BID_KEYS = {name: name for name in ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "emergency_bid")}
+_MARGIN_KEYS = {"long": "long_m", "lat": "lat_m", "headway": "headway_s", "sharpness": "smooth_sharpness"}
+_PENALTY_KEYS = {
+    name: name
+    for name in (
+        "initial_weight", "multiplier", "max_outer_iterations", "constraint_tolerance",
+        "inner_tolerance", "lbfgs_memory", "max_inner_iterations",
     )
+}
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where}: must be an object")
+    return value
 
 
 def _require(mapping: dict, key: str, ctx: str):
@@ -186,126 +210,129 @@ def _require(mapping: dict, key: str, ctx: str):
     return mapping[key]
 
 
+def _number(value, where: str, integer: bool = False):
+    """The one reader of scenario numbers: a finite float, or an int where
+    `integer` is set. Anything else is a ScenarioError naming the field."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{where}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"{where}: must be finite, got {value!r}")
+    if not integer:
+        return number
+    if not number.is_integer():
+        raise ScenarioError(f"{where}: must be an integer, got {value!r}")
+    return int(number)
+
+
+def _field(mapping: dict, key: str, ctx: str, default=_REQUIRED, integer: bool = False):
+    """Numeric field `key` of `mapping`; an absent field takes the default."""
+    if default is not _REQUIRED and key not in mapping:
+        return default
+    return _number(_require(mapping, key, ctx), ctx + key, integer)
+
+
+def _checked(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with its validation error reported at `where`."""
+    try:
+        return build(*args, **kwargs)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def _section(doc: dict, key: str, ctx: str, defaults, keys: dict[str, str]):
+    """`defaults` (a dataclass) with the numeric fields of doc[key] read in;
+    a field whose default is an int must be an integer."""
+    where = ctx + key
+    sub = _object(doc.get(key, {}), where)
+    values = {}
+    for name, doc_key in keys.items():
+        default = getattr(defaults, name)
+        values[name] = _field(sub, doc_key, where + ".", default, isinstance(default, int))
+    return _checked(where, replace, defaults, **values)
+
+
+def parse_topology(spec, where: str) -> str | tuple[tuple[int, int], ...]:
+    """The one reader of topologies (scenario, schedule and CLI override):
+    "complete", "ring", or a list of [i, j] arcs, i transmitting to j.
+    ScenarioConfig checks the arcs against its agents."""
+    if isinstance(spec, str) and spec in NAMED_TOPOLOGIES:
+        return spec
+    if not isinstance(spec, (list, tuple)):
+        raise ScenarioError(f"{where}: must be 'complete', 'ring' or an arc list")
+    arcs = []
+    for k, arc in enumerate(spec):
+        if not isinstance(arc, (list, tuple)) or len(arc) != 2:
+            raise ScenarioError(f"{where}[{k}]: an arc is a pair [i, j] of agent ids, got {arc!r}")
+        arcs.append(tuple(_number(node, f"{where}[{k}]", integer=True) for node in arc))
+    return tuple(arcs)
+
+
 def _parse_agent(doc: dict, pos: int) -> AgentConfig:
     ctx = f"agents[{pos}]."
-    try:
-        route_doc = _require(doc, "route", ctx)
-        exit_length = route_doc.get("exit_length_m")
-        route = RouteSpec(
-            entry=_require(route_doc, "entry", ctx + "route."),
-            exit=_require(route_doc, "exit", ctx + "route."),
-            lane_offset=float(route_doc.get("lane_offset_m", 2.0)),
-            turn_radius=float(route_doc.get("turn_radius_m", 8.0)),
-            approach_length=float(route_doc.get("approach_length_m", 84.0)),
-            exit_length=None if exit_length is None else float(exit_length),
-        )
-        p = doc.get("params", {})
-        defaults = _default_params()
-        params = AgentParams(
-            t_ax=float(p.get("t_ax_s", defaults.t_ax)),
-            a_x_min=float(p.get("a_x_min", defaults.a_x_min)),
-            a_x_max=float(p.get("a_x_max", defaults.a_x_max)),
-            v_max=float(p.get("v_max", defaults.v_max)),
-            a_y_max=float(p.get("a_y_max", defaults.a_y_max)),
-            a_tot_max=float(p.get("a_tot_max", defaults.a_tot_max)),
-            length=float(p.get("length_m", defaults.length)),
-            width=float(p.get("width_m", defaults.width)),
-            q=float(p.get("q", defaults.q)),
-            q_n=float(p.get("q_n", defaults.q_n)),
-            r=float(p.get("r", defaults.r)),
-            v_ref=float(p.get("v_ref_mps", defaults.v_ref)),
-        )
-        position = tuple(float(c) for c in _require(doc, "initial_position_m", ctx))
-        if len(position) != 2:
-            raise ScenarioError(ctx + "initial_position_m: needs exactly two coordinates")
-        return AgentConfig(
-            agent_id=int(_require(doc, "id", ctx)),
-            route=route,
-            initial_position=position,  # type: ignore[arg-type]
-            initial_speed=float(doc.get("initial_speed_mps", 0.0)),
-            params=params,
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"{ctx}{exc}") from exc
+    _object(doc, f"agents[{pos}]")
+    route_doc = _object(_require(doc, "route", ctx), ctx + "route")
+    entry = _require(route_doc, "entry", ctx + "route.")
+    exit_ = _require(route_doc, "exit", ctx + "route.")
+    route = _section(doc, "route", ctx, _checked(ctx + "route", RouteSpec, entry, exit_), _ROUTE_KEYS)
+    position = _require(doc, "initial_position_m", ctx)
+    if not isinstance(position, (list, tuple)) or len(position) != 2:
+        raise ScenarioError(ctx + "initial_position_m: needs exactly two coordinates")
+    return AgentConfig(
+        agent_id=_field(doc, "id", ctx, integer=True),
+        route=route,
+        initial_position=tuple(
+            _number(c, f"{ctx}initial_position_m[{k}]") for k, c in enumerate(position)
+        ),  # type: ignore[arg-type]
+        initial_speed=_field(doc, "initial_speed_mps", ctx, 0.0),
+        params=_section(doc, "params", ctx, _default_params(), _PARAM_KEYS),
+    )
 
 
 def _parse_document(doc: dict) -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise ScenarioError("document root must be an object")
+    _object(doc, "document root")
     agents_doc = _require(doc, "agents", "")
     if not isinstance(agents_doc, list) or not agents_doc:
         raise ScenarioError("agents: must be a non-empty list")
     agents = tuple(_parse_agent(a, k) for k, a in enumerate(agents_doc))
+    schedule = []
+    for k, entry in enumerate(doc.get("topology_schedule", [])):
+        ctx = f"topology_schedule[{k}]."
+        _object(entry, ctx[:-1])
+        from_step = _field(entry, "from_step", ctx, 0, integer=True)
+        schedule.append((from_step, parse_topology(entry.get("topology", "complete"), ctx + "topology")))
+    events = []
+    for k, entry in enumerate(doc.get("events", [])):
+        ctx = f"events[{k}]."
+        _object(entry, ctx[:-1])
+        time_s = _field(entry, "time_s", ctx, 0.0)
+        events.append(EventSpec(time_s, _field(entry, "agent", ctx, integer=True), entry.get("kind", "emergency_on")))
+    return _checked(
+        "scenario",
+        ScenarioConfig,
+        t_s=_field(doc, "sampling_time_s", ""),
+        horizon=_field(doc, "horizon", "", integer=True),
+        steps=_field(doc, "steps", "", 250, integer=True),
+        agents=agents,
+        geometry=_section(doc, "geometry", "", IntersectionGeometry(), _GEOMETRY_KEYS),
+        bid_params=_section(doc, "bid_params", "", BidParams(), _BID_KEYS),
+        margins=_section(doc, "safety_margins", "", SafetyMargins(), _MARGIN_KEYS),
+        penalty=_section(doc, "penalty", "", PenaltyConfig(), _PENALTY_KEYS),
+        topology=parse_topology(doc.get("topology", "complete"), "topology"),
+        topology_schedule=tuple(schedule),
+        events=tuple(events),
+    )
 
-    geom_doc = doc.get("geometry", {})
-    geometry = IntersectionGeometry(
-        cr_half_width=float(geom_doc.get("cr_half_width_m", 6.0)),
-        icr_radius=float(geom_doc.get("icr_radius_m", 70.0)),
-        brake_margin=float(geom_doc.get("brake_margin_m", 2.0)),
-        stop_setback=float(geom_doc.get("stop_setback_m", 1.0)),
-    )
-    bid_doc = doc.get("bid_params", {})
-    bid = BidParams(
-        alpha1=float(bid_doc.get("alpha1", 0.1)),
-        alpha2=float(bid_doc.get("alpha2", 5.0)),
-        alpha3=float(bid_doc.get("alpha3", 0.1)),
-        alpha4=float(bid_doc.get("alpha4", 1.0)),
-        alpha5=float(bid_doc.get("alpha5", 7.0)),
-        emergency_bid=float(bid_doc.get("emergency_bid", 1e6)),
-    )
-    m_doc = doc.get("safety_margins", {})
-    margins = SafetyMargins(
-        long=float(m_doc.get("long_m", 1.5)),
-        lat=float(m_doc.get("lat_m", 0.25)),
-        headway=float(m_doc.get("headway_s", 0.5)),
-        sharpness=float(m_doc.get("smooth_sharpness", 4.0)),
-    )
-    pen_doc = doc.get("penalty", {})
-    penalty = PenaltyConfig(
-        initial_weight=float(pen_doc.get("initial_weight", 10.0)),
-        multiplier=float(pen_doc.get("multiplier", 5.0)),
-        max_outer_iterations=int(pen_doc.get("max_outer_iterations", 6)),
-        constraint_tolerance=float(pen_doc.get("constraint_tolerance", 1e-2)),
-        inner_tolerance=float(pen_doc.get("inner_tolerance", 1e-4)),
-        lbfgs_memory=int(pen_doc.get("lbfgs_memory", 10)),
-        max_inner_iterations=int(pen_doc.get("max_inner_iterations", 500)),
-    )
-    def parse_topology(spec, ctx):
-        if isinstance(spec, list):
-            return tuple((int(i), int(j)) for i, j in spec)
-        if spec not in ("complete", "ring"):
-            raise ScenarioError(f"{ctx}: must be 'complete', 'ring' or an arc list")
-        return spec
 
-    topology = parse_topology(doc.get("topology", "complete"), "topology")
-    schedule = tuple(
-        (int(entry.get("from_step", 0)), parse_topology(entry.get("topology", "complete"), "topology_schedule[].topology"))
-        for entry in doc.get("topology_schedule", [])
-    )
-    events = tuple(
-        EventSpec(float(e.get("time_s", 0.0)), int(_require(e, "agent", "events[].")), e.get("kind", "emergency_on"))
-        for e in doc.get("events", [])
-    )
+def _parse_json(text: str) -> ScenarioConfig:
     try:
-        return ScenarioConfig(
-            t_s=float(_require(doc, "sampling_time_s", "")),
-            horizon=int(_require(doc, "horizon", "")),
-            steps=int(doc.get("steps", 250)),
-            agents=agents,
-            geometry=geometry,
-            bid_params=bid,
-            margins=margins,
-            penalty=penalty,
-            topology=topology,
-            topology_schedule=schedule,
-            events=events,
-        )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(str(exc)) from exc
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"invalid JSON: {exc}") from exc
+    return _parse_document(doc)
 
 
 def load_scenario(source: str | Path | dict) -> ScenarioConfig:
@@ -313,7 +340,7 @@ def load_scenario(source: str | Path | dict) -> ScenarioConfig:
     if isinstance(source, dict):
         return _parse_document(source)
     if isinstance(source, Path):
-        return _parse_document(json.loads(source.read_text()))
+        return _parse_json(source.read_text())
     if source == "use_case_1":
         return use_case_1()
     if source == "use_case_2":
@@ -322,11 +349,8 @@ def load_scenario(source: str | Path | dict) -> ScenarioConfig:
     # the file test below raise
     text = source.strip()
     if text.startswith("{"):
-        try:
-            return _parse_document(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"invalid JSON: {exc}") from exc
+        return _parse_json(text)
     candidate = Path(source)
     if candidate.exists():
-        return _parse_document(json.loads(candidate.read_text()))
+        return _parse_json(candidate.read_text())
     raise ScenarioError(f"unknown scenario source {source!r} (not a preset, file, or JSON)")

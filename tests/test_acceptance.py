@@ -16,7 +16,7 @@ import pytest
 import intersim as xs
 from intersim.auction import run_cbaam
 from intersim.dynamics import discretize
-from intersim.mpc import OcpParameter, OcpProblem, PenaltyConfig, box_solve
+from intersim.mpc import OcpProblem, PenaltyConfig, PredictedTrajectory, box_solve
 from intersim.network import Topology, graph_ell
 from intersim.orchestrator import export_logs, run_simulation
 
@@ -202,8 +202,6 @@ def test_criterion_7_gradient_check_with_active_terms():
     worst = 0.0
     preview_seen = 0
     ca_seen = 0
-    from intersim.mpc import NeighborForecast
-
     for trial in range(20):
         route = xs.RouteSpec("W", "N") if trial % 2 else xs.RouteSpec("N", "S")
         path = xs.build_path(route)
@@ -212,8 +210,7 @@ def test_criterion_7_gradient_check_with_active_terms():
         neighbors = ()
         if trial % 3:
             neighbors = (
-                NeighborForecast(
-                    9,
+                PredictedTrajectory(
                     81.0 - rng.uniform(0, 15) - 14.0 * t,
                     np.full(51, 2.0),
                     np.full(51, math.pi),
@@ -222,11 +219,8 @@ def test_criterion_7_gradient_check_with_active_terms():
                     2.0,
                 ),
             )
-        z = OcpParameter(
-            xs.AgentState(rng.uniform(-0.5, 0.5), rng.uniform(8.0, 14.0), rng.uniform(30.0, 70.0)),
-            neighbors,
-        )
-        prob = OcpProblem(model, params, path, bounds, margins, z, 50)
+        state = xs.AgentState(rng.uniform(-0.5, 0.5), rng.uniform(8.0, 14.0), rng.uniform(30.0, 70.0))
+        prob = OcpProblem(model, params, path, bounds, margins, state, neighbors, 50)
         u0 = np.clip(rng.normal(0.0, 0.5, 50), -7, 4)
         u_mid, _, _, _ = box_solve(
             lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0, u0,

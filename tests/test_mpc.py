@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,9 @@ from intersim import mpc
 from intersim.dynamics import AgentParams, AgentState, discretize, rollout
 from intersim.geometry import SafetyMargins, smooth_overlap_core
 from intersim.mpc import (
-    NeighborForecast,
-    OcpParameter,
     OcpProblem,
     PenaltyConfig,
+    PredictedTrajectory,
     box_solve,
     initial_broadcast,
     preview_residual,
@@ -36,11 +36,10 @@ def make_env(route=RouteSpec("N", "S"), approach=None):
     return path, bounds
 
 
-def crossing_neighbor(agent_id=3, offset=0.0, speed=14.0, horizon=50, t_s=0.1):
+def crossing_neighbor(offset=0.0, speed=14.0, horizon=50, t_s=0.1):
     """Westbound neighbor on the y=2 lane, crossing the N-S path."""
     t = np.arange(horizon + 1) * t_s
-    return NeighborForecast(
-        agent_id,
+    return PredictedTrajectory(
         81.0 - offset - speed * t,
         np.full(horizon + 1, 2.0),
         np.full(horizon + 1, math.pi),
@@ -100,8 +99,8 @@ def test_preview_residual_branches():
 
 def cruise_residuals(path, bounds, speed):
     """Residual stack of a zero-input horizon from steady cruise at `speed`."""
-    z = OcpParameter(AgentState(0.0, speed, 0.0))
-    return OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, z, 50).residual_stack(np.zeros(50))
+    state = AgentState(0.0, speed, 0.0)
+    return OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, (), 50).residual_stack(np.zeros(50))
 
 
 def test_cruising_agent_has_zero_residuals():
@@ -128,8 +127,7 @@ def test_zero_curvature_kills_lateral_residuals():
 
 def test_unconstrained_optimum_has_zero_objective_and_gradient():
     path, bounds = make_env(approach=300.0)
-    z = OcpParameter(AgentState(0.0, 14.0, 0.0))
-    prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, z, 50)
+    prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 14.0, 0.0), (), 50)
     value, grad = prob.value_and_grad(np.zeros(50), 10.0)
     assert value == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(grad, 0.0, atol=1e-12)
@@ -137,11 +135,11 @@ def test_unconstrained_optimum_has_zero_objective_and_gradient():
 
 def test_zero_weight_reduces_to_tracking_objective():
     path, bounds = make_env()
-    z = OcpParameter(AgentState(0.0, 16.0, 0.0))  # above the speed cap
-    prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, z, 50)
+    state = AgentState(0.0, 16.0, 0.0)  # above the speed cap
+    prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, (), 50)
     u = np.full(50, 0.5)
     value0, _ = prob.value_and_grad(u, 0.0)
-    states = rollout(MODEL, z.own_state, u)
+    states = rollout(MODEL, state, u)
     expect = sum(
         stage_cost(st, float(ui), PARAMS.v_ref, PARAMS.q, PARAMS.r)
         for st, ui in zip(states[:-1], u)
@@ -160,9 +158,13 @@ def reference_geometry(prob, s):
 
 
 def reference_ca_terms(prob, x, y, psi, kap, inside, v, track):
-    """Collision-avoidance oracle: one neighbor track at a time."""
+    """Collision-avoidance oracle: one neighbor broadcast at a time. The
+    broadcast is a step old, so prediction step j reads its step j+1, and
+    its last pose is held."""
     p, m = prob.params, prob.margins
-    ox, oy, opsi, ov = track.x_g[1:], track.y_g[1:], track.psi[1:], track.v[1:]
+    n = prob.horizon
+    idx = [min(j + 1, n) for j in range(1, n + 1)]
+    ox, oy, opsi, ov = track.x_g[idx], track.y_g[idx], track.psi[idx], track.v[idx]
     rel = opsi - psi
     closing = v - ov * np.cos(rel)
     active = (closing > 0).astype(float)
@@ -250,11 +252,11 @@ def reference_residual_stack(prob, u):
     return np.concatenate(pieces + [np.array([r_prev])])
 
 
-def random_neighbor(rng, agent_id, horizon=50):
+def random_neighbor(rng, horizon=50):
     """A crossing or oncoming vehicle near the intersection, or a slow leader."""
     kind = rng.integers(3)
     if kind == 0:
-        return crossing_neighbor(agent_id, offset=rng.uniform(-10.0, 20.0),
+        return crossing_neighbor(offset=rng.uniform(-10.0, 20.0),
                                  speed=rng.uniform(0.0, 15.0), horizon=horizon)
     t = np.arange(horizon + 1) * 0.1
     speed = rng.uniform(0.0, 15.0)
@@ -262,8 +264,7 @@ def random_neighbor(rng, agent_id, horizon=50):
     x0, y0 = rng.uniform(-15.0, 15.0, 2)
     if kind == 2:  # ahead on the southbound N-S lane
         x0, y0, heading = -2.0, rng.uniform(-10.0, 40.0), -math.pi / 2
-    return NeighborForecast(
-        agent_id,
+    return PredictedTrajectory(
         x0 + speed * t * math.cos(heading),
         y0 + speed * t * math.sin(heading),
         np.full(horizon + 1, heading) + rng.normal(0.0, 0.05, horizon + 1),
@@ -287,16 +288,16 @@ def test_kernel_matches_per_track_reference_bit_for_bit():
     active = 0
     for trial in range(240):
         path, bounds = envs[trial % len(envs)]
-        tracks = tuple(random_neighbor(rng, 2 + i) for i in range((trial // 4) % 4))
+        tracks = tuple(random_neighbor(rng) for _ in range((trial // 4) % 4))
         if trial % 10 == 9:  # rolling back past the path start, or running off its end
             s0 = rng.choice([rng.uniform(0.0, 0.5), path.total_length - rng.uniform(0.0, 20.0)])
             state = AgentState(rng.uniform(-2.0, 0.0), rng.uniform(0.0, 1.0) + (s0 > 1.0) * 14.0, s0)
             end = path.table.pose(np.array([path.total_length]))
-            parked = NeighborForecast(9, *(np.full(51, c[0]) for c in end[:3]), np.zeros(51), 5.0, 2.0)
+            parked = PredictedTrajectory(*(np.full(51, c[0]) for c in end[:3]), np.zeros(51), 5.0, 2.0)
             tracks = (parked,) + tracks[1:]
         else:
             state = AgentState(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 16.0), rng.uniform(0.0, 110.0))
-        prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, OcpParameter(state, tracks), 50)
+        prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
         for weight in (0.0, 10.0, 1250.0):
             u = np.clip(rng.normal(0.0, 3.0, 50), -7.0, 4.0)
             value, grad = prob.value_and_grad(u, weight)
@@ -311,10 +312,10 @@ def test_kernel_matches_per_track_reference_bit_for_bit():
 
 def test_sensitivities_are_shared_read_only_and_exact():
     path, bounds = make_env()
-    z = OcpParameter(AgentState(0.0, 14.0, 10.0))
+    state = AgentState(0.0, 14.0, 10.0)
 
     def problem(t_ax, horizon=50):
-        return OcpProblem(discretize(t_ax, 0.1), PARAMS, path, bounds, MARGINS, z, horizon)
+        return OcpProblem(discretize(t_ax, 0.1), PARAMS, path, bounds, MARGINS, state, (), horizon)
 
     first, second = problem(0.3), problem(0.3)
     assert first.f_mat is second.f_mat and first.g_mat is second.g_mat
@@ -335,18 +336,76 @@ def test_sensitivities_are_shared_read_only_and_exact():
         g[j][:, j - 1] = b_d
     assert same_bits(first.f_mat, np.stack(powers)) and same_bits(first.g_mat, g)
     u = np.linspace(-7.0, 4.0, 50)
-    expect = [st.as_array() for st in rollout(first.model, z.own_state, u)]
+    expect = [st.as_array() for st in rollout(first.model, state, u)]
     np.testing.assert_allclose(first.states(u), expect, rtol=1e-12, atol=1e-9)
 
 
 def test_overflowing_state_is_rejected_before_evaluation():
     path, bounds = make_env()
-    z = OcpParameter(AgentState(0.0, 8.9e307, 1.0e308))
+    state = AgentState(0.0, 8.9e307, 1.0e308)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match="overflows"):
-            OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, z, 50)
+            OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, (), 50)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("state", [AgentState(0.0, 1e200, 0.0), AgentState(1e160, 14.0, 0.0)])
+def test_state_whose_squares_overflow_is_rejected(state):
+    """A finite free response is not enough: v**2 or a_x**2 would overflow."""
+    path, bounds = make_env()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="out of range"):
+            OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, (), 50)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_state_at_the_range_limit_evaluates_without_overflow():
+    path, bounds = make_env(RouteSpec("W", "N"))
+    for state in (AgentState(1e6, 1e6, 1e6), AgentState(-1e6, -1e6, -1e6)):
+        tracks = (crossing_neighbor(), crossing_neighbor(offset=30.0))
+        prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
+        weight = CFG.initial_weight * CFG.multiplier ** CFG.max_outer_iterations
+        value, grad = prob.value_and_grad(np.full(50, 4.0), weight)
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        assert np.all(np.isfinite(prob.residual_stack(np.full(50, -7.0))))
+
+
+def spoilt(field, how):
+    nb = crossing_neighbor()
+    if how == "nan":
+        bad = getattr(nb, field).copy()
+        bad[17] = math.nan
+    else:
+        bad = getattr(nb, field)[:-1]
+    return replace(nb, **{field: bad})
+
+
+@pytest.mark.parametrize("field", ["x_g", "y_g", "psi", "v"])
+@pytest.mark.parametrize("how", ["nan", "short"])
+def test_broadcast_check_rejects_before_any_evaluation(field, how, monkeypatch):
+    """A neighbour broadcast with a NaN pose, or with arrays of unequal
+    length, is refused at the V2V input boundary."""
+    path, bounds = make_env()
+    state = AgentState(0.0, 14.0, 40.0)
+    neighbours = (crossing_neighbor(offset=20.0), spoilt(field, how))
+
+    def evaluated(*args):
+        raise AssertionError("objective evaluated despite a bad broadcast")
+
+    monkeypatch.setattr(OcpProblem, "value_and_grad", evaluated)
+    monkeypatch.setattr(OcpProblem, "residual_stack", evaluated)
+    match = "non-finite" if how == "nan" else "horizon\\+1"
+    with pytest.raises(ValueError, match=match):
+        solve_ocp(state, neighbours, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+
+
+def test_broadcast_check_rejects_non_finite_extent():
+    path, bounds = make_env()
+    bad = replace(crossing_neighbor(), width=math.inf)
+    with pytest.raises(ValueError, match="non-finite"):
+        OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 14.0, 40.0), (bad,), 50)
 
 
 def gradient_fd_check(prob, u, weight, h=1e-6):
@@ -378,14 +437,14 @@ def test_gradient_matches_finite_differences_on_random_instances():
         path, bounds = make_env(route)
         if trial >= 20:
             neighbors = tuple(
-                crossing_neighbor(3 + i, offset=rng.uniform(20, 45), speed=rng.uniform(8.0, 14.0))
-                for i in range(2 + trial % 2)
+                crossing_neighbor(offset=rng.uniform(20, 45), speed=rng.uniform(8.0, 14.0))
+                for _ in range(2 + trial % 2)
             )
         else:
             neighbors = (crossing_neighbor(offset=rng.uniform(0, 15)),) if trial % 3 else ()
         s0 = rng.uniform(30.0, 70.0)
-        z = OcpParameter(AgentState(rng.uniform(-0.5, 0.5), rng.uniform(8.0, 14.0), s0), neighbors)
-        prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, z, 50)
+        state = AgentState(rng.uniform(-0.5, 0.5), rng.uniform(8.0, 14.0), s0)
+        prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, neighbors, 50)
         u0 = np.clip(rng.normal(0.0, 0.5, 50), -7, 4)
         u_mid, _, _, _ = box_solve(lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0,
                                    u0, PenaltyConfig(max_inner_iterations=40))
@@ -453,27 +512,24 @@ def test_iteration_cap_returns_flag():
 
 def test_steady_cruise_keeps_zero_input():
     path, bounds = make_env(approach=300.0)
-    z = OcpParameter(AgentState(0.0, 14.0, 2.0))
-    seq, traj, report = solve_ocp(z, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
-    assert np.max(np.abs(seq.u)) <= 1e-3
+    u, traj, report = solve_ocp(AgentState(0.0, 14.0, 2.0), (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+    assert np.max(np.abs(u)) <= 1e-3
     assert np.max(np.abs(traj.v - 14.0)) <= 1e-3
     assert report.converged
 
 
 def test_accelerates_monotonically_from_stop():
     path, bounds = make_env(approach=300.0)
-    z = OcpParameter(AgentState(0.0, 0.0, 0.0))
-    seq, traj, report = solve_ocp(z, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+    u, traj, report = solve_ocp(AgentState(0.0, 0.0, 0.0), (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
     assert np.all(np.diff(traj.v) >= -1e-9)
-    assert np.all(seq.u >= -7.0) and np.all(seq.u <= 4.0)
+    assert np.all(u >= -7.0) and np.all(u <= 4.0)
 
 
 def test_blocked_agent_stops_before_line():
     path, bounds = make_env()
     # a conflicting vehicle parked in the middle of the critical region
     horizon = 50
-    parked = NeighborForecast(
-        9,
+    parked = PredictedTrajectory(
         np.full(horizon + 1, -2.0),
         np.full(horizon + 1, 0.0),
         np.full(horizon + 1, math.pi),
@@ -481,9 +537,9 @@ def test_blocked_agent_stops_before_line():
         5.0,
         2.0,
     )
-    z = OcpParameter(AgentState(0.0, 10.0, 40.0), (parked,))
-    seq, traj, report = solve_ocp(z, MODEL, PARAMS, path, bounds, CFG, MARGINS, horizon)
-    s_end = traj.states[-1].s
+    state = AgentState(0.0, 10.0, 40.0)
+    u, traj, report = solve_ocp(state, (parked,), MODEL, PARAMS, path, bounds, CFG, MARGINS, horizon)
+    s_end = rollout(MODEL, state, u)[-1].s
     assert s_end <= bounds.s_stop + 0.5
     # the prediction keeps clear of the parked vehicle throughout
     gaps = np.hypot(traj.x_g - (-2.0), traj.y_g - 0.0)
@@ -491,24 +547,28 @@ def test_blocked_agent_stops_before_line():
 
 
 def test_rollout_consistency_bit_exact():
+    """The broadcast is the rollout of the returned inputs, bit for bit."""
     path, bounds = make_env()
-    z = OcpParameter(AgentState(0.3, 12.0, 30.0))
-    seq, traj, _ = solve_ocp(z, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
-    assert traj.states == rollout(MODEL, z.own_state, seq.u)
-    assert traj.states[0] == z.own_state
+    state = AgentState(0.3, 12.0, 30.0)
+    u, traj, _ = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+    states = rollout(MODEL, state, u)
+    s = np.array([st.s for st in states])
+    x, y, psi, _ = path.table.pose(np.clip(s, 0.0, path.total_length))
+    assert same_bits(traj.v, [st.v for st in states])
+    assert same_bits(traj.x_g, x) and same_bits(traj.y_g, y) and same_bits(traj.psi, psi)
+    assert (traj.v[0], traj.length, traj.width) == (state.v, PARAMS.length, PARAMS.width)
 
 
 def test_returned_inputs_respect_box_exactly():
     path, bounds = make_env()
-    z = OcpParameter(AgentState(0.0, 14.0, 60.0))
-    seq, _, _ = solve_ocp(z, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
-    assert np.all(seq.u >= -7.0) and np.all(seq.u <= 4.0)
+    u, _, _ = solve_ocp(AgentState(0.0, 14.0, 60.0), (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+    assert np.all(u >= -7.0) and np.all(u <= 4.0)
 
 
 def test_penalty_violation_history_is_recorded():
     path, bounds = make_env()
-    z = OcpParameter(AgentState(0.0, 14.0, 55.0), (crossing_neighbor(),))
-    _, _, report = solve_ocp(z, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+    state = AgentState(0.0, 14.0, 55.0)
+    _, _, report = solve_ocp(state, (crossing_neighbor(),), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
     assert len(report.violation_history) >= 1
     assert report.max_violation >= 0.0
 
@@ -521,38 +581,39 @@ def test_warm_start_shift_iteration_guard():
     state = AgentState(0.0, 14.0, 2.0)
     warm = None
     for k in range(12):
-        z = OcpParameter(state)
-        seq, traj, rep = solve_ocp(z, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50, warm)
+        u, _, rep = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50, warm)
         (warm_iters if warm is not None else cold_iters).append(rep.inner_iterations)
-        warm = np.concatenate([seq.u[1:], seq.u[-1:]])
-        state = traj.states[1]
+        warm = np.concatenate([u[1:], u[-1:]])
+        state = rollout(MODEL, state, u)[1]
     assert np.median(warm_iters) <= 2 * max(np.median(cold_iters), 1)
 
 
 def test_initial_broadcast_constant_speed():
-    path, _ = make_env()
-    x0 = AgentState(0.0, 14.0, 0.0)
-    traj = initial_broadcast(x0, path, 50, 0.1)
-    assert traj.states[0] == x0
-    assert traj.states[-1].s == pytest.approx(70.0)
-    assert np.all(traj.v == 14.0)
-    # poses must lie on the path trace
-    for j in (0, 25, 50):
-        from intersim.paths import sample_path
+    from intersim.paths import sample_path
 
-        p = sample_path(path, traj.states[j].s)
+    path, _ = make_env()
+    traj = initial_broadcast(AgentState(0.0, 14.0, 0.0), path, PARAMS, 50, 0.1)
+    assert np.all(traj.v == 14.0)
+    assert (traj.length, traj.width) == (PARAMS.length, PARAMS.width)
+    # poses lie on the path trace, 1.4 m apart, ending 70 m along it
+    for j in (0, 25, 50):
+        p = sample_path(path, 1.4 * j)
         assert (p.x_g, p.y_g) == (pytest.approx(traj.x_g[j]), pytest.approx(traj.y_g[j]))
 
 
 def test_initial_broadcast_stationary():
+    from intersim.paths import sample_path
+
     path, _ = make_env()
-    traj = initial_broadcast(AgentState(0.0, 0.0, 5.0), path, 50, 0.1)
-    assert all(st.s == 5.0 for st in traj.states)
+    traj = initial_broadcast(AgentState(0.0, 0.0, 5.0), path, PARAMS, 50, 0.1)
+    assert np.all(traj.x_g == traj.x_g[0]) and np.all(traj.y_g == traj.y_g[0])
+    assert np.all(traj.v == 0.0)
+    p = sample_path(path, 5.0)
+    assert (p.x_g, p.y_g) == (pytest.approx(traj.x_g[0]), pytest.approx(traj.y_g[0]))
 
 
 def test_neighbor_length_validation():
     path, bounds = make_env()
     bad = crossing_neighbor(horizon=40)
-    z = OcpParameter(AgentState(0.0, 14.0, 0.0), (bad,))
     with pytest.raises(ValueError):
-        solve_ocp(z, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+        solve_ocp(AgentState(0.0, 14.0, 0.0), (bad,), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)

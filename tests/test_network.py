@@ -112,6 +112,13 @@ def test_ell_requires_strong_connectivity():
         graph_ell(t)
 
 
+def test_ell_is_computed_once_per_topology():
+    graph_ell.cache_clear()
+    assert graph_ell(Topology.ring([1, 2, 3, 4])) == 3
+    assert graph_ell(Topology.ring([4, 3, 2, 1])) == 3  # an equal topology, built anew
+    assert (graph_ell.cache_info().hits, graph_ell.cache_info().misses) == (1, 1)
+
+
 def test_complete_graphs_have_ell_one():
     for n in range(2, 9):
         assert graph_ell(Topology.complete(range(1, n + 1))) == 1

@@ -1,6 +1,7 @@
 """Scenario loading, simulation-loop, and export tests on small runs."""
 
 import json
+import re
 import warnings
 from dataclasses import replace
 
@@ -114,6 +115,98 @@ def test_json_text_longer_than_a_file_name():
     assert cfg.topology == "ring" and cfg.steps == 4
 
 
+TWO_AGENTS = {
+    "sampling_time_s": 0.1,
+    "horizon": 50,
+    "steps": 3,
+    "agents": [
+        {"id": 1, "route": {"entry": "N", "exit": "S"},
+         "initial_position_m": [-2.0, 82.0], "initial_speed_mps": 14.0},
+        {"id": 2, "route": {"entry": "E", "exit": "W"},
+         "initial_position_m": [81.0, 2.0], "initial_speed_mps": 14.0},
+    ],
+}
+BAD_ARC_LISTS = [
+    ([[1, 99]], "unknown node"),
+    ([[1, 1]], "self-loop"),
+    ([[1, 2]], "connect every agent"),
+    ([[1]], "an arc is a pair"),
+]
+
+
+@pytest.mark.parametrize("arcs, why", BAD_ARC_LISTS)
+def test_arc_list_topology_is_checked_at_load(arcs, why):
+    with pytest.raises(ScenarioError, match=rf"^topology\S*: .*{why}"):
+        load_scenario(dict(TWO_AGENTS, topology=arcs))
+    scheduled = dict(TWO_AGENTS, topology_schedule=[
+        {"from_step": 1, "topology": [[1, 2], [2, 1]]},
+        {"from_step": 2, "topology": arcs},
+    ])
+    with pytest.raises(ScenarioError, match=rf"^topology_schedule\[1\]\.topology\S*: .*{why}"):
+        load_scenario(scheduled)
+
+
+def test_valid_arc_list_runs():
+    cfg = load_scenario(dict(TWO_AGENTS, topology=[[1, 2], [2, 1]]))
+    assert cfg.topology == ((1, 2), (2, 1))
+    _, timing = run_simulation(cfg)
+    assert [r.cbaam_bound_ms for r in timing.rows] == pytest.approx([6.0, 6.0, 6.0])
+
+
+def spoil(doc, where, value):
+    """A deep copy of doc with the field at the dotted path `where` replaced."""
+    doc = json.loads(json.dumps(doc))
+    *parents, leaf = where.replace("[", ".").replace("]", "").split(".")
+    target = doc
+    for key in parents:
+        target = target[int(key)] if key.isdigit() else target.setdefault(key, {})
+    if leaf.isdigit():
+        target[int(leaf)] = value
+    else:
+        target[leaf] = value
+    return doc
+
+
+NUMERIC_FIELDS = [
+    "agents[0].initial_speed_mps",
+    "agents[1].initial_position_m[0]",
+    "agents[0].route.turn_radius_m",
+    "agents[1].params.v_max",
+    "geometry.cr_half_width_m",
+    "safety_margins.headway_s",
+    "bid_params.alpha1",
+    "penalty.multiplier",
+    "sampling_time_s",
+    "horizon",
+    "steps",
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", NUMERIC_FIELDS)
+def test_non_finite_number_is_rejected_at_load(where, value):
+    doc = spoil(TWO_AGENTS, where, value)
+    with pytest.raises(ScenarioError, match=re.escape(where) + ": must be finite"):
+        load_scenario(doc)
+    with pytest.raises(ScenarioError, match=re.escape(where) + ": must be finite"):
+        load_scenario(json.dumps(doc))  # Python's json writes and reads NaN and Infinity
+
+
+def test_scenario_field_errors_name_their_path():
+    with pytest.raises(ScenarioError, match=r"^horizon: must be an integer"):
+        load_scenario(dict(TWO_AGENTS, horizon=50.5))
+    with pytest.raises(ScenarioError, match=r"^penalty: penalty multiplier must be > 1"):
+        load_scenario(spoil(TWO_AGENTS, "penalty.multiplier", 0.5))
+    with pytest.raises(ScenarioError, match=r"^agents\[1\]\.params: t_ax must be > 0"):
+        load_scenario(spoil(TWO_AGENTS, "agents[1].params.t_ax_s", -1))
+    with pytest.raises(ScenarioError, match=r"^events\[0\]\.agent: missing"):
+        load_scenario(dict(TWO_AGENTS, events=[{"time_s": 0.5}]))
+    with pytest.raises(ScenarioError, match=r"^agents\[1\]: must be an object"):
+        load_scenario(dict(TWO_AGENTS, agents=[TWO_AGENTS["agents"][0], 2]))
+    with pytest.raises(ScenarioError, match=r"^agents\[0\]\.route: must be an object"):
+        load_scenario(spoil(TWO_AGENTS, "agents[0].route", "N-S"))
+
+
 def test_duplicate_ids_rejected():
     base = use_case_1()
     dup = (base.agents[0], base.agents[0])
@@ -200,10 +293,9 @@ def test_information_pattern_ignores_current_step_broadcasts():
 
     def poison(step, rts, next_broadcasts):
         for i, rt in rts.items():
-            fake = initial_broadcast(rt.state, rt.path, cfg.horizon, cfg.t_s)
-            fake.x_g = fake.x_g + 1e6  # garbage poses
-            fake.y_g = fake.y_g - 1e6
-            next_broadcasts[i] = fake
+            fake = initial_broadcast(rt.state, rt.path, rt.config.params, cfg.horizon, cfg.t_s)
+            # garbage poses
+            next_broadcasts[i] = replace(fake, x_g=fake.x_g + 1e6, y_g=fake.y_g - 1e6)
 
     poisoned, _ = run_simulation(cfg, pre_solve_hook=poison)
     assert clean.trajectory == poisoned.trajectory
@@ -225,6 +317,22 @@ def test_non_finite_state_aborts_with_context():
         with pytest.raises(RuntimeError, match="agent 1 at step"):
             run_simulation(cfg, pre_solve_hook=corrupt)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_refused_state_is_reported_with_its_cause():
+    from intersim.dynamics import AgentState
+
+    cfg = small_cfg(steps=6, agents=(1,))
+
+    def corrupt(step, rts, next_broadcasts):
+        if step == 2:
+            rts[1].state = AgentState(0.0, 1e200, rts[1].state.s)  # finite, but v**2 overflows
+
+    with pytest.raises(RuntimeError) as info:
+        run_simulation(cfg, pre_solve_hook=corrupt)
+    message = str(info.value)
+    assert "agent 1 at step 2" in message and "out of range" in message
+    assert "non-finite result" not in message
 
 
 def test_speed_stays_nonnegative_and_progress_monotone():
@@ -263,13 +371,13 @@ def test_topology_variants_and_schedule():
         "topology_schedule": [{"from_step": 5, "topology": "complete"}],
     }
     cfg3 = load_scenario(doc)
-    assert cfg3.build_topology().arcs == frozenset({(1, 2), (2, 1)})
-    assert cfg3.topology_at(5).arcs == cfg3._build("complete").arcs
+    assert cfg3.topology_among(0, [1, 2]).arcs == frozenset({(1, 2), (2, 1)})
+    assert cfg3.topology_among(5, [1, 2]) == Topology.complete([1, 2])
 
 
 def test_ring_closes_up_when_an_agent_leaves():
     cfg = load_scenario(THREE_AGENT_RING)
-    assert cfg.topology_at(0) == Topology.ring([1, 2, 3])
+    assert cfg.topology_among(0, [1, 2, 3]) == Topology.ring([1, 2, 3])
     log, timing = run_simulation(cfg)
     ranked = {(p.step, p.agent) for p in log.priorities if p.rank > 0}
     assert (0, 2) in ranked and (1, 2) not in ranked
@@ -368,3 +476,24 @@ def test_cli_check_and_simulate(tmp_path, capsys):
     assert (tmp_path / "logs" / "trajectory.csv").exists()
 
     assert main(["check", "--scenario", "nonsense_preset"]) == 1
+
+
+def test_cli_topology_file_goes_through_the_scenario_checks(tmp_path, capsys):
+    from intersim.cli import main
+
+    scenario_file = tmp_path / "two.json"
+    scenario_file.write_text(json.dumps(TWO_AGENTS))
+    arcs_file = tmp_path / "arcs.json"
+    for arcs in ([[1, 99]], [[1, 2]], [[1]]):
+        arcs_file.write_text(json.dumps(arcs))
+        args = ["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "bad"),
+                "--topology", str(arcs_file)]
+        assert main(args) == 1
+        assert "scenario error: " in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+    arcs_file.write_text(json.dumps([[1, 2], [2, 1]]))
+    args = ["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "ok"),
+            "--topology", str(arcs_file), "--steps", "2"]
+    assert main(args) == 0
+    assert (tmp_path / "ok" / "timing.csv").read_text().count("\n") == 3
