@@ -68,8 +68,6 @@ class SolverReport:
     outer_iterations: int
     inner_iterations: int
     max_violation: float
-    objective: float  # tracking cost of the returned sequence
-    penalized_objective: float
     wall_ms: float
     converged: bool
     violation_history: tuple[float, ...]
@@ -225,6 +223,14 @@ class OcpProblem:
 
     # -- penalty objective -------------------------------------------------
 
+    def _tracking(self, u: np.ndarray, dv_ref: np.ndarray) -> float:
+        """Tracking cost q·Σdv² + q_n·dv_N² + r·Σu² from the speed errors
+        dv_ref at steps 0..N."""
+        p, n = self.params, self.horizon
+        total = np.add.reduce
+        value = p.q * float(total(dv_ref[:n] ** 2)) + p.q_n * float(dv_ref[n] ** 2)
+        return value + p.r * float(total(u * u))
+
     def value_and_grad(self, u: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
         p = self.params
         n = self.horizon
@@ -234,8 +240,7 @@ class OcpProblem:
         adj = np.zeros((n + 1, 3))
 
         dv_ref = v - p.v_ref
-        value = p.q * float(total(dv_ref[:n] ** 2)) + p.q_n * float(dv_ref[n] ** 2)
-        value += p.r * float(total(u * u))
+        value = self._tracking(u, dv_ref)
         adj[:n, 1] += 2.0 * p.q * dv_ref[:n]
         adj[n, 1] += 2.0 * p.q_n * dv_ref[n]
         grad_direct = 2.0 * p.r * u
@@ -327,14 +332,14 @@ def box_solve(
     upper: float,
     u0: np.ndarray,
     cfg: PenaltyConfig,
-) -> tuple[np.ndarray, int, bool, float]:
+) -> tuple[np.ndarray, int, bool]:
     """Find a box-stationary point of a smooth objective.
 
     Forward-backward (projected-gradient) iterations accelerated by an
     L-BFGS direction on the fixed-point residual, with a line search on the
     forward-backward envelope and a pure projected step as fallback.
     Stops when the projected-gradient displacement falls below the inner
-    tolerance. Returns (u, iterations, converged, value).
+    tolerance. Returns (u, iterations, converged).
     """
 
     def clip(z):
@@ -361,7 +366,6 @@ def box_solve(
         r = u - t
         if float(np.max(np.abs(r))) <= cfg.inner_tolerance:
             u = t  # return the projected point so the box holds exactly
-            f, g = value_grad(u)
             converged = True
             break
         f_t, g_t = value_grad(t)
@@ -406,8 +410,7 @@ def box_solve(
             pairs.append((s_i, y_i, 1.0 / sy))
         u, f, g = u_new, f_new, g_new
 
-    u = clip(u)
-    return u, iterations, converged, float(f)
+    return clip(u), iterations, converged
 
 
 def initial_broadcast(
@@ -430,29 +433,40 @@ class _Candidate:
     u: np.ndarray
     violation: float
     tracking: float
-    penalized: float
     outer: int
     inner: int
     history: tuple[float, ...]
 
 
 def _tracking_objective(problem: OcpProblem, u: np.ndarray) -> float:
-    value, _ = problem.value_and_grad(u, 0.0)
-    return value
+    """The tracking part of value_and_grad, without its penalty kernel: at
+    weight 0 every penalty term there adds +0.0, so the two agree bit for bit."""
+    return problem._tracking(u, problem.states(u)[:, 1] - problem.params.v_ref)
 
 
-def _penalty_loop(problem: OcpProblem, u0: np.ndarray, cfg: PenaltyConfig) -> _Candidate:
+def _penalty_loop(
+    problem: OcpProblem, u0: np.ndarray, cfg: PenaltyConfig, incumbent: _Candidate | None = None
+) -> _Candidate:
     """Escalate the penalty weight around box_solve from one start point.
 
     Keeps the iterate with the smallest (violation, tracking) pair seen, so
     a late weight bump cannot degrade the returned trajectory.
+
+    Against a feasible incumbent this start can only win by becoming
+    feasible, so it stops after an infeasible round r >= 2 whose violation
+    did not fall below the previous round's / sqrt(multiplier). A locally
+    feasible start shrinks its violation about 1/multiplier per round under
+    a quadratic penalty; missing even the square root of that marks a
+    locally infeasible basin.
     """
     lo, hi = problem.params.a_x_min, problem.params.a_x_max
+    stop_on_stall = incumbent is not None and incumbent.violation <= cfg.constraint_tolerance
+    stall = math.sqrt(cfg.multiplier)
     weight = cfg.initial_weight
     inner_total = 0
     u = u0
     history: list[float] = []
-    best: tuple[float, float, np.ndarray, float] | None = None
+    best: tuple[float, float, np.ndarray] | None = None
     outer = 0
     while True:
         outer += 1
@@ -461,21 +475,21 @@ def _penalty_loop(problem: OcpProblem, u0: np.ndarray, cfg: PenaltyConfig) -> _C
         scaled = replace(
             cfg, inner_tolerance=cfg.inner_tolerance * math.sqrt(cfg.initial_weight / weight)
         )
-        u, iters, _, f_val = box_solve(
-            lambda w_: problem.value_and_grad(w_, weight), lo, hi, u, scaled
-        )
+        u, iters, _ = box_solve(lambda w_: problem.value_and_grad(w_, weight), lo, hi, u, scaled)
         inner_total += iters
         stack = problem.residual_stack(u)
         violation = float(np.max(stack)) if stack.size else 0.0
         history.append(violation)
         tracking = _tracking_objective(problem, u)
         if best is None or (violation, tracking) < (best[0], best[1]):
-            best = (violation, tracking, u, f_val)
+            best = (violation, tracking, u)
         if violation <= cfg.constraint_tolerance or outer >= cfg.max_outer_iterations:
             break
+        if stop_on_stall and outer >= 2 and not violation < history[-2] / stall:
+            break
         weight *= cfg.multiplier
-    violation, tracking, u, f_val = best
-    return _Candidate(u, violation, tracking, f_val, outer, inner_total, tuple(history))
+    violation, tracking, u = best
+    return _Candidate(u, violation, tracking, outer, inner_total, tuple(history))
 
 
 def solve_ocp(
@@ -499,9 +513,10 @@ def solve_ocp(
     hinge product creates a stop-before-the-line basin that a single local
     solve cannot leave once captured, and the second start restores the
     crossing branch as soon as it is reachable. Both candidates run the
-    full escalating-weight loop; a feasible candidate beats an infeasible
-    one, feasible ties go to the lower tracking cost, infeasible ties to
-    the lower violation.
+    escalating-weight loop, the second one with the warm candidate as its
+    incumbent, so it stops once it stalls behind a feasible warm solve; a
+    feasible candidate beats an infeasible one, feasible ties go to the
+    lower tracking cost, infeasible ties to the lower violation.
     """
     t_start = time.perf_counter()
     problem = OcpProblem(model, params, path, regions, margins, state, neighbours, horizon)
@@ -518,7 +533,7 @@ def solve_ocp(
         state.s < regions.s_cr_out
         and regions.s_stop - 2.0 <= s_end < regions.s_cr_out - 1e-9
     ):
-        go = _penalty_loop(problem, np.full(horizon, params.a_x_max), cfg)
+        go = _penalty_loop(problem, np.full(horizon, params.a_x_max), cfg, incumbent=chosen)
         inner_total += go.inner
         outer_total = max(outer_total, go.outer)
         tol = cfg.constraint_tolerance
@@ -538,8 +553,6 @@ def solve_ocp(
         outer_iterations=outer_total,
         inner_iterations=inner_total,
         max_violation=chosen.violation,
-        objective=chosen.tracking,
-        penalized_objective=chosen.penalized,
         wall_ms=(time.perf_counter() - t_start) * 1e3,
         converged=chosen.violation <= cfg.constraint_tolerance,
         violation_history=chosen.history,

@@ -222,7 +222,7 @@ def test_criterion_7_gradient_check_with_active_terms():
         state = xs.AgentState(rng.uniform(-0.5, 0.5), rng.uniform(8.0, 14.0), rng.uniform(30.0, 70.0))
         prob = OcpProblem(model, params, path, bounds, margins, state, neighbors, 50)
         u0 = np.clip(rng.normal(0.0, 0.5, 50), -7, 4)
-        u_mid, _, _, _ = box_solve(
+        u_mid, _, _ = box_solve(
             lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0, u0,
             PenaltyConfig(max_inner_iterations=40),
         )

@@ -310,6 +310,21 @@ def test_kernel_matches_per_track_reference_bit_for_bit():
     assert active >= 20  # the avoidance terms were exercised, not just zeros
 
 
+def test_tracking_objective_matches_zero_weight_kernel_bit_for_bit():
+    """The ranking's tracking cost equals value_and_grad at weight 0 byte for
+    byte, on random problems with 0-3 tracks, near-feasible and saturated inputs."""
+    rng = np.random.default_rng(606)
+    routes = [RouteSpec("N", "S"), RouteSpec("W", "N"), RouteSpec("E", "N"), RouteSpec("S", "W")]
+    envs = [make_env(r) for r in routes]
+    for trial in range(120):
+        path, bounds = envs[trial % len(envs)]
+        tracks = tuple(random_neighbor(rng) for _ in range((trial // 4) % 4))
+        state = AgentState(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 16.0), rng.uniform(0.0, 110.0))
+        prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
+        for u in (np.clip(rng.normal(0.0, 3.0, 50), -7.0, 4.0), np.full(50, 4.0), np.zeros(50)):
+            assert same_bits(mpc._tracking_objective(prob, u), prob.value_and_grad(u, 0.0)[0]), trial
+
+
 def test_sensitivities_are_shared_read_only_and_exact():
     path, bounds = make_env()
     state = AgentState(0.0, 14.0, 10.0)
@@ -446,7 +461,7 @@ def test_gradient_matches_finite_differences_on_random_instances():
         state = AgentState(rng.uniform(-0.5, 0.5), rng.uniform(8.0, 14.0), s0)
         prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, neighbors, 50)
         u0 = np.clip(rng.normal(0.0, 0.5, 50), -7, 4)
-        u_mid, _, _, _ = box_solve(lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0,
+        u_mid, _, _ = box_solve(lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0,
                                    u0, PenaltyConfig(max_inner_iterations=40))
         u_test = np.clip(u_mid + rng.normal(0.0, 0.05, 50), -7, 4)
         worst = max(worst, gradient_fd_check(prob, u_test, 10.0))
@@ -465,13 +480,13 @@ def quadratic(center):
 
 
 def test_interior_quadratic():
-    u, _, converged, _ = box_solve(quadratic(np.array([3.0])), -7.0, 4.0, np.array([0.0]), CFG)
+    u, _, converged = box_solve(quadratic(np.array([3.0])), -7.0, 4.0, np.array([0.0]), CFG)
     assert converged
     assert u[0] == pytest.approx(3.0, abs=1e-4)
 
 
 def test_active_bound_quadratic():
-    u, _, converged, _ = box_solve(quadratic(np.array([10.0])), -7.0, 4.0, np.array([0.0]), CFG)
+    u, _, converged = box_solve(quadratic(np.array([10.0])), -7.0, 4.0, np.array([0.0]), CFG)
     assert converged
     assert u[0] == pytest.approx(4.0, abs=1e-9)
 
@@ -488,7 +503,7 @@ def test_matches_long_run_projected_gradient_oracle():
         return float(0.5 * u @ hess @ u + b @ u), hess @ u + b
 
     u0 = np.zeros(n)
-    u_fast, _, converged, _ = box_solve(f, lo, hi, u0, PenaltyConfig(inner_tolerance=1e-9))
+    u_fast, _, converged = box_solve(f, lo, hi, u0, PenaltyConfig(inner_tolerance=1e-9))
     assert converged
 
     # independent oracle: plain projected gradient, many iterations
@@ -500,7 +515,7 @@ def test_matches_long_run_projected_gradient_oracle():
 
 
 def test_iteration_cap_returns_flag():
-    u, iters, converged, _ = box_solve(
+    u, iters, converged = box_solve(
         quadratic(np.array([3.0])), -7.0, 4.0, np.array([-7.0]),
         PenaltyConfig(max_inner_iterations=1, inner_tolerance=1e-14),
     )
@@ -617,3 +632,113 @@ def test_neighbor_length_validation():
     bad = crossing_neighbor(horizon=40)
     with pytest.raises(ValueError):
         solve_ocp(AgentState(0.0, 14.0, 0.0), (bad,), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+
+
+# -- stopping a stalled second start -----------------------------------------------
+
+
+def scripted_loop(monkeypatch, violations):
+    """A real problem whose box_solve and residual_stack replay `violations`,
+    one per round: round k returns u = k everywhere, with violation
+    violations[k-1]. Returns the problem and the list of box_solve start points."""
+    path, bounds = make_env()
+    prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 14.0, 40.0), (), 50)
+    starts = []
+
+    def fake_box_solve(value_grad, lower, upper, u0, cfg):
+        starts.append(u0)
+        return np.full(50, float(len(starts))), 7, True
+
+    monkeypatch.setattr(mpc, "box_solve", fake_box_solve)
+    monkeypatch.setattr(prob, "residual_stack", lambda u: np.array([violations[int(u[0]) - 1]]))
+    return prob, starts
+
+
+def incumbent(violation):
+    return mpc._Candidate(np.zeros(50), violation, 0.0, 1, 1, (violation,))
+
+
+STALLING = [1.0, 0.3, 0.2, 0.19, 0.18, 0.17]  # shrinks x0.3, then stalls
+
+
+def test_second_start_stops_at_first_stalled_round_behind_feasible_incumbent(monkeypatch):
+    prob, starts = scripted_loop(monkeypatch, STALLING)
+    got = mpc._penalty_loop(prob, np.full(50, 4.0), CFG, incumbent=incumbent(CFG.constraint_tolerance))
+    # round 2 shrank below 1.0 / sqrt(5) = 0.447; round 3's 0.2 is not below 0.3 / sqrt(5)
+    assert got.history == (1.0, 0.3, 0.2)
+    assert (got.outer, got.inner, len(starts)) == (3, 21, 3)
+    assert got.violation == 0.2 and np.all(got.u == 3.0)
+
+
+def test_shrinking_by_exactly_sqrt_multiplier_counts_as_stalled(monkeypatch):
+    prob, _ = scripted_loop(monkeypatch, [1.0, 1.0 / math.sqrt(CFG.multiplier), 0.1, 0.1, 0.1, 0.1])
+    got = mpc._penalty_loop(prob, np.zeros(50), CFG, incumbent=incumbent(0.0))
+    assert got.outer == 2
+
+
+@pytest.mark.parametrize("rival", [None, incumbent(0.5)], ids=["no incumbent", "infeasible incumbent"])
+def test_every_round_runs_without_a_feasible_incumbent(monkeypatch, rival):
+    prob, starts = scripted_loop(monkeypatch, STALLING)
+    got = mpc._penalty_loop(prob, np.full(50, 4.0), CFG, incumbent=rival)
+    assert got.history == tuple(STALLING) and len(starts) == CFG.max_outer_iterations
+    assert got.violation == 0.17 and np.all(got.u == 6.0)
+
+
+def test_every_round_runs_while_each_shrinks_by_sqrt_multiplier(monkeypatch):
+    shrinking = [1.0, 0.44, 0.19, 0.083, 0.036, 0.0155]  # each below the previous / sqrt(5)
+    prob, starts = scripted_loop(monkeypatch, shrinking)
+    got = mpc._penalty_loop(prob, np.full(50, 4.0), CFG, incumbent=incumbent(0.0))
+    assert got.history == tuple(shrinking) and len(starts) == CFG.max_outer_iterations
+
+
+def test_stopped_start_returns_its_best_iterate(monkeypatch):
+    prob, starts = scripted_loop(monkeypatch, [1.0, 0.3, 0.35, 0.1, 0.1, 0.1])
+    got = mpc._penalty_loop(prob, np.full(50, 4.0), CFG, incumbent=incumbent(0.0))
+    assert got.history == (1.0, 0.3, 0.35)
+    # the best of the three rounds, not the last; each round starts where the last ended
+    assert got.violation == 0.3 and np.all(got.u == 2.0)
+    assert got.tracking == mpc._tracking_objective(prob, np.full(50, 2.0))
+    assert [float(u[0]) for u in starts] == [4.0, 1.0, 2.0]
+
+
+def test_second_start_gets_the_warm_candidate_as_incumbent(monkeypatch):
+    path, bounds = make_env()
+    calls = []
+    original = mpc._penalty_loop
+
+    def spy(problem, u0, cfg, incumbent=None):
+        calls.append(incumbent)
+        result = original(problem, u0, cfg, incumbent=incumbent)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(mpc, "_penalty_loop", spy)
+    # stopping at the line for a parked vehicle: the second start runs
+    parked = PredictedTrajectory(np.full(51, -2.0), np.zeros(51), np.full(51, math.pi),
+                                 np.zeros(51), 5.0, 2.0)
+    solve_ocp(AgentState(0.0, 10.0, 40.0), (parked,), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+    assert len(calls) == 4 and calls[0] is None
+    assert calls[2] is calls[1]  # the warm start's candidate
+
+
+# -- evaluation budget ---------------------------------------------------------------
+
+
+def test_use_case_1_window_stays_within_its_evaluation_budget(monkeypatch):
+    """The 10-step use_case_1 prefix made 23,905 value_and_grad calls while
+    every full-throttle start ran all six rounds; 2,753 since stalled starts
+    stop behind a feasible warm solve. The run is deterministic."""
+    from intersim.orchestrator import run_simulation
+    from intersim.scenario import load_scenario
+
+    calls = 0
+    original = OcpProblem.value_and_grad
+
+    def counted(self, u, weight):
+        nonlocal calls
+        calls += 1
+        return original(self, u, weight)
+
+    monkeypatch.setattr(OcpProblem, "value_and_grad", counted)
+    run_simulation(replace(load_scenario("use_case_1"), steps=10), workers=1)
+    assert calls <= 2753
