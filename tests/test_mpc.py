@@ -462,7 +462,7 @@ def test_gradient_matches_finite_differences_on_random_instances():
         prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, neighbors, 50)
         u0 = np.clip(rng.normal(0.0, 0.5, 50), -7, 4)
         u_mid, _, _ = box_solve(lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0,
-                                   u0, PenaltyConfig(max_inner_iterations=40))
+                                u0, PenaltyConfig(max_inner_iterations=40))
         u_test = np.clip(u_mid + rng.normal(0.0, 0.05, 50), -7, 4)
         worst = max(worst, gradient_fd_check(prob, u_test, 10.0))
     assert worst < 1e-5
