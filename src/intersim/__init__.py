@@ -15,7 +15,6 @@ from .geometry import (
     area_overlap,
     bounding_box,
     safety_region,
-    smooth_area_overlap,
 )
 from .mpc import (
     PenaltyConfig,

@@ -30,7 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--steps", type=int, default=None, help="override the configured step count")
     sim.add_argument("--out", required=True, help="output directory for the CSV logs")
     sim.add_argument("--topology", default=None, help="override: complete, ring, or an arc-list JSON file")
-    sim.add_argument("--workers", type=int, default=1, help="parallel per-agent solver workers")
 
     chk = sub.add_parser("check", help="validate a scenario without running it")
     _add_scenario_arg(chk)
@@ -60,7 +59,7 @@ def main(argv=None) -> int:
         )
         return 0
 
-    sim_log, timing = run_simulation(cfg, workers=args.workers)
+    sim_log, timing = run_simulation(cfg)
     files = export_logs(sim_log, timing, args.out)
     violations = sim_log.overlap_violations
     print(f"wrote {', '.join(str(f) for f in files)}")

@@ -23,7 +23,6 @@ from .paths import (
     RegionBounds,
     project_onto_path,
     region_of,
-    sample_path,
     sample_path_many,
 )
 
@@ -75,30 +74,21 @@ class SafetyMargins:
 class SafetyRegion:
     base: OrientedBox
     forward_extension: float
-    rearward_extension: float = 0.0
 
     def __post_init__(self):
-        if self.forward_extension < 0 or self.rearward_extension < 0:
-            raise ValueError("extensions must be >= 0")
+        if self.forward_extension < 0:
+            raise ValueError("extension must be >= 0")
 
     def as_box(self) -> OrientedBox:
-        """Single oriented rectangle: the base box stretched along heading."""
-        shift = 0.5 * (self.forward_extension - self.rearward_extension)
-        grow = 0.5 * (self.forward_extension + self.rearward_extension)
+        """Single oriented rectangle: the base box stretched forward along heading."""
+        half = 0.5 * self.forward_extension
         return OrientedBox(
-            self.base.cx + shift * math.cos(self.base.heading),
-            self.base.cy + shift * math.sin(self.base.heading),
+            self.base.cx + half * math.cos(self.base.heading),
+            self.base.cy + half * math.sin(self.base.heading),
             self.base.heading,
-            self.base.half_length + grow,
+            self.base.half_length + half,
             self.base.half_width,
         )
-
-
-@dataclass(frozen=True)
-class ConflictSets:
-    cross: frozenset[int]
-    ahead: frozenset[int]
-    combined: frozenset[int]
 
 
 def bounding_box(sample: PathSample, length: float, width: float) -> OrientedBox:
@@ -270,19 +260,6 @@ def smooth_overlap_core(
     return value, d_crx, d_cry, d_theta, d_ar, d_cox, d_coy
 
 
-def smooth_area_overlap(region: SafetyRegion | OrientedBox, other: OrientedBox, sharpness: float) -> float:
-    """Differentiable conservative surrogate of area_overlap."""
-    if sharpness <= 0:
-        raise ValueError("sharpness must be > 0")
-    box = region.as_box() if isinstance(region, SafetyRegion) else region
-    value, *_ = smooth_overlap_core(
-        box.cx, box.cy, box.heading, box.half_length, box.half_width,
-        other.cx, other.cy, other.heading, other.half_length, other.half_width,
-        sharpness,
-    )
-    return float(value)
-
-
 def paths_conflict(
     path_i: PathSpec,
     bounds_i: RegionBounds,
@@ -318,12 +295,16 @@ def paths_conflict(
 
 @dataclass(frozen=True)
 class AgentView:
-    """Frozen per-agent snapshot the conflict-set assembly reads."""
+    """Frozen per-agent snapshot of one step.
+
+    `pose` samples `path` at `state.s`, clamped to the path's end.
+    """
 
     state: AgentState
     path: PathSpec
     bounds: RegionBounds
     params: AgentParams
+    pose: PathSample
 
 
 def ahead_set(i: int, views: Mapping[int, AgentView], window: float = AHEAD_WINDOW) -> frozenset[int]:
@@ -333,32 +314,24 @@ def ahead_set(i: int, views: Mapping[int, AgentView], window: float = AHEAD_WIND
     for l, view in views.items():
         if l == i:
             continue
-        s_proj, lateral = project_onto_path(me.path, *_position(view))
+        s_proj, lateral = project_onto_path(me.path, view.pose.x_g, view.pose.y_g)
         if lateral < me.params.width and 0.0 < s_proj - me.state.s <= window:
             out.add(l)
     return frozenset(out)
-
-
-def _position(view: AgentView) -> tuple[float, float]:
-    p = sample_path(view.path, min(view.state.s, view.path.total_length))
-    return p.x_g, p.y_g
 
 
 def conflict_sets(
     i: int,
     views: Mapping[int, AgentView],
     cross: set[int] | frozenset[int],
-) -> ConflictSets:
-    """Combine rear-end and crossing couplings per the agent's region.
+) -> frozenset[int]:
+    """The agents i holds avoidance constraints toward.
 
-    Inside the intersection control region both apply; outside only the
-    rear-end set matters.
+    Inside the intersection control region both the rear-end and the
+    crossing couplings apply; outside only the rear-end set matters.
     """
     me = views[i]
     ahead = ahead_set(i, views)
-    label = region_of(me.bounds, me.state.s)
-    if label in ("icr", "bsr", "cr"):
-        combined = frozenset(cross) | ahead
-    else:
-        combined = ahead
-    return ConflictSets(frozenset(cross), ahead, combined)
+    if region_of(me.bounds, me.state.s) in ("icr", "bsr", "cr"):
+        return frozenset(cross) | ahead
+    return ahead

@@ -62,12 +62,6 @@ def out_neighbors(t: Topology, i: int) -> set[int]:
     return {j for a, j in t.arcs if a == i}
 
 
-def in_neighbors(t: Topology, i: int) -> set[int]:
-    if i not in t.nodes:
-        raise KeyError(f"unknown node {i}")
-    return {a for a, j in t.arcs if j == i}
-
-
 def _bfs_dists(adj: dict[int, list[int]], src: int) -> dict[int, int]:
     dist = {src: 0}
     queue = deque([src])

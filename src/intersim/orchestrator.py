@@ -1,10 +1,11 @@
-"""Simulation loop: auction, conflict assembly, parallel solves, plant update.
+"""Simulation loop: auction, conflict assembly, sequential solves, plant update.
 
 Per step: apply scheduled events, auction priorities among vehicles still
-ahead of their critical-region exit, assemble conflict sets, solve every
-vehicle's control problem against the previous step's broadcasts, advance
-the plant, then record this step's broadcasts for the next one. The run is
-deterministic for a fixed config regardless of worker count.
+ahead of their critical-region exit, take one snapshot of every vehicle
+(state and path pose, read by the conflict sets, the pair metrics and the
+log rows), solve every vehicle's control problem in id order against the
+previous step's broadcasts, advance the plant, then record this step's
+broadcasts for the next one. The run is deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import logging
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +34,7 @@ from .geometry import (
 )
 from .mpc import PredictedTrajectory, initial_broadcast, solve_ocp
 from .network import LatencyModel, cbaam_time_bound, graph_ell
-from .paths import PathClampWarning, build_path, compute_regions, region_of, sample_path
+from .paths import PathClampWarning, build_path, compute_regions, project_onto_path, region_of, sample_path
 from .scenario import ScenarioConfig
 
 log = logging.getLogger(__name__)
@@ -125,7 +125,7 @@ def _build_runtimes(cfg: ScenarioConfig) -> dict[int, _AgentRuntime]:
     for agent in cfg.agents:
         path = build_path(agent.route)
         bounds = compute_regions(path, cfg.geometry, agent.params.v_max, agent.params.a_x_min)
-        s0 = cfg.initial_s(agent)
+        s0, _ = project_onto_path(path, *agent.initial_position)
         state = AgentState(0.0, agent.initial_speed, s0)
         out[agent.agent_id] = _AgentRuntime(
             agent_id=agent.agent_id,
@@ -162,7 +162,7 @@ def _conflict_matrix(cfg: ScenarioConfig, rts: dict[int, _AgentRuntime]) -> dict
 
 
 def _pair_metrics(
-    rts: dict[int, _AgentRuntime], i: int, partners: frozenset[int], margins: SafetyMargins
+    views: dict[int, AgentView], i: int, partners: frozenset[int], margins: SafetyMargins
 ) -> tuple[float, float]:
     """Exact clearance and overlap metrics for agent i at the current step.
 
@@ -172,25 +172,17 @@ def _pair_metrics(
     includes the raw footprint overlap against every other agent, so any
     physical contact shows up regardless of priority direction.
     """
-    me = rts[i]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PathClampWarning)
-        my_sample = sample_path(me.path, min(me.state.s, me.path.total_length))
-    my_box = bounding_box(my_sample, me.config.params.length, me.config.params.width)
+    me = views[i]
+    my_box = bounding_box(me.pose, me.params.length, me.params.width)
     min_dist = math.inf
     max_overlap = 0.0
-    for l, other in rts.items():
+    for l, other in views.items():
         if l == i:
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PathClampWarning)
-            other_sample = sample_path(other.path, min(other.state.s, other.path.total_length))
-        other_box = bounding_box(other_sample, other.config.params.length, other.config.params.width)
+        other_box = bounding_box(other.pose, other.params.length, other.params.width)
         max_overlap = max(max_overlap, area_overlap(my_box, other_box))
         if l in partners:
-            region = safety_region(
-                my_sample, me.config.params, other_sample, other.state.v, me.state.v, margins
-            )
+            region = safety_region(me.pose, me.params, other.pose, other.state.v, me.state.v, margins)
             min_dist = min(min_dist, box_distance(region, other_box))
             max_overlap = max(max_overlap, area_overlap(region, other_box))
     return min_dist, max_overlap
@@ -207,7 +199,13 @@ def run_simulation(
     (step 0 reads the constant-speed bootstrap forecasts); `pre_solve_hook`
     receives (step, runtimes, next_broadcasts) before the solves, which the
     tests use to prove that property.
+
+    The solves run one after another in one process: they are Python-bound,
+    so threads could not overlap them. `workers` accepts only 1 and remains
+    because `benchmarks/run.py` passes `workers=1`.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
     rts = _build_runtimes(cfg)
     ids = sorted(rts)
     conflict_lookup = _conflict_matrix(cfg, rts)
@@ -247,10 +245,13 @@ def run_simulation(
             ell = graph_ell(topo)
             assignment, iterations = run_cbaam(bids, topo)
 
-        views = {
-            i: AgentView(rts[i].state, rts[i].path, rts[i].bounds, rts[i].config.params)
-            for i in ids
-        }
+        views: dict[int, AgentView] = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PathClampWarning)
+            for i in ids:
+                rt = rts[i]
+                pose = sample_path(rt.path, min(rt.state.s, rt.path.total_length))
+                views[i] = AgentView(rt.state, rt.path, rt.bounds, rt.config.params, pose)
         states_map = {i: rts[i].state for i in ids}
         regions_map = {i: rts[i].bounds for i in ids}
 
@@ -264,20 +265,20 @@ def run_simulation(
                 cross = higher_priority_crossing_set(
                     assignment, i, states_map, regions_map, paths_do_conflict
                 )
-            sets_i = conflict_sets(i, views, cross)
-            partners[i] = sets_i.combined
-            solve_list.append((i, tuple(rts[l].broadcast for l in sorted(sets_i.combined))))
+            partners[i] = conflict_sets(i, views, cross)
+            solve_list.append((i, tuple(rts[l].broadcast for l in sorted(partners[i]))))
 
         next_broadcasts: dict[int, PredictedTrajectory] = {}
         if pre_solve_hook is not None:
             pre_solve_hook(k, rts, next_broadcasts)
 
-        def run_one(item):
-            i, neighbours = item
+        solved: dict[int, PredictedTrajectory] = {}
+        max_mpc_ms = 0.0
+        for i, neighbours in solve_list:
             rt = rts[i]
             warm = _shift_warm(rt.warm) if rt.warm is not None else None
             try:
-                return i, solve_ocp(
+                u, broadcast, report = solve_ocp(
                     rt.state,
                     neighbours,
                     rt.model,
@@ -291,17 +292,9 @@ def run_simulation(
                 )
             except ValueError as exc:
                 raise RuntimeError(f"solve failed for agent {i} at step {k}: {exc}") from exc
-
-        if workers > 1 and len(solve_list) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = dict(pool.map(run_one, solve_list))
-        else:
-            results = dict(map(run_one, solve_list))
-
-        max_mpc_ms = 0.0
-        for i, (u, broadcast, report) in sorted(results.items()):
-            rts[i].warm = u
-            rts[i].applied_u = float(u[0])
+            rt.warm = u
+            rt.applied_u = float(u[0])
+            solved[i] = broadcast
             next_broadcasts[i] = broadcast
             max_mpc_ms = max(max_mpc_ms, report.wall_ms)
             sim_log.solver_violation_histories.append(report.violation_history)
@@ -314,13 +307,11 @@ def run_simulation(
         # log rows reflect the state at step k together with the input applied at k
         for i in ids:
             rt = rts[i]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", PathClampWarning)
-                sample = sample_path(rt.path, min(rt.state.s, rt.path.total_length))
-            a_y = sample.kappa * rt.state.v**2
-            if i not in results:
+            pose = views[i].pose
+            a_y = pose.kappa * rt.state.v**2
+            if i not in solved:
                 rt.applied_u = 0.0
-            min_dist, overlap = _pair_metrics(rts, i, partners[i], cfg.margins)
+            min_dist, overlap = _pair_metrics(views, i, partners[i], cfg.margins)
             sim_log.trajectory.append(
                 TrajectoryRow(
                     step=k,
@@ -330,9 +321,9 @@ def run_simulation(
                     v_mps=rt.state.v,
                     ax_mps2=rt.state.a_x,
                     u_mps2=rt.applied_u,
-                    x_g_m=sample.x_g,
-                    y_g_m=sample.y_g,
-                    psi_rad=sample.psi,
+                    x_g_m=pose.x_g,
+                    y_g_m=pose.y_g,
+                    psi_rad=pose.psi,
                     region=region_of(rt.bounds, rt.state.s),
                     ay_mps2=a_y,
                     atot_mps2=math.hypot(rt.state.a_x, a_y),
@@ -370,8 +361,8 @@ def run_simulation(
         # commit broadcasts from this step's own solves, never from the
         # externally visible buffer (a test hook may have poisoned it)
         for i in ids:
-            if i in results:
-                rts[i].broadcast = results[i][1]
+            if i in solved:
+                rts[i].broadcast = solved[i]
             else:
                 # outside the control region: broadcast a constant-speed hold
                 rts[i].broadcast = initial_broadcast(

@@ -128,10 +128,6 @@ class ScenarioConfig:
         ids = frozenset(a.agent_id for a in self.agents)
         return Topology(ids, frozenset(spec)).induced(participants)
 
-    def initial_s(self, agent: AgentConfig) -> float:
-        s0, _ = project_onto_path(build_path(agent.route), *agent.initial_position)
-        return s0
-
 
 def _default_params() -> AgentParams:
     return AgentParams(

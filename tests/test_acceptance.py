@@ -39,7 +39,7 @@ def uc1():
 @pytest.fixture(scope="session")
 def uc1_rerun():
     cfg = xs.load_scenario("use_case_1")
-    log, timing = run_simulation(cfg, workers=3)
+    log, timing = run_simulation(cfg)
     return cfg, log, timing
 
 
@@ -281,7 +281,7 @@ def test_criterion_9_byte_identical_exports(uc1, uc1_rerun, tmp_path):
     bounds_b = [(r.step, r.cbaam_bound_ms) for r in timing_b.rows]
     report(
         9,
-        "determinism: trajectory and priority CSVs byte-identical across runs and worker counts; "
+        "determinism: trajectory and priority CSVs byte-identical across runs; "
         "simulated timing columns identical",
         same and bounds_a == bounds_b,
     )

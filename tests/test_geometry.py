@@ -17,7 +17,6 @@ from intersim.geometry import (
     conflict_sets,
     paths_conflict,
     safety_region,
-    smooth_area_overlap,
     smooth_overlap_core,
 )
 from intersim.paths import (
@@ -26,6 +25,7 @@ from intersim.paths import (
     RouteSpec,
     build_path,
     compute_regions,
+    sample_path,
 )
 
 PARAMS = AgentParams(0.3, -7.0, 4.0, 15.0, 3.5, 7.0, 5.0, 2.0, 1.0, 1.0, 20.0, 14.0)
@@ -164,15 +164,24 @@ def test_box_distance_zero_iff_overlapping():
     assert box_distance(unit_square(), unit_square(3.0, 0.0)) == pytest.approx(2.0, abs=1e-9)
 
 
-# -- smooth_area_overlap ----------------------------------------------------------
+# -- smooth_overlap_core ----------------------------------------------------------
+
+
+def smooth_overlap(a: OrientedBox, b: OrientedBox, beta: float) -> float:
+    value, *_ = smooth_overlap_core(
+        a.cx, a.cy, a.heading, a.half_length, a.half_width,
+        b.cx, b.cy, b.heading, b.half_length, b.half_width,
+        beta,
+    )
+    return float(value)
 
 
 def test_far_apart_smooth_overlap_tiny():
-    assert smooth_area_overlap(unit_square(), unit_square(100.0, 0.0), 10.0) < 1e-6
+    assert smooth_overlap(unit_square(), unit_square(100.0, 0.0), 10.0) < 1e-6
 
 
 def test_identical_squares_conservative():
-    value = smooth_area_overlap(unit_square(), unit_square(), 10.0)
+    value = smooth_overlap(unit_square(), unit_square(), 10.0)
     assert value >= 1.0  # softplus upper-bounds the hinge product (exactly 1 here)
 
 
@@ -181,7 +190,7 @@ def test_smooth_dominates_exact_overlap():
     for _ in range(200):
         a = OrientedBox(*rng.uniform(-2, 2, 2), rng.uniform(0, math.pi), *rng.uniform(0.5, 2.5, 2))
         b = OrientedBox(*rng.uniform(-2, 2, 2), rng.uniform(0, math.pi), *rng.uniform(0.5, 2.5, 2))
-        smooth = smooth_area_overlap(a, b, 4.0)
+        smooth = smooth_overlap(a, b, 4.0)
         assert smooth >= 0.0
         assert smooth >= area_overlap(a, b) - 1e-9
         if smooth == 0.0:  # conservatism direction of the implication
@@ -235,7 +244,7 @@ GEOM = IntersectionGeometry()
 def make_view(route, s, v=14.0):
     path = build_path(route)
     bounds = compute_regions(path, GEOM, PARAMS.v_max, PARAMS.a_x_min)
-    return AgentView(AgentState(0.0, v, s), path, bounds, PARAMS)
+    return AgentView(AgentState(0.0, v, s), path, bounds, PARAMS, sample_path(path, s))
 
 
 def test_crossing_paths_conflict_but_parallel_lanes_do_not():
@@ -271,9 +280,7 @@ def test_conflict_sets_by_region():
         1: make_view(RouteSpec("N", "S"), 0.0),
         2: make_view(RouteSpec("N", "S"), 20.0),
     }
-    sets_far = conflict_sets(1, views, cross={2})
-    assert sets_far.combined == {2}
-    assert sets_far.cross == {2}
+    assert conflict_sets(1, views, cross={2}) == {2}
 
     # inside the control region: union with the crossing set
     views_in = {
@@ -281,10 +288,8 @@ def test_conflict_sets_by_region():
         2: make_view(RouteSpec("N", "S"), 45.0),
         3: make_view(RouteSpec("E", "W"), 30.0),
     }
-    sets_in = conflict_sets(1, views_in, cross={3})
-    assert sets_in.ahead == {2}
-    assert sets_in.combined == {2, 3}
+    assert ahead_set(1, views_in) == {2}
+    assert conflict_sets(1, views_in, cross={3}) == {2, 3}
 
     # nobody ahead, outside control region
-    lonely = conflict_sets(1, {1: make_view(RouteSpec("N", "S"), 0.0)}, cross=set())
-    assert lonely.combined == set()
+    assert conflict_sets(1, {1: make_view(RouteSpec("N", "S"), 0.0)}, cross=set()) == set()

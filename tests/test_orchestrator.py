@@ -275,12 +275,38 @@ def test_timing_rows_use_participant_count():
         assert row.total_ms >= row.max_mpc_ms >= 0.0
 
 
-def test_determinism_across_runs_and_workers():
+def test_determinism_across_runs():
     cfg = small_cfg(steps=10, agents=(1, 2, 3, 4))
-    log_a, _ = run_simulation(cfg, workers=1)
-    log_b, _ = run_simulation(cfg, workers=3)
+    log_a, _ = run_simulation(cfg)
+    log_b, _ = run_simulation(cfg)
     assert log_a.trajectory == log_b.trajectory
     assert log_a.priorities == log_b.priorities
+
+
+def test_only_one_worker_is_accepted():
+    with pytest.raises(ValueError, match="workers"):
+        run_simulation(small_cfg(steps=1), workers=2)
+
+
+def test_each_pose_is_sampled_once_per_step(monkeypatch):
+    """The step's snapshot samples every vehicle's pose; nothing samples it again."""
+    import intersim.geometry as geom
+    import intersim.orchestrator as orch
+    from intersim.paths import sample_path
+
+    calls = []
+
+    def spy(path, s):
+        calls.append(s)
+        return sample_path(path, s)
+
+    monkeypatch.setattr(orch, "sample_path", spy)
+    monkeypatch.setattr(geom, "sample_path", spy, raising=False)
+    at_hook = []
+    cfg = small_cfg(steps=3, agents=(1, 2, 3, 4))
+    run_simulation(cfg, pre_solve_hook=lambda k, rts, nxt: at_hook.append(len(calls)))
+    assert at_hook == [4, 8, 12]
+    assert len(calls) == 12
 
 
 def test_information_pattern_ignores_current_step_broadcasts():
@@ -476,6 +502,12 @@ def test_cli_check_and_simulate(tmp_path, capsys):
     assert (tmp_path / "logs" / "trajectory.csv").exists()
 
     assert main(["check", "--scenario", "nonsense_preset"]) == 1
+
+    with pytest.raises(SystemExit):
+        main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "w"),
+              "--workers", "2"])
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
 
 
 def test_cli_topology_file_goes_through_the_scenario_checks(tmp_path, capsys):
