@@ -6,7 +6,7 @@ receding-horizon control problem against the higher-priority vehicles'
 broadcast trajectories.
 """
 
-from .auction import BidParams, PriorityAssignment, PriorityVectors, compute_bid, run_cbaam
+from .auction import BidParams, PriorityAssignment, compute_bid, run_cbaam
 from .dynamics import AgentParams, AgentState, DiscreteModel, discretize, rollout, step
 from .geometry import (
     OrientedBox,
@@ -24,7 +24,7 @@ from .mpc import (
     initial_broadcast,
     solve_ocp,
 )
-from .network import LatencyModel, Topology, broadcast_round, cbaam_time_bound, graph_ell
+from .network import Topology, cbaam_time_bound, graph_ell
 from .orchestrator import SimulationLog, TimingReport, export_logs, run_simulation
 from .paths import (
     IntersectionGeometry,

@@ -4,18 +4,18 @@ Every sampling instant, vehicles still ahead of the critical-region exit bid
 for crossing priority. Each superstep has two phases: a local auction where
 an agent writes its bid into the earliest beatable slot of its priority
 vectors, and a max-consensus exchange where neighbors agree slot by slot.
-On a strongly connected digraph all agents hold the descending bid sort
-after at most n_agents * ell supersteps.
+Nodes without a bid only relay. On a strongly connected digraph every node
+holds the descending bid sort after at most n_bidders * ell supersteps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
-from .network import Topology, broadcast_round, graph_ell
+import numpy as np
 
-UNASSIGNED = 0
+from .network import Topology, graph_ell
 
 
 @dataclass(frozen=True)
@@ -41,22 +41,6 @@ class BidParams:
                 f"alpha5={self.alpha5} <= alpha1*v_max + alpha2/alpha4="
                 f"{self.alpha1 * v_max + self.alpha2 / self.alpha4}"
             )
-
-
-@dataclass
-class PriorityVectors:
-    v: list[int]  # agent ids per priority slot, UNASSIGNED when empty
-    w: list[float]  # bids per slot, 0 when empty
-
-    @staticmethod
-    def empty(n: int) -> "PriorityVectors":
-        return PriorityVectors([UNASSIGNED] * n, [0.0] * n)
-
-    def copy(self) -> "PriorityVectors":
-        return PriorityVectors(list(self.v), list(self.w))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PriorityVectors) and self.v == other.v and self.w == other.w
 
 
 @dataclass(frozen=True)
@@ -86,41 +70,6 @@ def compute_bid(s: float, v: float, s_bsr_in: float, p: BidParams, emergency: bo
     return p.alpha3 * (s - s_bsr_in) + p.alpha5
 
 
-def local_auction(i: int, c_i: float, prev: PriorityVectors) -> PriorityVectors:
-    """Phase 1: write bid c_i at the earliest slot it beats, if i is absent."""
-    if c_i <= 0:
-        raise ValueError("bids must be > 0")
-    if i in prev.v:
-        return prev.copy()
-    out = prev.copy()
-    for j, w_j in enumerate(prev.w):
-        if c_i > w_j:
-            out.v[j] = i
-            out.w[j] = c_i
-            break
-    return out
-
-
-def consensus_update(own: PriorityVectors, received: Sequence[PriorityVectors]) -> PriorityVectors:
-    """Phase 2: slot-wise max over own and received vectors.
-
-    The winning bid's agent id is copied from the same source; sources are
-    scanned own-first then in the caller's (sender-sorted) order, with strict
-    improvement required, so the result is deterministic.
-    """
-    n = len(own.v)
-    for r in received:
-        if len(r.v) != n:
-            raise ValueError("all priority vectors must have identical length")
-    out = own.copy()
-    for r in received:
-        for j in range(n):
-            if r.w[j] > out.w[j]:
-                out.w[j] = r.w[j]
-                out.v[j] = r.v[j]
-    return out
-
-
 def resolve_bid_ties(bids: Mapping[int, float]) -> dict[int, float]:
     """Deterministically perturb duplicated bids by agent id.
 
@@ -141,45 +90,56 @@ def resolve_bid_ties(bids: Mapping[int, float]) -> dict[int, float]:
 
 
 def run_cbaam(bids: Mapping[int, float], topology: Topology) -> tuple[PriorityAssignment, int]:
-    """Run the full auction to agreement and derive higher-priority sets.
+    """Simulate the auction until every node holds the bid sort.
 
-    Executes exactly n_agents * ell supersteps (the proven convergence
-    bound) for determinism; returns the assignment and the first superstep
-    at which every participant already held the final vectors.
+    `bids` covers a subset of `topology.nodes`; the other nodes relay. Every
+    node keeps one priority vector as a row of `who` (bidder index per slot,
+    -1 when empty) and `w` (bid per slot, 0 when empty). Agreement is a
+    fixpoint of both phases, so the run stops at the first superstep that
+    reaches it and returns the assignment with that superstep.
     """
-    agents = sorted(bids)
-    if set(agents) != set(topology.nodes):
-        raise ValueError("bid map and topology nodes must coincide")
-    if not agents:
+    if not bids:
         raise ValueError("auction needs at least one participant")
-    if any(b <= 0 for b in bids.values()):
-        raise ValueError("bids must be > 0")
+    if not set(bids) <= topology.nodes:
+        raise ValueError("every bidder must be a topology node")
 
     eff = resolve_bid_ties(bids)
-    n = len(agents)
-    ell = graph_ell(topology)
-    vectors = {i: PriorityVectors.empty(n) for i in agents}
-    agreed_at = 0
+    if min(eff.values()) <= 0:
+        raise ValueError("bids must be > 0")
+    order = tuple(sorted(eff, key=lambda a: -eff[a]))
+    nodes = sorted(topology.nodes)
+    index = {node: k for k, node in enumerate(nodes)}
+    n, m = len(nodes), len(order)
+    # relays bid 0, which beats no slot; distinct bids make a slot's bid
+    # name its bidder, so the slot-wise max needs no tie rule
+    bid = np.zeros(n)
+    for agent, value in eff.items():
+        bid[index[agent]] = value
+    expect = np.array([index[a] for a in order])
+    # each node hears itself and its in-neighbours, padded with itself
+    hears = [[k] for k in range(n)]
+    for i, j in topology.arcs:
+        hears[index[j]].append(index[i])
+    width = max(map(len, hears))
+    hears = np.array([h + h[:1] * (width - len(h)) for h in hears])
+    rows, slots = np.arange(n), np.arange(m)
+    who = np.full((n, m), -1)
+    w = np.zeros((n, m))
 
-    expect_order = tuple(sorted(agents, key=lambda a: -eff[a]))
-    expect = PriorityVectors(list(expect_order), [eff[a] for a in expect_order])
-
-    for superstep in range(1, n * ell + 1):
-        for i in agents:
-            vectors[i] = local_auction(i, eff[i], vectors[i])
-        inbox = broadcast_round(topology, vectors)
-        vectors = {i: consensus_update(vectors[i], inbox[i]) for i in agents}
-        if agreed_at == 0 and all(vectors[i] == expect for i in agents):
-            agreed_at = superstep
-
-    if agreed_at == 0:
-        raise AssertionError("auction failed to agree within the n*ell bound")
-
-    order = expect_order
-    hp_sets = {
-        agent: frozenset(order[:pos]) for pos, agent in enumerate(order)
-    }
-    return PriorityAssignment(order, hp_sets), agreed_at
+    for superstep in range(1, m * graph_ell(topology) + 1):
+        # phase 1: an absent bidder writes at the first slot it beats
+        beats = bid[:, None] > w
+        write = beats.any(axis=1) & ~(who == rows[:, None]).any(axis=1)
+        first = beats.argmax(axis=1)[write]
+        who[write, first] = rows[write]
+        w[write, first] = bid[write]
+        # phase 2: each slot takes the max over what the node hears
+        src = hears[rows[:, None], w[hears].argmax(axis=1)]
+        who, w = who[src, slots], w[src, slots]
+        if (who == expect).all():
+            hp_sets = {agent: frozenset(order[:pos]) for pos, agent in enumerate(order)}
+            return PriorityAssignment(order, hp_sets), superstep
+    raise AssertionError("auction failed to agree within the n*ell bound")
 
 
 def higher_priority_crossing_set(

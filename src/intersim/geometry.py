@@ -308,11 +308,19 @@ class AgentView:
 
 
 def ahead_set(i: int, views: Mapping[int, AgentView], window: float = AHEAD_WINDOW) -> frozenset[int]:
-    """Agents driving ahead of i on (the continuation of) i's own lane."""
+    """Agents driving ahead of i on (the continuation of) i's own lane.
+
+    A vehicle ahead lies at most `window` of arc, hence of chord, along the
+    path from i's pose and less than i's width off it, so one farther than
+    their sum from i's pose is skipped without projecting it.
+    """
     me = views[i]
+    reach = window + me.params.width
     out = set()
     for l, view in views.items():
         if l == i:
+            continue
+        if math.hypot(view.pose.x_g - me.pose.x_g, view.pose.y_g - me.pose.y_g) > reach:
             continue
         s_proj, lateral = project_onto_path(me.path, view.pose.x_g, view.pose.y_g)
         if lateral < me.params.width and 0.0 < s_proj - me.state.s <= window:

@@ -1,6 +1,6 @@
-"""Simulated V2V network: directed topologies and synchronous broadcast rounds.
+"""Simulated V2V network: directed topologies and their round-count diameter.
 
-Delivery is perfect and instantaneous within a round; the latency model is
+Delivery is perfect and instantaneous within a round; the per-hop latency is
 bookkeeping for the real-time budget report only.
 """
 
@@ -9,9 +9,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, TypeVar
 
-T = TypeVar("T")
+PER_HOP_LATENCY_MS = 3.0
 
 
 @dataclass(frozen=True)
@@ -39,27 +38,6 @@ class Topology:
             return Topology(frozenset(order), frozenset())
         arcs = {(order[k], order[(k + 1) % len(order)]) for k in range(len(order))}
         return Topology(frozenset(order), frozenset(arcs))
-
-    def induced(self, keep) -> "Topology":
-        ks = frozenset(keep)
-        if not ks <= self.nodes:
-            raise ValueError("induced node set must be a subset")
-        return Topology(ks, frozenset((i, j) for i, j in self.arcs if i in ks and j in ks))
-
-
-@dataclass(frozen=True)
-class LatencyModel:
-    per_hop_latency_ms: float = 3.0
-
-    def __post_init__(self):
-        if self.per_hop_latency_ms <= 0:
-            raise ValueError("per-hop latency must be > 0")
-
-
-def out_neighbors(t: Topology, i: int) -> set[int]:
-    if i not in t.nodes:
-        raise KeyError(f"unknown node {i}")
-    return {j for a, j in t.arcs if a == i}
 
 
 def _bfs_dists(adj: dict[int, list[int]], src: int) -> dict[int, int]:
@@ -109,25 +87,8 @@ def graph_ell(t: Topology) -> int:
     return worst
 
 
-def broadcast_round(t: Topology, payloads: Mapping[int, T]) -> dict[int, list[T]]:
-    """One synchronous round: every receiver gets its in-neighbors' payloads.
-
-    Messages arrive in ascending sender-index order, so delivery is
-    deterministic regardless of the caller's iteration order.
-    """
-    for sender in payloads:
-        if sender not in t.nodes:
-            raise KeyError(f"unknown sender {sender}")
-    inbox: dict[int, list[T]] = {i: [] for i in t.nodes}
-    for sender in sorted(payloads):
-        for j in sorted(out_neighbors(t, sender)):
-            inbox[j].append(payloads[sender])
-    return inbox
-
-
-def cbaam_time_bound(n_agents: int, ell: int, lat: LatencyModel | None = None) -> float:
+def cbaam_time_bound(n_agents: int, ell: int) -> float:
     """Worst-case auction agreement latency in ms: n_agents * ell * per-hop."""
     if n_agents < 1:
         raise ValueError("need at least one agent")
-    per_hop = (lat or LatencyModel()).per_hop_latency_ms
-    return n_agents * ell * per_hop
+    return n_agents * ell * PER_HOP_LATENCY_MS

@@ -15,7 +15,7 @@ import logging
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .geometry import (
     safety_region,
 )
 from .mpc import PredictedTrajectory, initial_broadcast, solve_ocp
-from .network import LatencyModel, cbaam_time_bound, graph_ell
+from .network import cbaam_time_bound, graph_ell
 from .paths import PathClampWarning, build_path, compute_regions, project_onto_path, region_of, sample_path
 from .scenario import ScenarioConfig
 
@@ -213,7 +213,6 @@ def run_simulation(
     def paths_do_conflict(i: int, l: int) -> bool:
         return conflict_lookup[(min(i, l), max(i, l))]
 
-    latency = LatencyModel()
     events_by_step: dict[int, list] = {}
     for ev in cfg.events:
         events_by_step.setdefault(int(round(ev.time_s / cfg.t_s)), []).append(ev)
@@ -370,7 +369,7 @@ def run_simulation(
                 )
 
         n_part = len(participants)
-        bound_ms = cbaam_time_bound(n_part, ell, latency) if n_part else 0.0
+        bound_ms = cbaam_time_bound(n_part, ell) if n_part else 0.0
         total_ms = bound_ms + max_mpc_ms
         timing.rows.append(
             TimingRow(
@@ -401,40 +400,20 @@ def export_logs(sim_log: SimulationLog, timing: TimingReport, out_dir: str | Pat
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    headers = {
-        "trajectory.csv": (
-            "step,time_s,agent,s_m,v_mps,ax_mps2,u_mps2,x_g_m,y_g_m,psi_rad,region,"
-            "ay_mps2,atot_mps2,min_pair_dist_m,exact_overlap_m2"
-        ),
-        "priorities.csv": "step,time_s,agent,bid,rank,emergency_flag,auction_iterations",
-        "timing.csv": "step,cbaam_bound_ms,max_mpc_ms,total_ms,within_budget",
+    tables = {
+        "trajectory.csv": (TrajectoryRow, sim_log.trajectory),
+        "priorities.csv": (PriorityRow, sim_log.priorities),
+        "timing.csv": (TimingRow, timing.rows),
     }
-    rows = {
-        "trajectory.csv": [
-            (
-                r.step, r.time_s, r.agent, r.s_m, r.v_mps, r.ax_mps2, r.u_mps2,
-                r.x_g_m, r.y_g_m, r.psi_rad, r.region, r.ay_mps2, r.atot_mps2,
-                r.min_pair_dist_m, r.exact_overlap_m2,
-            )
-            for r in sim_log.trajectory
-        ],
-        "priorities.csv": [
-            (r.step, r.time_s, r.agent, r.bid, r.rank, r.emergency_flag, r.auction_iterations)
-            for r in sim_log.priorities
-        ],
-        "timing.csv": [
-            (r.step, r.cbaam_bound_ms, r.max_mpc_ms, r.total_ms, r.within_budget)
-            for r in timing.rows
-        ],
-    }
-    for name in headers:
+    for name, (row_type, rows) in tables.items():
+        columns = [f.name for f in fields(row_type)]
         target = out / name
         try:
             with open(target, "w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(headers[name].split(","))
-                for row in rows[name]:
-                    writer.writerow([_fmt(v) for v in row])
+                writer.writerow(columns)
+                for row in rows:
+                    writer.writerow([_fmt(getattr(row, c)) for c in columns])
         except OSError as exc:
             raise OSError(f"failed writing {target}: {exc}") from exc
         written.append(target)

@@ -114,8 +114,9 @@ class ScenarioConfig:
         """Topology among the given agents for a given step.
 
         Named topologies are built over exactly these agents, so a ring
-        closes up again when a member leaves; an explicit arc list keeps the
-        arcs among them.
+        closes up again when a member leaves. An explicit arc list is
+        returned whole, as checked at load: agents that left the auction
+        stay in it as relays.
         """
         spec = self.topology
         for from_step, override in sorted(self.topology_schedule, key=lambda entry: entry[0]):
@@ -125,8 +126,7 @@ class ScenarioConfig:
             return Topology.complete(participants)
         if spec == "ring":
             return Topology.ring(participants)
-        ids = frozenset(a.agent_id for a in self.agents)
-        return Topology(ids, frozenset(spec)).induced(participants)
+        return Topology(frozenset(a.agent_id for a in self.agents), frozenset(spec))
 
 
 def _default_params() -> AgentParams:

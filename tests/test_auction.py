@@ -1,15 +1,25 @@
-"""Bid computation and consensus-auction protocol tests."""
+"""Bid computation and consensus-auction protocol tests.
+
+The protocol phases are tested on the message-passing reference in
+`cbaam_oracle`; `run_cbaam` is checked against that reference.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cbaam_oracle import (
+    PriorityVectors,
+    broadcast_round,
+    consensus_update,
+    local_auction,
+    run_reference,
+)
 from intersim.auction import (
     BidParams,
-    PriorityVectors,
     compute_bid,
-    consensus_update,
     higher_priority_crossing_set,
-    local_auction,
     resolve_bid_ties,
     run_cbaam,
 )
@@ -181,8 +191,6 @@ def test_tie_resolution_is_deterministic():
 
 def test_monotone_and_fixpoint_properties():
     """Slot bids never decrease across supersteps; agreement is a fixpoint."""
-    from intersim.network import broadcast_round
-
     rng = np.random.default_rng(77)
     for _ in range(20):
         n = int(rng.integers(2, 7))
@@ -203,6 +211,46 @@ def test_monotone_and_fixpoint_properties():
         expect_order = sorted(bids, key=lambda a: -bids[a])
         for i in bids:
             assert vectors[i].v == expect_order  # fixpoint reached and held
+
+
+def test_relay_nodes_forward_without_bidding():
+    ring = Topology.ring([1, 2, 3])
+    assignment, iters = run_cbaam({1: 2.0}, ring)
+    assert assignment.order == (1,)
+    assert iters == 2  # the bid crosses both relays: 1 * ell
+    assignment, iters = run_cbaam({3: 1.0, 1: 4.0}, ring)
+    assert assignment.order == (1, 3) and iters <= 2 * graph_ell(ring)
+    with pytest.raises(ValueError):
+        run_cbaam({4: 1.0}, ring)
+
+
+@st.composite
+def auctions(draw):
+    """Bids (with ties, some nodes relaying) on a strongly connected digraph."""
+    n = draw(st.integers(1, 32))
+    nodes = draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n, unique=True))
+    kind = draw(st.sampled_from(["complete", "ring", "arcs"]))
+    if kind == "arcs":
+        cycle = draw(st.permutations(nodes))
+        arcs = {(cycle[k], cycle[(k + 1) % n]) for k in range(n)} if n > 1 else set()
+        extra = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)), max_size=3 * n))
+        topology = Topology(frozenset(nodes), frozenset(arcs | {(i, j) for i, j in extra if i != j}))
+    else:
+        topology = getattr(Topology, kind)(nodes)
+    bidding = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+    values = st.sampled_from([1.0, 2.5, 7.0]) | st.floats(0.1, 100.0)
+    bids = {node: draw(values) for node, is_bidder in zip(nodes, bidding) if is_bidder}
+    return bids, topology
+
+
+@settings(max_examples=60, deadline=None)
+@given(auctions())
+def test_run_cbaam_matches_message_passing_reference(case):
+    bids, topology = case
+    assignment, iters = run_cbaam(bids, topology)
+    expect, expect_iters = run_reference(bids, topology)
+    assert (assignment.order, iters) == (expect.order, expect_iters)
+    assert assignment.hp_sets == expect.hp_sets
 
 
 def test_hp_sets_antisymmetric():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intersim.dynamics import AgentParams, AgentState
 from intersim.geometry import (
@@ -20,11 +22,13 @@ from intersim.geometry import (
     smooth_overlap_core,
 )
 from intersim.paths import (
+    ARMS,
     IntersectionGeometry,
     PathSample,
     RouteSpec,
     build_path,
     compute_regions,
+    project_onto_path,
     sample_path,
 )
 
@@ -272,6 +276,36 @@ def test_ahead_set_same_lane_window():
     }
     assert ahead_set(1, views) == {2}
     assert ahead_set(2, views) == set()
+
+
+ROUTES = [RouteSpec(e, x) for e in ARMS for x in ARMS if e != x]
+
+
+@st.composite
+def traffic(draw):
+    """Up to seven vehicles on few routes, so some share a lane."""
+    routes = draw(st.lists(st.sampled_from(ROUTES[:4]) | st.sampled_from(ROUTES), min_size=2, max_size=7))
+    views = {}
+    for k, route in enumerate(routes, start=1):
+        path = build_path(route)
+        s = draw(st.floats(0.0, path.total_length))
+        views[k] = make_view(route, s)
+    return views, draw(st.floats(1.0, 120.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(traffic())
+def test_ahead_set_prefilter_changes_no_set(case):
+    views, window = case
+    for i, me in views.items():
+        unfiltered = set()
+        for l, view in views.items():
+            if l == i:
+                continue
+            s_proj, lateral = project_onto_path(me.path, view.pose.x_g, view.pose.y_g)
+            if lateral < me.params.width and 0.0 < s_proj - me.state.s <= window:
+                unfiltered.add(l)
+        assert ahead_set(i, views, window) == unfiltered
 
 
 def test_conflict_sets_by_region():

@@ -411,6 +411,16 @@ def test_ring_closes_up_when_an_agent_leaves():
     assert [r.cbaam_bound_ms for r in timing.rows] == pytest.approx([18.0, 6.0, 6.0, 6.0])
 
 
+def test_arc_list_keeps_agents_that_left_as_relays():
+    cfg = load_scenario(dict(THREE_AGENT_RING, topology=[[1, 2], [2, 3], [3, 1]]))
+    assert cfg.topology_among(1, [1, 3]) == Topology.ring([1, 2, 3])
+    log, timing = run_simulation(cfg)
+    ranked = {(p.step, p.agent) for p in log.priorities if p.rank > 0}
+    assert (0, 2) in ranked and (1, 2) not in ranked
+    # agent 2 relays from step 1 on, so the 3-ring's ell = 2 stays
+    assert [r.cbaam_bound_ms for r in timing.rows] == pytest.approx([18.0, 12.0, 12.0, 12.0])
+
+
 def test_penalty_violation_mostly_monotone_across_outer_iterations():
     cfg = small_cfg(steps=20, agents=(1, 2, 3, 4))
     log, _ = run_simulation(cfg)
