@@ -104,9 +104,17 @@ def step(model: DiscreteModel, x: AgentState, u: float) -> AgentState:
     return AgentState(float(nxt[0]), float(nxt[1]), float(nxt[2]))
 
 
-def rollout(model: DiscreteModel, x0: AgentState, u_seq) -> list[AgentState]:
-    """Propagate x0 through len(u_seq) steps; returns N+1 states including x0."""
-    states = [x0]
-    for u in u_seq:
-        states.append(step(model, states[-1], float(u)))
+def rollout(model: DiscreteModel, x0: AgentState, u_seq) -> np.ndarray:
+    """Propagate x0 through len(u_seq) steps: the (N+1, 3) states
+    (a_x, v, s), x0 first, each row computed as `step` computes it. Refuses
+    a non-finite input or state, as `step` and `AgentState` do."""
+    u_seq = np.asarray(u_seq, dtype=float)
+    if not np.all(np.isfinite(u_seq)):
+        raise ValueError("non-finite input")
+    states = np.empty((len(u_seq) + 1, 3))
+    states[0] = x0.as_array()
+    for k, u in enumerate(u_seq):
+        states[k + 1] = model.a_d @ states[k] + model.b_d * u
+    if not np.all(np.isfinite(states)):
+        raise ValueError("non-finite state in rollout")
     return states

@@ -28,6 +28,7 @@ from .paths import (
 
 AHEAD_WINDOW = 50.0  # m of path ahead considered for rear-end coupling
 PATH_CONFLICT_MARGIN = 0.5  # m added around each swept corridor
+CLIP_SLACK = 1e-6  # m beyond touching, far above the rounding of the overlap clip
 
 
 @dataclass(frozen=True)
@@ -139,17 +140,17 @@ def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
         inp = output
         output = []
         prev = inp[-1]
-        prev_in = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0]) >= 0
+        prev_side = edge[0] * (prev[1] - a[1]) - edge[1] * (prev[0] - a[0])
         for cur in inp:
-            cur_in = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0]) >= 0
-            if cur_in != prev_in:
-                d = cur - prev
-                denom = edge[0] * d[1] - edge[1] * d[0]
-                t = (edge[0] * (a[1] - prev[1]) - edge[1] * (a[0] - prev[0])) / denom
-                output.append(prev + t * d)
-            if cur_in:
+            cur_side = edge[0] * (cur[1] - a[1]) - edge[1] * (cur[0] - a[0])
+            if (cur_side >= 0) != (prev_side >= 0):
+                # the crossing parameter from the two sides, whose signs
+                # differ, so it never divides by zero (an edge of the subject
+                # parallel to the clip edge, by a rounding of its sides)
+                output.append(prev + prev_side / (prev_side - cur_side) * (cur - prev))
+            if cur_side >= 0:
                 output.append(cur)
-            prev, prev_in = cur, cur_in
+            prev, prev_side = cur, cur_side
         output = np.array(output) if output else np.empty((0, 2))
     return output
 
@@ -172,8 +173,18 @@ def _polygon_area(poly: np.ndarray) -> float:
 
 
 def area_overlap(region: SafetyRegion | OrientedBox, other: OrientedBox) -> float:
-    """Exact intersection area between the (extended) region and a box."""
+    """Exact intersection area between the (extended) region and a box.
+
+    Each box lies inside the circle of its half-diagonal around its centre,
+    so boxes whose centres are farther apart than the two half-diagonals
+    together cannot overlap. Past that distance plus CLIP_SLACK they are not
+    clipped: the clip returns exactly 0.0 there too, where corners that touch
+    can leave it a rounding sliver.
+    """
     box = region.as_box() if isinstance(region, SafetyRegion) else region
+    reach = math.hypot(box.half_length, box.half_width) + math.hypot(other.half_length, other.half_width)
+    if math.hypot(other.cx - box.cx, other.cy - box.cy) > reach + CLIP_SLACK:
+        return 0.0
     poly = _clip_polygon(_ccw(box.corners()), _ccw(other.corners()))
     return _polygon_area(poly)
 
@@ -200,64 +211,63 @@ def box_distance(first: SafetyRegion | OrientedBox, second: OrientedBox) -> floa
     return best
 
 
-def _softplus(x: np.ndarray, beta: float) -> np.ndarray:
-    return np.logaddexp(0.0, beta * x) / beta
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def smooth_overlap_core(
-    crx, cry, theta, a_r, b_r, cox, coy, theta_o, a_o, b_o, beta: float
-):
+def smooth_overlap_core(crx, cry, cos_t, sin_t, a_r, b_r, cox, coy, cos_d, sin_d, a_o, b_o, beta: float):
     """Smooth overlap of two rectangles projected on the first one's axes.
 
-    All arguments broadcast as numpy arrays. Returns the surrogate value and
-    its partial derivatives w.r.t. the first rectangle's center, heading and
-    half-length, plus the second rectangle's center (for testing).
+    The first rectangle has centre (crx, cry), heading theta and half
+    extents a_r, b_r; the second has centre (cox, coy), heading
+    theta + delta and half extents a_o, b_o. The headings enter through
+    cos_t, sin_t = cos(theta), sin(theta) and cos_d, sin_d = cos(delta),
+    sin(delta), which the caller computes once for its own use as well.
+    All arguments broadcast as numpy arrays.
+
+    Returns the surrogate value and a function that builds its partial
+    derivatives (d_crx, d_cry, d_theta, d_ar) w.r.t. the first rectangle's
+    centre, heading and half-length from this call's intermediates. The
+    second rectangle's centre enters only through the offset between the
+    centres, so its partials are -d_crx and -d_cry.
 
     The 1-D interval overlaps along the region's body axes are pushed
     through a softplus, so the product upper-bounds the hinge product (and
     therefore the true intersection area) and stays differentiable.
     """
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
     dx, dy = cox - crx, coy - cry
     d_u = dx * cos_t + dy * sin_t
     d_n = -dx * sin_t + dy * cos_t
-    delta = theta_o - theta
-    cd, sd = np.cos(delta), np.sin(delta)
-    abs_cd, abs_sd = np.abs(cd), np.abs(sd)
+    abs_cd, abs_sd = np.abs(cos_d), np.abs(sin_d)
     rho_u = a_o * abs_cd + b_o * abs_sd
     rho_n = a_o * abs_sd + b_o * abs_cd
-    o_u = a_r + rho_u - np.abs(d_u)
-    o_n = b_r + rho_n - np.abs(d_n)
+    # beta times each interval overlap: the softplus argument, whose
+    # sigmoid is the softplus slope
+    bo_u = beta * (a_r + rho_u - np.abs(d_u))
+    bo_n = beta * (b_r + rho_n - np.abs(d_n))
+    sp_u, sp_n = np.logaddexp(0.0, bo_u) / beta, np.logaddexp(0.0, bo_n) / beta
 
-    sp_u, sp_n = _softplus(o_u, beta), _softplus(o_n, beta)
-    sg_u, sg_n = _sigmoid(beta * o_u), _sigmoid(beta * o_n)
-    value = sp_u * sp_n
-    d_ou = sg_u * sp_n  # dV/do_u
-    d_on = sp_u * sg_n
+    def derivatives():
+        d_ou = _sigmoid(bo_u) * sp_n  # dV/do_u
+        d_on = sp_u * _sigmoid(bo_n)
+        sign_du, sign_dn = np.sign(d_u), np.sign(d_n)
+        sign_cd, sign_sd = np.sign(cos_d), np.sign(sin_d)
+        drho_u = (-a_o * sign_cd * sin_d + b_o * sign_sd * cos_d)
+        drho_n = (a_o * sign_sd * cos_d - b_o * sign_cd * sin_d)
 
-    sign_du, sign_dn = np.sign(d_u), np.sign(d_n)
-    sign_cd, sign_sd = np.sign(cd), np.sign(sd)
-    drho_u = (-a_o * sign_cd * sd + b_o * sign_sd * cd)
-    drho_n = (a_o * sign_sd * cd - b_o * sign_cd * sd)
+        # dV/d(d_u) and dV/d(d_n); the centres enter d_u, d_n through +-(cos, sin)
+        dv_du, dv_dn = d_ou * (-sign_du), d_on * (-sign_dn)
+        neg_cos, neg_sin = -cos_t, -sin_t
+        d_crx = dv_du * neg_cos + dv_dn * (sin_t)
+        d_cry = dv_du * neg_sin + dv_dn * neg_cos
+        # d(d_u)/dtheta = d_n, d(d_n)/dtheta = -d_u, d(delta)/dtheta = -1
+        d_theta = (
+            d_ou * (-sign_du * d_n - drho_u)
+            + d_on * (sign_dn * d_u - drho_n)
+        )
+        return d_crx, d_cry, d_theta, d_ou
 
-    # dV/d(d_u) and dV/d(d_n); the centers enter d_u, d_n through +-(cos, sin)
-    dv_du, dv_dn = d_ou * (-sign_du), d_on * (-sign_dn)
-    neg_cos, neg_sin = -cos_t, -sin_t
-    d_crx = dv_du * neg_cos + dv_dn * (sin_t)
-    d_cry = dv_du * neg_sin + dv_dn * neg_cos
-    # d(d_u)/dtheta = d_n, d(d_n)/dtheta = -d_u, d(delta)/dtheta = -1
-    d_theta = (
-        d_ou * (-sign_du * d_n - drho_u)
-        + d_on * (sign_dn * d_u - drho_n)
-    )
-    d_ar = d_ou
-    d_cox = dv_du * cos_t + dv_dn * neg_sin
-    d_coy = dv_du * sin_t + dv_dn * cos_t
-    return value, d_crx, d_cry, d_theta, d_ar, d_cox, d_coy
+    return sp_u * sp_n, derivatives
 
 
 def paths_conflict(

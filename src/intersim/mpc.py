@@ -112,6 +112,10 @@ class OcpProblem:
 
     The neighbor tracks are stacked into (T, N) arrays, so one evaluation
     handles every track with a single smooth_overlap_core call.
+
+    `value` evaluates the penalty objective alone; `value_and_grad` runs the
+    same code and then builds the gradient from its intermediates, so the
+    two values agree bit for bit.
     """
 
     ENFORCE_BACKOFF = 0.015
@@ -170,37 +174,43 @@ class OcpProblem:
 
     # -- collision-avoidance terms ----------------------------------------
 
-    def _ca_terms(self, x, y, psi, kap, s, v):
-        """Surrogate overlap with every track and its derivatives w.r.t. the
-        own path coordinate and speed, as (T, N) arrays. The pose is held
-        where s is clamped to a path end, so only coordinates strictly inside
-        the path move it."""
+    def _ca_terms(self, x, y, psi, v):
+        """Surrogate overlap with every track as a (T, N) array, and a function
+        of the exact curvature and the own path coordinate that builds its
+        derivatives w.r.t. that coordinate and the own speed."""
         p = self.params
         m = self.margins
-        inside = ((s > 0.0) & (s < self.path.total_length)).astype(float)
         rel = self._opsi - psi
-        closing = v - self._ov * np.cos(rel)
-        active = (closing > 0).astype(float)
+        cos_rel, sin_rel = np.cos(rel), np.sin(rel)
+        closing = v - self._ov * cos_rel
         ext = m.headway * np.maximum(0.0, closing)
-        dext_dv = m.headway * active
-        dext_dpsi = m.headway * active * (-self._ov * np.sin(rel))
-
         cos_p, sin_p = np.cos(psi), np.sin(psi)
         a_r = p.length / 2.0 + m.long + ext / 2.0
         b_r = p.width / 2.0 + m.lat
         crx = x + 0.5 * ext * cos_p
         cry = y + 0.5 * ext * sin_p
-        value, dcrx, dcry, dth, dar, _, _ = smooth_overlap_core(
-            crx, cry, psi, a_r, b_r, self._ox, self._oy, self._opsi, self._oa, self._ob,
-            m.sharpness,
+        value, overlap_derivatives = smooth_overlap_core(
+            crx, cry, cos_p, sin_p, a_r, b_r, self._ox, self._oy, cos_rel, sin_rel,
+            self._oa, self._ob, m.sharpness,
         )
-        dpsi_ds = kap * inside
-        dext_ds = dext_dpsi * dpsi_ds
-        dcrx_ds = cos_p * inside + 0.5 * (dext_ds * cos_p - ext * sin_p * dpsi_ds)
-        dcry_ds = sin_p * inside + 0.5 * (dext_ds * sin_p + ext * cos_p * dpsi_ds)
-        dv_ds = dcrx * dcrx_ds + dcry * dcry_ds + dth * dpsi_ds + dar * 0.5 * dext_ds
-        dv_dv = dcrx * 0.5 * dext_dv * cos_p + dcry * 0.5 * dext_dv * sin_p + dar * 0.5 * dext_dv
-        return value, dv_ds, dv_dv
+
+        def derivatives(kap, s):
+            # the pose is held where s is clamped to a path end, so only
+            # coordinates strictly inside the path move it
+            inside = ((s > 0.0) & (s < self.path.total_length)).astype(float)
+            active = (closing > 0).astype(float)
+            dext_dv = m.headway * active
+            dext_dpsi = m.headway * active * (-self._ov * sin_rel)
+            dcrx, dcry, dth, dar = overlap_derivatives()
+            dpsi_ds = kap * inside
+            dext_ds = dext_dpsi * dpsi_ds
+            dcrx_ds = cos_p * inside + 0.5 * (dext_ds * cos_p - ext * sin_p * dpsi_ds)
+            dcry_ds = sin_p * inside + 0.5 * (dext_ds * sin_p + ext * cos_p * dpsi_ds)
+            dv_ds = dcrx * dcrx_ds + dcry * dcry_ds + dth * dpsi_ds + dar * 0.5 * dext_ds
+            dv_dv = dcrx * 0.5 * dext_dv * cos_p + dcry * 0.5 * dext_dv * sin_p + dar * 0.5 * dext_dv
+            return dv_ds, dv_dv
+
+        return value, derivatives
 
     def _horizon_geometry(self, s):
         """Pose, smoothed curvature and its slope, and exact curvature along
@@ -231,61 +241,75 @@ class OcpProblem:
         value = p.q * float(total(dv_ref[:n] ** 2)) + p.q_n * float(dv_ref[n] ** 2)
         return value + p.r * float(total(u * u))
 
-    def value_and_grad(self, u: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
+    def _objective(self, u: np.ndarray, weight: float):
+        """The penalty objective at u, and a function that builds its gradient
+        from this evaluation's intermediates."""
         p = self.params
         n = self.horizon
         total = np.add.reduce
         states = self.base + self.g_mat @ u
         a, v, s = states[:, 0], states[:, 1], states[:, 2]
-        adj = np.zeros((n + 1, 3))
 
         dv_ref = v - p.v_ref
         value = self._tracking(u, dv_ref)
-        adj[:n, 1] += 2.0 * p.q * dv_ref[:n]
-        adj[n, 1] += 2.0 * p.q_n * dv_ref[n]
-        grad_direct = 2.0 * p.r * u
 
         aj, vj, sj = a[1:], v[1:], s[1:]
         x, y, psi, kap, dkap, kap_exact = self._horizon_geometry(sj)
-
         ay = kap * vj * vj
         r_lo, r_hi, r_ay, r_tot = self._limit_residuals(aj, vj, ay, 1.0 - self.ENFORCE_BACKOFF)
         value += weight * float(total(r_lo**2) + total(r_hi**2))
-        adj[1:, 1] += weight * (2.0 * r_hi - 2.0 * r_lo)
-
-        sgn = np.sign(ay)
         value += weight * float(total(r_ay**2))
-        adj[1:, 1] += weight * 4.0 * r_ay * sgn * kap * vj
-        adj[1:, 2] += weight * 2.0 * r_ay * sgn * dkap * vj * vj
-
         value += weight * float(total(r_tot**2))
-        adj[1:, 0] += weight * 4.0 * r_tot * aj
-        adj[1:, 1] += weight * 8.0 * r_tot * ay * kap * vj
-        adj[1:, 2] += weight * 4.0 * r_tot * ay * dkap * vj * vj
 
         if self.tracks:
-            # heading chain uses exact curvature: the evaluated pose is the
-            # exact path map, so only this keeps gradients FD-consistent
-            ca, dca_ds, dca_dv = self._ca_terms(x, y, psi, kap_exact, sj, vj)
-            scaled = weight * 2.0 * ca
-            by_s, by_v = scaled * dca_ds, scaled * dca_dv
+            ca, ca_derivatives = self._ca_terms(x, y, psi, vj)
             # one track at a time, in order, so the sums round as they always have
-            for sq, row_s, row_v in zip(total(ca**2, axis=1).tolist(), by_s, by_v):
+            for sq in total(ca**2, axis=1).tolist():
                 value += weight * sq
-                adj[1:, 2] += row_s
-                adj[1:, 1] += row_v
 
         s_n = float(s[n])
         h1 = max(0.0, self.regions.s_cr_out - s_n)
         h2 = max(0.0, s_n - self.regions.s_stop)
         r_prev = h1 * h2
         value += weight * r_prev * r_prev
-        d_prev = -float(h1 > 0) * h2 + h1 * float(h2 > 0)
-        adj[n, 2] += weight * 2.0 * r_prev * d_prev
 
-        # the (1, 3(N+1)) x (3(N+1), N) product that tensordot(adj, g_mat) performs
-        grad = grad_direct + np.dot(adj.reshape(1, -1), self._g_flat).reshape(n)
-        return value, grad
+        def gradient() -> np.ndarray:
+            adj = np.zeros((n + 1, 3))
+            adj[:n, 1] += 2.0 * p.q * dv_ref[:n]
+            adj[n, 1] += 2.0 * p.q_n * dv_ref[n]
+            adj[1:, 1] += weight * (2.0 * r_hi - 2.0 * r_lo)
+
+            sgn = np.sign(ay)
+            adj[1:, 1] += weight * 4.0 * r_ay * sgn * kap * vj
+            adj[1:, 2] += weight * 2.0 * r_ay * sgn * dkap * vj * vj
+
+            adj[1:, 0] += weight * 4.0 * r_tot * aj
+            adj[1:, 1] += weight * 8.0 * r_tot * ay * kap * vj
+            adj[1:, 2] += weight * 4.0 * r_tot * ay * dkap * vj * vj
+
+            if self.tracks:
+                # heading chain uses exact curvature: the evaluated pose is the
+                # exact path map, so only this keeps gradients FD-consistent
+                dca_ds, dca_dv = ca_derivatives(kap_exact, sj)
+                scaled = weight * 2.0 * ca
+                # track by track, in order, as the value sums
+                for row_s, row_v in zip(scaled * dca_ds, scaled * dca_dv):
+                    adj[1:, 2] += row_s
+                    adj[1:, 1] += row_v
+
+            d_prev = -float(h1 > 0) * h2 + h1 * float(h2 > 0)
+            adj[n, 2] += weight * 2.0 * r_prev * d_prev
+            # the (1, 3(N+1)) x (3(N+1), N) product that tensordot(adj, g_mat) performs
+            return 2.0 * p.r * u + np.dot(adj.reshape(1, -1), self._g_flat).reshape(n)
+
+        return value, gradient
+
+    def value(self, u: np.ndarray, weight: float) -> float:
+        return self._objective(u, weight)[0]
+
+    def value_and_grad(self, u: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
+        value, gradient = self._objective(u, weight)
+        return value, gradient()
 
     # -- constraint stack ---------------------------------------------------
 
@@ -299,10 +323,10 @@ class OcpProblem:
         states = self.states(u)
         a, v, s = states[:, 0], states[:, 1], states[:, 2]
         aj, vj = a[1:], v[1:]
-        x, y, psi, kap, _, kap_exact = self._horizon_geometry(s[1:])
+        x, y, psi, kap, _, _ = self._horizon_geometry(s[1:])
         pieces = list(self._limit_residuals(aj, vj, kap * vj * vj, 1.0))
         if self.tracks:
-            pieces.append(self._ca_terms(x, y, psi, kap_exact, s[1:], vj)[0].ravel())
+            pieces.append(self._ca_terms(x, y, psi, vj)[0].ravel())
         r_prev = preview_residual(float(s[-1]), self.regions.s_cr_out, self.regions.s_stop)
         pieces.append(np.array([r_prev]))
         return np.concatenate(pieces)
@@ -327,6 +351,7 @@ def _lbfgs_direction(pairs: deque, r: np.ndarray) -> np.ndarray:
 
 
 def box_solve(
+    value,
     value_grad,
     lower: float,
     upper: float,
@@ -340,18 +365,40 @@ def box_solve(
     forward-backward envelope and a pure projected step as fallback.
     Stops when the projected-gradient displacement falls below the inner
     tolerance. Returns (u, iterations, converged).
+
+    `value(u)` returns the objective and `value_grad(u)` the same value, bit
+    for bit, and the gradient. The gradient is requested where it is read:
+    at the start, the Lipschitz probe, the line-search candidates and a
+    fallback step. A forward-backward point needs only its value for the
+    descent test; it is evaluated in full only while the L-BFGS memory is
+    empty, when the first line-search candidate is often bitwise that point
+    and reuses its evaluation. No point is evaluated twice, but for the
+    gradient of a value-only point that becomes the fallback step.
     """
 
     def clip(z):
         return np.minimum(np.maximum(lower, z), upper)
 
+    def norm(z):
+        return math.sqrt(z.dot(z))  # np.linalg.norm of a real vector
+
+    # point bytes -> (value, gradient or None) of every evaluation in this solve
+    known: dict[bytes, tuple[float, np.ndarray | None]] = {}
+
+    def evaluate(z, need_grad):
+        key = z.tobytes()
+        hit = known.get(key)
+        if hit is None or (need_grad and hit[1] is None):
+            hit = known[key] = value_grad(z) if need_grad else (value(z), None)
+        return hit
+
     u = clip(np.asarray(u0, dtype=float))
-    f, g = value_grad(u)
-    gnorm = float(np.linalg.norm(g))
+    f, g = evaluate(u, True)
+    gnorm = norm(g)
     if gnorm > 0:
-        h = 1e-3 * max(1.0, float(np.linalg.norm(u)))
-        _, g_probe = value_grad(u - h * g / gnorm)
-        lip = float(np.linalg.norm(g_probe - g)) / h
+        h = 1e-3 * max(1.0, norm(u))
+        _, g_probe = evaluate(u - h * g / gnorm, True)
+        lip = norm(g_probe - g) / h
     else:
         lip = 1.0
     lip = max(lip, 1e-6)
@@ -360,15 +407,18 @@ def box_solve(
 
     converged = False
     iterations = 0
+    t = clip(u - gamma * g)
     while iterations < cfg.max_inner_iterations:
         iterations += 1
-        t = clip(u - gamma * g)
         r = u - t
         if float(np.max(np.abs(r))) <= cfg.inner_tolerance:
             u = t  # return the projected point so the box holds exactly
             converged = True
             break
-        f_t, g_t = value_grad(t)
+        # with an empty L-BFGS memory the direction is -r, so the first
+        # line-search candidate is often bitwise t: t is then evaluated in
+        # full, for that candidate to reuse
+        f_t = evaluate(t, not pairs)[0]
         # enlarge the local Lipschitz estimate until the descent model holds
         while (
             f_t > f - float(g @ r) + 0.5 * lip * float(r @ r) + 1e-10 * (1.0 + abs(f))
@@ -379,7 +429,7 @@ def box_solve(
             pairs.clear()
             t = clip(u - gamma * g)
             r = u - t
-            f_t, g_t = value_grad(t)
+            f_t = evaluate(t, True)[0]  # the memory is empty now
         fbe = f - float(g @ r) + float(r @ r) / (2.0 * gamma)
 
         d = -_lbfgs_direction(pairs, r)
@@ -390,7 +440,7 @@ def box_solve(
         tau = 1.0
         for _ in range(10):
             u_c = u + tau * d + (1.0 - tau) * step_fb
-            f_c, g_c = value_grad(u_c)
+            f_c, g_c = evaluate(u_c, True)
             t_c = clip(u_c - gamma * g_c)
             r_c = u_c - t_c
             fbe_c = f_c - float(g_c @ r_c) + float(r_c @ r_c) / (2.0 * gamma)
@@ -399,16 +449,16 @@ def box_solve(
                 break
             tau *= 0.5
         if accepted:
-            u_new, f_new, g_new = u_c, f_c, g_c
+            u_new, f_new, g_new, t_new = u_c, f_c, g_c, t_c
         else:
-            u_new, f_new, g_new = t, f_t, g_t
-        t_new = clip(u_new - gamma * g_new)
+            f_new, g_new = evaluate(t, True)
+            u_new, t_new = t, clip(t - gamma * g_new)
         s_i = u_new - u
         y_i = (u_new - t_new) - r
         sy = float(s_i @ y_i)
-        if sy > 1e-12 * float(np.linalg.norm(s_i)) * max(float(np.linalg.norm(y_i)), 1e-300):
+        if sy > 1e-12 * norm(s_i) * max(norm(y_i), 1e-300):
             pairs.append((s_i, y_i, 1.0 / sy))
-        u, f, g = u_new, f_new, g_new
+        u, f, g, t = u_new, f_new, g_new, t_new
 
     return clip(u), iterations, converged
 
@@ -475,7 +525,11 @@ def _penalty_loop(
         scaled = replace(
             cfg, inner_tolerance=cfg.inner_tolerance * math.sqrt(cfg.initial_weight / weight)
         )
-        u, iters, _ = box_solve(lambda w_: problem.value_and_grad(w_, weight), lo, hi, u, scaled)
+        u, iters, _ = box_solve(
+            lambda w_: problem.value(w_, weight),
+            lambda w_: problem.value_and_grad(w_, weight),
+            lo, hi, u, scaled,
+        )
         inner_total += iters
         stack = problem.residual_stack(u)
         violation = float(np.max(stack)) if stack.size else 0.0
@@ -545,10 +599,8 @@ def solve_ocp(
             chosen = go
 
     u = chosen.u
-    states = rollout(model, state, u)
-    broadcast = _broadcast(
-        np.array([st.s for st in states]), np.array([st.v for st in states]), path, params
-    )
+    _, v, s = rollout(model, state, u).T
+    broadcast = _broadcast(s, v, path, params)
     report = SolverReport(
         outer_iterations=outer_total,
         inner_iterations=inner_total,

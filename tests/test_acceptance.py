@@ -223,7 +223,7 @@ def test_criterion_7_gradient_check_with_active_terms():
         prob = OcpProblem(model, params, path, bounds, margins, state, neighbors, 50)
         u0 = np.clip(rng.normal(0.0, 0.5, 50), -7, 4)
         u_mid, _, _ = box_solve(
-            lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0, u0,
+            lambda w: prob.value(w, 10.0), lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0, u0,
             PenaltyConfig(max_inner_iterations=40),
         )
         u = np.clip(u_mid + rng.normal(0.0, 0.05, 50), -7, 4)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intersim import geometry
 from intersim.dynamics import AgentParams, AgentState
 from intersim.geometry import (
     AgentView,
@@ -163,6 +164,73 @@ def test_exact_overlap_matches_monte_carlo_on_random_pairs():
         assert exact == pytest.approx(approx, abs=1e-2)
 
 
+def test_boxes_with_collinear_edges_overlap_finitely():
+    """Rotated boxes sharing the lines of their long edges: rounding put the
+    clip's crossing test and its parallel edges at odds, and the crossing
+    point divided by zero (area nan)."""
+    wide, narrow = OrientedBox(0.0, 2.0, 2.0, 1.0, 2.0), OrientedBox(0.0, 2.0, 2.0, 1.0, 1.0)
+    assert area_overlap(wide, narrow) == pytest.approx(4.0, abs=1e-12)
+    assert area_overlap(narrow, wide) == pytest.approx(4.0, abs=1e-12)
+
+
+def clipped_area(a: OrientedBox, b: OrientedBox) -> float:
+    """area_overlap without its distance pre-filter: the polygon clip alone."""
+    return geometry._polygon_area(geometry._clip_polygon(geometry._ccw(a.corners()), geometry._ccw(b.corners())))
+
+
+def test_boxes_out_of_reach_are_not_clipped(monkeypatch):
+    def clip(*args):
+        raise AssertionError("clipped a pair that cannot overlap")
+
+    monkeypatch.setattr(geometry, "_clip_polygon", clip)
+    diagonal = math.hypot(0.5, 0.5)
+    assert area_overlap(unit_square(), unit_square(2 * diagonal + 1e-3, 0.0, 0.7)) == 0.0
+    with pytest.raises(AssertionError):
+        area_overlap(unit_square(), unit_square(2 * diagonal - 1e-3, 0.0, 0.7))
+
+
+boxes = st.builds(
+    OrientedBox,
+    cx=st.floats(-12.0, 12.0),
+    cy=st.floats(-12.0, 12.0),
+    heading=st.floats(-math.pi, math.pi),
+    half_length=st.floats(0.1, 6.0),
+    half_width=st.floats(0.1, 3.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes, boxes)
+def test_prefilter_matches_clip_on_random_boxes(a, b):
+    assert area_overlap(a, b) == clipped_area(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=boxes,
+    half_length=st.floats(0.1, 6.0),
+    half_width=st.floats(0.1, 3.0),
+    corner=st.sampled_from([(1, 1), (-1, 1), (-1, -1), (1, -1)]),
+    gap=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, -1e-12, -1e-9]) | st.floats(-1e-3, 1e-3),
+    spin=st.floats(-0.5, 0.5),
+)
+def test_prefilter_matches_clip_on_touching_boxes(a, half_length, half_width, corner, gap, spin):
+    """A second box placed corner to corner with the first along the line
+    through their centres, at the filter's boundary (both half-diagonals
+    apart, plus `gap`), or turned by `spin` about its touching corner's
+    direction so the corners no longer face each other."""
+    ex, ey = corner[0] * a.half_length, corner[1] * a.half_width
+    c, s = math.cos(a.heading), math.sin(a.heading)
+    toward = math.atan2(ex * s + ey * c, ex * c - ey * s)  # a's corner, seen from its centre
+    reach = math.hypot(a.half_length, a.half_width) + math.hypot(half_length, half_width) + gap
+    # the second box's corner (-half_length, -half_width) faces back along the line
+    heading = toward + math.pi - math.atan2(-half_width, -half_length) + spin
+    b = OrientedBox(a.cx + reach * math.cos(toward), a.cy + reach * math.sin(toward),
+                    heading, half_length, half_width)
+    assert area_overlap(a, b) == clipped_area(a, b)
+    assert area_overlap(b, a) == clipped_area(b, a)
+
+
 def test_box_distance_zero_iff_overlapping():
     assert box_distance(unit_square(), unit_square(0.3, 0.0)) == 0.0
     assert box_distance(unit_square(), unit_square(3.0, 0.0)) == pytest.approx(2.0, abs=1e-9)
@@ -171,8 +239,17 @@ def test_box_distance_zero_iff_overlapping():
 # -- smooth_overlap_core ----------------------------------------------------------
 
 
+def surrogate(crx, cry, theta, a_r, b_r, cox, coy, theta_o, a_o, b_o, beta):
+    """smooth_overlap_core given the two headings rather than their cosines and sines."""
+    delta = theta_o - theta
+    return smooth_overlap_core(
+        crx, cry, np.cos(theta), np.sin(theta), a_r, b_r,
+        cox, coy, np.cos(delta), np.sin(delta), a_o, b_o, beta,
+    )
+
+
 def smooth_overlap(a: OrientedBox, b: OrientedBox, beta: float) -> float:
-    value, *_ = smooth_overlap_core(
+    value, _ = surrogate(
         a.cx, a.cy, a.heading, a.half_length, a.half_width,
         b.cx, b.cy, b.heading, b.half_length, b.half_width,
         beta,
@@ -211,12 +288,13 @@ def test_smooth_gradient_wrt_other_center():
             cox=rng.uniform(-2, 2), coy=rng.uniform(-2, 2), theta_o=rng.uniform(0, math.pi),
             a_o=rng.uniform(0.5, 3), b_o=rng.uniform(0.5, 2),
         )
-        _, _, _, _, _, d_cox, d_coy = smooth_overlap_core(beta=beta, **args)
+        d_crx, d_cry, _, _ = surrogate(beta=beta, **args)[1]()
         h = 1e-6
-        for key, grad in (("cox", d_cox), ("coy", d_coy)):
+        # the other centre enters only through the offset between the centres
+        for key, grad in (("cox", -d_crx), ("coy", -d_cry)):
             hi = dict(args); hi[key] += h
             lo = dict(args); lo[key] -= h
-            fd = (smooth_overlap_core(beta=beta, **hi)[0] - smooth_overlap_core(beta=beta, **lo)[0]) / (2 * h)
+            fd = (surrogate(beta=beta, **hi)[0] - surrogate(beta=beta, **lo)[0]) / (2 * h)
             assert grad == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
@@ -230,12 +308,12 @@ def test_smooth_gradient_wrt_region_parameters():
             cox=rng.uniform(-2, 2), coy=rng.uniform(-2, 2), theta_o=rng.uniform(0, math.pi),
             a_o=rng.uniform(0.5, 3), b_o=rng.uniform(0.5, 2),
         )
-        _, d_crx, d_cry, d_theta, d_ar, _, _ = smooth_overlap_core(beta=beta, **args)
+        d_crx, d_cry, d_theta, d_ar = surrogate(beta=beta, **args)[1]()
         h = 1e-6
         for key, grad in (("crx", d_crx), ("cry", d_cry), ("theta", d_theta), ("a_r", d_ar)):
             hi = dict(args); hi[key] += h
             lo = dict(args); lo[key] -= h
-            fd = (smooth_overlap_core(beta=beta, **hi)[0] - smooth_overlap_core(beta=beta, **lo)[0]) / (2 * h)
+            fd = (surrogate(beta=beta, **hi)[0] - surrogate(beta=beta, **lo)[0]) / (2 * h)
             assert grad == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 

@@ -1,9 +1,12 @@
 """Objective assembly, penalty gradients, box solver, and full OCP tests."""
 
+import linecache
 import math
+import sys
 import warnings
 from dataclasses import replace
 
+import box_solve_reference
 import numpy as np
 import pytest
 
@@ -139,7 +142,7 @@ def test_zero_weight_reduces_to_tracking_objective():
     prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, (), 50)
     u = np.full(50, 0.5)
     value0, _ = prob.value_and_grad(u, 0.0)
-    states = rollout(MODEL, state, u)
+    states = [AgentState(*row) for row in rollout(MODEL, state, u)]
     expect = sum(
         stage_cost(st, float(ui), PARAMS.v_ref, PARAMS.q, PARAMS.r)
         for st, ui in zip(states[:-1], u)
@@ -176,10 +179,11 @@ def reference_ca_terms(prob, x, y, psi, kap, inside, v, track):
     b_r = p.width / 2.0 + m.lat
     crx = x + 0.5 * ext * cos_p
     cry = y + 0.5 * ext * sin_p
-    value, dcrx, dcry, dth, dar, _, _ = smooth_overlap_core(
-        crx, cry, psi, a_r, b_r, ox, oy, opsi, track.length / 2.0, track.width / 2.0,
-        m.sharpness,
+    value, derivatives = smooth_overlap_core(
+        crx, cry, cos_p, sin_p, a_r, b_r, ox, oy, np.cos(rel), np.sin(rel),
+        track.length / 2.0, track.width / 2.0, m.sharpness,
     )
+    dcrx, dcry, dth, dar = derivatives()
     dpsi_ds = kap * inside
     dext_ds = dext_dpsi * dpsi_ds
     dcrx_ds = cos_p * inside + 0.5 * (dext_ds * cos_p - ext * sin_p * dpsi_ds)
@@ -279,14 +283,13 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_kernel_matches_per_track_reference_bit_for_bit():
-    """240 random problems with 0-3 tracks on straight and turning routes,
-    some with horizons that leave the path at either end."""
-    rng = np.random.default_rng(2024)
+def random_problems(rng, count):
+    """`count` (trial, problem) pairs: random problems with 0-3 tracks on
+    straight and turning routes, every tenth with a horizon that leaves the
+    path at either end."""
     routes = [RouteSpec("N", "S"), RouteSpec("W", "N"), RouteSpec("E", "N"), RouteSpec("S", "W")]
     envs = [make_env(r) for r in routes]
-    active = 0
-    for trial in range(240):
+    for trial in range(count):
         path, bounds = envs[trial % len(envs)]
         tracks = tuple(random_neighbor(rng) for _ in range((trial // 4) % 4))
         if trial % 10 == 9:  # rolling back past the path start, or running off its end
@@ -297,7 +300,15 @@ def test_kernel_matches_per_track_reference_bit_for_bit():
             tracks = (parked,) + tracks[1:]
         else:
             state = AgentState(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 16.0), rng.uniform(0.0, 110.0))
-        prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
+        yield trial, OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
+
+
+def test_kernel_matches_per_track_reference_bit_for_bit():
+    """240 random problems with 0-3 tracks on straight and turning routes,
+    some with horizons that leave the path at either end."""
+    rng = np.random.default_rng(2024)
+    active = 0
+    for trial, prob in random_problems(rng, 240):
         for weight in (0.0, 10.0, 1250.0):
             u = np.clip(rng.normal(0.0, 3.0, 50), -7.0, 4.0)
             value, grad = prob.value_and_grad(u, weight)
@@ -308,6 +319,17 @@ def test_kernel_matches_per_track_reference_bit_for_bit():
         assert same_bits(stack, reference_residual_stack(prob, u)), trial
         active += bool(np.any(stack[200:-1] > 1e-3))
     assert active >= 20  # the avoidance terms were exercised, not just zeros
+
+
+def test_value_matches_value_and_grad_bit_for_bit():
+    """`value` is the value part of `value_and_grad`, run alone: the same
+    bits on 240 random problems, at weights 0, 10 and 1250, on random,
+    saturated and zero inputs."""
+    rng = np.random.default_rng(909)
+    for trial, prob in random_problems(rng, 240):
+        for weight in (0.0, 10.0, 1250.0):
+            for u in (np.clip(rng.normal(0.0, 3.0, 50), -7.0, 4.0), np.full(50, 4.0), np.zeros(50)):
+                assert same_bits(prob.value(u, weight), prob.value_and_grad(u, weight)[0]), trial
 
 
 def test_tracking_objective_matches_zero_weight_kernel_bit_for_bit():
@@ -351,7 +373,7 @@ def test_sensitivities_are_shared_read_only_and_exact():
         g[j][:, j - 1] = b_d
     assert same_bits(first.f_mat, np.stack(powers)) and same_bits(first.g_mat, g)
     u = np.linspace(-7.0, 4.0, 50)
-    expect = [st.as_array() for st in rollout(first.model, state, u)]
+    expect = rollout(first.model, state, u)
     np.testing.assert_allclose(first.states(u), expect, rtol=1e-12, atol=1e-9)
 
 
@@ -409,6 +431,7 @@ def test_broadcast_check_rejects_before_any_evaluation(field, how, monkeypatch):
     def evaluated(*args):
         raise AssertionError("objective evaluated despite a bad broadcast")
 
+    monkeypatch.setattr(OcpProblem, "value", evaluated)
     monkeypatch.setattr(OcpProblem, "value_and_grad", evaluated)
     monkeypatch.setattr(OcpProblem, "residual_stack", evaluated)
     match = "non-finite" if how == "nan" else "horizon\\+1"
@@ -461,8 +484,8 @@ def test_gradient_matches_finite_differences_on_random_instances():
         state = AgentState(rng.uniform(-0.5, 0.5), rng.uniform(8.0, 14.0), s0)
         prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, neighbors, 50)
         u0 = np.clip(rng.normal(0.0, 0.5, 50), -7, 4)
-        u_mid, _, _ = box_solve(lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0,
-                                u0, PenaltyConfig(max_inner_iterations=40))
+        u_mid, _, _ = box_solve(lambda w: prob.value(w, 10.0), lambda w: prob.value_and_grad(w, 10.0),
+                                -7.0, 4.0, u0, PenaltyConfig(max_inner_iterations=40))
         u_test = np.clip(u_mid + rng.normal(0.0, 0.05, 50), -7, 4)
         worst = max(worst, gradient_fd_check(prob, u_test, 10.0))
     assert worst < 1e-5
@@ -479,14 +502,19 @@ def quadratic(center):
     return f
 
 
+def solve_box(value_grad, lower, upper, u0, cfg):
+    """box_solve on an objective given as its value_grad alone."""
+    return box_solve(lambda u: value_grad(u)[0], value_grad, lower, upper, u0, cfg)
+
+
 def test_interior_quadratic():
-    u, _, converged = box_solve(quadratic(np.array([3.0])), -7.0, 4.0, np.array([0.0]), CFG)
+    u, _, converged = solve_box(quadratic(np.array([3.0])), -7.0, 4.0, np.array([0.0]), CFG)
     assert converged
     assert u[0] == pytest.approx(3.0, abs=1e-4)
 
 
 def test_active_bound_quadratic():
-    u, _, converged = box_solve(quadratic(np.array([10.0])), -7.0, 4.0, np.array([0.0]), CFG)
+    u, _, converged = solve_box(quadratic(np.array([10.0])), -7.0, 4.0, np.array([0.0]), CFG)
     assert converged
     assert u[0] == pytest.approx(4.0, abs=1e-9)
 
@@ -503,7 +531,7 @@ def test_matches_long_run_projected_gradient_oracle():
         return float(0.5 * u @ hess @ u + b @ u), hess @ u + b
 
     u0 = np.zeros(n)
-    u_fast, _, converged = box_solve(f, lo, hi, u0, PenaltyConfig(inner_tolerance=1e-9))
+    u_fast, _, converged = solve_box(f, lo, hi, u0, PenaltyConfig(inner_tolerance=1e-9))
     assert converged
 
     # independent oracle: plain projected gradient, many iterations
@@ -515,11 +543,140 @@ def test_matches_long_run_projected_gradient_oracle():
 
 
 def test_iteration_cap_returns_flag():
-    u, iters, converged = box_solve(
+    u, iters, converged = solve_box(
         quadratic(np.array([3.0])), -7.0, 4.0, np.array([-7.0]),
         PenaltyConfig(max_inner_iterations=1, inner_tolerance=1e-14),
     )
     assert iters == 1 and not converged
+
+
+# -- box_solve against the full-evaluation reference ------------------------------
+
+
+def kinked(rng, n=20):
+    """A piecewise-linear objective with a faint quadratic: its line search
+    often fails, so box_solve takes the fallback step, which no benchmark
+    window reaches."""
+    centre = rng.uniform(-0.5, 0.5, n)
+    up, down = rng.uniform(1.0, 6.0), rng.uniform(0.5, 2.0)
+
+    def value_grad(u):
+        d = u - centre
+        value = float(np.sum(np.maximum(d, 0.0) * up + np.maximum(-d, 0.0) * down) + 0.01 * d @ d)
+        return value, np.where(d > 0, up, -down) + 0.02 * d
+
+    return value_grad
+
+
+def uphill(rng, n=20):
+    """A quadratic whose gradient points uphill: no line-search candidate
+    decreases the envelope."""
+    centre = rng.uniform(-0.5, 0.5, n)
+
+    def value_grad(u):
+        d = u - centre
+        return float(d @ d), -2.0 * d
+
+    return value_grad
+
+
+def quadratic_nd(rng, n=30):
+    m = rng.normal(size=(n, n))
+    hess = m @ m.T + n * np.eye(n)
+    b = rng.normal(size=n) * 10
+
+    def value_grad(u):
+        return float(0.5 * u @ hess @ u + b @ u), hess @ u + b
+
+    return value_grad
+
+
+def solver_cases(rng):
+    """(name, value, value_grad, lower, upper, u0, cfg) for box_solve: random
+    quadratics, kinked and uphill objectives that force the fallback step, and
+    penalty objectives of random problems at two weights."""
+    for k in range(12):
+        for name, make in (("quadratic", quadratic_nd), ("kinked", kinked), ("uphill", uphill)):
+            f = make(rng)
+            u0 = rng.uniform(-1.0, 1.0, 30 if name == "quadratic" else 20)
+            cfg = PenaltyConfig(inner_tolerance=10.0 ** -rng.integers(4, 10), max_inner_iterations=60)
+            yield f"{name} {k}", (lambda u, f=f: f(u)[0]), f, -1.0, 1.0, u0, cfg
+    for trial, prob in random_problems(rng, 40):
+        weight = (10.0, 1250.0)[trial % 2]
+        u0 = np.clip(rng.normal(0.0, 2.0, 50), -7.0, 4.0)
+        yield (f"problem {trial}", lambda u, prob=prob, w=weight: prob.value(u, w),
+               lambda u, prob=prob, w=weight: prob.value_and_grad(u, w), -7.0, 4.0, u0, CFG)
+
+
+def test_box_solve_matches_full_evaluation_reference_bit_for_bit():
+    rng = np.random.default_rng(77)
+    fallbacks = 0
+    for name, value, value_grad, lo, hi, u0, cfg in solver_cases(rng):
+        seen = set()
+
+        def spy_value(u):
+            seen.add(u.tobytes())
+            return value(u)
+
+        def spy_value_grad(u):
+            nonlocal fallbacks
+            fallbacks += u.tobytes() in seen  # only a fallback upgrades a value-only point
+            return value_grad(u)
+
+        u, iters, converged = box_solve(spy_value, spy_value_grad, lo, hi, u0, cfg)
+        u_ref, iters_ref, converged_ref = box_solve_reference.box_solve(value_grad, lo, hi, u0, cfg)
+        assert same_bits(u, u_ref) and (iters, converged) == (iters_ref, converged_ref), name
+    assert fallbacks >= 10
+
+
+def reference_log(value_grad, lower, upper, u0, cfg):
+    """The reference solver's evaluations in order, as (site, memory empty,
+    point bytes); the site is named by the line that called value_grad."""
+    log = []
+
+    def spy(u):
+        caller = sys._getframe(1)
+        line = linecache.getline(caller.f_code.co_filename, caller.f_lineno).strip()
+        log.append((box_solve_reference.SITES[line], not caller.f_locals.get("pairs"), u.tobytes()))
+        return value_grad(u)
+
+    box_solve_reference.box_solve(spy, lower, upper, u0, cfg)
+    return log
+
+
+def test_box_solve_evaluates_each_point_once_and_gradients_where_read():
+    """Within one box_solve no point is evaluated twice, but for the gradient
+    of a value-only point that becomes the fallback step. Forward-backward
+    points are evaluated for their value alone while the L-BFGS memory holds
+    pairs; the gradient is requested at the start, the probe, line-search
+    candidates, forward-backward points while the memory is empty (the first
+    candidate is then often that point), and fallback steps. The points are
+    those the reference evaluates."""
+    rng = np.random.default_rng(78)
+    counts = {"value": 0, "full": 0, "fallback": 0}
+    for name, value, value_grad, lo, hi, u0, cfg in solver_cases(rng):
+        log = []
+        box_solve(lambda u: log.append(("value", u.tobytes())) or value(u),
+                  lambda u: log.append(("full", u.tobytes())) or value_grad(u), lo, hi, u0, cfg)
+        sites: dict[bytes, set] = {}
+        for site, empty, key in reference_log(value_grad, lo, hi, u0, cfg):
+            sites.setdefault(key, set()).add((site, empty))
+        assert {key for _, key in log} == set(sites), name
+
+        valued = set()
+        for kind, key in log:
+            assert key not in valued or kind == "full", name  # not twice for its value
+            if kind == "value":
+                assert ("forward-backward", False) in sites[key], name
+                valued.add(key)
+            elif key in valued:
+                counts["fallback"] += 1
+            else:
+                read = {site for site, _ in sites[key]} & {"start", "probe", "line search"}
+                assert read or ("forward-backward", True) in sites[key], name
+            counts[kind] += 1
+        assert len(log) == len(set(log)), name  # no (kind, point) twice
+    assert min(counts.values()) >= 10, counts
 
 
 # -- solve_ocp -------------------------------------------------------------------
@@ -554,7 +711,7 @@ def test_blocked_agent_stops_before_line():
     )
     state = AgentState(0.0, 10.0, 40.0)
     u, traj, report = solve_ocp(state, (parked,), MODEL, PARAMS, path, bounds, CFG, MARGINS, horizon)
-    s_end = rollout(MODEL, state, u)[-1].s
+    s_end = rollout(MODEL, state, u)[-1, 2]
     assert s_end <= bounds.s_stop + 0.5
     # the prediction keeps clear of the parked vehicle throughout
     gaps = np.hypot(traj.x_g - (-2.0), traj.y_g - 0.0)
@@ -566,10 +723,9 @@ def test_rollout_consistency_bit_exact():
     path, bounds = make_env()
     state = AgentState(0.3, 12.0, 30.0)
     u, traj, _ = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
-    states = rollout(MODEL, state, u)
-    s = np.array([st.s for st in states])
+    _, v, s = rollout(MODEL, state, u).T
     x, y, psi, _ = path.table.pose(np.clip(s, 0.0, path.total_length))
-    assert same_bits(traj.v, [st.v for st in states])
+    assert same_bits(traj.v, v)
     assert same_bits(traj.x_g, x) and same_bits(traj.y_g, y) and same_bits(traj.psi, psi)
     assert (traj.v[0], traj.length, traj.width) == (state.v, PARAMS.length, PARAMS.width)
 
@@ -599,7 +755,7 @@ def test_warm_start_shift_iteration_guard():
         u, _, rep = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50, warm)
         (warm_iters if warm is not None else cold_iters).append(rep.inner_iterations)
         warm = np.concatenate([u[1:], u[-1:]])
-        state = rollout(MODEL, state, u)[1]
+        state = AgentState(*rollout(MODEL, state, u)[1])
     assert np.median(warm_iters) <= 2 * max(np.median(cold_iters), 1)
 
 
@@ -645,7 +801,7 @@ def scripted_loop(monkeypatch, violations):
     prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 14.0, 40.0), (), 50)
     starts = []
 
-    def fake_box_solve(value_grad, lower, upper, u0, cfg):
+    def fake_box_solve(value, value_grad, lower, upper, u0, cfg):
         starts.append(u0)
         return np.full(50, float(len(starts))), 7, True
 
@@ -742,3 +898,24 @@ def test_use_case_1_window_stays_within_its_evaluation_budget(monkeypatch):
     monkeypatch.setattr(OcpProblem, "value_and_grad", counted)
     run_simulation(replace(load_scenario("use_case_1"), steps=10), workers=1)
     assert calls <= 2753
+
+
+def test_use_case_1_window_evaluation_counts(monkeypatch):
+    """The same 10-step window evaluates 1,733 points in full and 822 for
+    their value alone: of the 2,753 full evaluations above, 198 repeated a
+    point already evaluated, and 822 computed a gradient at a
+    forward-backward point that nothing read. The run is deterministic."""
+    from intersim.orchestrator import run_simulation
+    from intersim.scenario import load_scenario
+
+    calls = {"value": 0, "value_and_grad": 0}
+    for name in calls:
+        original = getattr(OcpProblem, name)
+
+        def counted(self, u, weight, name=name, original=original):
+            calls[name] += 1
+            return original(self, u, weight)
+
+        monkeypatch.setattr(OcpProblem, name, counted)
+    run_simulation(replace(load_scenario("use_case_1"), steps=10), workers=1)
+    assert calls == {"value": 822, "value_and_grad": 1733}
