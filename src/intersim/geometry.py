@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -270,6 +271,7 @@ def smooth_overlap_core(crx, cry, cos_t, sin_t, a_r, b_r, cox, coy, cos_d, sin_d
     return sp_u * sp_n, derivatives
 
 
+@lru_cache(maxsize=1024)
 def paths_conflict(
     path_i: PathSpec,
     bounds_i: RegionBounds,
@@ -283,7 +285,8 @@ def paths_conflict(
     """Do the swept corridors of two routes meet inside the critical region?
 
     Each corridor is the centerline inflated by half the vehicle width plus
-    a margin; the test samples both critical-region portions densely.
+    a margin; the test samples both critical-region portions densely. The
+    answer is symmetric in the two routes, and cached per ordered pair.
     """
     pts = []
     for path, bounds in ((path_i, bounds_i), (path_l, bounds_l)):

@@ -34,7 +34,7 @@ from .geometry import (
 )
 from .mpc import PredictedTrajectory, initial_broadcast, solve_ocp
 from .network import cbaam_time_bound, graph_ell
-from .paths import PathClampWarning, build_path, compute_regions, project_onto_path, region_of, sample_path
+from .paths import PathClampWarning, build_path, compute_regions, region_of, sample_path
 from .scenario import ScenarioConfig
 
 log = logging.getLogger(__name__)
@@ -125,7 +125,7 @@ def _build_runtimes(cfg: ScenarioConfig) -> dict[int, _AgentRuntime]:
     for agent in cfg.agents:
         path = build_path(agent.route)
         bounds = compute_regions(path, cfg.geometry, agent.params.v_max, agent.params.a_x_min)
-        s0, _ = project_onto_path(path, *agent.initial_position)
+        s0, _ = agent.start
         state = AgentState(0.0, agent.initial_speed, s0)
         out[agent.agent_id] = _AgentRuntime(
             agent_id=agent.agent_id,
@@ -141,21 +141,25 @@ def _build_runtimes(cfg: ScenarioConfig) -> dict[int, _AgentRuntime]:
 
 def _conflict_matrix(cfg: ScenarioConfig, rts: dict[int, _AgentRuntime]) -> dict[tuple[int, int], bool]:
     ids = sorted(rts)
+    # number each distinct corridor by first appearance and test a pair of
+    # corridors in that order: the paths_conflict cache then answers both
+    # orders, so every unordered pair of routes is tested once
+    corridors: dict[tuple, int] = {}
+    rank = {
+        i: corridors.setdefault((rts[i].path, rts[i].bounds, rts[i].config.params.width), len(corridors))
+        for i in ids
+    }
     out: dict[tuple[int, int], bool] = {}
-    for i in ids:
-        for l in ids:
-            if i == l:
-                continue
-            key = (min(i, l), max(i, l))
-            if key in out:
-                continue
-            out[key] = paths_conflict(
-                rts[i].path,
-                rts[i].bounds,
-                rts[l].path,
-                rts[l].bounds,
-                rts[i].config.params.width,
-                rts[l].config.params.width,
+    for n, i in enumerate(ids):
+        for l in ids[n + 1:]:
+            a, b = (i, l) if rank[i] <= rank[l] else (l, i)
+            out[(i, l)] = paths_conflict(
+                rts[a].path,
+                rts[a].bounds,
+                rts[b].path,
+                rts[b].bounds,
+                rts[a].config.params.width,
+                rts[b].config.params.width,
                 cfg.geometry.cr_half_width,
             )
     return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -135,13 +136,17 @@ class PathTable:
 
     Holds the cumulative segment starts, each segment's exact curvature and
     the windows over which the smoothed curvature bridges the jumps of the
-    exact one at segment junctions.
+    exact one at segment junctions. Its arrays are read-only: one table
+    serves every vehicle on the route (see build_path).
     """
 
     def __init__(self, path: PathSpec):
         segs = path.segments
         self.segments = segs
-        self.cum = np.asarray(path.cumulative)
+        cumulative = path.cumulative
+        self.cum = np.asarray(cumulative)
+        # the same segment starts as floats, for the scalar sampler's bisect
+        self.starts = cumulative[:-1]
         self.kappa = np.array([
             0.0 if isinstance(seg, StraightSegment) else math.copysign(1.0 / seg.radius, seg.sweep)
             for seg in segs
@@ -176,6 +181,9 @@ class PathTable:
          self._cx, self._cy, self._radius, self._start, self._sgn, self._quarter) = np.array(rows).T.copy()
         self._is_arc = np.array([isinstance(seg, ArcSegment) for seg in segs])
         self._junctions = self.cum[1:-1]
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
     def pose(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(x_g, y_g, psi, kappa) at coordinates already inside [0, total_length]."""
@@ -265,12 +273,15 @@ class RegionBounds:
             raise ValueError("stop line must precede the critical region")
 
 
+@lru_cache(maxsize=256)
 def build_path(route: RouteSpec) -> PathSpec:
     """Construct the route's centerline path, driving on the right.
 
     Straight routes are a single segment through the intersection; turning
     routes are entry straight, quarter-circle arc, exit straight. Raises
     RouteGeometryError when the turn radius does not fit the approach.
+    Cached: every vehicle on an equal route shares one PathSpec and so one
+    table and one polyline.
     """
     lam = route.lane_offset
     r = route.turn_radius
@@ -340,12 +351,12 @@ def sample_path(path: PathSpec, s: float) -> PathSample:
 
     Out-of-range s clamps to the nearest path end and emits PathClampWarning.
     """
-    s = _clamp_s(path, s)
-    cum = path.table.cum
+    s = float(_clamp_s(path, s))
+    starts = path.table.starts
     # last segment whose start is <= s; s == total_length falls in the final one
-    idx = min(int(np.searchsorted(cum, s, side="right")) - 1, len(path.segments) - 1)
+    idx = bisect_right(starts, s) - 1
     seg = path.segments[idx]
-    ds = s - float(cum[idx])
+    ds = s - starts[idx]
     if isinstance(seg, StraightSegment):
         return PathSample(
             seg.x0 + ds * math.cos(seg.heading),
@@ -385,6 +396,7 @@ def _refine_crossing(path: PathSpec, inside, s_out: float, s_in: float, tol: flo
     return s_in
 
 
+@lru_cache(maxsize=256)
 def compute_regions(
     path: PathSpec,
     geometry: IntersectionGeometry,
@@ -394,7 +406,9 @@ def compute_regions(
     """Locate the control/brake-safe/critical region boundaries along a path.
 
     The brake-safe window is sized so a vehicle at v_max can stop ahead of
-    the critical region with a_x_min plus the configured margin.
+    the critical region with a_x_min plus the configured margin. Cached:
+    the scenario check and the run's set-up share one RegionBounds per
+    route and vehicle limits.
     """
     if v_max <= 0 or a_x_min >= 0:
         raise ValueError("need v_max > 0 and a_x_min < 0")
@@ -467,12 +481,15 @@ def region_of(bounds: RegionBounds, s: float) -> str:
 
 @lru_cache(maxsize=64)
 def path_polyline(path: PathSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (s, x, y) polyline cache used for projections and conflict tests."""
+    """Dense (s, x, y) polyline cache used for projections and conflict
+    tests; read-only, as every caller shares it."""
     s = np.arange(0.0, path.total_length + _POLYLINE_STEP, _POLYLINE_STEP)
     s[-1] = path.total_length
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PathClampWarning)
         x, y, _, _ = sample_path_many(path, s)
+    for arr in (s, x, y):
+        arr.setflags(write=False)
     return s, x, y
 
 

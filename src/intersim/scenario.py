@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from .auction import BidParams
@@ -16,7 +17,7 @@ from .dynamics import AgentParams
 from .geometry import SafetyMargins
 from .mpc import PenaltyConfig
 from .network import Topology, is_strongly_connected
-from .paths import IntersectionGeometry, RouteSpec, build_path, project_onto_path
+from .paths import IntersectionGeometry, RouteSpec, build_path, compute_regions, project_onto_path
 
 PRESETS = ("use_case_1", "use_case_2")
 NAMED_TOPOLOGIES = ("complete", "ring")
@@ -53,6 +54,12 @@ class AgentConfig:
             raise ScenarioError("agents[].id: must be a positive integer")
         if self.initial_speed < 0:
             raise ScenarioError("agents[].initial_speed: must be >= 0")
+
+    @cached_property
+    def start(self) -> tuple[float, float]:
+        """(s, distance): the initial position projected onto the route's
+        path, once for the load-time check and the run's initial state."""
+        return project_onto_path(build_path(self.route), *self.initial_position)
 
 
 @dataclass(frozen=True)
@@ -103,8 +110,12 @@ class ScenarioConfig:
             if not is_strongly_connected(topo):
                 raise ScenarioError(f"{where}: arcs must connect every agent to every other")
         for pos, a in enumerate(self.agents):
-            path = build_path(a.route)
-            _, dist = project_onto_path(path, *a.initial_position)
+            # the run's set-up reads these regions from the same cache
+            try:
+                compute_regions(build_path(a.route), self.geometry, a.params.v_max, a.params.a_x_min)
+            except ValueError as exc:
+                raise ScenarioError(f"agents[{pos}].route: {exc}") from exc
+            _, dist = a.start
             if dist > _MAX_POSITION_ERROR:
                 raise ScenarioError(
                     f"agents[{pos}].initial_position: {dist:.3f} m off the route path"

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 import warnings
 from dataclasses import replace
 
@@ -227,6 +228,100 @@ def test_bid_separation_enforced_at_load():
     base = use_case_1()
     with pytest.raises(ScenarioError):
         replace(base, bid_params=BidParams(alpha5=5.0))
+
+
+@pytest.mark.parametrize(
+    "route,position,why",
+    [
+        ({"approach_length_m": 5}, [2.0, -4.0], "path starts inside the critical region"),
+        ({"exit_length_m": 3}, [2.0, -60.0], "path ends inside the critical region"),
+        # the brake-safe region would begin before the path does
+        ({"approach_length_m": 10}, [2.0, -10.0], "region bounds out of order"),
+    ],
+)
+def test_route_regions_are_checked_at_load(route, position, why, capsys):
+    from intersim.cli import main
+
+    doc = spoil(TWO_AGENTS, "agents[0].route", {"entry": "S", "exit": "N", **route})
+    doc["agents"][0]["initial_position_m"] = position
+    with pytest.raises(ScenarioError, match=r"^agents\[0\]\.route: " + why):
+        load_scenario(doc)
+    assert main(["check", "--scenario", json.dumps(doc)]) == 1
+    assert capsys.readouterr().err == f"scenario error: agents[0].route: {why}\n"
+
+
+def clear_program_caches():
+    """Empty every functools cache of intersim, as a fresh process has them."""
+    for name, mod in list(sys.modules.items()):
+        if name == "intersim" or name.startswith("intersim."):
+            for obj in vars(mod).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+# right turns, two vehicles queued per arm: 8 vehicles on 4 routes
+QUEUE = {
+    "sampling_time_s": 0.1,
+    "horizon": 50,
+    "steps": 1,
+    "agents": [
+        {"id": 1 + row * 4 + k, "route": {"entry": entry, "exit": exit_},
+         "initial_position_m": [ux * dist if ux else lane, uy * dist if uy else lane],
+         "initial_speed_mps": 8.0}
+        for row, dist in enumerate((60.0, 75.0))
+        for k, (entry, exit_, ux, uy, lane) in enumerate(
+            [("N", "W", 0.0, 1.0, -2.0), ("S", "E", 0.0, -1.0, 2.0),
+             ("W", "S", -1.0, 0.0, -2.0), ("E", "N", 1.0, 0.0, 2.0)]
+        )
+    ],
+}
+
+
+class SetUpDone(Exception):
+    pass
+
+
+def test_setup_builds_each_route_once(monkeypatch):
+    import intersim.orchestrator as orch
+    import intersim.paths as paths
+
+    refine = paths._refine_crossing
+    bisections = []
+
+    def spy(*args, **kwargs):
+        bisections.append(args)
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(paths, "_refine_crossing", spy)
+
+    def set_up():
+        """Load QUEUE and run it up to the first solve; the runtimes."""
+        runtimes = []
+
+        def stop(k, rts, nxt):
+            runtimes.append(rts)
+            raise SetUpDone
+
+        with pytest.raises(SetUpDone):
+            run_simulation(load_scenario(QUEUE), pre_solve_hook=stop)
+        return runtimes[0]
+
+    clear_program_caches()
+    rts = set_up()
+    # four crossings per route (critical and control region, in and out)
+    assert len(bisections) == 16
+    for i in range(1, 5):
+        assert rts[i].path is rts[i + 4].path and rts[i].bounds is rts[i + 4].bounds
+    # of the 28 vehicle pairs, each unordered pair of routes, a route with
+    # itself included, is tested once
+    info = orch.paths_conflict.cache_info()
+    assert (info.misses, info.hits) == (4 + 6, 28 - 10)
+
+    set_up()
+    assert len(bisections) == 16
+    clear_program_caches()
+    set_up()
+    assert len(bisections) == 32
 
 
 # -- run_simulation ----------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Path construction, sampling, and region boundary tests."""
 
 import math
+import struct
 import warnings
+from dataclasses import astuple
 
 import numpy as np
+import paths_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from intersim.paths import (
     StraightSegment,
     build_path,
     compute_regions,
+    path_polyline,
     project_onto_path,
     region_of,
     sample_path,
@@ -271,6 +275,17 @@ def test_pose_matches_masked_loop_oracle_on_two_arcs():
     assert_same_bits(path.table.pose(s), masked_loop_pose(path, s))
 
 
+def test_shared_table_is_read_only():
+    table = build_path(RouteSpec("S", "E")).table
+    arrays = [arr for arr in vars(table).values() if isinstance(arr, np.ndarray)]
+    assert arrays and not any(arr.flags.writeable for arr in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        table.cum[1] = 0.0
+    x = path_polyline(build_path(RouteSpec("S", "E")))[1]
+    with pytest.raises(ValueError, match="read-only"):
+        x[0] = 0.0
+
+
 def test_c0_continuity_validation():
     good = left_turn_wn()
     assert len(good.segments) == 3
@@ -320,6 +335,27 @@ def test_path_missing_cr_is_rejected():
     path = PathSpec((StraightSegment(50.0, 50.0, 0.0, 10.0),), 10.0)
     with pytest.raises(ValueError):
         compute_regions(path, GEOM, 15.0, -7.0)
+
+
+def bits(sample):
+    return struct.pack("<%dd" % len(astuple(sample)), *astuple(sample))
+
+
+@pytest.mark.parametrize("radius", [4.0, 8.0, 12.0])
+@pytest.mark.parametrize("arms", [(e, x) for e in ARMS for x in ARMS if e != x])
+def test_regions_and_samples_match_reference_bit_for_bit(arms, radius):
+    path = build_path(RouteSpec(*arms, turn_radius=radius))
+    other = IntersectionGeometry(cr_half_width=8.0, icr_radius=50.0, brake_margin=1.0, stop_setback=2.0)
+    for geometry in (GEOM, other):
+        for v_max in (15.0, 10.0):
+            got = compute_regions(path, geometry, v_max, -7.0)
+            assert bits(got) == bits(paths_reference.compute_regions(path, geometry, v_max, -7.0))
+    total = path.total_length
+    at = [0.0, total]
+    for junction in path.cumulative[1:-1]:
+        at += [math.nextafter(junction, 0.0), junction, math.nextafter(junction, total)]
+    for s in at:
+        assert bits(sample_path(path, s)) == bits(paths_reference.sample_path(path, s))
 
 
 # -- region_of ----------------------------------------------------------------
