@@ -9,7 +9,6 @@ conservatively over-approximates the true overlap.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -18,13 +17,11 @@ import numpy as np
 
 from .dynamics import AgentParams, AgentState
 from .paths import (
-    PathClampWarning,
     PathSample,
     PathSpec,
     RegionBounds,
     project_onto_path,
     region_of,
-    sample_path_many,
 )
 
 AHEAD_WINDOW = 50.0  # m of path ahead considered for rear-end coupling
@@ -291,9 +288,7 @@ def paths_conflict(
     pts = []
     for path, bounds in ((path_i, bounds_i), (path_l, bounds_l)):
         s = np.arange(bounds.s_cr_in, min(bounds.s_cr_out, path.total_length) + 0.1, 0.1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PathClampWarning)
-            x, y, _, _ = sample_path_many(path, np.clip(s, 0.0, path.total_length))
+        x, y, _, _ = path.table.pose(np.clip(s, 0.0, path.total_length))
         inside = (np.abs(x) <= cr_half_width) & (np.abs(y) <= cr_half_width)
         pts.append(np.column_stack([x[inside], y[inside]]))
     if len(pts[0]) == 0 or len(pts[1]) == 0:

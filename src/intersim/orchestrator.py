@@ -14,7 +14,6 @@ import csv
 import logging
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .geometry import (
 )
 from .mpc import PredictedTrajectory, initial_broadcast, solve_ocp
 from .network import cbaam_time_bound, graph_ell
-from .paths import PathClampWarning, build_path, compute_regions, region_of, sample_path
+from .paths import build_path, compute_regions, region_of, sample_path
 from .scenario import ScenarioConfig
 
 log = logging.getLogger(__name__)
@@ -249,12 +248,10 @@ def run_simulation(
             assignment, iterations = run_cbaam(bids, topo)
 
         views: dict[int, AgentView] = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PathClampWarning)
-            for i in ids:
-                rt = rts[i]
-                pose = sample_path(rt.path, min(rt.state.s, rt.path.total_length))
-                views[i] = AgentView(rt.state, rt.path, rt.bounds, rt.config.params, pose)
+        for i in ids:
+            rt = rts[i]
+            pose = sample_path(rt.path, rt.state.s)
+            views[i] = AgentView(rt.state, rt.path, rt.bounds, rt.config.params, pose)
         states_map = {i: rts[i].state for i in ids}
         regions_map = {i: rts[i].bounds for i in ids}
 

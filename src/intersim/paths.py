@@ -8,7 +8,6 @@ returns global position, heading and curvature analytically per primitive.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -23,12 +22,7 @@ _INBOUND = {"N": (0.0, -1.0), "E": (-1.0, 0.0), "S": (0.0, 1.0), "W": (1.0, 0.0)
 _OUTBOUND = {"N": (0.0, 1.0), "E": (1.0, 0.0), "S": (0.0, -1.0), "W": (-1.0, 0.0)}
 
 _REGION_SCAN_STEP = 0.05
-_POLYLINE_STEP = 0.1
 _CURVATURE_BLEND = 0.5
-
-
-class PathClampWarning(UserWarning):
-    """Sampling past either path end clamps to the terminal pose."""
 
 
 class RouteGeometryError(ValueError):
@@ -281,7 +275,7 @@ def build_path(route: RouteSpec) -> PathSpec:
     routes are entry straight, quarter-circle arc, exit straight. Raises
     RouteGeometryError when the turn radius does not fit the approach.
     Cached: every vehicle on an equal route shares one PathSpec and so one
-    table and one polyline.
+    table.
     """
     lam = route.lane_offset
     r = route.turn_radius
@@ -335,23 +329,12 @@ def build_path(route: RouteSpec) -> PathSpec:
     return PathSpec((entry_seg, arc_seg, exit_seg), total)
 
 
-def _clamp_s(path: PathSpec, s: float) -> float:
-    if s < 0.0 or s > path.total_length:
-        warnings.warn(
-            f"path coordinate {s:.3f} outside [0, {path.total_length:.3f}], clamped",
-            PathClampWarning,
-            stacklevel=3,
-        )
-        return min(max(s, 0.0), path.total_length)
-    return s
-
-
 def sample_path(path: PathSpec, s: float) -> PathSample:
     """Evaluate position, heading and curvature at path coordinate s.
 
-    Out-of-range s clamps to the nearest path end and emits PathClampWarning.
+    Out-of-range s clamps to the nearest path end.
     """
-    s = float(_clamp_s(path, s))
+    s = min(max(float(s), 0.0), path.total_length)
     starts = path.table.starts
     # last segment whose start is <= s; s == total_length falls in the final one
     idx = bisect_right(starts, s) - 1
@@ -372,15 +355,6 @@ def sample_path(path: PathSpec, s: float) -> PathSample:
         angle + sgn * math.pi / 2.0,
         sgn / seg.radius,
     )
-
-
-def sample_path_many(path: PathSpec, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized sample_path: returns (x_g, y_g, psi, kappa) arrays."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0) or np.any(s > path.total_length):
-        warnings.warn("path coordinates outside range, clamped", PathClampWarning, stacklevel=2)
-        s = np.clip(s, 0.0, path.total_length)
-    return path.table.pose(s)
 
 
 def _refine_crossing(path: PathSpec, inside, s_out: float, s_in: float, tol: float = 1e-10) -> float:
@@ -415,9 +389,7 @@ def compute_regions(
     half = geometry.cr_half_width
     grid = np.arange(0.0, path.total_length + _REGION_SCAN_STEP, _REGION_SCAN_STEP)
     grid[-1] = path.total_length
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PathClampWarning)
-        x, y, _, _ = sample_path_many(path, grid)
+    x, y, _, _ = path.table.pose(grid)
 
     in_cr = (np.abs(x) <= half) & (np.abs(y) <= half)
     if not np.any(in_cr):
@@ -479,31 +451,32 @@ def region_of(bounds: RegionBounds, s: float) -> str:
     return "past"
 
 
-@lru_cache(maxsize=64)
-def path_polyline(path: PathSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (s, x, y) polyline cache used for projections and conflict
-    tests; read-only, as every caller shares it."""
-    s = np.arange(0.0, path.total_length + _POLYLINE_STEP, _POLYLINE_STEP)
-    s[-1] = path.total_length
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PathClampWarning)
-        x, y, _, _ = sample_path_many(path, s)
-    for arr in (s, x, y):
-        arr.setflags(write=False)
-    return s, x, y
+def _nearest_offset(seg: Segment, px: float, py: float) -> float:
+    """Distance along seg to its point nearest (px, py)."""
+    if isinstance(seg, StraightSegment):
+        along = (px - seg.x0) * math.cos(seg.heading) + (py - seg.y0) * math.sin(seg.heading)
+        return min(max(along, 0.0), seg.length)
+    # the point's angle about the centre, from the arc's mid-angle in the
+    # direction of travel and wrapped to [-pi, pi); clamping it to the half
+    # sweep picks the nearer end for points beside the arc
+    half = abs(seg.sweep) / 2.0
+    rel = math.atan2(py - seg.cy, px - seg.cx) - (seg.start_angle + seg.sweep / 2.0)
+    rel = (rel + math.pi) % (2.0 * math.pi) - math.pi
+    turned = rel if seg.sweep >= 0 else -rel
+    return seg.radius * (half + min(max(turned, -half), half))
 
 
 def project_onto_path(path: PathSpec, px: float, py: float) -> tuple[float, float]:
-    """Nearest path coordinate to a point: returns (s, distance)."""
-    s, x, y = path_polyline(path)
-    d2 = (x - px) ** 2 + (y - py) ** 2
-    i = int(np.argmin(d2))
-    lo = max(s[i] - _POLYLINE_STEP, 0.0)
-    hi = min(s[i] + _POLYLINE_STEP, path.total_length)
-    fine = np.linspace(lo, hi, 201)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PathClampWarning)
-        fx, fy, _, _ = sample_path_many(path, fine)
-    fd2 = (fx - px) ** 2 + (fy - py) ** 2
-    j = int(np.argmin(fd2))
-    return float(fine[j]), float(math.sqrt(fd2[j]))
+    """Nearest path coordinate to a point: returns (s, distance).
+
+    Exact per segment; on a tie the earliest segment wins. The distance is
+    the one to sample_path(path, s).
+    """
+    best = (0.0, math.inf)
+    for start, seg in zip(path.table.starts, path.segments):
+        s = start + _nearest_offset(seg, px, py)
+        p = sample_path(path, s)
+        dist = math.hypot(p.x_g - px, p.y_g - py)
+        if dist < best[1]:
+            best = (s, dist)
+    return best

@@ -8,24 +8,16 @@ clearing the program's caches leaves it untouched.
 """
 
 import math
-import warnings
 
 import numpy as np
 
-from intersim.paths import (
-    PathClampWarning,
-    PathSample,
-    RegionBounds,
-    StraightSegment,
-    sample_path_many,
-)
+from intersim.paths import PathSample, RegionBounds, StraightSegment
 
 _REGION_SCAN_STEP = 0.05
 
 
 def sample_path(path, s):
     if s < 0.0 or s > path.total_length:
-        warnings.warn("path coordinate outside range, clamped", PathClampWarning, stacklevel=2)
         s = min(max(s, 0.0), path.total_length)
     cum = path.table.cum
     # last segment whose start is <= s; s == total_length falls in the final one
@@ -67,9 +59,7 @@ def compute_regions(path, geometry, v_max, a_x_min):
     half = geometry.cr_half_width
     grid = np.arange(0.0, path.total_length + _REGION_SCAN_STEP, _REGION_SCAN_STEP)
     grid[-1] = path.total_length
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PathClampWarning)
-        x, y, _, _ = sample_path_many(path, grid)
+    x, y, _, _ = path.table.pose(grid)
 
     in_cr = (np.abs(x) <= half) & (np.abs(y) <= half)
     if not np.any(in_cr):

@@ -1,6 +1,7 @@
 """Scenario loading, simulation-loop, and export tests on small runs."""
 
 import json
+import math
 import re
 import sys
 import warnings
@@ -191,6 +192,17 @@ def test_non_finite_number_is_rejected_at_load(where, value):
         load_scenario(doc)
     with pytest.raises(ScenarioError, match=re.escape(where) + ": must be finite"):
         load_scenario(json.dumps(doc))  # Python's json writes and reads NaN and Infinity
+
+
+def test_huge_finite_position_is_rejected_with_a_finite_distance():
+    # finite, but its square overflows a float
+    doc = spoil(TWO_AGENTS, "agents[0].initial_position_m", [1e200, 82.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+    found = re.fullmatch(r"agents\[0\]\.initial_position: (\S+) m off the route path", str(err.value))
+    assert found and math.isfinite(float(found.group(1)))
 
 
 def test_scenario_field_errors_name_their_path():

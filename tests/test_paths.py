@@ -15,18 +15,15 @@ from intersim.paths import (
     ARMS,
     ArcSegment,
     IntersectionGeometry,
-    PathClampWarning,
     PathSpec,
     RouteGeometryError,
     RouteSpec,
     StraightSegment,
     build_path,
     compute_regions,
-    path_polyline,
     project_onto_path,
     region_of,
     sample_path,
-    sample_path_many,
 )
 
 GEOM = IntersectionGeometry()
@@ -118,14 +115,14 @@ def test_straight_kappa_is_zero_everywhere():
         assert sample_path(path, float(s)).kappa == 0.0
 
 
-def test_out_of_range_sampling_clamps_with_warning():
+def test_out_of_range_sampling_clamps_silently():
     path = straight_ns()
-    with pytest.warns(PathClampWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         p = sample_path(path, path.total_length + 5.0)
-    end = sample_path(path, path.total_length)
-    assert (p.x_g, p.y_g) == (end.x_g, end.y_g)
-    with pytest.warns(PathClampWarning):
-        sample_path(path, -1.0)
+        before = sample_path(path, -1.0)
+    assert astuple(p) == astuple(sample_path(path, path.total_length))
+    assert astuple(before) == astuple(sample_path(path, 0.0))
 
 
 # -- unit-speed and curvature properties --------------------------------------
@@ -137,8 +134,8 @@ def test_unit_speed_parameterization(maker):
     rng = np.random.default_rng(42)
     h = 1e-6
     s = rng.uniform(0.0, path.total_length - h, 1000)
-    x0, y0, _, _ = sample_path_many(path, s)
-    x1, y1, _, _ = sample_path_many(path, s + h)
+    x0, y0, _, _ = path.table.pose(s)
+    x1, y1, _, _ = path.table.pose(s + h)
     speed = np.hypot(x1 - x0, y1 - y0) / h
     assert np.all(np.abs(speed - 1.0) < 1e-4)
 
@@ -149,8 +146,8 @@ def test_curvature_is_heading_rate(maker):
     rng = np.random.default_rng(3)
     h = 1e-6
     s = rng.uniform(0.0, path.total_length - h, 1000)
-    _, _, psi0, kappa = sample_path_many(path, s)
-    _, _, psi1, _ = sample_path_many(path, s + h)
+    _, _, psi0, kappa = path.table.pose(s)
+    _, _, psi1, _ = path.table.pose(s + h)
     assert np.all(np.abs(kappa * h - (psi1 - psi0)) < 1e-4)
 
 
@@ -281,9 +278,6 @@ def test_shared_table_is_read_only():
     assert arrays and not any(arr.flags.writeable for arr in arrays)
     with pytest.raises(ValueError, match="read-only"):
         table.cum[1] = 0.0
-    x = path_polyline(build_path(RouteSpec("S", "E")))[1]
-    with pytest.raises(ValueError, match="read-only"):
-        x[0] = 0.0
 
 
 def test_c0_continuity_validation():
@@ -386,9 +380,83 @@ def test_region_labels_monotone_along_path(maker):
 
 
 def test_project_onto_path_recovers_initial_positions():
-    path = straight_ns()
-    s, d = project_onto_path(path, -2.0, 82.0)
-    assert s == pytest.approx(2.0, abs=1e-3)
-    assert d == pytest.approx(0.0, abs=1e-3)
-    s2, d2 = project_onto_path(path, -4.0, 82.0)
-    assert d2 == pytest.approx(2.0, abs=1e-3)
+    # points on an entry straight project to their exact coordinate
+    assert project_onto_path(straight_ns(), -2.0, 82.0) == (2.0, pytest.approx(0.0, abs=1e-12))
+    assert project_onto_path(left_turn_wn(), -81.0, -2.0) == (3.0, pytest.approx(0.0, abs=1e-12))
+    s2, d2 = project_onto_path(straight_ns(), -4.0, 82.0)
+    assert s2 == pytest.approx(2.0, abs=1e-12)
+    assert d2 == pytest.approx(2.0, abs=1e-12)
+
+
+def projection_probes(path, rng):
+    """Points spread over the intersection, beyond both path ends, and at,
+    beside and opposite every arc centre."""
+    pts = [*rng.uniform(-100.0, 100.0, (40, 2))]
+    for s, ahead in ((0.0, -1.0), (path.total_length, 1.0)):
+        p = sample_path(path, s)
+        for along, side in ((5.0, 0.0), (5.0, 3.0), (0.5, -1.0), (100.0, 20.0)):
+            pts.append((
+                p.x_g + ahead * along * math.cos(p.psi) - side * math.sin(p.psi),
+                p.y_g + ahead * along * math.sin(p.psi) + side * math.cos(p.psi),
+            ))
+    for seg in path.segments:
+        if isinstance(seg, ArcSegment):
+            mid = seg.start_angle + seg.sweep / 2.0
+            pts.append((seg.cx, seg.cy))
+            pts += list(np.array([seg.cx, seg.cy]) + rng.normal(0.0, 1e-3, (4, 2)))
+            for k in (0.5, 1.5):
+                pts.append((seg.cx - k * seg.radius * math.cos(mid), seg.cy - k * seg.radius * math.sin(mid)))
+    return [(float(x), float(y)) for x, y in pts]
+
+
+def assert_projection_is_nearest(path, rng):
+    from scipy.optimize import minimize_scalar
+
+    cum = path.cumulative
+    for px, py in projection_probes(path, rng):
+        s, dist = project_onto_path(path, px, py)
+        assert 0.0 <= s <= path.total_length
+        p = sample_path(path, s)
+        assert abs(math.hypot(p.x_g - px, p.y_g - py) - dist) <= 1e-12
+
+        def gap(at):
+            q = sample_path(path, at)
+            return math.hypot(q.x_g - px, q.y_g - py)
+
+        reference = min(
+            minimize_scalar(gap, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}).fun
+            for lo, hi in zip(cum, cum[1:])
+        )
+        assert dist <= reference + 1e-9
+
+
+@pytest.mark.parametrize("radius", [4.0, 8.0, 12.0])
+@pytest.mark.parametrize("arms", [(e, x) for e in ARMS for x in ARMS if e != x])
+def test_projection_is_nearest_against_per_segment_minimisation(arms, radius):
+    path = build_path(RouteSpec(*arms, turn_radius=radius))
+    assert_projection_is_nearest(path, np.random.default_rng(len(arms[0] + arms[1]) * 100 + int(radius)))
+
+
+def test_projection_is_nearest_on_a_path_that_starts_and_ends_on_arcs():
+    # no straight beside the end arcs covers their clamped ends
+    left = ArcSegment(0.0, 10.0, 10.0, -math.pi / 2, math.pi / 2)
+    right = ArcSegment(20.0, 10.0, 10.0, math.pi, -math.pi / 2)
+    path = PathSpec((left, right), left.length + right.length)
+    assert_projection_is_nearest(path, np.random.default_rng(11))
+
+
+def test_sign_of_zero_lane_offset_reaches_no_sample():
+    """-0.0 and 0.0 share one build_path cache entry; uncached, the two
+    paths differ only in the sign of a stored segment start coordinate."""
+    build = build_path.__wrapped__
+    for entry, exit_ in [(e, x) for e in ARMS for x in ARMS if e != x]:
+        plus = build(RouteSpec(entry, exit_, lane_offset=0.0))
+        minus = build(RouteSpec(entry, exit_, lane_offset=-0.0))
+        grid = np.append(np.arange(0.0, plus.total_length, 0.05), plus.total_length)
+        assert_same_bits(minus.table.pose(grid), plus.table.pose(grid))
+        for s in [*plus.cumulative, 1.0, 100.0]:
+            assert bits(sample_path(minus, s)) == bits(sample_path(plus, s))
+        probes = projection_probes(plus, np.random.default_rng(5)) + [(0.0, 0.0), (-0.0, -0.0)]
+        for px, py in probes:
+            got, want = project_onto_path(minus, px, py), project_onto_path(plus, px, py)
+            assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
