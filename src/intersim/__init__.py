@@ -11,7 +11,6 @@ from .dynamics import AgentParams, AgentState, DiscreteModel, discretize, rollou
 from .geometry import (
     OrientedBox,
     SafetyMargins,
-    SafetyRegion,
     area_overlap,
     bounding_box,
     safety_region,

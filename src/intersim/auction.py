@@ -11,7 +11,7 @@ holds the descending bid sort after at most n_bidders * ell supersteps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -140,24 +140,3 @@ def run_cbaam(bids: Mapping[int, float], topology: Topology) -> tuple[PriorityAs
             hp_sets = {agent: frozenset(order[:pos]) for pos, agent in enumerate(order)}
             return PriorityAssignment(order, hp_sets), superstep
     raise AssertionError("auction failed to agree within the n*ell bound")
-
-
-def higher_priority_crossing_set(
-    assignment: PriorityAssignment,
-    i: int,
-    states: Mapping[int, "AgentState"],
-    regions: Mapping[int, "RegionBounds"],
-    conflicts: Callable[[int, int], bool],
-) -> set[int]:
-    """Higher-priority agents that can still cross i's way inside the CR.
-
-    Keeps only agents ahead of i in priority that have not yet left their
-    critical region and whose path geometrically conflicts with i's.
-    """
-    if i not in assignment.hp_sets:
-        raise KeyError(f"agent {i} does not participate in the assignment")
-    out = set()
-    for l in assignment.hp_sets[i]:
-        if states[l].s < regions[l].s_cr_out and conflicts(i, l):
-            out.add(l)
-    return out

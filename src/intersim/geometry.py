@@ -1,4 +1,10 @@
-"""Oriented boxes, pairwise safety regions and their overlap measures.
+"""Pairwise safety: which vehicles a vehicle avoids, and by how much.
+
+`conflict_sets` decides the pairs: the vehicles ahead in i's lane and,
+inside the control region, the higher-priority vehicles whose routes cross
+i's. Footprints and safety regions are plain `OrientedBox`es; a safety
+region is the footprint inflated by fixed margins and stretched forward by
+the closing speed.
 
 Two overlap routes exist on purpose: exact convex-polygon clipping for
 logging and verification, and a smooth softplus surrogate of the
@@ -10,8 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping
+from functools import cached_property, lru_cache
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -42,6 +48,8 @@ class OrientedBox:
             raise ValueError("box half-extents must be > 0")
 
     def corners(self) -> np.ndarray:
+        """Front-left, rear-left, rear-right, front-right: counterclockwise,
+        the orientation `_clip_polygon` needs."""
         c, s = math.cos(self.heading), math.sin(self.heading)
         local = np.array(
             [
@@ -69,36 +77,10 @@ class SafetyMargins:
             raise ValueError("sharpness must be > 0")
 
 
-@dataclass(frozen=True)
-class SafetyRegion:
-    base: OrientedBox
-    forward_extension: float
-
-    def __post_init__(self):
-        if self.forward_extension < 0:
-            raise ValueError("extension must be >= 0")
-
-    def as_box(self) -> OrientedBox:
-        """Single oriented rectangle: the base box stretched forward along heading."""
-        half = 0.5 * self.forward_extension
-        return OrientedBox(
-            self.base.cx + half * math.cos(self.base.heading),
-            self.base.cy + half * math.sin(self.base.heading),
-            self.base.heading,
-            self.base.half_length + half,
-            self.base.half_width,
-        )
-
-
 def bounding_box(sample: PathSample, length: float, width: float) -> OrientedBox:
     if length <= 0 or width <= 0:
         raise ValueError("vehicle dimensions must be > 0")
     return OrientedBox(sample.x_g, sample.y_g, sample.psi, length / 2.0, width / 2.0)
-
-
-def closing_speed(self_v: float, self_psi: float, other_v: float, other_psi: float) -> float:
-    """Own speed minus the other's velocity projected on own heading."""
-    return self_v - other_v * math.cos(other_psi - self_psi)
 
 
 def safety_region(
@@ -108,21 +90,23 @@ def safety_region(
     other_v: float,
     self_v: float,
     margins: SafetyMargins,
-) -> SafetyRegion:
-    """Own footprint inflated by fixed margins plus a motion-dependent nose.
+) -> OrientedBox:
+    """Own footprint inflated by fixed margins and stretched forward.
 
     The forward extension covers the distance closed on the other agent
-    within the headway time; it vanishes when not approaching.
+    within the headway time: own speed minus the other's velocity projected
+    on own heading. It vanishes when not approaching; the box grows by half
+    of it at the nose and keeps its tail.
     """
-    base = OrientedBox(
-        self_sample.x_g,
-        self_sample.y_g,
+    closing = self_v - other_v * math.cos(other_sample.psi - self_sample.psi)
+    half = 0.5 * (margins.headway * max(0.0, closing))
+    return OrientedBox(
+        self_sample.x_g + half * math.cos(self_sample.psi),
+        self_sample.y_g + half * math.sin(self_sample.psi),
         self_sample.psi,
-        self_params.length / 2.0 + margins.long,
+        self_params.length / 2.0 + margins.long + half,
         self_params.width / 2.0 + margins.lat,
     )
-    closing = closing_speed(self_v, self_sample.psi, other_v, other_sample.psi)
-    return SafetyRegion(base, margins.headway * max(0.0, closing))
 
 
 def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
@@ -153,16 +137,6 @@ def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return output
 
 
-def _ccw(corners: np.ndarray) -> np.ndarray:
-    area2 = 0.0
-    n = len(corners)
-    for k in range(n):
-        x1, y1 = corners[k]
-        x2, y2 = corners[(k + 1) % n]
-        area2 += x1 * y2 - x2 * y1
-    return corners if area2 >= 0 else corners[::-1]
-
-
 def _polygon_area(poly: np.ndarray) -> float:
     if len(poly) < 3:
         return 0.0
@@ -170,8 +144,8 @@ def _polygon_area(poly: np.ndarray) -> float:
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def area_overlap(region: SafetyRegion | OrientedBox, other: OrientedBox) -> float:
-    """Exact intersection area between the (extended) region and a box.
+def area_overlap(box: OrientedBox, other: OrientedBox) -> float:
+    """Exact intersection area of two boxes.
 
     Each box lies inside the circle of its half-diagonal around its centre,
     so boxes whose centres are farther apart than the two half-diagonals
@@ -179,11 +153,10 @@ def area_overlap(region: SafetyRegion | OrientedBox, other: OrientedBox) -> floa
     clipped: the clip returns exactly 0.0 there too, where corners that touch
     can leave it a rounding sliver.
     """
-    box = region.as_box() if isinstance(region, SafetyRegion) else region
     reach = math.hypot(box.half_length, box.half_width) + math.hypot(other.half_length, other.half_width)
     if math.hypot(other.cx - box.cx, other.cy - box.cy) > reach + CLIP_SLACK:
         return 0.0
-    poly = _clip_polygon(_ccw(box.corners()), _ccw(other.corners()))
+    poly = _clip_polygon(box.corners(), other.corners())
     return _polygon_area(poly)
 
 
@@ -194,12 +167,11 @@ def _segment_point_dist(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(p - (a + t * ab)))
 
 
-def box_distance(first: SafetyRegion | OrientedBox, second: OrientedBox) -> float:
+def box_distance(first: OrientedBox, second: OrientedBox) -> float:
     """Euclidean clearance between two convex boxes; 0 when they overlap."""
-    b1 = first.as_box() if isinstance(first, SafetyRegion) else first
-    if area_overlap(b1, second) > 0.0:
+    if area_overlap(first, second) > 0.0:
         return 0.0
-    c1 = b1.corners()
+    c1 = first.corners()
     c2 = second.corners()
     best = math.inf
     for poly_a, poly_b in ((c1, c2), (c2, c1)):
@@ -314,6 +286,11 @@ class AgentView:
     params: AgentParams
     pose: PathSample
 
+    @cached_property
+    def box(self) -> OrientedBox:
+        """The vehicle's footprint at `pose`, built once per snapshot."""
+        return bounding_box(self.pose, self.params.length, self.params.width)
+
 
 def ahead_set(i: int, views: Mapping[int, AgentView], window: float = AHEAD_WINDOW) -> frozenset[int]:
     """Agents driving ahead of i on (the continuation of) i's own lane.
@@ -339,15 +316,19 @@ def ahead_set(i: int, views: Mapping[int, AgentView], window: float = AHEAD_WIND
 def conflict_sets(
     i: int,
     views: Mapping[int, AgentView],
-    cross: set[int] | frozenset[int],
+    higher: frozenset[int],
+    conflicts: Callable[[int, int], bool],
 ) -> frozenset[int]:
     """The agents i holds avoidance constraints toward.
 
-    Inside the intersection control region both the rear-end and the
-    crossing couplings apply; outside only the rear-end set matters.
+    Outside the intersection control region only the rear-end set matters.
+    Inside it i also avoids the `higher`-priority agents that can still
+    cross its way: those short of their critical-region exit whose route
+    `conflicts` with i's.
     """
     me = views[i]
     ahead = ahead_set(i, views)
     if region_of(me.bounds, me.state.s) in ("icr", "bsr", "cr"):
+        cross = {l for l in higher if views[l].state.s < views[l].bounds.s_cr_out and conflicts(i, l)}
         return frozenset(cross) | ahead
     return ahead

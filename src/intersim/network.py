@@ -59,14 +59,6 @@ def _adjacency(t: Topology) -> dict[int, list[int]]:
     return adj
 
 
-def is_strongly_connected(t: Topology) -> bool:
-    if len(t.nodes) <= 1:
-        return True
-    adj = _adjacency(t)
-    n = len(t.nodes)
-    return all(len(_bfs_dists(adj, i)) == n for i in t.nodes)
-
-
 @lru_cache(maxsize=256)
 def graph_ell(t: Topology) -> int:
     """Largest over ordered node pairs of the shortest directed path length.
@@ -85,6 +77,15 @@ def graph_ell(t: Topology) -> int:
             raise ValueError("topology is not strongly connected")
         worst = max(worst, max(dist.values()))
     return worst
+
+
+def is_strongly_connected(t: Topology) -> bool:
+    """Does every node reach every other? Exactly when `graph_ell` has an answer."""
+    try:
+        graph_ell(t)
+    except ValueError:
+        return False
+    return True
 
 
 def cbaam_time_bound(n_agents: int, ell: int) -> float:

@@ -2,10 +2,12 @@
 
 Per step: apply scheduled events, auction priorities among vehicles still
 ahead of their critical-region exit, take one snapshot of every vehicle
-(state and path pose, read by the conflict sets, the pair metrics and the
-log rows), solve every vehicle's control problem in id order against the
-previous step's broadcasts, advance the plant, then record this step's
-broadcasts for the next one. The run is deterministic for a fixed config.
+(state, path pose and footprint, read by the conflict sets, the pair
+metrics and the log rows), hand each controlled vehicle's higher-priority
+set to `geometry.conflict_sets`, solve every vehicle's control problem in
+id order against the previous step's broadcasts, advance the plant, then
+record this step's broadcasts for the next one. The run is deterministic
+for a fixed config.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .auction import PriorityAssignment, compute_bid, higher_priority_crossing_set, run_cbaam
+from .auction import PriorityAssignment, compute_bid, run_cbaam
 from .dynamics import AgentState, discretize, step
 from .geometry import (
     AgentView,
     SafetyMargins,
     area_overlap,
-    bounding_box,
     box_distance,
     conflict_sets,
     paths_conflict,
@@ -176,18 +177,19 @@ def _pair_metrics(
     physical contact shows up regardless of priority direction.
     """
     me = views[i]
-    my_box = bounding_box(me.pose, me.params.length, me.params.width)
     min_dist = math.inf
     max_overlap = 0.0
     for l, other in views.items():
         if l == i:
             continue
-        other_box = bounding_box(other.pose, other.params.length, other.params.width)
-        max_overlap = max(max_overlap, area_overlap(my_box, other_box))
+        max_overlap = max(max_overlap, area_overlap(me.box, other.box))
         if l in partners:
             region = safety_region(me.pose, me.params, other.pose, other.state.v, me.state.v, margins)
-            min_dist = min(min_dist, box_distance(region, other_box))
-            max_overlap = max(max_overlap, area_overlap(region, other_box))
+            dist = box_distance(region, other.box)
+            min_dist = min(min_dist, dist)
+            # a positive clearance means box_distance found no overlap
+            if dist == 0.0:
+                max_overlap = max(max_overlap, area_overlap(region, other.box))
     return min_dist, max_overlap
 
 
@@ -252,20 +254,14 @@ def run_simulation(
             rt = rts[i]
             pose = sample_path(rt.path, rt.state.s)
             views[i] = AgentView(rt.state, rt.path, rt.bounds, rt.config.params, pose)
-        states_map = {i: rts[i].state for i in ids}
-        regions_map = {i: rts[i].bounds for i in ids}
 
         solve_list = []
         partners: dict[int, frozenset[int]] = {i: frozenset() for i in ids}
         for i in ids:
             if rts[i].state.s > rts[i].bounds.s_icr_out:
                 continue  # left the control region: open-loop speed hold
-            cross = set()
-            if assignment is not None and i in assignment.hp_sets:
-                cross = higher_priority_crossing_set(
-                    assignment, i, states_map, regions_map, paths_do_conflict
-                )
-            partners[i] = conflict_sets(i, views, cross)
+            higher = assignment.hp_sets.get(i, frozenset()) if assignment is not None else frozenset()
+            partners[i] = conflict_sets(i, views, higher, paths_do_conflict)
             solve_list.append((i, tuple(rts[l].broadcast for l in sorted(partners[i]))))
 
         next_broadcasts: dict[int, PredictedTrajectory] = {}

@@ -118,7 +118,7 @@ class ScenarioConfig:
             _, dist = a.start
             if dist > _MAX_POSITION_ERROR:
                 raise ScenarioError(
-                    f"agents[{pos}].initial_position: {dist:.3f} m off the route path"
+                    f"agents[{pos}].initial_position: {dist:.3g} m off the route path"
                 )
 
     def topology_among(self, step: int, participants) -> Topology:

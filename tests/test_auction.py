@@ -19,11 +19,9 @@ from cbaam_oracle import (
 from intersim.auction import (
     BidParams,
     compute_bid,
-    higher_priority_crossing_set,
     resolve_bid_ties,
     run_cbaam,
 )
-from intersim.dynamics import AgentState
 from intersim.network import Topology, graph_ell
 
 FIG_PARAMS = BidParams(alpha1=0.1, alpha2=5.0, alpha3=0.1, alpha4=1.0, alpha5=7.0)
@@ -262,25 +260,3 @@ def test_hp_sets_antisymmetric():
             if j in assignment.hp_sets[i]:
                 assert i not in assignment.hp_sets[j]
 
-
-# -- higher_priority_crossing_set ----------------------------------------------------
-
-
-class FakeBounds:
-    def __init__(self, s_cr_out):
-        self.s_cr_out = s_cr_out
-
-
-def test_crossing_set_filters():
-    assignment, _ = run_cbaam({1: 9.0, 2: 5.0, 3: 3.0}, Topology.complete([1, 2, 3]))
-    states = {1: AgentState(0, 10, 95.0), 2: AgentState(0, 10, 50.0), 3: AgentState(0, 10, 40.0)}
-    regions = {i: FakeBounds(90.0) for i in states}
-
-    # top-priority agent: empty set regardless
-    assert higher_priority_crossing_set(assignment, 1, states, regions, lambda i, l: True) == set()
-    # agent 1 has higher priority than 3 but already left its critical region
-    out = higher_priority_crossing_set(assignment, 3, states, regions, lambda i, l: True)
-    assert out == {2}
-    # non-conflicting paths are excluded
-    out = higher_priority_crossing_set(assignment, 3, states, regions, lambda i, l: False)
-    assert out == set()

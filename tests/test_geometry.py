@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intersim import geometry
+from intersim.auction import run_cbaam
 from intersim.dynamics import AgentParams, AgentState
 from intersim.geometry import (
     AgentView,
@@ -22,6 +23,7 @@ from intersim.geometry import (
     safety_region,
     smooth_overlap_core,
 )
+from intersim.network import Topology
 from intersim.paths import (
     ARMS,
     IntersectionGeometry,
@@ -79,35 +81,44 @@ def test_diagonal_extent():
 # -- safety_region ------------------------------------------------------------
 
 
+def assert_stretched(region, me, extension):
+    """The footprint plus margins, grown by half the extension at the nose."""
+    half = extension / 2.0
+    assert region.half_length == pytest.approx(2.5 + MARGINS.long + half)
+    assert region.half_width == pytest.approx(1.0 + MARGINS.lat)
+    assert region.heading == me.psi
+    assert region.cx == pytest.approx(me.x_g + half * math.cos(me.psi))
+    assert region.cy == pytest.approx(me.y_g + half * math.sin(me.psi))
+
+
 def test_stationary_pair_has_base_region_only():
     me = PathSample(0, 0, 0, 0)
     other = PathSample(20, 0, 0, 0)
     region = safety_region(me, PARAMS, other, 0.0, 0.0, MARGINS)
-    assert region.forward_extension == 0.0
-    assert region.base.half_length == pytest.approx(2.5 + MARGINS.long)
-    assert region.base.half_width == pytest.approx(1.0 + MARGINS.lat)
+    assert (region.cx, region.cy) == (0.0, 0.0)
+    assert_stretched(region, me, 0.0)
 
 
 def test_perpendicular_crossing_extension():
     me = PathSample(0, 0, 0, 0)
     other = PathSample(20, 0, math.pi / 2, 0)  # crossing: zero projection
     region = safety_region(me, PARAMS, other, 10.0, 14.0, MARGINS)
-    assert region.forward_extension == pytest.approx(0.5 * 14.0)
+    assert_stretched(region, me, 0.5 * 14.0)
 
 
 def test_matched_speed_leader_no_extension():
     me = PathSample(0, 0, 0, 0)
     other = PathSample(20, 0, 0, 0)
     region = safety_region(me, PARAMS, other, 14.0, 14.0, MARGINS)
-    assert region.forward_extension == 0.0
+    assert (region.cx, region.cy) == (0.0, 0.0)
+    assert_stretched(region, me, 0.0)
 
 
 def test_region_box_extends_forward_only():
     me = PathSample(0, 0, 0, 0)
     other = PathSample(20, 0, math.pi / 2, 0)
     region = safety_region(me, PARAMS, other, 0.0, 10.0, MARGINS)
-    box = region.as_box()
-    xs = box.corners()[:, 0]
+    xs = region.corners()[:, 0]
     assert xs.max() == pytest.approx(2.5 + MARGINS.long + 5.0)
     assert xs.min() == pytest.approx(-(2.5 + MARGINS.long))
 
@@ -175,7 +186,7 @@ def test_boxes_with_collinear_edges_overlap_finitely():
 
 def clipped_area(a: OrientedBox, b: OrientedBox) -> float:
     """area_overlap without its distance pre-filter: the polygon clip alone."""
-    return geometry._polygon_area(geometry._clip_polygon(geometry._ccw(a.corners()), geometry._ccw(b.corners())))
+    return geometry._polygon_area(geometry._clip_polygon(a.corners(), b.corners()))
 
 
 def test_boxes_out_of_reach_are_not_clipped(monkeypatch):
@@ -197,6 +208,29 @@ boxes = st.builds(
     half_length=st.floats(0.1, 6.0),
     half_width=st.floats(0.1, 3.0),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(
+        OrientedBox,
+        cx=st.floats(-500.0, 500.0),
+        cy=st.floats(-500.0, 500.0),
+        heading=st.floats(-math.pi, math.pi),
+        half_length=st.floats(0.1, 6.0),
+        half_width=st.floats(0.1, 3.0),
+    )
+)
+def test_corners_are_counterclockwise(box):
+    """The clip takes corners as they come, so their shoelace sum must be
+    positive wherever a vehicle can be."""
+    corners = box.corners()
+    area2 = 0.0
+    for k in range(4):
+        x1, y1 = corners[k]
+        x2, y2 = corners[(k + 1) % 4]
+        area2 += x1 * y2 - x2 * y1
+    assert area2 > 0.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -386,13 +420,18 @@ def test_ahead_set_prefilter_changes_no_set(case):
         assert ahead_set(i, views, window) == unfiltered
 
 
+def always(i, l):
+    """Every pair of routes conflicts."""
+    return True
+
+
 def test_conflict_sets_by_region():
     # far outside the control region: rear-end only
     views = {
         1: make_view(RouteSpec("N", "S"), 0.0),
         2: make_view(RouteSpec("N", "S"), 20.0),
     }
-    assert conflict_sets(1, views, cross={2}) == {2}
+    assert conflict_sets(1, views, frozenset({2}), always) == {2}
 
     # inside the control region: union with the crossing set
     views_in = {
@@ -401,7 +440,28 @@ def test_conflict_sets_by_region():
         3: make_view(RouteSpec("E", "W"), 30.0),
     }
     assert ahead_set(1, views_in) == {2}
-    assert conflict_sets(1, views_in, cross={3}) == {2, 3}
+    assert conflict_sets(1, views_in, frozenset({3}), always) == {2, 3}
 
     # nobody ahead, outside control region
-    assert conflict_sets(1, {1: make_view(RouteSpec("N", "S"), 0.0)}, cross=set()) == set()
+    assert conflict_sets(1, {1: make_view(RouteSpec("N", "S"), 0.0)}, frozenset(), always) == set()
+
+
+def test_conflict_sets_crossing_filter():
+    assignment, _ = run_cbaam({1: 9.0, 2: 5.0, 3: 3.0}, Topology.complete([1, 2, 3]))
+    views = {
+        1: make_view(RouteSpec("W", "E"), 95.0),  # past its s_cr_out of 90 m
+        2: make_view(RouteSpec("E", "W"), 50.0),
+        3: make_view(RouteSpec("N", "S"), 40.0),
+    }
+    assert all(ahead_set(i, views) == set() for i in views)
+
+    # top-priority agent: no crossing partner regardless
+    assert conflict_sets(1, views, assignment.hp_sets[1], always) == set()
+    # agent 1 has higher priority than 3 but already left its critical region
+    assert conflict_sets(3, views, assignment.hp_sets[3], always) == {2}
+    # non-conflicting routes are excluded
+    assert conflict_sets(3, views, assignment.hp_sets[3], lambda i, l: False) == set()
+    # outside the control region no crossing partner is added
+    views[3] = make_view(RouteSpec("N", "S"), 10.0)
+    assert views[3].state.s < views[3].bounds.s_icr_in
+    assert conflict_sets(3, views, assignment.hp_sets[3], always) == set()

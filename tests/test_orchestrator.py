@@ -203,6 +203,7 @@ def test_huge_finite_position_is_rejected_with_a_finite_distance():
             load_scenario(doc)
     found = re.fullmatch(r"agents\[0\]\.initial_position: (\S+) m off the route path", str(err.value))
     assert found and math.isfinite(float(found.group(1)))
+    assert len(str(err.value)) < 80
 
 
 def test_scenario_field_errors_name_their_path():
