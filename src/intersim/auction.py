@@ -34,12 +34,15 @@ class BidParams:
             raise ValueError("emergency bid must dominate regular bids")
 
     def check_separation(self, v_max: float) -> None:
-        """Inside-region bids must strictly dominate every outside bid."""
-        if not self.alpha5 > self.alpha1 * v_max + self.alpha2 / self.alpha4:
+        """Inside-region bids must strictly dominate every outside bid: the
+        smallest inside bid, alpha4 short of the region entry, must exceed
+        the largest outside bid, at v_max just beyond that gap."""
+        inside = self.alpha5 - self.alpha3 * self.alpha4
+        outside = self.alpha1 * v_max + self.alpha2 / self.alpha4
+        if not inside > outside:
             raise ValueError(
                 "bid parameters do not separate inside/outside bids: "
-                f"alpha5={self.alpha5} <= alpha1*v_max + alpha2/alpha4="
-                f"{self.alpha1 * v_max + self.alpha2 / self.alpha4}"
+                f"alpha5 - alpha3*alpha4={inside} <= alpha1*v_max + alpha2/alpha4={outside}"
             )
 
 

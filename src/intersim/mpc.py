@@ -48,6 +48,9 @@ class PenaltyConfig:
             raise ValueError("tolerances must be > 0")
         if self.initial_weight <= 0:
             raise ValueError("initial weight must be > 0")
+        for name, least in (("lbfgs_memory", 0), ("max_inner_iterations", 1), ("max_outer_iterations", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +116,9 @@ class OcpProblem:
     The neighbor tracks are stacked into (T, N) arrays, so one evaluation
     handles every track with a single smooth_overlap_core call.
 
-    `value` evaluates the penalty objective alone; `value_and_grad` runs the
-    same code and then builds the gradient from its intermediates, so the
-    two values agree bit for bit.
+    `value_and_grad` evaluates the penalty objective and returns a function
+    that builds the gradient from that evaluation's intermediates, so a
+    caller that reads only the value pays for the value alone.
     """
 
     ENFORCE_BACKOFF = 0.015
@@ -241,9 +244,10 @@ class OcpProblem:
         value = p.q * float(total(dv_ref[:n] ** 2)) + p.q_n * float(dv_ref[n] ** 2)
         return value + p.r * float(total(u * u))
 
-    def _objective(self, u: np.ndarray, weight: float):
-        """The penalty objective at u, and a function that builds its gradient
-        from this evaluation's intermediates."""
+    def value_and_grad(self, u: np.ndarray, weight: float):
+        """The penalty objective at u, and a zero-argument function that builds
+        its gradient from this evaluation's intermediates on its first call
+        and returns that same array on every later one."""
         p = self.params
         n = self.horizon
         total = np.add.reduce
@@ -273,7 +277,12 @@ class OcpProblem:
         r_prev = h1 * h2
         value += weight * r_prev * r_prev
 
+        grad = None
+
         def gradient() -> np.ndarray:
+            nonlocal grad
+            if grad is not None:
+                return grad
             adj = np.zeros((n + 1, 3))
             adj[:n, 1] += 2.0 * p.q * dv_ref[:n]
             adj[n, 1] += 2.0 * p.q_n * dv_ref[n]
@@ -300,16 +309,10 @@ class OcpProblem:
             d_prev = -float(h1 > 0) * h2 + h1 * float(h2 > 0)
             adj[n, 2] += weight * 2.0 * r_prev * d_prev
             # the (1, 3(N+1)) x (3(N+1), N) product that tensordot(adj, g_mat) performs
-            return 2.0 * p.r * u + np.dot(adj.reshape(1, -1), self._g_flat).reshape(n)
+            grad = 2.0 * p.r * u + np.dot(adj.reshape(1, -1), self._g_flat).reshape(n)
+            return grad
 
         return value, gradient
-
-    def value(self, u: np.ndarray, weight: float) -> float:
-        return self._objective(u, weight)[0]
-
-    def value_and_grad(self, u: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
-        value, gradient = self._objective(u, weight)
-        return value, gradient()
 
     # -- constraint stack ---------------------------------------------------
 
@@ -351,8 +354,7 @@ def _lbfgs_direction(pairs: deque, r: np.ndarray) -> np.ndarray:
 
 
 def box_solve(
-    value,
-    value_grad,
+    objective,
     lower: float,
     upper: float,
     u0: np.ndarray,
@@ -366,14 +368,14 @@ def box_solve(
     Stops when the projected-gradient displacement falls below the inner
     tolerance. Returns (u, iterations, converged).
 
-    `value(u)` returns the objective and `value_grad(u)` the same value, bit
-    for bit, and the gradient. The gradient is requested where it is read:
-    at the start, the Lipschitz probe, the line-search candidates and a
-    fallback step. A forward-backward point needs only its value for the
-    descent test; it is evaluated in full only while the L-BFGS memory is
-    empty, when the first line-search candidate is often bitwise that point
-    and reuses its evaluation. No point is evaluated twice, but for the
-    gradient of a value-only point that becomes the fallback step.
+    `objective(u)` returns the value at u and a zero-argument function that
+    builds the gradient there, once. The gradient is built only where it is
+    read: at the start, the Lipschitz probe, the line-search candidates and
+    a fallback step; a forward-backward point needs only its value for the
+    descent test. A point bitwise equal to one evaluated in the same
+    iteration, or to the start point, reuses that evaluation: line-search
+    candidates often coincide with the forward-backward point, and a
+    forward-backward step can land back on a start at a corner of the box.
     """
 
     def clip(z):
@@ -382,22 +384,24 @@ def box_solve(
     def norm(z):
         return math.sqrt(z.dot(z))  # np.linalg.norm of a real vector
 
-    # point bytes -> (value, gradient or None) of every evaluation in this solve
-    known: dict[bytes, tuple[float, np.ndarray | None]] = {}
+    u = clip(np.asarray(u0, dtype=float))
+    f, gradient = objective(u)
+    g = gradient()
+    # point bytes -> (value, gradient builder) of the start point, and in
+    # `known` of the current iteration's points as well
+    start = {u.tobytes(): (f, gradient)}
 
-    def evaluate(z, need_grad):
+    def evaluate(z):
         key = z.tobytes()
         hit = known.get(key)
-        if hit is None or (need_grad and hit[1] is None):
-            hit = known[key] = value_grad(z) if need_grad else (value(z), None)
+        if hit is None:
+            hit = known[key] = objective(z)
         return hit
 
-    u = clip(np.asarray(u0, dtype=float))
-    f, g = evaluate(u, True)
     gnorm = norm(g)
     if gnorm > 0:
         h = 1e-3 * max(1.0, norm(u))
-        _, g_probe = evaluate(u - h * g / gnorm, True)
+        g_probe = objective(u - h * g / gnorm)[1]()
         lip = norm(g_probe - g) / h
     else:
         lip = 1.0
@@ -415,10 +419,8 @@ def box_solve(
             u = t  # return the projected point so the box holds exactly
             converged = True
             break
-        # with an empty L-BFGS memory the direction is -r, so the first
-        # line-search candidate is often bitwise t: t is then evaluated in
-        # full, for that candidate to reuse
-        f_t = evaluate(t, not pairs)[0]
+        known = dict(start)
+        f_t, gradient_t = evaluate(t)
         # enlarge the local Lipschitz estimate until the descent model holds
         while (
             f_t > f - float(g @ r) + 0.5 * lip * float(r @ r) + 1e-10 * (1.0 + abs(f))
@@ -429,7 +431,7 @@ def box_solve(
             pairs.clear()
             t = clip(u - gamma * g)
             r = u - t
-            f_t = evaluate(t, True)[0]  # the memory is empty now
+            f_t, gradient_t = evaluate(t)
         fbe = f - float(g @ r) + float(r @ r) / (2.0 * gamma)
 
         d = -_lbfgs_direction(pairs, r)
@@ -440,7 +442,8 @@ def box_solve(
         tau = 1.0
         for _ in range(10):
             u_c = u + tau * d + (1.0 - tau) * step_fb
-            f_c, g_c = evaluate(u_c, True)
+            f_c, gradient_c = evaluate(u_c)
+            g_c = gradient_c()
             t_c = clip(u_c - gamma * g_c)
             r_c = u_c - t_c
             fbe_c = f_c - float(g_c @ r_c) + float(r_c @ r_c) / (2.0 * gamma)
@@ -451,7 +454,7 @@ def box_solve(
         if accepted:
             u_new, f_new, g_new, t_new = u_c, f_c, g_c, t_c
         else:
-            f_new, g_new = evaluate(t, True)
+            f_new, g_new = f_t, gradient_t()
             u_new, t_new = t, clip(t - gamma * g_new)
         s_i = u_new - u
         y_i = (u_new - t_new) - r
@@ -525,11 +528,7 @@ def _penalty_loop(
         scaled = replace(
             cfg, inner_tolerance=cfg.inner_tolerance * math.sqrt(cfg.initial_weight / weight)
         )
-        u, iters, _ = box_solve(
-            lambda w_: problem.value(w_, weight),
-            lambda w_: problem.value_and_grad(w_, weight),
-            lo, hi, u, scaled,
-        )
+        u, iters, _ = box_solve(lambda w_: problem.value_and_grad(w_, weight), lo, hi, u, scaled)
         inner_total += iters
         stack = problem.residual_stack(u)
         violation = float(np.max(stack)) if stack.size else 0.0

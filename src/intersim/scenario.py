@@ -109,17 +109,28 @@ class ScenarioConfig:
                 raise ScenarioError(f"{where}: {exc}") from exc
             if not is_strongly_connected(topo):
                 raise ScenarioError(f"{where}: arcs must connect every agent to every other")
+        reach = 0.0  # the longest stretch from a brake-safe region entry to its critical-region exit
         for pos, a in enumerate(self.agents):
             # the run's set-up reads these regions from the same cache
             try:
-                compute_regions(build_path(a.route), self.geometry, a.params.v_max, a.params.a_x_min)
+                bounds = compute_regions(
+                    build_path(a.route), self.geometry, a.params.v_max, a.params.a_x_min
+                )
             except ValueError as exc:
                 raise ScenarioError(f"agents[{pos}].route: {exc}") from exc
+            reach = max(reach, bounds.s_cr_out - bounds.s_bsr_in)
             _, dist = a.start
             if dist > _MAX_POSITION_ERROR:
                 raise ScenarioError(
                     f"agents[{pos}].initial_position: {dist:.3g} m off the route path"
                 )
+        # an agent bids until it leaves the critical region
+        top = self.bid_params.alpha5 + self.bid_params.alpha3 * reach
+        if not self.bid_params.emergency_bid > top:
+            raise ScenarioError(
+                f"bid_params.emergency_bid: {self.bid_params.emergency_bid:g} does not exceed the "
+                f"largest inside bid alpha5 + alpha3*(s_cr_out - s_bsr_in) = {top:g}"
+            )
 
     def topology_among(self, step: int, participants) -> Topology:
         """Topology among the given agents for a given step.
@@ -208,6 +219,14 @@ _PENALTY_KEYS = {
 def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"{where}: must be an object")
+    return value
+
+
+def _list(doc: dict, key: str) -> list:
+    """The optional list field doc[key], empty when absent."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ScenarioError(f"{key}: must be a list")
     return value
 
 
@@ -306,13 +325,13 @@ def _parse_document(doc: dict) -> ScenarioConfig:
         raise ScenarioError("agents: must be a non-empty list")
     agents = tuple(_parse_agent(a, k) for k, a in enumerate(agents_doc))
     schedule = []
-    for k, entry in enumerate(doc.get("topology_schedule", [])):
+    for k, entry in enumerate(_list(doc, "topology_schedule")):
         ctx = f"topology_schedule[{k}]."
         _object(entry, ctx[:-1])
         from_step = _field(entry, "from_step", ctx, 0, integer=True)
         schedule.append((from_step, parse_topology(entry.get("topology", "complete"), ctx + "topology")))
     events = []
-    for k, entry in enumerate(doc.get("events", [])):
+    for k, entry in enumerate(_list(doc, "events")):
         ctx = f"events[{k}]."
         _object(entry, ctx[:-1])
         time_s = _field(entry, "time_s", ctx, 0.0)

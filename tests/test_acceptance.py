@@ -105,6 +105,7 @@ def test_criterion_2_exact_zoh_discretization():
     report(2, "closed-form hold matches 30-term series oracle to 1e-9 on 100 random pairs", ok)
 
 
+@pytest.mark.slow
 def test_criterion_3_use_case_1_safety(uc1):
     _, log, _ = uc1
     overlap_ok = all(r.exact_overlap_m2 == 0.0 for r in log.trajectory)
@@ -117,6 +118,7 @@ def test_criterion_3_use_case_1_safety(uc1):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_use_case_1_constraint_satisfaction(uc1):
     _, log, _ = uc1
     rows = log.trajectory
@@ -139,6 +141,7 @@ def _rank_table(log):
     return table
 
 
+@pytest.mark.slow
 def test_criterion_5_priority_freeze_after_all_in_brake_safe_region(uc1):
     _, log, _ = uc1
     regions = {}
@@ -170,6 +173,7 @@ def test_criterion_5_priority_freeze_after_all_in_brake_safe_region(uc1):
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_emergency_override(uc2):
     cfg, log, _ = uc2
     bad_ranks = [
@@ -223,8 +227,7 @@ def test_criterion_7_gradient_check_with_active_terms():
         prob = OcpProblem(model, params, path, bounds, margins, state, neighbors, 50)
         u0 = np.clip(rng.normal(0.0, 0.5, 50), -7, 4)
         u_mid, _, _ = box_solve(
-            lambda w: prob.value(w, 10.0), lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0, u0,
-            PenaltyConfig(max_inner_iterations=40),
+            lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0, u0, PenaltyConfig(max_inner_iterations=40)
         )
         u = np.clip(u_mid + rng.normal(0.0, 0.05, 50), -7, 4)
         stack = prob.residual_stack(u)
@@ -232,7 +235,7 @@ def test_criterion_7_gradient_check_with_active_terms():
             preview_seen += 1
         if neighbors and np.max(stack[200:250]) > 1e-6:
             ca_seen += 1
-        value, grad = prob.value_and_grad(u, 10.0)
+        grad = prob.value_and_grad(u, 10.0)[1]()
         h = 1e-6
         fd = np.array(
             [
@@ -251,6 +254,7 @@ def test_criterion_7_gradient_check_with_active_terms():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_timing_report(uc1):
     _, _, timing = uc1
     first = timing.rows[0]
@@ -267,6 +271,7 @@ def test_criterion_8_timing_report(uc1):
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_byte_identical_exports(uc1, uc1_rerun, tmp_path):
     _, log_a, timing_a = uc1
     _, log_b, timing_b = uc1_rerun
@@ -298,6 +303,7 @@ def first_difference(got: bytes, want: bytes) -> str | None:
     return f"{len(got_lines)} lines, golden has {len(want_lines)}"
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("fixture, preset", [("uc1", "use_case_1"), ("uc2", "use_case_2")])
 def test_preset_runs_match_golden_exports(fixture, preset, request, tmp_path):
     _, log, timing = request.getfixturevalue(fixture)

@@ -72,6 +72,42 @@ def test_bid_separation_grid_sweep():
 def test_separation_check_rejects_bad_params():
     with pytest.raises(ValueError):
         BidParams(alpha5=5.0).check_separation(15.0)  # 5 <= 0.1*15 + 5/1
+    # alpha4 short of the region entry the inside rule bids 7 - 10*2 = -13,
+    # below every outside bid, although alpha5 = 7 exceeds 0.1*15 + 5/2
+    params = BidParams(alpha3=10.0, alpha4=2.0)
+    assert compute_bid(98.0, 14.0, 100.0, params) == pytest.approx(-13.0)
+    with pytest.raises(ValueError, match="alpha5 - alpha3\\*alpha4=-13.0 <= "):
+        params.check_separation(15.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alphas=st.tuples(*(st.floats(0.01, 20.0) for _ in range(4))),
+    margin=st.floats(-1.0, 5.0),
+    v_max=st.floats(1.0, 40.0),
+)
+def test_accepted_bid_params_give_positive_separated_bids(alphas, margin, v_max):
+    """Any parameters the check accepts, drawn near its boundary on both
+    sides, give positive bids over an (s, v) grid, and every inside bid
+    exceeds every outside bid."""
+    alpha1, alpha2, alpha3, alpha4 = alphas
+    alpha5 = alpha3 * alpha4 + alpha1 * v_max + alpha2 / alpha4 + margin
+    if alpha5 <= 0:
+        return
+    params = BidParams(alpha1, alpha2, alpha3, alpha4, alpha5)
+    try:
+        params.check_separation(v_max)
+    except ValueError:
+        return
+    s_bsr_in = 100.0
+    edge = s_bsr_in - alpha4  # the last coordinate the inside rule covers
+    s_grid = np.concatenate([np.linspace(0.0, 150.0, 301), [edge, np.nextafter(edge, 0.0)]])
+    inside, outside = [], []
+    for s in s_grid.tolist():
+        for v in np.linspace(0.0, v_max, 16).tolist():
+            bid = compute_bid(s, v, s_bsr_in, params)
+            (outside if s_bsr_in - s > alpha4 else inside).append(bid)
+    assert min(outside) > 0.0 and min(inside) > max(outside)
 
 
 # -- local_auction ----------------------------------------------------------------

@@ -131,9 +131,9 @@ def test_zero_curvature_kills_lateral_residuals():
 def test_unconstrained_optimum_has_zero_objective_and_gradient():
     path, bounds = make_env(approach=300.0)
     prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 14.0, 0.0), (), 50)
-    value, grad = prob.value_and_grad(np.zeros(50), 10.0)
+    value, gradient = prob.value_and_grad(np.zeros(50), 10.0)
     assert value == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(grad, 0.0, atol=1e-12)
+    np.testing.assert_allclose(gradient(), 0.0, atol=1e-12)
 
 
 def test_zero_weight_reduces_to_tracking_objective():
@@ -311,10 +311,10 @@ def test_kernel_matches_per_track_reference_bit_for_bit():
     for trial, prob in random_problems(rng, 240):
         for weight in (0.0, 10.0, 1250.0):
             u = np.clip(rng.normal(0.0, 3.0, 50), -7.0, 4.0)
-            value, grad = prob.value_and_grad(u, weight)
+            value, gradient = prob.value_and_grad(u, weight)
             ref_value, ref_grad = reference_value_and_grad(prob, u, weight)
             assert same_bits(value, ref_value), trial
-            assert same_bits(grad, ref_grad), trial
+            assert same_bits(gradient(), ref_grad), trial
         stack = prob.residual_stack(u)
         assert same_bits(stack, reference_residual_stack(prob, u)), trial
         active += bool(np.any(stack[200:-1] > 1e-3))
@@ -322,14 +322,23 @@ def test_kernel_matches_per_track_reference_bit_for_bit():
 
 
 def test_value_matches_value_and_grad_bit_for_bit():
-    """`value` is the value part of `value_and_grad`, run alone: the same
-    bits on 240 random problems, at weights 0, 10 and 1250, on random,
-    saturated and zero inputs."""
+    """Building the gradient leaves the value's bits unchanged: on 240 random
+    problems, at weights 0, 10 and 1250, on random, saturated and zero
+    inputs, an evaluation whose gradient is never built gives the same value
+    as one whose gradient is. A gradient built after other points were
+    evaluated equals one built at once, and a second call of the builder
+    returns the cached array."""
     rng = np.random.default_rng(909)
     for trial, prob in random_problems(rng, 240):
         for weight in (0.0, 10.0, 1250.0):
-            for u in (np.clip(rng.normal(0.0, 3.0, 50), -7.0, 4.0), np.full(50, 4.0), np.zeros(50)):
-                assert same_bits(prob.value(u, weight), prob.value_and_grad(u, weight)[0]), trial
+            points = (np.clip(rng.normal(0.0, 3.0, 50), -7.0, 4.0), np.full(50, 4.0), np.zeros(50))
+            late = [prob.value_and_grad(u, weight) for u in points]
+            for u, (value, gradient) in zip(points, late):
+                fresh_value, fresh_gradient = prob.value_and_grad(u, weight)
+                grad = fresh_gradient()
+                assert same_bits(value, fresh_value), trial
+                assert same_bits(gradient(), grad), trial
+                assert fresh_gradient() is grad and gradient() is gradient(), trial
 
 
 def test_tracking_objective_matches_zero_weight_kernel_bit_for_bit():
@@ -404,8 +413,8 @@ def test_state_at_the_range_limit_evaluates_without_overflow():
         tracks = (crossing_neighbor(), crossing_neighbor(offset=30.0))
         prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
         weight = CFG.initial_weight * CFG.multiplier ** CFG.max_outer_iterations
-        value, grad = prob.value_and_grad(np.full(50, 4.0), weight)
-        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        value, gradient = prob.value_and_grad(np.full(50, 4.0), weight)
+        assert np.isfinite(value) and np.all(np.isfinite(gradient()))
         assert np.all(np.isfinite(prob.residual_stack(np.full(50, -7.0))))
 
 
@@ -431,7 +440,6 @@ def test_broadcast_check_rejects_before_any_evaluation(field, how, monkeypatch):
     def evaluated(*args):
         raise AssertionError("objective evaluated despite a bad broadcast")
 
-    monkeypatch.setattr(OcpProblem, "value", evaluated)
     monkeypatch.setattr(OcpProblem, "value_and_grad", evaluated)
     monkeypatch.setattr(OcpProblem, "residual_stack", evaluated)
     match = "non-finite" if how == "nan" else "horizon\\+1"
@@ -447,7 +455,7 @@ def test_broadcast_check_rejects_non_finite_extent():
 
 
 def gradient_fd_check(prob, u, weight, h=1e-6):
-    value, grad = prob.value_and_grad(u, weight)
+    grad = prob.value_and_grad(u, weight)[1]()
     fd = np.array(
         [
             (prob.value_and_grad(u + h * e, weight)[0] - prob.value_and_grad(u - h * e, weight)[0])
@@ -484,7 +492,7 @@ def test_gradient_matches_finite_differences_on_random_instances():
         state = AgentState(rng.uniform(-0.5, 0.5), rng.uniform(8.0, 14.0), s0)
         prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, neighbors, 50)
         u0 = np.clip(rng.normal(0.0, 0.5, 50), -7, 4)
-        u_mid, _, _ = box_solve(lambda w: prob.value(w, 10.0), lambda w: prob.value_and_grad(w, 10.0),
+        u_mid, _, _ = box_solve(lambda w: prob.value_and_grad(w, 10.0),
                                 -7.0, 4.0, u0, PenaltyConfig(max_inner_iterations=40))
         u_test = np.clip(u_mid + rng.normal(0.0, 0.05, 50), -7, 4)
         worst = max(worst, gradient_fd_check(prob, u_test, 10.0))
@@ -502,9 +510,29 @@ def quadratic(center):
     return f
 
 
+def lazy(value_grad):
+    """The objective box_solve takes, from one that returns (value, gradient)."""
+
+    def objective(u):
+        value, grad = value_grad(u)
+        return value, lambda: grad
+
+    return objective
+
+
+def eager(objective):
+    """The (value, gradient) function the reference solver takes."""
+
+    def value_grad(u):
+        value, gradient = objective(u)
+        return value, gradient()
+
+    return value_grad
+
+
 def solve_box(value_grad, lower, upper, u0, cfg):
-    """box_solve on an objective given as its value_grad alone."""
-    return box_solve(lambda u: value_grad(u)[0], value_grad, lower, upper, u0, cfg)
+    """box_solve on an objective given as its value_grad."""
+    return box_solve(lazy(value_grad), lower, upper, u0, cfg)
 
 
 def test_interior_quadratic():
@@ -592,91 +620,121 @@ def quadratic_nd(rng, n=30):
 
 
 def solver_cases(rng):
-    """(name, value, value_grad, lower, upper, u0, cfg) for box_solve: random
-    quadratics, kinked and uphill objectives that force the fallback step, and
-    penalty objectives of random problems at two weights."""
+    """(name, objective, lower, upper, u0, cfg) for box_solve: random
+    quadratics, kinked and uphill objectives that force the fallback step,
+    penalty objectives of random problems at two weights, and one start at
+    a corner of the box that the solver comes back to."""
     for k in range(12):
         for name, make in (("quadratic", quadratic_nd), ("kinked", kinked), ("uphill", uphill)):
-            f = make(rng)
             u0 = rng.uniform(-1.0, 1.0, 30 if name == "quadratic" else 20)
             cfg = PenaltyConfig(inner_tolerance=10.0 ** -rng.integers(4, 10), max_inner_iterations=60)
-            yield f"{name} {k}", (lambda u, f=f: f(u)[0]), f, -1.0, 1.0, u0, cfg
+            yield f"{name} {k}", lazy(make(rng)), -1.0, 1.0, u0, cfg
     for trial, prob in random_problems(rng, 40):
         weight = (10.0, 1250.0)[trial % 2]
         u0 = np.clip(rng.normal(0.0, 2.0, 50), -7.0, 4.0)
-        yield (f"problem {trial}", lambda u, prob=prob, w=weight: prob.value(u, w),
-               lambda u, prob=prob, w=weight: prob.value_and_grad(u, w), -7.0, 4.0, u0, CFG)
+        yield f"problem {trial}", lambda u, prob=prob, w=weight: prob.value_and_grad(u, w), -7.0, 4.0, u0, CFG
+    # a full-throttle start that a later forward-backward step lands back on
+    _, prob = list(random_problems(np.random.default_rng(5), 14))[13]
+    yield "corner start", lambda u: prob.value_and_grad(u, 1250.0), -7.0, 4.0, np.full(50, 4.0), CFG
 
 
 def test_box_solve_matches_full_evaluation_reference_bit_for_bit():
     rng = np.random.default_rng(77)
     fallbacks = 0
-    for name, value, value_grad, lo, hi, u0, cfg in solver_cases(rng):
-        seen = set()
-
-        def spy_value(u):
-            seen.add(u.tobytes())
-            return value(u)
-
-        def spy_value_grad(u):
-            nonlocal fallbacks
-            fallbacks += u.tobytes() in seen  # only a fallback upgrades a value-only point
-            return value_grad(u)
-
-        u, iters, converged = box_solve(spy_value, spy_value_grad, lo, hi, u0, cfg)
-        u_ref, iters_ref, converged_ref = box_solve_reference.box_solve(value_grad, lo, hi, u0, cfg)
+    for name, objective, lo, hi, u0, cfg in solver_cases(rng):
+        u, iters, converged = box_solve(objective, lo, hi, u0, cfg)
+        (u_ref, iters_ref, converged_ref), log = reference_log(eager(objective), lo, hi, u0, cfg)
         assert same_bits(u, u_ref) and (iters, converged) == (iters_ref, converged_ref), name
+        fallbacks += sum(site == "fallback" for site, _ in log)
     assert fallbacks >= 10
 
 
+# the reference's fallback step: it reads the gradient of its forward-backward
+# point t, evaluated earlier in the iteration, without a call
+FALLBACK = "u_new, f_new, g_new = t, f_t, g_t"
+
+
 def reference_log(value_grad, lower, upper, u0, cfg):
-    """The reference solver's evaluations in order, as (site, memory empty,
-    point bytes); the site is named by the line that called value_grad."""
+    """The reference solver's result, and its gradient reads in order as
+    (site, point bytes): one per evaluation, its site named by the line that
+    called value_grad, and one per fallback step, at its point t."""
     log = []
+    source = box_solve_reference.box_solve.__code__
 
     def spy(u):
         caller = sys._getframe(1)
         line = linecache.getline(caller.f_code.co_filename, caller.f_lineno).strip()
-        log.append((box_solve_reference.SITES[line], not caller.f_locals.get("pairs"), u.tobytes()))
+        log.append((box_solve_reference.SITES[line], u.tobytes()))
         return value_grad(u)
 
-    box_solve_reference.box_solve(spy, lower, upper, u0, cfg)
+    def trace_lines(frame, event, arg):
+        if event == "line" and linecache.getline(source.co_filename, frame.f_lineno).strip() == FALLBACK:
+            log.append(("fallback", frame.f_locals["t"].tobytes()))
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if frame.f_code is source else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        result = box_solve_reference.box_solve(spy, lower, upper, u0, cfg)
+    finally:
+        sys.settrace(previous)
+    return result, log
+
+
+def logged_solve(objective, lower, upper, u0, cfg):
+    """box_solve's evaluations and gradient builds in order, as ("value" or
+    "gradient", point bytes); a builder called again logs nothing, as it
+    returns its cached array."""
+    log = []
+
+    def spy(u):
+        key = u.tobytes()
+        log.append(("value", key))
+        value, gradient = objective(u)
+        built = []
+
+        def spy_gradient():
+            if not built:
+                built.append(True)
+                log.append(("gradient", key))
+            return gradient()
+
+        return value, spy_gradient
+
+    box_solve(spy, lower, upper, u0, cfg)
     return log
 
 
 def test_box_solve_evaluates_each_point_once_and_gradients_where_read():
-    """Within one box_solve no point is evaluated twice, but for the gradient
-    of a value-only point that becomes the fallback step. Forward-backward
-    points are evaluated for their value alone while the L-BFGS memory holds
-    pairs; the gradient is requested at the start, the probe, line-search
-    candidates, forward-backward points while the memory is empty (the first
-    candidate is then often that point), and fallback steps. The points are
-    those the reference evaluates."""
+    """Within one box_solve no point is evaluated twice, and the points are
+    those the reference evaluates. A gradient is built exactly where the
+    reference reads one: at the start, the Lipschitz probe, a line-search
+    candidate, or the forward-backward point a fallback step takes. A
+    forward-backward point that is none of these is evaluated for its value
+    alone."""
     rng = np.random.default_rng(78)
-    counts = {"value": 0, "full": 0, "fallback": 0}
-    for name, value, value_grad, lo, hi, u0, cfg in solver_cases(rng):
-        log = []
-        box_solve(lambda u: log.append(("value", u.tobytes())) or value(u),
-                  lambda u: log.append(("full", u.tobytes())) or value_grad(u), lo, hi, u0, cfg)
+    counts = {"value only": 0, "start": 0, "probe": 0, "line search": 0, "fallback": 0}
+    revisits = 0
+    for name, objective, lo, hi, u0, cfg in solver_cases(rng):
+        log = logged_solve(objective, lo, hi, u0, cfg)
         sites: dict[bytes, set] = {}
-        for site, empty, key in reference_log(value_grad, lo, hi, u0, cfg):
-            sites.setdefault(key, set()).add((site, empty))
-        assert {key for _, key in log} == set(sites), name
-
-        valued = set()
-        for kind, key in log:
-            assert key not in valued or kind == "full", name  # not twice for its value
-            if kind == "value":
-                assert ("forward-backward", False) in sites[key], name
-                valued.add(key)
-            elif key in valued:
-                counts["fallback"] += 1
-            else:
-                read = {site for site, _ in sites[key]} & {"start", "probe", "line search"}
-                assert read or ("forward-backward", True) in sites[key], name
-            counts[kind] += 1
-        assert len(log) == len(set(log)), name  # no (kind, point) twice
-    assert min(counts.values()) >= 10, counts
+        for site, key in reference_log(eager(objective), lo, hi, u0, cfg)[1]:
+            sites.setdefault(key, set()).add(site)
+        evaluated = [key for kind, key in log if kind == "value"]
+        assert len(evaluated) == len(set(evaluated)), name  # no point twice
+        assert set(evaluated) == set(sites), name
+        built = {key for kind, key in log if kind == "gradient"}
+        read = {key for key, where in sites.items() if where - {"forward-backward"}}
+        assert built == read, name
+        for key, where in sites.items():
+            for site in where & set(counts):
+                counts[site] += 1
+            counts["value only"] += where == {"forward-backward"}
+            revisits += {"start", "forward-backward"} <= where
+    assert min(counts.values()) >= 10 and revisits >= 1, (counts, revisits)
 
 
 # -- solve_ocp -------------------------------------------------------------------
@@ -801,7 +859,7 @@ def scripted_loop(monkeypatch, violations):
     prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 14.0, 40.0), (), 50)
     starts = []
 
-    def fake_box_solve(value, value_grad, lower, upper, u0, cfg):
+    def fake_box_solve(objective, lower, upper, u0, cfg):
         starts.append(u0)
         return np.full(50, float(len(starts))), 7, True
 
@@ -901,21 +959,29 @@ def test_use_case_1_window_stays_within_its_evaluation_budget(monkeypatch):
 
 
 def test_use_case_1_window_evaluation_counts(monkeypatch):
-    """The same 10-step window evaluates 1,733 points in full and 822 for
-    their value alone: of the 2,753 full evaluations above, 198 repeated a
-    point already evaluated, and 822 computed a gradient at a
-    forward-backward point that nothing read. The run is deterministic."""
+    """The same 10-step window evaluates 2,555 points and builds 1,546
+    gradients: of the 2,753 evaluations above, 198 repeated a point already
+    evaluated, and 1,009 built a gradient that nothing read. The run is
+    deterministic."""
     from intersim.orchestrator import run_simulation
     from intersim.scenario import load_scenario
 
-    calls = {"value": 0, "value_and_grad": 0}
-    for name in calls:
-        original = getattr(OcpProblem, name)
+    calls = {"evaluations": 0, "gradients": 0}
+    original = OcpProblem.value_and_grad
 
-        def counted(self, u, weight, name=name, original=original):
-            calls[name] += 1
-            return original(self, u, weight)
+    def counted(self, u, weight):
+        calls["evaluations"] += 1
+        value, gradient = original(self, u, weight)
+        built = []
 
-        monkeypatch.setattr(OcpProblem, name, counted)
+        def counted_gradient():
+            if not built:
+                built.append(True)
+                calls["gradients"] += 1
+            return gradient()
+
+        return value, counted_gradient
+
+    monkeypatch.setattr(OcpProblem, "value_and_grad", counted)
     run_simulation(replace(load_scenario("use_case_1"), steps=10), workers=1)
-    assert calls == {"value": 822, "value_and_grad": 1733}
+    assert calls == {"evaluations": 2555, "gradients": 1546}

@@ -241,6 +241,70 @@ def test_bid_separation_enforced_at_load():
     base = use_case_1()
     with pytest.raises(ScenarioError):
         replace(base, bid_params=BidParams(alpha5=5.0))
+    # alpha3*alpha4 = 20 takes the inside bid alpha4 short of the brake-safe
+    # region entry to 7 - 20 = -13: this pair loaded, then stopped mid-run
+    # on a bid that is not positive
+    doc = {
+        "sampling_time_s": 0.1,
+        "horizon": 50,
+        "steps": 40,
+        "bid_params": {"alpha3": 10, "alpha4": 2},
+        "agents": [
+            {"id": 1, "route": {"entry": "N", "exit": "S"},
+             "initial_position_m": [-2.0, 40.0], "initial_speed_mps": 14.0},
+            {"id": 2, "route": {"entry": "W", "exit": "N"},
+             "initial_position_m": [-84.0, -2.0], "initial_speed_mps": 14.0},
+        ],
+    }
+    with pytest.raises(ScenarioError, match=r"^bid_params: .* alpha5 - alpha3\*alpha4=-13.0 <= "):
+        load_scenario(doc)
+
+
+def test_emergency_bid_must_exceed_every_inside_bid():
+    """An agent bids alpha5 + alpha3*(s - s_bsr_in) until it leaves the
+    critical region. With alpha5 = 999,990 and alpha3 = 1 that passes the
+    default emergency bid of 1e6, and use_case_2 ranked its emergency
+    vehicle second from step 49."""
+    from intersim.auction import BidParams
+    from intersim.paths import build_path, compute_regions
+
+    base = use_case_2()
+    reach = max(
+        r.s_cr_out - r.s_bsr_in
+        for r in (compute_regions(build_path(a.route), base.geometry, a.params.v_max, a.params.a_x_min)
+                  for a in base.agents)
+    )
+    top = 999_990.0 + 1.0 * reach
+    with pytest.raises(ScenarioError, match=r"^bid_params\.emergency_bid: 1e\+06 does not exceed"):
+        replace(base, bid_params=BidParams(alpha3=1.0, alpha5=999_990.0))
+    with pytest.raises(ScenarioError, match=r"^bid_params\.emergency_bid: "):
+        replace(base, bid_params=BidParams(alpha3=1.0, alpha5=999_990.0, emergency_bid=top))
+    replace(base, bid_params=BidParams(alpha3=1.0, alpha5=999_990.0, emergency_bid=top + 1.0))
+
+
+@pytest.mark.parametrize(
+    "field, value, least",
+    [("lbfgs_memory", -1, 0), ("max_inner_iterations", 0, 1), ("max_outer_iterations", 0, 1)],
+)
+def test_penalty_counts_are_checked_at_load(field, value, least):
+    # lbfgs_memory -1 loaded, then every run failed at step 0; a 0 in the
+    # iteration caps meant no inner iteration, or one outer round anyway
+    with pytest.raises(ScenarioError, match=rf"^penalty: {field} must be >= {least}$"):
+        load_scenario(spoil(TWO_AGENTS, f"penalty.{field}", value))
+
+
+@pytest.mark.parametrize("field", ["events", "topology_schedule"])
+@pytest.mark.parametrize(
+    "value", [5, None, "ring", {"time_s": 0.5, "agent": 2}], ids=["int", "null", "string", "object"]
+)
+def test_event_and_schedule_fields_must_be_lists(field, value, capsys):
+    from intersim.cli import main
+
+    doc = dict(TWO_AGENTS, **{field: value})
+    with pytest.raises(ScenarioError, match=rf"^{field}: must be a list$"):
+        load_scenario(doc)
+    assert main(["check", "--scenario", json.dumps(doc)]) == 1
+    assert capsys.readouterr().err == f"scenario error: {field}: must be a list\n"
 
 
 @pytest.mark.parametrize(
