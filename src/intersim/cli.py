@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .orchestrator import export_logs, run_simulation
-from .scenario import NAMED_TOPOLOGIES, ScenarioError, load_scenario, parse_topology
+from .scenario import NAMED_TOPOLOGIES, ScenarioError, load_scenario, parse_topology, read_text
 
 
 def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
@@ -46,7 +46,7 @@ def main(argv=None) -> int:
         if args.command == "simulate" and args.topology is not None:
             spec = args.topology
             if spec not in NAMED_TOPOLOGIES:
-                spec = json.loads(Path(spec).read_text())
+                spec = json.loads(read_text(Path(spec)))
             cfg = replace(cfg, topology=parse_topology(spec, "--topology"))
     except (ScenarioError, OSError, json.JSONDecodeError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

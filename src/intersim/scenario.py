@@ -30,30 +30,22 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class EventSpec:
+    """One scheduled event; ScenarioConfig checks it, at its list index."""
+
     time_s: float
     agent: int
     kind: str = "emergency_on"
 
-    def __post_init__(self):
-        if self.kind != "emergency_on":
-            raise ScenarioError(f"events[].kind: unknown kind {self.kind!r}")
-        if self.time_s < 0:
-            raise ScenarioError("events[].time_s: must be >= 0")
-
 
 @dataclass(frozen=True)
 class AgentConfig:
+    """One vehicle; ScenarioConfig checks it, at its list index."""
+
     agent_id: int
     route: RouteSpec
     initial_position: tuple[float, float]
     initial_speed: float
     params: AgentParams
-
-    def __post_init__(self):
-        if self.agent_id < 1:
-            raise ScenarioError("agents[].id: must be a positive integer")
-        if self.initial_speed < 0:
-            raise ScenarioError("agents[].initial_speed: must be >= 0")
 
     @cached_property
     def start(self) -> tuple[float, float]:
@@ -86,12 +78,24 @@ class ScenarioConfig:
             raise ScenarioError("steps: must be >= 1")
         if not self.agents:
             raise ScenarioError("agents: list must not be empty")
-        ids = [a.agent_id for a in self.agents]
-        if len(set(ids)) != len(ids):
-            raise ScenarioError("agents[].id: ids must be unique")
-        for ev in self.events:
+        ids: dict[int, int] = {}  # agent id -> list index
+        for pos, a in enumerate(self.agents):
+            if a.agent_id < 1:
+                raise ScenarioError(f"agents[{pos}].id: must be a positive integer")
+            if a.agent_id in ids:
+                raise ScenarioError(
+                    f"agents[{pos}].id: {a.agent_id} is already the id of agents[{ids[a.agent_id]}]"
+                )
+            if a.initial_speed < 0:
+                raise ScenarioError(f"agents[{pos}].initial_speed: must be >= 0")
+            ids[a.agent_id] = pos
+        for k, ev in enumerate(self.events):
+            if ev.kind != "emergency_on":
+                raise ScenarioError(f"events[{k}].kind: unknown kind {ev.kind!r}")
+            if ev.time_s < 0:
+                raise ScenarioError(f"events[{k}].time_s: must be >= 0")
             if ev.agent not in ids:
-                raise ScenarioError(f"events[].agent: unknown agent {ev.agent}")
+                raise ScenarioError(f"events[{k}].agent: unknown agent {ev.agent}")
         try:
             self.bid_params.check_separation(max(a.params.v_max for a in self.agents))
         except ValueError as exc:
@@ -353,6 +357,15 @@ def _parse_document(doc: dict) -> ScenarioConfig:
     )
 
 
+def read_text(path: Path) -> str:
+    """The UTF-8 text of a scenario or topology file; text that is not UTF-8
+    is a ScenarioError naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _parse_json(text: str) -> ScenarioConfig:
     try:
         doc = json.loads(text)
@@ -366,7 +379,7 @@ def load_scenario(source: str | Path | dict) -> ScenarioConfig:
     if isinstance(source, dict):
         return _parse_document(source)
     if isinstance(source, Path):
-        return _parse_json(source.read_text())
+        return _parse_json(read_text(source))
     if source == "use_case_1":
         return use_case_1()
     if source == "use_case_2":
@@ -378,5 +391,5 @@ def load_scenario(source: str | Path | dict) -> ScenarioConfig:
         return _parse_json(text)
     candidate = Path(source)
     if candidate.exists():
-        return _parse_json(candidate.read_text())
+        return _parse_json(read_text(candidate))
     raise ScenarioError(f"unknown scenario source {source!r} (not a preset, file, or JSON)")

@@ -221,6 +221,56 @@ def test_scenario_field_errors_name_their_path():
         load_scenario(spoil(TWO_AGENTS, "agents[0].route", "N-S"))
 
 
+LISTED_ERRORS = [
+    (dict(TWO_AGENTS, events=[{"time_s": 0.5, "agent": 1}, {"time_s": 1.0, "agent": 2, "kind": "brake"}]),
+     r"events\[1\]\.kind: unknown kind 'brake'"),
+    (dict(TWO_AGENTS, events=[{"time_s": 0.5, "agent": 1}, {"time_s": -1.0, "agent": 2}]),
+     r"events\[1\]\.time_s: must be >= 0"),
+    (dict(TWO_AGENTS, events=[{"time_s": 0.5, "agent": 1}, {"time_s": 0.5, "agent": 9}]),
+     r"events\[1\]\.agent: unknown agent 9"),
+    (spoil(TWO_AGENTS, "agents[1].id", 1), r"agents\[1\]\.id: 1 is already the id of agents\[0\]"),
+    (spoil(TWO_AGENTS, "agents[1].id", 0), r"agents\[1\]\.id: must be a positive integer"),
+    (spoil(TWO_AGENTS, "agents[1].initial_speed_mps", -1.0), r"agents\[1\]\.initial_speed: must be >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, message", LISTED_ERRORS,
+    ids=["event kind", "event time", "event agent", "repeated id", "id below 1", "negative speed"],
+)
+def test_list_entry_errors_name_their_index(doc, message):
+    with pytest.raises(ScenarioError, match=rf"^{message}$"):
+        load_scenario(doc)
+
+
+NOT_UTF8 = b"\xff\xfe{\x00}\x00"  # a UTF-16 byte-order mark and "{}"
+
+
+def test_file_that_is_not_utf8_is_a_scenario_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    for source in (bad, str(bad)):
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(str(bad))}: not UTF-8 text"):
+            load_scenario(source)
+
+
+def test_cli_reports_a_file_that_is_not_utf8(tmp_path, capsys):
+    from intersim.cli import main
+
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    good = tmp_path / "two.json"
+    good.write_text(json.dumps(TWO_AGENTS))
+    runs = (
+        ["check", "--scenario", str(bad)],
+        ["simulate", "--scenario", str(good), "--out", str(tmp_path / "out"), "--topology", str(bad)],
+    )
+    for argv in runs:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"scenario error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_duplicate_ids_rejected():
     base = use_case_1()
     dup = (base.agents[0], base.agents[0])
