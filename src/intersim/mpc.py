@@ -74,6 +74,10 @@ class SolverReport:
     wall_ms: float
     converged: bool
     violation_history: tuple[float, ...]
+    # the full-throttle second start: "not_run" (the warm solution needs
+    # none), "unreachable" (skipped: no speed-limited input reaches the
+    # crossing side), "won", "lost_feasible" or "lost_infeasible"
+    second_start: str
 
 
 def preview_residual(s_n: float, s_cr_out: float, s_stop: float) -> float:
@@ -497,6 +501,24 @@ def _tracking_objective(problem: OcpProblem, u: np.ndarray) -> float:
     return problem._tracking(u, problem.states(u)[:, 1] - problem.params.v_ref)
 
 
+def _reach_bound(model: DiscreteModel, params: AgentParams, state: AgentState, tol: float, horizon: int) -> float:
+    """An upper bound on the horizon-end coordinate s_N over every input in
+    [a_x_min, a_x_max] whose predicted speeds v_1..v_N stay within
+    v_max + tol, as a converged solve's do.
+
+    The exact sampled model splits each step's advance into the trapezoid
+    t_s(v_j + v_{j+1})/2 plus k_a·a_j + k_u·u_j, and |a_j| never exceeds
+    max(|a_0|, max|u|), since a_j mixes a_0 with earlier inputs."""
+    t_s = model.t_s
+    k_a = model.a_d[2, 0] - t_s * model.a_d[1, 0] / 2.0
+    k_u = model.b_d[2] - t_s * model.b_d[1] / 2.0
+    u_cap = max(-params.a_x_min, params.a_x_max)
+    a_cap = max(abs(state.a_x), u_cap)
+    v_cap = params.v_max + tol
+    speed = t_s * (state.v + v_cap) / 2.0 + t_s * (horizon - 1) * v_cap
+    return state.s + speed + horizon * (abs(k_a) * a_cap + abs(k_u) * u_cap)
+
+
 def _penalty_loop(
     problem: OcpProblem, u0: np.ndarray, cfg: PenaltyConfig, incumbent: _Candidate | None = None
 ) -> _Candidate:
@@ -565,20 +587,25 @@ def solve_ocp(
     warm solution does not already clear the critical region: the preview
     hinge product creates a stop-before-the-line basin that a single local
     solve cannot leave once captured, and the second start restores the
-    crossing branch as soon as it is reachable. Both candidates run the
-    escalating-weight loop, the second one with the warm candidate as its
-    incumbent, so it stops once it stalls behind a feasible warm solve; a
-    feasible candidate beats an infeasible one, feasible ties go to the
+    crossing branch as soon as it is reachable. It is skipped when no input
+    whose speeds stay within the tolerated v_max can carry the horizon end
+    to the crossing side of the hinge (`_reach_bound`): from there it could
+    only polish another stop-before-the-line solution. Both candidates run
+    the escalating-weight loop, the second one with the warm candidate as
+    its incumbent, so it stops once it stalls behind a feasible warm solve;
+    a feasible candidate beats an infeasible one, feasible ties go to the
     lower tracking cost, infeasible ties to the lower violation.
     """
     t_start = time.perf_counter()
     problem = OcpProblem(model, params, path, regions, margins, state, neighbours, horizon)
     u0 = np.zeros(horizon) if warm is None else np.asarray(warm, dtype=float)
+    tol = cfg.constraint_tolerance
 
     chosen = _penalty_loop(problem, u0, cfg)
     inner_total = chosen.inner
     outer_total = chosen.outer
     s_end = float(problem.states(chosen.u)[-1, 2])
+    second_start = "not_run"
     # the second start matters only when the stop-before-the-line branch is
     # binding: the horizon end sits near or past the stop line yet short of
     # the critical-region exit
@@ -586,16 +613,23 @@ def solve_ocp(
         state.s < regions.s_cr_out
         and regions.s_stop - 2.0 <= s_end < regions.s_cr_out - 1e-9
     ):
-        go = _penalty_loop(problem, np.full(horizon, params.a_x_max), cfg, incumbent=chosen)
-        inner_total += go.inner
-        outer_total = max(outer_total, go.outer)
-        tol = cfg.constraint_tolerance
+        # the hinge (s_cr_out - s_N)(s_N - s_stop) stays within tol on the
+        # crossing side from s_cr_out - slack on
+        span = regions.s_cr_out - regions.s_stop
+        slack = (span - math.sqrt(max(span * span - 4.0 * tol, 0.0))) / 2.0
+        second_start = "unreachable"
+        if _reach_bound(model, params, state, tol, horizon) >= regions.s_cr_out - slack:
+            go = _penalty_loop(problem, np.full(horizon, params.a_x_max), cfg, incumbent=chosen)
+            inner_total += go.inner
+            outer_total = max(outer_total, go.outer)
 
-        def rank(c: _Candidate):
-            return (c.violation > tol, c.tracking if c.violation <= tol else c.violation)
+            def rank(c: _Candidate):
+                return (c.violation > tol, c.tracking if c.violation <= tol else c.violation)
 
-        if rank(go) < rank(chosen):
-            chosen = go
+            if rank(go) < rank(chosen):
+                chosen, second_start = go, "won"
+            else:
+                second_start = "lost_feasible" if go.violation <= tol else "lost_infeasible"
 
     u = chosen.u
     _, v, s = rollout(model, state, u).T
@@ -605,7 +639,8 @@ def solve_ocp(
         inner_iterations=inner_total,
         max_violation=chosen.violation,
         wall_ms=(time.perf_counter() - t_start) * 1e3,
-        converged=chosen.violation <= cfg.constraint_tolerance,
+        converged=chosen.violation <= tol,
         violation_history=chosen.history,
+        second_start=second_start,
     )
     return u, broadcast, report

@@ -9,6 +9,8 @@ from dataclasses import replace
 import box_solve_reference
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from intersim import mpc
 from intersim.dynamics import AgentParams, AgentState, discretize, rollout
@@ -935,6 +937,101 @@ def test_second_start_gets_the_warm_candidate_as_incumbent(monkeypatch):
     assert calls[2] is calls[1]  # the warm start's candidate
 
 
+# -- reach of the second start ------------------------------------------------------
+
+
+def reach_optimum(model, params, state, tol, horizon):
+    """The LP oracle: max s_N over inputs in [a_x_min, a_x_max] whose speeds
+    v_1..v_N stay within v_max + tol; None when no input keeps them there."""
+    from scipy.optimize import linprog
+
+    f_mat, g_mat, _ = mpc._sensitivities(model.a_d.tobytes(), model.b_d.tobytes(), horizon)
+    base = f_mat @ state.as_array()
+    res = linprog(
+        -g_mat[horizon, 2],
+        A_ub=g_mat[1:, 1],
+        b_ub=params.v_max + tol - base[1:, 1],
+        bounds=(params.a_x_min, params.a_x_max),
+        method="highs",
+    )
+    if res.status == 2:  # infeasible: the start is too fast to brake under the cap
+        return None
+    assert res.status == 0, res.message
+    return float(base[horizon, 2] - res.fun)
+
+
+@st.composite
+def reach_cases(draw):
+    floats = lambda lo, hi: draw(st.floats(lo, hi, allow_nan=False))  # noqa: E731
+    t_ax, t_s = floats(0.05, 2.0), floats(0.02, 0.5)
+    params = replace(
+        PARAMS, t_ax=t_ax, a_x_min=floats(-12.0, -0.5), a_x_max=floats(0.5, 8.0), v_max=floats(1.0, 40.0)
+    )
+    state = AgentState(
+        floats(1.5 * params.a_x_min, 1.5 * params.a_x_max),
+        floats(0.0, 1.1 * params.v_max),
+        floats(-50.0, 200.0),
+    )
+    return discretize(t_ax, t_s), params, state, floats(1e-4, 0.5), draw(st.integers(1, 60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reach_cases())
+def test_reach_bound_is_never_below_the_lp_optimum(case):
+    model, params, state, tol, horizon = case
+    best = reach_optimum(model, params, state, tol, horizon)
+    assume(best is not None)
+    bound = mpc._reach_bound(model, params, state, tol, horizon)
+    assert bound >= best - 1e-7 * (1.0 + abs(best))
+
+
+def test_reach_bound_is_tight_at_the_speed_cap():
+    """Cruising at the cap, u = 0 holds v_j = v_max + tol and reaches
+    s_0 + N·t_s·(v_max + tol), so the bound exceeds the optimum by at most its
+    acceleration terms (0.16 m on this model)."""
+    tol = CFG.constraint_tolerance
+    state = AgentState(0.0, PARAMS.v_max + tol, 11.2)
+    bound = mpc._reach_bound(MODEL, PARAMS, state, tol, 50)
+    best = reach_optimum(MODEL, PARAMS, state, tol, 50)
+    cruise = state.s + 50 * MODEL.t_s * (PARAMS.v_max + tol)
+    assert best == pytest.approx(cruise, abs=1e-9)
+    assert best <= bound <= best + 0.17
+
+
+def test_no_second_start_where_the_crossing_side_is_out_of_reach(monkeypatch):
+    """A use_case_1-like approach, 79 m short of the critical-region exit at
+    14 m/s: the warm solve ends at the stop line, and no input that keeps
+    v <= v_max carries the horizon end past the exit, so the full-throttle
+    start could only polish another stop-before-the-line solution."""
+    path, bounds = make_env()
+    starts = []
+    original = mpc._penalty_loop
+
+    def spy(problem, u0, cfg, incumbent=None):
+        starts.append(u0)
+        return original(problem, u0, cfg, incumbent=incumbent)
+
+    monkeypatch.setattr(mpc, "_penalty_loop", spy)
+    state = AgentState(0.0, 13.99, 11.2)
+    u, _, report = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+    s_end = rollout(MODEL, state, u)[-1, 2]
+    # the warm solution sits where the second start used to run
+    assert bounds.s_stop - 2.0 <= s_end < bounds.s_cr_out
+    assert len(starts) == 1
+    assert report.second_start == "unreachable" and report.converged
+
+
+def test_second_start_outcome_is_reported():
+    path, bounds = make_env(approach=300.0)
+    _, _, cruise = solve_ocp(AgentState(0.0, 14.0, 2.0), (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+    assert cruise.second_start == "not_run"
+    path, bounds = make_env()
+    parked = PredictedTrajectory(np.full(51, -2.0), np.zeros(51), np.full(51, math.pi),
+                                 np.zeros(51), 5.0, 2.0)
+    _, _, blocked = solve_ocp(AgentState(0.0, 10.0, 40.0), (parked,), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+    assert blocked.second_start in ("won", "lost_feasible", "lost_infeasible")
+
+
 # -- evaluation budget ---------------------------------------------------------------
 
 
@@ -959,9 +1056,12 @@ def test_use_case_1_window_stays_within_its_evaluation_budget(monkeypatch):
 
 
 def test_use_case_1_window_evaluation_counts(monkeypatch):
-    """The same 10-step window evaluates 2,555 points and builds 1,546
-    gradients: of the 2,753 evaluations above, 198 repeated a point already
-    evaluated, and 1,009 built a gradient that nothing read. The run is
+    """The same 10-step window evaluates 767 points and builds 486 gradients.
+    It evaluated 2,555 points and built 1,546 gradients while the
+    full-throttle second start ran 26 times here: of the 2,753 evaluations
+    above, 198 had repeated a point already evaluated, and 1,009 had built a
+    gradient that nothing read. Since a second start runs only where the
+    crossing side is reachable under v_max, it runs once. The run is
     deterministic."""
     from intersim.orchestrator import run_simulation
     from intersim.scenario import load_scenario
@@ -984,4 +1084,26 @@ def test_use_case_1_window_evaluation_counts(monkeypatch):
 
     monkeypatch.setattr(OcpProblem, "value_and_grad", counted)
     run_simulation(replace(load_scenario("use_case_1"), steps=10), workers=1)
-    assert calls == {"evaluations": 2555, "gradients": 1546}
+    assert calls == {"evaluations": 767, "gradients": 486}
+
+
+def test_use_case_1_window_second_start_tally(monkeypatch):
+    """The 10-step window's 40 solves: 26 warm solutions end between the stop
+    line and the critical-region exit, and in 25 of them the crossing side
+    lies beyond what v_max allows. The run is deterministic."""
+    from collections import Counter
+
+    from intersim import orchestrator
+    from intersim.scenario import load_scenario
+
+    tally = Counter()
+    original = orchestrator.solve_ocp
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        tally[result[2].second_start] += 1
+        return result
+
+    monkeypatch.setattr(orchestrator, "solve_ocp", counted)
+    orchestrator.run_simulation(replace(load_scenario("use_case_1"), steps=10), workers=1)
+    assert tally == {"not_run": 14, "unreachable": 25, "lost_infeasible": 1}
