@@ -501,10 +501,12 @@ def _tracking_objective(problem: OcpProblem, u: np.ndarray) -> float:
     return problem._tracking(u, problem.states(u)[:, 1] - problem.params.v_ref)
 
 
-def _reach_bound(model: DiscreteModel, params: AgentParams, state: AgentState, tol: float, horizon: int) -> float:
+def _reach_bound(
+    model: DiscreteModel, params: AgentParams, state: AgentState, tol: float, horizon: int
+) -> float:
     """An upper bound on the horizon-end coordinate s_N over every input in
     [a_x_min, a_x_max] whose predicted speeds v_1..v_N stay within
-    v_max + tol, as a converged solve's do.
+    v_max + tol, as those of a converged solve do.
 
     The exact sampled model splits each step's advance into the trapezoid
     t_s(v_j + v_{j+1})/2 plus k_a·a_j + k_u·u_j, and |a_j| never exceeds

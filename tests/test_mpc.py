@@ -962,7 +962,9 @@ def reach_optimum(model, params, state, tol, horizon):
 
 @st.composite
 def reach_cases(draw):
-    floats = lambda lo, hi: draw(st.floats(lo, hi, allow_nan=False))  # noqa: E731
+    def floats(lo, hi):
+        return draw(st.floats(lo, hi))
+
     t_ax, t_s = floats(0.05, 2.0), floats(0.02, 0.5)
     params = replace(
         PARAMS, t_ax=t_ax, a_x_min=floats(-12.0, -0.5), a_x_max=floats(0.5, 8.0), v_max=floats(1.0, 40.0)
@@ -1028,7 +1030,8 @@ def test_second_start_outcome_is_reported():
     path, bounds = make_env()
     parked = PredictedTrajectory(np.full(51, -2.0), np.zeros(51), np.full(51, math.pi),
                                  np.zeros(51), 5.0, 2.0)
-    _, _, blocked = solve_ocp(AgentState(0.0, 10.0, 40.0), (parked,), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+    state = AgentState(0.0, 10.0, 40.0)
+    _, _, blocked = solve_ocp(state, (parked,), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
     assert blocked.second_start in ("won", "lost_feasible", "lost_infeasible")
 
 

@@ -267,7 +267,8 @@ def test_cli_reports_a_file_that_is_not_utf8(tmp_path, capsys):
     )
     for argv in runs:
         assert main(argv) == 1
-        assert capsys.readouterr().err == f"scenario error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+        err = capsys.readouterr().err
+        assert err == f"scenario error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
     assert not (tmp_path / "out").exists()
 
 
