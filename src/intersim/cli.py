@@ -9,6 +9,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .orchestrator import export_logs, run_simulation
 from .scenario import NAMED_TOPOLOGIES, ScenarioError, load_scenario, parse_topology, read_text
 
@@ -66,7 +68,22 @@ def main(argv=None) -> int:
     print(f"steps={cfg.steps} agents={len(cfg.agents)} overlap_violations={violations}")
     if sim_log.speed_clamps:
         print(f"speed clamps: {len(sim_log.speed_clamps)}")
+    print(_summary(cfg, sim_log, timing))
     return 0 if violations == 0 else 1
+
+
+def _summary(cfg, sim_log, timing) -> str:
+    """One line on the run: step time against the per-step budget, and the
+    solves whose best violation exceeds the constraint tolerance."""
+    p50, p95 = np.percentile([row.total_ms for row in timing.rows], [50, 95])
+    over = sum(not row.within_budget for row in timing.rows)
+    histories = sim_log.solver_violation_histories
+    tol = cfg.penalty.constraint_tolerance
+    unconverged = sum(min(history) > tol for history in histories)
+    return (
+        f"total_ms p50={p50:.1f} p95={p95:.1f}; steps over the {1000.0 * cfg.t_s:g} ms budget: "
+        f"{over} of {len(timing.rows)}; unconverged solves: {unconverged} of {len(histories)}"
+    )
 
 
 if __name__ == "__main__":

@@ -78,6 +78,9 @@ class SolverReport:
     # none), "unreachable" (skipped: no speed-limited input reaches the
     # crossing side), "won", "lost_feasible" or "lost_infeasible"
     second_start: str
+    # objective evaluations and gradient builds over every start
+    evaluations: int
+    gradients: int
 
 
 def preview_residual(s_n: float, s_cr_out: float, s_stop: float) -> float:
@@ -123,6 +126,11 @@ class OcpProblem:
     `value_and_grad` evaluates the penalty objective and returns a function
     that builds the gradient from that evaluation's intermediates, so a
     caller that reads only the value pays for the value alone.
+
+    `stop_line`, when set, is the pair (c, d) of the linear constraint
+    c @ u <= d that holds the horizon end at or before the stop line. It
+    replaces the preview hinge in the objective, and the solver projects
+    onto it instead; residual_stack still reports the hinge.
     """
 
     ENFORCE_BACKOFF = 0.015
@@ -173,6 +181,7 @@ class OcpProblem:
         self._ox, self._oy, self._opsi, self._ov = poses.take(shift, axis=2)
         self._oa = extents[:, :1] / 2.0
         self._ob = extents[:, 1:] / 2.0
+        self.stop_line: tuple[np.ndarray, float] | None = None
 
     # -- state prediction -------------------------------------------------
 
@@ -275,11 +284,13 @@ class OcpProblem:
             for sq in total(ca**2, axis=1).tolist():
                 value += weight * sq
 
-        s_n = float(s[n])
-        h1 = max(0.0, self.regions.s_cr_out - s_n)
-        h2 = max(0.0, s_n - self.regions.s_stop)
-        r_prev = h1 * h2
-        value += weight * r_prev * r_prev
+        hinge = self.stop_line is None
+        if hinge:
+            s_n = float(s[n])
+            h1 = max(0.0, self.regions.s_cr_out - s_n)
+            h2 = max(0.0, s_n - self.regions.s_stop)
+            r_prev = h1 * h2
+            value += weight * r_prev * r_prev
 
         grad = None
 
@@ -310,8 +321,9 @@ class OcpProblem:
                     adj[1:, 2] += row_s
                     adj[1:, 1] += row_v
 
-            d_prev = -float(h1 > 0) * h2 + h1 * float(h2 > 0)
-            adj[n, 2] += weight * 2.0 * r_prev * d_prev
+            if hinge:
+                d_prev = -float(h1 > 0) * h2 + h1 * float(h2 > 0)
+                adj[n, 2] += weight * 2.0 * r_prev * d_prev
             # the (1, 3(N+1)) x (3(N+1), N) product that tensordot(adj, g_mat) performs
             grad = 2.0 * p.r * u + np.dot(adj.reshape(1, -1), self._g_flat).reshape(n)
             return grad
@@ -357,18 +369,52 @@ def _lbfgs_direction(pairs: deque, r: np.ndarray) -> np.ndarray:
     return q
 
 
+def _project_box_halfspace(
+    z: np.ndarray, lower: float, upper: float, c: np.ndarray, d: float
+) -> np.ndarray:
+    """The Euclidean projection of z onto the box [lower, upper]^n cut by
+    the halfspace c @ p <= d, for c >= 0 and c @ lower <= d (a nonempty set).
+
+    Where clip(z) meets the halfspace it is the projection, returned as is.
+    Otherwise the projection is clip(z - mu*c) with c @ clip(z - mu*c) = d
+    for some mu > 0. That function of mu falls piecewise linearly, with a
+    kink wherever a coordinate reaches a bound, so it is evaluated at every
+    kink and mu is interpolated on the segment whose ends bracket d."""
+    p = np.minimum(np.maximum(lower, z), upper)
+    phi = float(c @ p)
+    if phi <= d:
+        return p
+    on = c > 0
+    kinks = np.sort(np.concatenate(((z[on] - upper) / c[on], (z[on] - lower) / c[on])))
+    kinks = kinks[kinks > 0.0]
+    at = np.minimum(np.maximum(lower, z - kinks[:, None] * c), upper) @ c
+    past = np.flatnonzero(at <= d)
+    if not past.size:
+        # every coordinate with c > 0 at lower meets the halfspace but for
+        # the rounding of the sums
+        return np.where(on, lower, p)
+    k = int(past[0])
+    lo, phi_lo = (float(kinks[k - 1]), float(at[k - 1])) if k else (0.0, phi)
+    mu = lo + (float(kinks[k]) - lo) * (phi_lo - d) / (phi_lo - float(at[k]))
+    return np.minimum(np.maximum(lower, z - mu * c), upper)
+
+
 def box_solve(
     objective,
     lower: float,
     upper: float,
     u0: np.ndarray,
     cfg: PenaltyConfig,
+    halfspace: tuple[np.ndarray, float] | None = None,
 ) -> tuple[np.ndarray, int, bool]:
-    """Find a box-stationary point of a smooth objective.
+    """Find a stationary point of a smooth objective over the box
+    [lower, upper]^n, cut by the halfspace (c, d), c @ u <= d, when given.
 
     Forward-backward (projected-gradient) iterations accelerated by an
     L-BFGS direction on the fixed-point residual, with a line search on the
-    forward-backward envelope and a pure projected step as fallback.
+    forward-backward envelope and a pure projected step as fallback
+    (PANOC). Only the projection knows the feasible set: without a
+    halfspace it is a clip, with one `_project_box_halfspace`.
     Stops when the projected-gradient displacement falls below the inner
     tolerance. Returns (u, iterations, converged).
 
@@ -382,13 +428,15 @@ def box_solve(
     forward-backward step can land back on a start at a corner of the box.
     """
 
-    def clip(z):
-        return np.minimum(np.maximum(lower, z), upper)
+    def project(z):
+        if halfspace is None:
+            return np.minimum(np.maximum(lower, z), upper)
+        return _project_box_halfspace(z, lower, upper, *halfspace)
 
     def norm(z):
         return math.sqrt(z.dot(z))  # np.linalg.norm of a real vector
 
-    u = clip(np.asarray(u0, dtype=float))
+    u = project(np.asarray(u0, dtype=float))
     f, gradient = objective(u)
     g = gradient()
     # point bytes -> (value, gradient builder) of the start point, and in
@@ -415,12 +463,12 @@ def box_solve(
 
     converged = False
     iterations = 0
-    t = clip(u - gamma * g)
+    t = project(u - gamma * g)
     while iterations < cfg.max_inner_iterations:
         iterations += 1
         r = u - t
         if float(np.max(np.abs(r))) <= cfg.inner_tolerance:
-            u = t  # return the projected point so the box holds exactly
+            u = t  # return the projected point, which meets the constraints
             converged = True
             break
         known = dict(start)
@@ -433,7 +481,7 @@ def box_solve(
             lip *= 2.0
             gamma = 0.95 / lip
             pairs.clear()
-            t = clip(u - gamma * g)
+            t = project(u - gamma * g)
             r = u - t
             f_t, gradient_t = evaluate(t)
         fbe = f - float(g @ r) + float(r @ r) / (2.0 * gamma)
@@ -448,7 +496,7 @@ def box_solve(
             u_c = u + tau * d + (1.0 - tau) * step_fb
             f_c, gradient_c = evaluate(u_c)
             g_c = gradient_c()
-            t_c = clip(u_c - gamma * g_c)
+            t_c = project(u_c - gamma * g_c)
             r_c = u_c - t_c
             fbe_c = f_c - float(g_c @ r_c) + float(r_c @ r_c) / (2.0 * gamma)
             if fbe_c <= fbe - 1e-4 * float(r @ r) / gamma:
@@ -459,7 +507,7 @@ def box_solve(
             u_new, f_new, g_new, t_new = u_c, f_c, g_c, t_c
         else:
             f_new, g_new = f_t, gradient_t()
-            u_new, t_new = t, clip(t - gamma * g_new)
+            u_new, t_new = t, project(t - gamma * g_new)
         s_i = u_new - u
         y_i = (u_new - t_new) - r
         sy = float(s_i @ y_i)
@@ -467,7 +515,7 @@ def box_solve(
             pairs.append((s_i, y_i, 1.0 / sy))
         u, f, g, t = u_new, f_new, g_new, t_new
 
-    return clip(u), iterations, converged
+    return project(u), iterations, converged
 
 
 def initial_broadcast(
@@ -492,6 +540,8 @@ class _Candidate:
     tracking: float
     outer: int
     inner: int
+    evaluations: int
+    gradients: int
     history: tuple[float, ...]
 
 
@@ -541,6 +591,22 @@ def _penalty_loop(
     stall = math.sqrt(cfg.multiplier)
     weight = cfg.initial_weight
     inner_total = 0
+    counts = [0, 0]  # evaluations, gradient builds
+
+    def objective(z):
+        counts[0] += 1
+        value, gradient = problem.value_and_grad(z, weight)
+        built = None
+
+        def counted_gradient():
+            nonlocal built
+            if built is None:
+                counts[1] += 1
+                built = gradient()
+            return built
+
+        return value, counted_gradient
+
     u = u0
     history: list[float] = []
     best: tuple[float, float, np.ndarray] | None = None
@@ -552,7 +618,7 @@ def _penalty_loop(
         scaled = replace(
             cfg, inner_tolerance=cfg.inner_tolerance * math.sqrt(cfg.initial_weight / weight)
         )
-        u, iters, _ = box_solve(lambda w_: problem.value_and_grad(w_, weight), lo, hi, u, scaled)
+        u, iters, _ = box_solve(objective, lo, hi, u, scaled, halfspace=problem.stop_line)
         inner_total += iters
         stack = problem.residual_stack(u)
         violation = float(np.max(stack)) if stack.size else 0.0
@@ -566,7 +632,7 @@ def _penalty_loop(
             break
         weight *= cfg.multiplier
     violation, tracking, u = best
-    return _Candidate(u, violation, tracking, outer, inner_total, tuple(history))
+    return _Candidate(u, violation, tracking, outer, inner_total, *counts, tuple(history))
 
 
 def solve_ocp(
@@ -589,41 +655,61 @@ def solve_ocp(
     warm solution does not already clear the critical region: the preview
     hinge product creates a stop-before-the-line basin that a single local
     solve cannot leave once captured, and the second start restores the
-    crossing branch as soon as it is reachable. It is skipped when no input
-    whose speeds stay within the tolerated v_max can carry the horizon end
-    to the crossing side of the hinge (`_reach_bound`): from there it could
-    only polish another stop-before-the-line solution. Both candidates run
-    the escalating-weight loop, the second one with the warm candidate as
-    its incumbent, so it stops once it stalls behind a feasible warm solve;
-    a feasible candidate beats an infeasible one, feasible ties go to the
+    crossing branch as soon as it is reachable. Both candidates run the
+    escalating-weight loop, the second one with the warm candidate as its
+    incumbent, so it stops once it stalls behind a feasible warm solve; a
+    feasible candidate beats an infeasible one, feasible ties go to the
     lower tracking cost, infeasible ties to the lower violation.
+
+    Where no input whose speeds stay within the tolerated v_max can carry
+    the horizon end to the crossing side of the hinge (`_reach_bound`), the
+    hinge can be met on the stop side alone, and no second start runs.
+    There, when braking throughout keeps the horizon end at or before the
+    stop line, the hinge becomes the linear constraint s_N <= s_stop, which
+    box_solve projects onto in place of a penalty that needs several weight
+    rounds. It is stricter than the tolerated hinge by at most the slack
+    below.
     """
     t_start = time.perf_counter()
     problem = OcpProblem(model, params, path, regions, margins, state, neighbours, horizon)
     u0 = np.zeros(horizon) if warm is None else np.asarray(warm, dtype=float)
     tol = cfg.constraint_tolerance
+    # the hinge (s_cr_out - s_N)(s_N - s_stop) stays within tol on the
+    # crossing side from s_cr_out - slack on
+    span = regions.s_cr_out - regions.s_stop
+    slack = (span - math.sqrt(max(span * span - 4.0 * tol, 0.0))) / 2.0
+    out_of_reach = (
+        state.s < regions.s_cr_out
+        and _reach_bound(model, params, state, tol, horizon) < regions.s_cr_out - slack
+    )
+    if out_of_reach:
+        # s_N = base_N + c @ u, and every entry of c is >= 0, so the box
+        # meets c @ u <= d exactly when u = a_x_min throughout does
+        c = problem.g_mat[horizon, 2]
+        d = regions.s_stop - float(problem.base[horizon, 2])
+        if float(c @ np.full(horizon, params.a_x_min)) <= d:
+            problem.stop_line = (c, d)
 
     chosen = _penalty_loop(problem, u0, cfg)
-    inner_total = chosen.inner
-    outer_total = chosen.outer
+    inner_total, outer_total = chosen.inner, chosen.outer
+    evaluations, gradients = chosen.evaluations, chosen.gradients
     s_end = float(problem.states(chosen.u)[-1, 2])
-    second_start = "not_run"
+    second_start = "unreachable" if problem.stop_line is not None else "not_run"
     # the second start matters only when the stop-before-the-line branch is
     # binding: the horizon end sits near or past the stop line yet short of
     # the critical-region exit
     if (
-        state.s < regions.s_cr_out
+        problem.stop_line is None
+        and state.s < regions.s_cr_out
         and regions.s_stop - 2.0 <= s_end < regions.s_cr_out - 1e-9
     ):
-        # the hinge (s_cr_out - s_N)(s_N - s_stop) stays within tol on the
-        # crossing side from s_cr_out - slack on
-        span = regions.s_cr_out - regions.s_stop
-        slack = (span - math.sqrt(max(span * span - 4.0 * tol, 0.0))) / 2.0
         second_start = "unreachable"
-        if _reach_bound(model, params, state, tol, horizon) >= regions.s_cr_out - slack:
+        if not out_of_reach:
             go = _penalty_loop(problem, np.full(horizon, params.a_x_max), cfg, incumbent=chosen)
             inner_total += go.inner
             outer_total = max(outer_total, go.outer)
+            evaluations += go.evaluations
+            gradients += go.gradients
 
             def rank(c: _Candidate):
                 return (c.violation > tol, c.tracking if c.violation <= tol else c.violation)
@@ -644,5 +730,7 @@ def solve_ocp(
         converged=chosen.violation <= tol,
         violation_history=chosen.history,
         second_start=second_start,
+        evaluations=evaluations,
+        gradients=gradients,
     )
     return u, broadcast, report

@@ -218,9 +218,12 @@ def run_simulation(
     def paths_do_conflict(i: int, l: int) -> bool:
         return conflict_lookup[(min(i, l), max(i, l))]
 
+    # an event applies from the first step at or after its time; the guard
+    # keeps a time on a step boundary on that step where the quotient rounds
+    # up, as 0.14 s / 0.02 s = 7.000000000000001 does
     events_by_step: dict[int, list] = {}
     for ev in cfg.events:
-        events_by_step.setdefault(int(round(ev.time_s / cfg.t_s)), []).append(ev)
+        events_by_step.setdefault(math.ceil(ev.time_s / cfg.t_s - 1e-9), []).append(ev)
 
     sim_log = SimulationLog()
     timing = TimingReport()

@@ -532,9 +532,9 @@ def eager(objective):
     return value_grad
 
 
-def solve_box(value_grad, lower, upper, u0, cfg):
+def solve_box(value_grad, lower, upper, u0, cfg, halfspace=None):
     """box_solve on an objective given as its value_grad."""
-    return box_solve(lazy(value_grad), lower, upper, u0, cfg)
+    return box_solve(lazy(value_grad), lower, upper, u0, cfg, halfspace)
 
 
 def test_interior_quadratic():
@@ -739,6 +739,62 @@ def test_box_solve_evaluates_each_point_once_and_gradients_where_read():
     assert min(counts.values()) >= 10 and revisits >= 1, (counts, revisits)
 
 
+# -- box_solve with a halfspace ----------------------------------------------------
+
+
+@st.composite
+def halfspace_cases(draw):
+    """z, a box, c >= 0 with some zero entries, and d with c @ lower <= d."""
+    n = draw(st.integers(1, 12))
+    lower = draw(st.floats(-10.0, 5.0))
+    upper = lower + draw(st.floats(0.0, 10.0))
+    z = np.array(draw(st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n)))
+    c = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 5.0)), min_size=n, max_size=n)))
+    d = float(c @ np.full(n, lower)) + draw(st.one_of(st.just(0.0), st.floats(0.0, 60.0)))
+    return z, lower, upper, c, d
+
+
+def bisection_projection(z, lower, upper, c, d):
+    """The oracle: clip(z - mu*c) with mu >= 0 found by 200 bisection steps
+    on c @ clip(z - mu*c) = d, which falls in mu."""
+    lo, hi = 0.0, max([(zi - lower) / ci for zi, ci in zip(z, c) if ci > 0] + [0.0])
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if c @ np.clip(z - mid * c, lower, upper) > d:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(z - hi * c, lower, upper)
+
+
+@settings(max_examples=300, deadline=None)
+@given(halfspace_cases())
+def test_halfspace_projection_matches_a_bisection_oracle(case):
+    z, lower, upper, c, d = case
+    p = mpc._project_box_halfspace(z, lower, upper, c, d)
+    assert np.all(p >= lower) and np.all(p <= upper)
+    assert c @ p <= d + 1e-12 * (1.0 + float(np.abs(c).sum()) * max(abs(lower), abs(upper)))
+    clipped = np.clip(z, lower, upper)
+    if c @ clipped <= d:
+        assert same_bits(p, clipped)
+    else:
+        np.testing.assert_allclose(p, bisection_projection(z, lower, upper, c, d), rtol=0.0, atol=1e-9)
+
+
+def test_box_solve_with_a_halfspace_finds_the_projection_of_the_minimiser():
+    """Minimising |u - centre|^2 over box ∩ halfspace gives the projection of the centre."""
+    rng = np.random.default_rng(9)
+    for trial in range(20):
+        centre = rng.uniform(-3.0, 3.0, 20)
+        c = rng.uniform(0.0, 2.0, 20) * (rng.random(20) < 0.8)
+        d = float(c @ np.full(20, -1.0)) + rng.uniform(0.0, 5.0)
+        u, _, converged = solve_box(quadratic(centre), -1.0, 1.0, np.zeros(20),
+                                    PenaltyConfig(inner_tolerance=1e-10), halfspace=(c, d))
+        assert converged, trial
+        expected = mpc._project_box_halfspace(centre, -1.0, 1.0, c, d)
+        np.testing.assert_allclose(u, expected, rtol=0.0, atol=1e-8, err_msg=str(trial))
+
+
 # -- solve_ocp -------------------------------------------------------------------
 
 
@@ -861,7 +917,7 @@ def scripted_loop(monkeypatch, violations):
     prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 14.0, 40.0), (), 50)
     starts = []
 
-    def fake_box_solve(objective, lower, upper, u0, cfg):
+    def fake_box_solve(objective, lower, upper, u0, cfg, halfspace=None):
         starts.append(u0)
         return np.full(50, float(len(starts))), 7, True
 
@@ -871,7 +927,7 @@ def scripted_loop(monkeypatch, violations):
 
 
 def incumbent(violation):
-    return mpc._Candidate(np.zeros(50), violation, 0.0, 1, 1, (violation,))
+    return mpc._Candidate(np.zeros(50), violation, 0.0, 1, 1, 0, 0, (violation,))
 
 
 STALLING = [1.0, 0.3, 0.2, 0.19, 0.18, 0.17]  # shrinks x0.3, then stalls
@@ -1023,11 +1079,68 @@ def test_no_second_start_where_the_crossing_side_is_out_of_reach(monkeypatch):
     assert report.second_start == "unreachable" and report.converged
 
 
-def test_second_start_outcome_is_reported():
-    path, bounds = make_env(approach=300.0)
-    _, _, cruise = solve_ocp(AgentState(0.0, 14.0, 2.0), (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
-    assert cruise.second_start == "not_run"
+def spy_halfspaces(monkeypatch):
+    """The halfspace argument of every box_solve call, in order."""
+    seen = []
+    original = mpc.box_solve
+
+    def spy(objective, lower, upper, u0, cfg, halfspace=None):
+        seen.append(halfspace)
+        return original(objective, lower, upper, u0, cfg, halfspace)
+
+    monkeypatch.setattr(mpc, "box_solve", spy)
+    return seen
+
+
+def test_out_of_reach_approach_holds_the_stop_line_in_one_round(monkeypatch):
+    """The approach above meets the hinge on the stop side alone: its
+    crossing side is out of reach, and braking throughout ends before the
+    stop line, so s_N <= s_stop is a linear constraint that box_solve
+    projects onto, and one weight round solves it."""
     path, bounds = make_env()
+    halfspaces = spy_halfspaces(monkeypatch)
+    state = AgentState(0.0, 13.99, 11.2)
+    u, _, report = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+    assert len(halfspaces) == 1 and halfspaces[0] is not None
+    assert report.outer_iterations == 1 and report.converged and report.second_start == "unreachable"
+    assert rollout(MODEL, state, u)[-1, 2] <= bounds.s_stop + 1e-9
+
+
+def test_out_of_reach_vehicle_past_the_stop_line_keeps_the_hinge(monkeypatch):
+    """Past the stop line no input ends the horizon before it, so the hinge
+    stays a penalty, though the exit is out of reach over this short horizon."""
+    path, bounds = make_env()
+    halfspaces = spy_halfspaces(monkeypatch)
+    state = AgentState(0.0, 2.0, 78.0)
+    assert mpc._reach_bound(MODEL, PARAMS, state, CFG.constraint_tolerance, 5) < bounds.s_cr_out - 0.01
+    _, _, report = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 5)
+    assert halfspaces and all(h is None for h in halfspaces)
+    assert report.second_start == "unreachable"
+
+
+def test_stop_line_replaces_the_hinge_in_the_objective_only():
+    path, bounds = make_env()
+    prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 13.99, 11.2), (), 50)
+    u = np.zeros(50)  # cruising ends the horizon between the stop line and the exit
+    hinge_value, hinge_gradient = prob.value_and_grad(u, 10.0)
+    stack = prob.residual_stack(u)
+    s_n = prob.states(u)[-1, 2]
+    prob.stop_line = (prob.g_mat[50, 2], bounds.s_stop - prob.base[50, 2])
+    value, gradient = prob.value_and_grad(u, 10.0)
+    r_prev = (bounds.s_cr_out - s_n) * (s_n - bounds.s_stop)
+    assert stack[-1] == pytest.approx(r_prev) and r_prev > 1.0
+    assert hinge_value - value == pytest.approx(10.0 * r_prev**2, rel=1e-9)
+    d_prev = (bounds.s_cr_out - s_n) - (s_n - bounds.s_stop)
+    np.testing.assert_allclose(hinge_gradient() - gradient(), 20.0 * r_prev * d_prev * prob.g_mat[50, 2],
+                               rtol=1e-9, atol=1e-9)
+    assert same_bits(prob.residual_stack(u), stack)
+
+
+def test_second_start_outcome_is_reported():
+    path, bounds = make_env()
+    # cruising from 30 m, the crossing side is in reach and the warm solve clears it
+    _, _, cruise = solve_ocp(AgentState(0.0, 14.0, 30.0), (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+    assert cruise.second_start == "not_run"
     parked = PredictedTrajectory(np.full(51, -2.0), np.zeros(51), np.full(51, math.pi),
                                  np.zeros(51), 5.0, 2.0)
     state = AgentState(0.0, 10.0, 40.0)
@@ -1059,18 +1172,23 @@ def test_use_case_1_window_stays_within_its_evaluation_budget(monkeypatch):
 
 
 def test_use_case_1_window_evaluation_counts(monkeypatch):
-    """The same 10-step window evaluates 767 points and builds 486 gradients.
+    """The same 10-step window evaluates 243 points and builds 168 gradients,
+    counted both around OcpProblem.value_and_grad and in the solver reports.
     It evaluated 2,555 points and built 1,546 gradients while the
     full-throttle second start ran 26 times here: of the 2,753 evaluations
     above, 198 had repeated a point already evaluated, and 1,009 had built a
-    gradient that nothing read. Since a second start runs only where the
-    crossing side is reachable under v_max, it runs once. The run is
-    deterministic."""
-    from intersim.orchestrator import run_simulation
+    gradient that nothing read. Running a second start only where the
+    crossing side is reachable under v_max cut that to 767 and 486. Holding
+    the stop line as a constraint where the crossing side is out of reach,
+    instead of escalating the hinge's weight, cut it to 243 and 168. The run
+    is deterministic."""
+    from intersim import orchestrator
     from intersim.scenario import load_scenario
 
     calls = {"evaluations": 0, "gradients": 0}
+    reported = {"evaluations": 0, "gradients": 0}
     original = OcpProblem.value_and_grad
+    original_solve = orchestrator.solve_ocp
 
     def counted(self, u, weight):
         calls["evaluations"] += 1
@@ -1085,15 +1203,23 @@ def test_use_case_1_window_evaluation_counts(monkeypatch):
 
         return value, counted_gradient
 
+    def solve(*args, **kwargs):
+        result = original_solve(*args, **kwargs)
+        reported["evaluations"] += result[2].evaluations
+        reported["gradients"] += result[2].gradients
+        return result
+
     monkeypatch.setattr(OcpProblem, "value_and_grad", counted)
-    run_simulation(replace(load_scenario("use_case_1"), steps=10), workers=1)
-    assert calls == {"evaluations": 767, "gradients": 486}
+    monkeypatch.setattr(orchestrator, "solve_ocp", solve)
+    orchestrator.run_simulation(replace(load_scenario("use_case_1"), steps=10), workers=1)
+    assert calls == reported == {"evaluations": 243, "gradients": 168}
 
 
 def test_use_case_1_window_second_start_tally(monkeypatch):
-    """The 10-step window's 40 solves: 26 warm solutions end between the stop
-    line and the critical-region exit, and in 25 of them the crossing side
-    lies beyond what v_max allows. The run is deterministic."""
+    """The 10-step window's 40 solves: in 39 of them the crossing side lies
+    beyond what v_max allows, and one warm solution ends between the stop
+    line and the critical-region exit with the crossing side in reach. The
+    run is deterministic."""
     from collections import Counter
 
     from intersim import orchestrator
@@ -1109,4 +1235,4 @@ def test_use_case_1_window_second_start_tally(monkeypatch):
 
     monkeypatch.setattr(orchestrator, "solve_ocp", counted)
     orchestrator.run_simulation(replace(load_scenario("use_case_1"), steps=10), workers=1)
-    assert tally == {"not_run": 14, "unreachable": 25, "lost_infeasible": 1}
+    assert tally == {"unreachable": 39, "lost_infeasible": 1}

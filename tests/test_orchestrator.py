@@ -13,6 +13,7 @@ import pytest
 from intersim.network import Topology
 from intersim.orchestrator import export_logs, run_simulation
 from intersim.scenario import (
+    EventSpec,
     ScenarioConfig,
     ScenarioError,
     load_scenario,
@@ -484,6 +485,16 @@ def test_emergency_event_applied_at_step_five():
                 assert p.bid == cfg.bid_params.emergency_bid
 
 
+@pytest.mark.parametrize(
+    "t_s,time_s,first", [(0.1, 0.44, 5), (0.1, 0.05, 1), (0.1, 0.3, 3), (0.1, 0.5, 5), (0.02, 0.14, 7)]
+)
+def test_event_applies_from_the_first_step_at_or_after_its_time(t_s, time_s, first):
+    cfg = replace(small_cfg(steps=first + 1), t_s=t_s, events=(EventSpec(time_s, 1),))
+    log, _ = run_simulation(cfg)
+    flagged = [p.step for p in log.priorities if p.agent == 1 and p.emergency_flag]
+    assert flagged == [first]
+
+
 def test_no_events_no_flags():
     cfg = small_cfg(steps=6)
     log, _ = run_simulation(cfg)
@@ -733,6 +744,18 @@ def test_cli_check_and_simulate(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "logs")])
     assert code == 0
     assert (tmp_path / "logs" / "trajectory.csv").exists()
+    summary = capsys.readouterr().out.splitlines()[-1]
+    match = re.fullmatch(
+        r"total_ms p50=(\d+\.\d) p95=(\d+\.\d); steps over the 100 ms budget: (\d+) of 5; "
+        r"unconverged solves: 0 of 10",
+        summary,
+    )
+    assert match, summary
+    rows = (tmp_path / "logs" / "timing.csv").read_text().splitlines()[1:]
+    total_ms = [float(row.split(",")[3]) for row in rows]
+    assert float(match[1]) == pytest.approx(np.median(total_ms), abs=0.051)
+    assert float(match[2]) == pytest.approx(np.percentile(total_ms, 95), abs=0.051)
+    assert int(match[3]) == sum(row.endswith(",false") for row in rows)
 
     assert main(["check", "--scenario", "nonsense_preset"]) == 1
 
