@@ -15,7 +15,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -125,7 +125,9 @@ class OcpProblem:
 
     `value_and_grad` evaluates the penalty objective and returns a function
     that builds the gradient from that evaluation's intermediates, so a
-    caller that reads only the value pays for the value alone.
+    caller that reads only the value pays for the value alone. The problem
+    counts its evaluations and gradient builds in `evaluations` and
+    `gradients`.
 
     `stop_line`, when set, is the pair (c, d) of the linear constraint
     c @ u <= d that holds the horizon end at or before the stop line. It
@@ -182,6 +184,8 @@ class OcpProblem:
         self._oa = extents[:, :1] / 2.0
         self._ob = extents[:, 1:] / 2.0
         self.stop_line: tuple[np.ndarray, float] | None = None
+        self.evaluations = 0
+        self.gradients = 0
 
     # -- state prediction -------------------------------------------------
 
@@ -261,6 +265,7 @@ class OcpProblem:
         """The penalty objective at u, and a zero-argument function that builds
         its gradient from this evaluation's intermediates on its first call
         and returns that same array on every later one."""
+        self.evaluations += 1
         p = self.params
         n = self.horizon
         total = np.add.reduce
@@ -298,6 +303,7 @@ class OcpProblem:
             nonlocal grad
             if grad is not None:
                 return grad
+            self.gradients += 1
             adj = np.zeros((n + 1, 3))
             adj[:n, 1] += 2.0 * p.q * dv_ref[:n]
             adj[n, 1] += 2.0 * p.q_n * dv_ref[n]
@@ -540,8 +546,6 @@ class _Candidate:
     tracking: float
     outer: int
     inner: int
-    evaluations: int
-    gradients: int
     history: tuple[float, ...]
 
 
@@ -591,22 +595,6 @@ def _penalty_loop(
     stall = math.sqrt(cfg.multiplier)
     weight = cfg.initial_weight
     inner_total = 0
-    counts = [0, 0]  # evaluations, gradient builds
-
-    def objective(z):
-        counts[0] += 1
-        value, gradient = problem.value_and_grad(z, weight)
-        built = None
-
-        def counted_gradient():
-            nonlocal built
-            if built is None:
-                counts[1] += 1
-                built = gradient()
-            return built
-
-        return value, counted_gradient
-
     u = u0
     history: list[float] = []
     best: tuple[float, float, np.ndarray] | None = None
@@ -618,10 +606,10 @@ def _penalty_loop(
         scaled = replace(
             cfg, inner_tolerance=cfg.inner_tolerance * math.sqrt(cfg.initial_weight / weight)
         )
+        objective = partial(problem.value_and_grad, weight=weight)
         u, iters, _ = box_solve(objective, lo, hi, u, scaled, halfspace=problem.stop_line)
         inner_total += iters
-        stack = problem.residual_stack(u)
-        violation = float(np.max(stack)) if stack.size else 0.0
+        violation = float(np.max(problem.residual_stack(u)))
         history.append(violation)
         tracking = _tracking_objective(problem, u)
         if best is None or (violation, tracking) < (best[0], best[1]):
@@ -632,7 +620,7 @@ def _penalty_loop(
             break
         weight *= cfg.multiplier
     violation, tracking, u = best
-    return _Candidate(u, violation, tracking, outer, inner_total, *counts, tuple(history))
+    return _Candidate(u, violation, tracking, outer, inner_total, tuple(history))
 
 
 def solve_ocp(
@@ -692,7 +680,6 @@ def solve_ocp(
 
     chosen = _penalty_loop(problem, u0, cfg)
     inner_total, outer_total = chosen.inner, chosen.outer
-    evaluations, gradients = chosen.evaluations, chosen.gradients
     s_end = float(problem.states(chosen.u)[-1, 2])
     second_start = "unreachable" if problem.stop_line is not None else "not_run"
     # the second start matters only when the stop-before-the-line branch is
@@ -708,8 +695,6 @@ def solve_ocp(
             go = _penalty_loop(problem, np.full(horizon, params.a_x_max), cfg, incumbent=chosen)
             inner_total += go.inner
             outer_total = max(outer_total, go.outer)
-            evaluations += go.evaluations
-            gradients += go.gradients
 
             def rank(c: _Candidate):
                 return (c.violation > tol, c.tracking if c.violation <= tol else c.violation)
@@ -730,7 +715,7 @@ def solve_ocp(
         converged=chosen.violation <= tol,
         violation_history=chosen.history,
         second_start=second_start,
-        evaluations=evaluations,
-        gradients=gradients,
+        evaluations=problem.evaluations,
+        gradients=problem.gradients,
     )
     return u, broadcast, report

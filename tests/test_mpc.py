@@ -927,7 +927,7 @@ def scripted_loop(monkeypatch, violations):
 
 
 def incumbent(violation):
-    return mpc._Candidate(np.zeros(50), violation, 0.0, 1, 1, 0, 0, (violation,))
+    return mpc._Candidate(np.zeros(50), violation, 0.0, 1, 1, (violation,))
 
 
 STALLING = [1.0, 0.3, 0.2, 0.19, 0.18, 0.17]  # shrinks x0.3, then stalls
