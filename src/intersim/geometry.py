@@ -249,13 +249,13 @@ def paths_conflict(
     width_i: float,
     width_l: float,
     cr_half_width: float,
-    margin: float = PATH_CONFLICT_MARGIN,
 ) -> bool:
     """Do the swept corridors of two routes meet inside the critical region?
 
     Each corridor is the centerline inflated by half the vehicle width plus
-    a margin; the test samples both critical-region portions densely. The
-    answer is symmetric in the two routes, and cached per ordered pair.
+    PATH_CONFLICT_MARGIN; the test samples both critical-region portions
+    densely. The answer is symmetric in the two routes, and cached per
+    ordered pair.
     """
     pts = []
     for path, bounds in ((path_i, bounds_i), (path_l, bounds_l)):
@@ -269,7 +269,7 @@ def paths_conflict(
         (pts[0][:, None, 0] - pts[1][None, :, 0]) ** 2
         + (pts[0][:, None, 1] - pts[1][None, :, 1]) ** 2
     )
-    threshold = width_i / 2.0 + width_l / 2.0 + 2.0 * margin
+    threshold = width_i / 2.0 + width_l / 2.0 + 2.0 * PATH_CONFLICT_MARGIN
     return bool(np.min(d2) < threshold * threshold)
 
 

@@ -110,12 +110,6 @@ class _AgentRuntime:
     applied_u: float = 0.0
 
 
-def apply_event(runtime: _AgentRuntime, event) -> None:
-    """Emergency events latch the flag; reapplication is a no-op."""
-    if event.kind == "emergency_on":
-        runtime.emergency = True
-
-
 def _shift_warm(u: np.ndarray) -> np.ndarray:
     return np.concatenate([u[1:], u[-1:]])
 
@@ -230,8 +224,9 @@ def run_simulation(
 
     for k in range(cfg.steps):
         t_now = k * cfg.t_s
+        # `emergency_on`, the one kind the loader accepts, latches the flag
         for ev in events_by_step.get(k, []):
-            apply_event(rts[ev.agent], ev)
+            rts[ev.agent].emergency = True
 
         participants = [i for i in ids if rts[i].state.s <= rts[i].bounds.s_cr_out]
         bids = {
@@ -303,7 +298,9 @@ def run_simulation(
                     k, i, report.max_violation,
                 )
 
-        # log rows reflect the state at step k together with the input applied at k
+        # per vehicle: the log row (the state at step k with the input applied
+        # at k), the plant step, then the broadcast from this step's own solve,
+        # never from the hook-visible buffer (a test hook may have poisoned it)
         for i in ids:
             rt = rts[i]
             pose = views[i].pose
@@ -341,9 +338,6 @@ def run_simulation(
                     auction_iterations=iterations,
                 )
             )
-
-        for i in ids:
-            rt = rts[i]
             try:
                 nxt = step(rt.model, rt.state, rt.applied_u)
                 if nxt.v < 0.0:
@@ -356,17 +350,10 @@ def run_simulation(
                     f"previous state={rt.state}, applied u={rt.applied_u}"
                 ) from exc
             rt.state = nxt
-
-        # commit broadcasts from this step's own solves, never from the
-        # externally visible buffer (a test hook may have poisoned it)
-        for i in ids:
             if i in solved:
-                rts[i].broadcast = solved[i]
-            else:
-                # outside the control region: broadcast a constant-speed hold
-                rts[i].broadcast = initial_broadcast(
-                    rts[i].state, rts[i].path, rts[i].config.params, cfg.horizon, cfg.t_s
-                )
+                rt.broadcast = solved[i]
+            else:  # outside the control region: a constant-speed hold
+                rt.broadcast = initial_broadcast(nxt, rt.path, rt.config.params, cfg.horizon, cfg.t_s)
 
         n_part = len(participants)
         bound_ms = cbaam_time_bound(n_part, ell) if n_part else 0.0
