@@ -7,7 +7,7 @@ broadcast trajectories.
 """
 
 from .auction import BidParams, PriorityAssignment, compute_bid, run_cbaam
-from .dynamics import AgentParams, AgentState, DiscreteModel, discretize, rollout, step
+from .dynamics import AgentParams, AgentState, DiscreteModel, discretize, step
 from .geometry import (
     OrientedBox,
     SafetyMargins,

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import AgentParams, AgentState, DiscreteModel, rollout
+from .dynamics import AgentParams, AgentState, DiscreteModel
 from .geometry import SafetyMargins, smooth_overlap_core
 from .paths import PathSpec, RegionBounds
 
@@ -637,7 +637,9 @@ def solve_ocp(
 ) -> tuple[np.ndarray, PredictedTrajectory, SolverReport]:
     """Receding-horizon solve for one agent at one sampling instant, against
     the neighbours' previous-step broadcasts. Returns the input sequence,
-    this agent's own broadcast, and a report.
+    this agent's own broadcast, and a report. The broadcast is the solver's
+    own prediction, `OcpProblem.states(u)`, on which every penalty term of
+    the returned inputs was evaluated.
 
     Besides the warm start, a full-throttle start is tried whenever the
     warm solution does not already clear the critical region: the preview
@@ -678,9 +680,16 @@ def solve_ocp(
         if float(c @ np.full(horizon, params.a_x_min)) <= d:
             problem.stop_line = (c, d)
 
+    def predicted(c: _Candidate) -> np.ndarray:
+        # a non-finite input is refused before it is predicted or broadcast
+        if not np.all(np.isfinite(c.u)):
+            raise ValueError("non-finite input")
+        return problem.states(c.u)
+
     chosen = _penalty_loop(problem, u0, cfg)
     inner_total, outer_total = chosen.inner, chosen.outer
-    s_end = float(problem.states(chosen.u)[-1, 2])
+    states = predicted(chosen)
+    s_end = float(states[-1, 2])
     second_start = "unreachable" if problem.stop_line is not None else "not_run"
     # the second start matters only when the stop-before-the-line branch is
     # binding: the horizon end sits near or past the stop line yet short of
@@ -701,12 +710,11 @@ def solve_ocp(
 
             if rank(go) < rank(chosen):
                 chosen, second_start = go, "won"
+                states = predicted(go)
             else:
                 second_start = "lost_feasible" if go.violation <= tol else "lost_infeasible"
 
-    u = chosen.u
-    _, v, s = rollout(model, state, u).T
-    broadcast = _broadcast(s, v, path, params)
+    broadcast = _broadcast(states[:, 2], states[:, 1], path, params)
     report = SolverReport(
         outer_iterations=outer_total,
         inner_iterations=inner_total,
@@ -718,4 +726,4 @@ def solve_ocp(
         evaluations=problem.evaluations,
         gradients=problem.gradients,
     )
-    return u, broadcast, report
+    return chosen.u, broadcast, report

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from intersim.dynamics import AgentParams, AgentState, discretize, rollout, step
+from intersim.dynamics import AgentParams, AgentState, discretize, step
 
 
 def continuous_matrices(t_ax):
@@ -108,47 +108,6 @@ def test_step_rejects_non_finite():
         step(m, AgentState(0.0, 0.0, 0.0), float("nan"))
     with pytest.raises(ValueError):
         AgentState(float("inf"), 0.0, 0.0)
-
-
-# -- rollout ------------------------------------------------------------------
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def test_empty_rollout_returns_initial_state():
-    m = discretize(0.3, 0.1)
-    x0 = AgentState(0.1, 2.0, 3.0)
-    assert same_bits(rollout(m, x0, []), [x0.as_array()])
-
-
-def test_zero_input_rollout_grows_affinely():
-    m = discretize(0.3, 0.1)
-    x0 = AgentState(0.0, 10.0, 0.0)
-    states = rollout(m, x0, np.zeros(20))
-    for j, (_, _, s) in enumerate(states):
-        assert s == pytest.approx(j * 1.0, abs=1e-9)
-
-
-def test_rollout_equals_repeated_steps():
-    m = discretize(0.3, 0.1)
-    rng = np.random.default_rng(11)
-    u = rng.uniform(-3, 3, 15)
-    x0 = AgentState(0.5, 8.0, 1.0)
-    states = rollout(m, x0, u)
-    x = x0
-    for j, uj in enumerate(u):
-        x = step(m, x, float(uj))
-        assert same_bits(states[j + 1], x.as_array())
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_rollout_rejects_non_finite_input(bad):
-    m = discretize(0.3, 0.1)
-    with pytest.raises(ValueError):
-        rollout(m, AgentState(0.0, 10.0, 0.0), [0.5, bad, 0.5])
 
 
 # -- structural properties ----------------------------------------------------

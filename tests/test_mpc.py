@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intersim import mpc
-from intersim.dynamics import AgentParams, AgentState, discretize, rollout
+from intersim.dynamics import AgentParams, AgentState, discretize, step
 from intersim.geometry import SafetyMargins, smooth_overlap_core
 from intersim.mpc import (
     OcpProblem,
@@ -52,6 +52,14 @@ def crossing_neighbor(offset=0.0, speed=14.0, horizon=50, t_s=0.1):
         5.0,
         2.0,
     )
+
+
+def step_states(model, x0, u):
+    """The (N+1, 3) states (a_x, v, s) of x0 under u, one dynamics.step at a time."""
+    states = [x0]
+    for uj in u:
+        states.append(step(model, states[-1], float(uj)))
+    return np.array([x.as_array() for x in states])
 
 
 # -- costs ---------------------------------------------------------------------
@@ -144,7 +152,7 @@ def test_zero_weight_reduces_to_tracking_objective():
     prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, (), 50)
     u = np.full(50, 0.5)
     value0, _ = prob.value_and_grad(u, 0.0)
-    states = [AgentState(*row) for row in rollout(MODEL, state, u)]
+    states = [AgentState(*row) for row in step_states(MODEL, state, u)]
     expect = sum(
         stage_cost(st, float(ui), PARAMS.v_ref, PARAMS.q, PARAMS.r)
         for st, ui in zip(states[:-1], u)
@@ -384,7 +392,7 @@ def test_sensitivities_are_shared_read_only_and_exact():
         g[j][:, j - 1] = b_d
     assert same_bits(first.f_mat, np.stack(powers)) and same_bits(first.g_mat, g)
     u = np.linspace(-7.0, 4.0, 50)
-    expect = rollout(first.model, state, u)
+    expect = step_states(first.model, state, u)
     np.testing.assert_allclose(first.states(u), expect, rtol=1e-12, atol=1e-9)
 
 
@@ -827,7 +835,7 @@ def test_blocked_agent_stops_before_line():
     )
     state = AgentState(0.0, 10.0, 40.0)
     u, traj, report = solve_ocp(state, (parked,), MODEL, PARAMS, path, bounds, CFG, MARGINS, horizon)
-    s_end = rollout(MODEL, state, u)[-1, 2]
+    s_end = step_states(MODEL, state, u)[-1, 2]
     assert s_end <= bounds.s_stop + 0.5
     # the prediction keeps clear of the parked vehicle throughout
     gaps = np.hypot(traj.x_g - (-2.0), traj.y_g - 0.0)
@@ -835,15 +843,42 @@ def test_blocked_agent_stops_before_line():
 
 
 def test_rollout_consistency_bit_exact():
-    """The broadcast is the rollout of the returned inputs, bit for bit."""
+    """The broadcast is the solver's own prediction OcpProblem.states(u) of
+    the returned inputs, bit for bit, whichever start won."""
     path, bounds = make_env()
-    state = AgentState(0.3, 12.0, 30.0)
-    u, traj, _ = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
-    _, v, s = rollout(MODEL, state, u).T
-    x, y, psi, _ = path.table.pose(np.clip(s, 0.0, path.total_length))
-    assert same_bits(traj.v, v)
-    assert same_bits(traj.x_g, x) and same_bits(traj.y_g, y) and same_bits(traj.psi, psi)
-    assert (traj.v[0], traj.length, traj.width) == (state.v, PARAMS.length, PARAMS.width)
+    parked = PredictedTrajectory(np.full(51, -2.0), np.zeros(51), np.full(51, math.pi),
+                                 np.zeros(51), 5.0, 2.0)
+    brake = np.full(50, PARAMS.a_x_min)
+    cases = [
+        (AgentState(0.3, 12.0, 30.0), (), None, "not_run"),
+        (AgentState(0.0, 10.0, 40.0), (parked,), None, "lost_infeasible"),
+        (AgentState(0.0, 10.0, 40.0), (), brake, "won"),  # from a braking warm start
+    ]
+    for state, tracks, warm, outcome in cases:
+        u, traj, report = solve_ocp(state, tracks, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50, warm)
+        assert report.second_start == outcome
+        prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
+        _, v, s = prob.states(u).T
+        x, y, psi, _ = path.table.pose(np.clip(s, 0.0, path.total_length))
+        assert same_bits(traj.v, v)
+        assert same_bits(traj.x_g, x) and same_bits(traj.y_g, y) and same_bits(traj.psi, psi)
+        assert (traj.v[0], traj.length, traj.width) == (state.v, PARAMS.length, PARAMS.width)
+        np.testing.assert_allclose(prob.states(u), step_states(MODEL, state, u), rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_refuses_a_non_finite_input(monkeypatch, bad):
+    """A start that returned a non-finite input is refused, not broadcast."""
+    path, bounds = make_env()
+
+    def broken(problem, u0, cfg, incumbent=None):
+        u = np.zeros(problem.horizon)
+        u[3] = bad
+        return mpc._Candidate(u, 0.0, 0.0, 1, 1, (0.0,))
+
+    monkeypatch.setattr(mpc, "_penalty_loop", broken)
+    with pytest.raises(ValueError, match="non-finite input"):
+        solve_ocp(AgentState(0.0, 14.0, 30.0), (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
 
 
 def test_returned_inputs_respect_box_exactly():
@@ -871,7 +906,7 @@ def test_warm_start_shift_iteration_guard():
         u, _, rep = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50, warm)
         (warm_iters if warm is not None else cold_iters).append(rep.inner_iterations)
         warm = np.concatenate([u[1:], u[-1:]])
-        state = AgentState(*rollout(MODEL, state, u)[1])
+        state = step(MODEL, state, float(u[0]))
     assert np.median(warm_iters) <= 2 * max(np.median(cold_iters), 1)
 
 
@@ -1072,7 +1107,7 @@ def test_no_second_start_where_the_crossing_side_is_out_of_reach(monkeypatch):
     monkeypatch.setattr(mpc, "_penalty_loop", spy)
     state = AgentState(0.0, 13.99, 11.2)
     u, _, report = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
-    s_end = rollout(MODEL, state, u)[-1, 2]
+    s_end = step_states(MODEL, state, u)[-1, 2]
     # the warm solution sits where the second start used to run
     assert bounds.s_stop - 2.0 <= s_end < bounds.s_cr_out
     assert len(starts) == 1
@@ -1103,7 +1138,7 @@ def test_out_of_reach_approach_holds_the_stop_line_in_one_round(monkeypatch):
     u, _, report = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
     assert len(halfspaces) == 1 and halfspaces[0] is not None
     assert report.outer_iterations == 1 and report.converged and report.second_start == "unreachable"
-    assert rollout(MODEL, state, u)[-1, 2] <= bounds.s_stop + 1e-9
+    assert step_states(MODEL, state, u)[-1, 2] <= bounds.s_stop + 1e-9
 
 
 def test_out_of_reach_vehicle_past_the_stop_line_keeps_the_hinge(monkeypatch):
