@@ -102,4 +102,3 @@ def step(model: DiscreteModel, x: AgentState, u: float) -> AgentState:
         raise ValueError("non-finite input")
     nxt = model.a_d @ x.as_array() + model.b_d * u
     return AgentState(float(nxt[0]), float(nxt[1]), float(nxt[2]))
-
