@@ -83,14 +83,6 @@ class SolverReport:
     gradients: int
 
 
-def preview_residual(s_n: float, s_cr_out: float, s_stop: float) -> float:
-    """Hinge product: zero iff the horizon clears the critical region or
-    ends before the stopping line."""
-    if s_stop >= s_cr_out:
-        raise ValueError("stop line must precede the critical-region exit")
-    return max(0.0, s_cr_out - s_n) * max(0.0, s_n - s_stop)
-
-
 @lru_cache(maxsize=64)
 def _sensitivities(a_d: bytes, b_d: bytes, horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Free-response powers f_mat (N+1, 3, 3), input sensitivities g_mat
@@ -251,6 +243,25 @@ class OcpProblem:
             np.maximum(0.0, aj * aj + ay * ay - (p.a_tot_max * shrink) ** 2),
         )
 
+    def _forward(self, u: np.ndarray, shrink: float):
+        """The forward pass both evaluators share: the states at u, the
+        horizon geometry, the lateral acceleration, the four limit residuals
+        against the limits scaled by `shrink`, the collision terms with their
+        derivative builder (None without tracks), and the two factors of the
+        preview hinge (s_cr_out - s_N)+ * (s_N - s_stop)+, which is zero iff
+        the horizon clears the critical region or ends before the stop line."""
+        states = self.states(u)
+        a, v, s = states[:, 0], states[:, 1], states[:, 2]
+        vj = v[1:]
+        geometry = self._horizon_geometry(s[1:])
+        x, y, psi, kap = geometry[:4]
+        ay = kap * vj * vj
+        limits = self._limit_residuals(a[1:], vj, ay, shrink)
+        collision = self._ca_terms(x, y, psi, vj) if self.tracks else None
+        s_n = float(s[-1])
+        hinge = (max(0.0, self.regions.s_cr_out - s_n), max(0.0, s_n - self.regions.s_stop))
+        return states, geometry, ay, limits, collision, hinge
+
     # -- penalty objective -------------------------------------------------
 
     def _tracking(self, u: np.ndarray, dv_ref: np.ndarray) -> float:
@@ -269,31 +280,26 @@ class OcpProblem:
         p = self.params
         n = self.horizon
         total = np.add.reduce
-        states = self.base + self.g_mat @ u
+        states, geometry, ay, limits, collision, (h1, h2) = self._forward(u, 1.0 - self.ENFORCE_BACKOFF)
         a, v, s = states[:, 0], states[:, 1], states[:, 2]
+        aj, vj, sj = a[1:], v[1:], s[1:]
+        _, _, _, kap, dkap, kap_exact = geometry
+        r_lo, r_hi, r_ay, r_tot = limits
 
         dv_ref = v - p.v_ref
         value = self._tracking(u, dv_ref)
-
-        aj, vj, sj = a[1:], v[1:], s[1:]
-        x, y, psi, kap, dkap, kap_exact = self._horizon_geometry(sj)
-        ay = kap * vj * vj
-        r_lo, r_hi, r_ay, r_tot = self._limit_residuals(aj, vj, ay, 1.0 - self.ENFORCE_BACKOFF)
         value += weight * float(total(r_lo**2) + total(r_hi**2))
         value += weight * float(total(r_ay**2))
         value += weight * float(total(r_tot**2))
 
-        if self.tracks:
-            ca, ca_derivatives = self._ca_terms(x, y, psi, vj)
+        if collision is not None:
+            ca, ca_derivatives = collision
             # one track at a time, in order, so the sums round as they always have
             for sq in total(ca**2, axis=1).tolist():
                 value += weight * sq
 
         hinge = self.stop_line is None
         if hinge:
-            s_n = float(s[n])
-            h1 = max(0.0, self.regions.s_cr_out - s_n)
-            h2 = max(0.0, s_n - self.regions.s_stop)
             r_prev = h1 * h2
             value += weight * r_prev * r_prev
 
@@ -317,7 +323,7 @@ class OcpProblem:
             adj[1:, 1] += weight * 8.0 * r_tot * ay * kap * vj
             adj[1:, 2] += weight * 4.0 * r_tot * ay * dkap * vj * vj
 
-            if self.tracks:
+            if collision is not None:
                 # heading chain uses exact curvature: the evaluated pose is the
                 # exact path map, so only this keeps gradients FD-consistent
                 dca_ds, dca_dv = ca_derivatives(kap_exact, sj)
@@ -345,15 +351,11 @@ class OcpProblem:
         acceleration (N entries each), one block of N per neighbor track,
         then the preview hinge product.
         """
-        states = self.states(u)
-        a, v, s = states[:, 0], states[:, 1], states[:, 2]
-        aj, vj = a[1:], v[1:]
-        x, y, psi, kap, _, _ = self._horizon_geometry(s[1:])
-        pieces = list(self._limit_residuals(aj, vj, kap * vj * vj, 1.0))
-        if self.tracks:
-            pieces.append(self._ca_terms(x, y, psi, vj)[0].ravel())
-        r_prev = preview_residual(float(s[-1]), self.regions.s_cr_out, self.regions.s_stop)
-        pieces.append(np.array([r_prev]))
+        _, _, _, limits, collision, (h1, h2) = self._forward(u, 1.0)
+        pieces = list(limits)
+        if collision is not None:
+            pieces.append(collision[0].ravel())
+        pieces.append(np.array([h1 * h2]))
         return np.concatenate(pieces)
 
 

@@ -21,7 +21,6 @@ from intersim.mpc import (
     PredictedTrajectory,
     box_solve,
     initial_broadcast,
-    preview_residual,
     solve_ocp,
 )
 from intersim.paths import IntersectionGeometry, RouteSpec, build_path, compute_regions
@@ -102,9 +101,19 @@ def test_terminal_cost():
 
 
 def test_preview_residual_branches():
-    assert preview_residual(95.0, 90.0, 77.0) == 0.0  # clears the critical region
-    assert preview_residual(70.0, 90.0, 77.0) == 0.0  # stops before the line
-    assert preview_residual(60.0, 70.0, 50.0) == pytest.approx(10.0 * 10.0)
+    """The last entry of residual_stack is the hinge (s_cr_out - s_N)+ * (s_N - s_stop)+."""
+    path, bounds = make_env()
+
+    def hinge(s_n):
+        # standing still with zero input holds the horizon end at s_n
+        prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 0.0, s_n), (), 50)
+        assert prob.states(np.zeros(50))[-1, 2] == s_n
+        return prob.residual_stack(np.zeros(50))[-1]
+
+    assert hinge(bounds.s_cr_out + 5.0) == 0.0  # clears the critical region
+    assert hinge(bounds.s_stop - 5.0) == 0.0  # stops before the line
+    mid = bounds.s_stop + 2.0
+    assert hinge(mid) == (bounds.s_cr_out - mid) * (mid - bounds.s_stop) > 0.0
 
 
 # -- constraint residuals -----------------------------------------------------------
@@ -262,7 +271,8 @@ def reference_residual_stack(prob, u):
     ]
     for track in prob.tracks:
         pieces.append(reference_ca_terms(prob, x, y, psi, kap_exact, inside, vj, track)[0])
-    r_prev = preview_residual(float(s[-1]), prob.regions.s_cr_out, prob.regions.s_stop)
+    s_n = float(s[-1])
+    r_prev = max(0.0, prob.regions.s_cr_out - s_n) * max(0.0, s_n - prob.regions.s_stop)
     return np.concatenate(pieces + [np.array([r_prev])])
 
 
