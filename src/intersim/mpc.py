@@ -551,6 +551,14 @@ class _Candidate:
     history: tuple[float, ...]
 
 
+def _rank(violation: float, tracking: float, tol: float) -> tuple[bool, float, float]:
+    """The one order on candidates, a loop's rounds and the two starts alike:
+    feasible (violation <= tol) before infeasible, feasible ones by tracking
+    cost, infeasible ones by violation, then by tracking cost."""
+    infeasible = violation > tol
+    return (infeasible, violation if infeasible else tracking, tracking)
+
+
 def _tracking_objective(problem: OcpProblem, u: np.ndarray) -> float:
     """The tracking part of value_and_grad, without its penalty kernel: at
     weight 0 every penalty term there adds +0.0, so the two agree bit for bit."""
@@ -582,8 +590,8 @@ def _penalty_loop(
 ) -> _Candidate:
     """Escalate the penalty weight around box_solve from one start point.
 
-    Keeps the iterate with the smallest (violation, tracking) pair seen, so
-    a late weight bump cannot degrade the returned trajectory.
+    Keeps the round that ranks first (`_rank`), so a late weight bump
+    cannot degrade the returned trajectory.
 
     Against a feasible incumbent this start can only win by becoming
     feasible, so it stops after an infeasible round r >= 2 whose violation
@@ -599,7 +607,7 @@ def _penalty_loop(
     inner_total = 0
     u = u0
     history: list[float] = []
-    best: tuple[float, float, np.ndarray] | None = None
+    best: tuple | None = None  # (rank, violation, tracking, u) of the best round
     outer = 0
     while True:
         outer += 1
@@ -614,14 +622,15 @@ def _penalty_loop(
         violation = float(np.max(problem.residual_stack(u)))
         history.append(violation)
         tracking = _tracking_objective(problem, u)
-        if best is None or (violation, tracking) < (best[0], best[1]):
-            best = (violation, tracking, u)
+        rank = _rank(violation, tracking, cfg.constraint_tolerance)
+        if best is None or rank < best[0]:
+            best = (rank, violation, tracking, u)
         if violation <= cfg.constraint_tolerance or outer >= cfg.max_outer_iterations:
             break
         if stop_on_stall and outer >= 2 and not violation < history[-2] / stall:
             break
         weight *= cfg.multiplier
-    violation, tracking, u = best
+    _, violation, tracking, u = best
     return _Candidate(u, violation, tracking, outer, inner_total, tuple(history))
 
 
@@ -649,9 +658,8 @@ def solve_ocp(
     solve cannot leave once captured, and the second start restores the
     crossing branch as soon as it is reachable. Both candidates run the
     escalating-weight loop, the second one with the warm candidate as its
-    incumbent, so it stops once it stalls behind a feasible warm solve; a
-    feasible candidate beats an infeasible one, feasible ties go to the
-    lower tracking cost, infeasible ties to the lower violation.
+    incumbent, so it stops once it stalls behind a feasible warm solve; the
+    winner is the one that ranks first (`_rank`), the warm one on a tie.
 
     Where no input whose speeds stay within the tolerated v_max can carry
     the horizon end to the crossing side of the hinge (`_reach_bound`), the
@@ -692,29 +700,22 @@ def solve_ocp(
     inner_total, outer_total = chosen.inner, chosen.outer
     states = predicted(chosen)
     s_end = float(states[-1, 2])
-    second_start = "unreachable" if problem.stop_line is not None else "not_run"
     # the second start matters only when the stop-before-the-line branch is
     # binding: the horizon end sits near or past the stop line yet short of
     # the critical-region exit
-    if (
-        problem.stop_line is None
-        and state.s < regions.s_cr_out
-        and regions.s_stop - 2.0 <= s_end < regions.s_cr_out - 1e-9
-    ):
+    near_line = state.s < regions.s_cr_out and regions.s_stop - 2.0 <= s_end < regions.s_cr_out - 1e-9
+    if problem.stop_line is not None or (near_line and out_of_reach):
         second_start = "unreachable"
-        if not out_of_reach:
-            go = _penalty_loop(problem, np.full(horizon, params.a_x_max), cfg, incumbent=chosen)
-            inner_total += go.inner
-            outer_total = max(outer_total, go.outer)
-
-            def rank(c: _Candidate):
-                return (c.violation > tol, c.tracking if c.violation <= tol else c.violation)
-
-            if rank(go) < rank(chosen):
-                chosen, second_start = go, "won"
-                states = predicted(go)
-            else:
-                second_start = "lost_feasible" if go.violation <= tol else "lost_infeasible"
+    elif not near_line:
+        second_start = "not_run"
+    else:
+        go = _penalty_loop(problem, np.full(horizon, params.a_x_max), cfg, incumbent=chosen)
+        inner_total += go.inner
+        outer_total = max(outer_total, go.outer)
+        if _rank(go.violation, go.tracking, tol) < _rank(chosen.violation, chosen.tracking, tol):
+            chosen, states, second_start = go, predicted(go), "won"
+        else:
+            second_start = "lost_feasible" if go.violation <= tol else "lost_infeasible"
 
     broadcast = _broadcast(states[:, 2], states[:, 1], path, params)
     report = SolverReport(
