@@ -38,21 +38,28 @@ def _rot_right(v: tuple[float, float]) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
+class PathSample:
+    x_g: float
+    y_g: float
+    psi: float
+    kappa: float
+
+
+@dataclass(frozen=True)
 class StraightSegment:
     x0: float
     y0: float
     heading: float
     length: float
 
-    def end_pose(self) -> tuple[float, float, float]:
-        return (
-            self.x0 + self.length * math.cos(self.heading),
-            self.y0 + self.length * math.sin(self.heading),
+    def pose_at(self, ds: float) -> PathSample:
+        """The pose ds along the segment."""
+        return PathSample(
+            self.x0 + ds * math.cos(self.heading),
+            self.y0 + ds * math.sin(self.heading),
             self.heading,
+            0.0,
         )
-
-    def start_pose(self) -> tuple[float, float, float]:
-        return (self.x0, self.y0, self.heading)
 
 
 @dataclass(frozen=True)
@@ -67,30 +74,19 @@ class ArcSegment:
     def length(self) -> float:
         return self.radius * abs(self.sweep)
 
-    def _pose(self, angle: float) -> tuple[float, float, float]:
+    def pose_at(self, ds: float) -> PathSample:
+        """The pose ds of arc along the segment."""
         sgn = 1.0 if self.sweep >= 0 else -1.0
-        return (
+        angle = self.start_angle + sgn * ds / self.radius
+        return PathSample(
             self.cx + self.radius * math.cos(angle),
             self.cy + self.radius * math.sin(angle),
             angle + sgn * math.pi / 2.0,
+            sgn / self.radius,
         )
-
-    def start_pose(self) -> tuple[float, float, float]:
-        return self._pose(self.start_angle)
-
-    def end_pose(self) -> tuple[float, float, float]:
-        return self._pose(self.start_angle + self.sweep)
 
 
 Segment = StraightSegment | ArcSegment
-
-
-@dataclass(frozen=True)
-class PathSample:
-    x_g: float
-    y_g: float
-    psi: float
-    kappa: float
 
 
 @dataclass(frozen=True)
@@ -107,9 +103,8 @@ class PathSpec:
         if not math.isclose(sum(lengths), self.total_length, rel_tol=0, abs_tol=1e-9):
             raise ValueError("total_length must equal the sum of segment lengths")
         for prev, nxt in zip(self.segments, self.segments[1:]):
-            ex, ey, eh = prev.end_pose()
-            sx, sy, sh = nxt.start_pose()
-            if math.hypot(ex - sx, ey - sy) > 1e-9 or abs(eh - sh) > 1e-9:
+            end, start = prev.pose_at(prev.length), nxt.pose_at(0.0)
+            if math.hypot(end.x_g - start.x_g, end.y_g - start.y_g) > 1e-9 or abs(end.psi - start.psi) > 1e-9:
                 raise ValueError("segments are not C0-continuous")
 
     @property
@@ -126,7 +121,8 @@ class PathSpec:
 
 
 class PathTable:
-    """Per-segment constants of one path, built once and read by every sampler.
+    """Per-segment constants of one path, built once: the array sampler
+    `pose` reads them all, the scalar `sample_path` the segment starts.
 
     Holds the cumulative segment starts, each segment's exact curvature and
     the windows over which the smoothed curvature bridges the jumps of the
@@ -338,23 +334,7 @@ def sample_path(path: PathSpec, s: float) -> PathSample:
     starts = path.table.starts
     # last segment whose start is <= s; s == total_length falls in the final one
     idx = bisect_right(starts, s) - 1
-    seg = path.segments[idx]
-    ds = s - starts[idx]
-    if isinstance(seg, StraightSegment):
-        return PathSample(
-            seg.x0 + ds * math.cos(seg.heading),
-            seg.y0 + ds * math.sin(seg.heading),
-            seg.heading,
-            0.0,
-        )
-    sgn = 1.0 if seg.sweep >= 0 else -1.0
-    angle = seg.start_angle + sgn * ds / seg.radius
-    return PathSample(
-        seg.cx + seg.radius * math.cos(angle),
-        seg.cy + seg.radius * math.sin(angle),
-        angle + sgn * math.pi / 2.0,
-        sgn / seg.radius,
-    )
+    return path.segments[idx].pose_at(s - starts[idx])
 
 
 def _refine_crossing(path: PathSpec, inside, s_out: float, s_in: float, tol: float = 1e-10) -> float:

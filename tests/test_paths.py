@@ -266,7 +266,8 @@ def test_pose_matches_masked_loop_oracle_on_two_arcs():
     # an S-bend: left quarter arc, right quarter arc, then a straight
     left = ArcSegment(0.0, 10.0, 10.0, -math.pi / 2, math.pi / 2)
     right = ArcSegment(20.0, 10.0, 10.0, math.pi, -math.pi / 2)
-    exit_ = StraightSegment(*right.end_pose()[:2], 0.0, 5.0)
+    end = right.pose_at(right.length)
+    exit_ = StraightSegment(end.x_g, end.y_g, 0.0, 5.0)
     path = PathSpec((left, right, exit_), left.length + right.length + 5.0)
     s = np.linspace(0.0, path.total_length, 997)
     assert_same_bits(path.table.pose(s), masked_loop_pose(path, s))
