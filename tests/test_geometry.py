@@ -239,8 +239,7 @@ def test_prefilter_matches_clip_on_random_boxes(a, b):
     assert area_overlap(a, b) == clipped_area(a, b)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+touching = dict(
     a=boxes,
     half_length=st.floats(0.1, 6.0),
     half_width=st.floats(0.1, 3.0),
@@ -248,7 +247,9 @@ def test_prefilter_matches_clip_on_random_boxes(a, b):
     gap=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, -1e-12, -1e-9]) | st.floats(-1e-3, 1e-3),
     spin=st.floats(-0.5, 0.5),
 )
-def test_prefilter_matches_clip_on_touching_boxes(a, half_length, half_width, corner, gap, spin):
+
+
+def corner_to_corner(a, half_length, half_width, corner, gap, spin):
     """A second box placed corner to corner with the first along the line
     through their centres, at the filter's boundary (both half-diagonals
     apart, plus `gap`), or turned by `spin` about its touching corner's
@@ -259,8 +260,14 @@ def test_prefilter_matches_clip_on_touching_boxes(a, half_length, half_width, co
     reach = math.hypot(a.half_length, a.half_width) + math.hypot(half_length, half_width) + gap
     # the second box's corner (-half_length, -half_width) faces back along the line
     heading = toward + math.pi - math.atan2(-half_width, -half_length) + spin
-    b = OrientedBox(a.cx + reach * math.cos(toward), a.cy + reach * math.sin(toward),
-                    heading, half_length, half_width)
+    return OrientedBox(a.cx + reach * math.cos(toward), a.cy + reach * math.sin(toward),
+                       heading, half_length, half_width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**touching)
+def test_prefilter_matches_clip_on_touching_boxes(a, half_length, half_width, corner, gap, spin):
+    b = corner_to_corner(a, half_length, half_width, corner, gap, spin)
     assert area_overlap(a, b) == clipped_area(a, b)
     assert area_overlap(b, a) == clipped_area(b, a)
 
@@ -268,6 +275,52 @@ def test_prefilter_matches_clip_on_touching_boxes(a, half_length, half_width, co
 def test_box_distance_zero_iff_overlapping():
     assert box_distance(unit_square(), unit_square(0.3, 0.0)) == 0.0
     assert box_distance(unit_square(), unit_square(3.0, 0.0)) == pytest.approx(2.0, abs=1e-9)
+
+
+def loop_box_distance(first: OrientedBox, second: OrientedBox) -> float:
+    """Clearance oracle: the vertex-to-segment loop that box_distance's array
+    form replaced, one corner and one edge at a time."""
+    if area_overlap(first, second) > 0.0:
+        return 0.0
+    c1, c2 = first.corners(), second.corners()
+    best = math.inf
+    for poly_a, poly_b in ((c1, c2), (c2, c1)):
+        for p in poly_a:
+            for k in range(4):
+                a, b = poly_b[k], poly_b[(k + 1) % 4]
+                ab = b - a
+                t = float(np.dot(p - a, ab) / max(np.dot(ab, ab), 1e-300))
+                t = min(max(t, 0.0), 1.0)
+                best = min(best, float(np.linalg.norm(p - (a + t * ab))))
+    return best
+
+
+def assert_box_distance_matches_loop(a, b):
+    for first, second in ((a, b), (b, a)):
+        got, want = box_distance(first, second), loop_box_distance(first, second)
+        assert abs(got - want) <= 1e-12, (got, want)
+        assert (got == 0.0) == (want == 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes, boxes)
+def test_box_distance_matches_loop_on_random_boxes(a, b):
+    assert_box_distance_matches_loop(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(**touching)
+def test_box_distance_matches_loop_on_touching_boxes(a, half_length, half_width, corner, gap, spin):
+    assert_box_distance_matches_loop(a, corner_to_corner(a, half_length, half_width, corner, gap, spin))
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.3, 0.999, 1.0, 1.0 + 1e-12, 1.5])
+@pytest.mark.parametrize("heading", [0.0, 0.4, math.pi / 4])
+def test_box_distance_matches_loop_side_by_side(offset, heading):
+    """Unit squares edge to edge (touching at offset 1 when aligned),
+    overlapping, and apart."""
+    assert_box_distance_matches_loop(unit_square(), unit_square(offset, 0.0, heading))
+    assert_box_distance_matches_loop(unit_square(0.0, 0.0, heading), unit_square(0.0, offset))
 
 
 # -- smooth_overlap_core ----------------------------------------------------------
