@@ -218,12 +218,28 @@ _PENALTY_KEYS = {
         "inner_tolerance", "lbfgs_memory", "max_inner_iterations",
     )
 }
+# the keys of the objects that are not sections: every other key is an error
+_ROOT_KEYS = (
+    "sampling_time_s", "horizon", "steps", "agents", "geometry", "bid_params", "safety_margins",
+    "penalty", "topology", "topology_schedule", "events",
+)
+_AGENT_KEYS = ("id", "route", "initial_position_m", "initial_speed_mps", "params")
+_SCHEDULE_KEYS = ("from_step", "topology")
+_EVENT_KEYS = ("time_s", "agent", "kind")
 
 
 def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"{where}: must be an object")
     return value
+
+
+def _known(mapping: dict, keys, ctx: str) -> None:
+    """Reject the first key of `mapping` that is not among `keys`: a key the
+    loader does not read is a misspelt or misplaced one, never an extra."""
+    for key in mapping:
+        if key not in keys:
+            raise ScenarioError(f"{ctx}{key}: unknown field")
 
 
 def _list(doc: dict, key: str) -> list:
@@ -273,11 +289,13 @@ def _checked(where: str, build, *args, **kwargs):
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
-def _section(doc: dict, key: str, ctx: str, defaults, keys: dict[str, str]):
+def _section(doc: dict, key: str, ctx: str, defaults, keys: dict[str, str], other: tuple[str, ...] = ()):
     """`defaults` (a dataclass) with the numeric fields of doc[key] read in;
-    a field whose default is an int must be an integer."""
+    a field whose default is an int must be an integer. The section may hold
+    only those fields and the `other` keys, read by the caller."""
     where = ctx + key
     sub = _object(doc.get(key, {}), where)
+    _known(sub, (*other, *keys.values()), where + ".")
     values = {}
     for name, doc_key in keys.items():
         default = getattr(defaults, name)
@@ -304,10 +322,13 @@ def parse_topology(spec, where: str) -> str | tuple[tuple[int, int], ...]:
 def _parse_agent(doc: dict, pos: int) -> AgentConfig:
     ctx = f"agents[{pos}]."
     _object(doc, f"agents[{pos}]")
+    _known(doc, _AGENT_KEYS, ctx)
     route_doc = _object(_require(doc, "route", ctx), ctx + "route")
     entry = _require(route_doc, "entry", ctx + "route.")
     exit_ = _require(route_doc, "exit", ctx + "route.")
-    route = _section(doc, "route", ctx, _checked(ctx + "route", RouteSpec, entry, exit_), _ROUTE_KEYS)
+    route = _section(
+        doc, "route", ctx, _checked(ctx + "route", RouteSpec, entry, exit_), _ROUTE_KEYS, ("entry", "exit")
+    )
     position = _require(doc, "initial_position_m", ctx)
     if not isinstance(position, (list, tuple)) or len(position) != 2:
         raise ScenarioError(ctx + "initial_position_m: needs exactly two coordinates")
@@ -324,6 +345,7 @@ def _parse_agent(doc: dict, pos: int) -> AgentConfig:
 
 def _parse_document(doc: dict) -> ScenarioConfig:
     _object(doc, "document root")
+    _known(doc, _ROOT_KEYS, "")
     agents_doc = _require(doc, "agents", "")
     if not isinstance(agents_doc, list) or not agents_doc:
         raise ScenarioError("agents: must be a non-empty list")
@@ -332,12 +354,14 @@ def _parse_document(doc: dict) -> ScenarioConfig:
     for k, entry in enumerate(_list(doc, "topology_schedule")):
         ctx = f"topology_schedule[{k}]."
         _object(entry, ctx[:-1])
+        _known(entry, _SCHEDULE_KEYS, ctx)
         from_step = _field(entry, "from_step", ctx, 0, integer=True)
         schedule.append((from_step, parse_topology(entry.get("topology", "complete"), ctx + "topology")))
     events = []
     for k, entry in enumerate(_list(doc, "events")):
         ctx = f"events[{k}]."
         _object(entry, ctx[:-1])
+        _known(entry, _EVENT_KEYS, ctx)
         time_s = _field(entry, "time_s", ctx, 0.0)
         events.append(EventSpec(time_s, _field(entry, "agent", ctx, integer=True), entry.get("kind", "emergency_on")))
     return _checked(

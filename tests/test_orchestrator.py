@@ -6,6 +6,7 @@ import re
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +243,76 @@ LISTED_ERRORS = [
 def test_list_entry_errors_name_their_index(doc, message):
     with pytest.raises(ScenarioError, match=rf"^{message}$"):
         load_scenario(doc)
+
+
+UNKNOWN_KEYS = [
+    (spoil(TWO_AGENTS, "safety_margin", {"long_m": 2.0}), "safety_margin"),
+    (spoil(TWO_AGENTS, "agents[0].initial_speed", 9.0), r"agents\[0\]\.initial_speed"),
+    (spoil(TWO_AGENTS, "agents[1].route.lane_ofset_m", 1.0), r"agents\[1\]\.route\.lane_ofset_m"),
+    (spoil(TWO_AGENTS, "agents[0].params.vmax", 12.0), r"agents\[0\]\.params\.vmax"),
+    (spoil(TWO_AGENTS, "geometry.cr_half_width", 5.0), r"geometry\.cr_half_width"),
+    (spoil(TWO_AGENTS, "bid_params.alpha6", 1.0), r"bid_params\.alpha6"),
+    (spoil(TWO_AGENTS, "safety_margins.long", 2.0), r"safety_margins\.long"),
+    (spoil(TWO_AGENTS, "penalty.max_iterations", 9), r"penalty\.max_iterations"),
+    (dict(TWO_AGENTS, events=[{"time_s": 0.5, "agent": 1}, {"time": 0.5, "agent": 2}]), r"events\[1\]\.time"),
+    (dict(TWO_AGENTS, topology_schedule=[{"from_step": 1, "topolgy": "ring"}]),
+     r"topology_schedule\[0\]\.topolgy"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, where", UNKNOWN_KEYS,
+    ids=["root", "agent", "route", "params", "geometry", "bid_params", "safety_margins", "penalty",
+         "event", "schedule entry"],
+)
+def test_unknown_key_is_rejected_at_its_path(doc, where):
+    """A key the loader does not read is a misspelt or misplaced one: each
+    object that the loader reads rejects it, naming its field path."""
+    with pytest.raises(ScenarioError, match=rf"^{where}: unknown field$"):
+        load_scenario(doc)
+    with pytest.raises(ScenarioError, match=rf"^{where}: unknown field$"):
+        load_scenario(json.dumps(doc))
+
+
+def test_each_misspelt_key_is_reported_in_turn():
+    """One document with four misspelt keys, which read as defaults would run
+    with initial speed 0, default margins, lane offset 2 m and v_max 15 m/s.
+    Each is reported until the last is mended, and the mended document loads."""
+    doc = json.loads(json.dumps(TWO_AGENTS))
+    agent = doc["agents"][0]
+    agent["initial_speed"] = agent.pop("initial_speed_mps")
+    agent["route"]["lane_ofset_m"] = 2.0
+    agent["params"] = {"vmax": 12.0}
+    doc["safety_margin"] = {"long_m": 2.0}
+    mends = [
+        ("safety_margin", lambda: doc.update(safety_margins=doc.pop("safety_margin"))),
+        (r"agents\[0\]\.initial_speed", lambda: agent.update(initial_speed_mps=agent.pop("initial_speed"))),
+        (r"agents\[0\]\.route\.lane_ofset_m",
+         lambda: agent["route"].update(lane_offset_m=agent["route"].pop("lane_ofset_m"))),
+        (r"agents\[0\]\.params\.vmax", lambda: agent["params"].update(v_max=agent["params"].pop("vmax"))),
+    ]
+    for where, mend in mends:
+        with pytest.raises(ScenarioError, match=rf"^{where}: unknown field$"):
+            load_scenario(doc)
+        mend()
+    cfg = load_scenario(doc)
+    assert cfg.margins.long == 2.0 and cfg.agents[0].initial_speed == 14.0
+    assert cfg.agents[0].params.v_max == 12.0
+
+
+def readme_json_blocks() -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```json\n(.*?)```", text, flags=re.S)
+
+
+def test_readme_scenario_example_loads():
+    """README's schema example is a document the loader accepts, key for key."""
+    cfg = load_scenario(readme_json_blocks()[0])
+    assert [a.agent_id for a in cfg.agents] == [1, 2]
+    assert (cfg.t_s, cfg.horizon, cfg.steps) == (0.1, 50, 250)
+    assert cfg.topology_schedule == ((50, "ring"),)
+    assert cfg.events == (EventSpec(0.5, 2, "emergency_on"),)
+    assert cfg.agents[0].params == use_case_1().agents[0].params
 
 
 NOT_UTF8 = b"\xff\xfe{\x00}\x00"  # a UTF-16 byte-order mark and "{}"
