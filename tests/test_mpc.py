@@ -1,10 +1,12 @@
 """Objective assembly, penalty gradients, box solver, and full OCP tests."""
 
+import json
 import linecache
 import math
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import box_solve_reference
 import numpy as np
@@ -1280,3 +1282,38 @@ def test_use_case_1_window_second_start_tally(monkeypatch):
     monkeypatch.setattr(orchestrator, "solve_ocp", counted)
     orchestrator.run_simulation(replace(load_scenario("use_case_1"), steps=10), workers=1)
     assert tally == {"unreachable": 39, "lost_infeasible": 1}
+
+
+# -- the full-throttle basin (ROADMAP item 1) ------------------------------------------
+
+
+def full_throttle_case(warm=None):
+    """solve_ocp on the inputs in full_throttle_fixture.json (see
+    full_throttle_fixture.py): a follower on a W->S right turn with one
+    neighbour broadcast, from the captured warm start or from `warm`."""
+    fixture = json.loads((Path(__file__).parent / "full_throttle_fixture.json").read_text(encoding="utf-8"))
+    from intersim.scenario import load_scenario
+
+    assert PARAMS == load_scenario("use_case_1").agents[0].params  # the scenario defaults
+    path, bounds = make_env(RouteSpec(**fixture["route"]))
+    neighbours = tuple(
+        PredictedTrajectory(*(np.array(nb[key]) for key in ("x_g", "y_g", "psi", "v")), nb["length"], nb["width"])
+        for nb in fixture["neighbours"]
+    )
+    start = np.array(fixture["warm"]) if warm is None else warm
+    return solve_ocp(AgentState(*fixture["state"]), neighbours, discretize(PARAMS.t_ax, fixture["t_s"]),
+                     PARAMS, path, bounds, CFG, MARGINS, fixture["horizon"], start)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the warm solve stays in the full-throttle basin")
+def test_full_throttle_basin_warm_start_brakes_and_converges():
+    u, _, report = full_throttle_case()
+    assert u[0] < PARAMS.a_x_max
+    assert report.max_violation <= CFG.constraint_tolerance
+
+
+def test_full_throttle_basin_brake_start_converges():
+    """The same inputs, solved from braking throughout, leave the basin."""
+    u, _, report = full_throttle_case(np.full(50, PARAMS.a_x_min))
+    assert report.converged and report.max_violation <= CFG.constraint_tolerance
+    assert u[0] < PARAMS.a_x_max
