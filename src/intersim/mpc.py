@@ -244,12 +244,10 @@ class OcpProblem:
         )
 
     def _forward(self, u: np.ndarray, shrink: float):
-        """The forward pass both evaluators share: the states at u, the
-        horizon geometry, the lateral acceleration, the four limit residuals
-        against the limits scaled by `shrink`, the collision terms with their
-        derivative builder (None without tracks), and the two factors of the
-        preview hinge (s_cr_out - s_N)+ * (s_N - s_stop)+, which is zero iff
-        the horizon clears the critical region or ends before the stop line."""
+        """The forward pass of both evaluators: states, horizon geometry, lateral
+        acceleration, limit residuals against the limits scaled by `shrink`,
+        collision terms and their derivative builder (None without tracks), and
+        the preview hinge's factors (s_cr_out - s_N)+ and (s_N - s_stop)+."""
         states = self.states(u)
         a, v, s = states[:, 0], states[:, 1], states[:, 2]
         vj = v[1:]
@@ -280,11 +278,11 @@ class OcpProblem:
         p = self.params
         n = self.horizon
         total = np.add.reduce
-        states, geometry, ay, limits, collision, (h1, h2) = self._forward(u, 1.0 - self.ENFORCE_BACKOFF)
+        states, (_, _, _, kap, dkap, kap_exact), ay, (r_lo, r_hi, r_ay, r_tot), collision, (h1, h2) = (
+            self._forward(u, 1.0 - self.ENFORCE_BACKOFF)
+        )
         a, v, s = states[:, 0], states[:, 1], states[:, 2]
         aj, vj, sj = a[1:], v[1:], s[1:]
-        _, _, _, kap, dkap, kap_exact = geometry
-        r_lo, r_hi, r_ay, r_tot = limits
 
         dv_ref = v - p.v_ref
         value = self._tracking(u, dv_ref)
@@ -552,9 +550,8 @@ class _Candidate:
 
 
 def _rank(violation: float, tracking: float, tol: float) -> tuple[bool, float, float]:
-    """The one order on candidates, a loop's rounds and the two starts alike:
-    feasible (violation <= tol) before infeasible, feasible ones by tracking
-    cost, infeasible ones by violation, then by tracking cost."""
+    """The one order on candidates, a loop's rounds and the two starts alike: feasible
+    (violation <= tol) first, by tracking cost; infeasible by violation, then tracking."""
     infeasible = violation > tol
     return (infeasible, violation if infeasible else tracking, tracking)
 

@@ -219,10 +219,8 @@ _PENALTY_KEYS = {
     )
 }
 # the keys of the objects that are not sections: every other key is an error
-_ROOT_KEYS = (
-    "sampling_time_s", "horizon", "steps", "agents", "geometry", "bid_params", "safety_margins",
-    "penalty", "topology", "topology_schedule", "events",
-)
+_ROOT_KEYS = ("sampling_time_s", "horizon", "steps", "agents", "geometry", "bid_params", "safety_margins",
+              "penalty", "topology", "topology_schedule", "events")
 _AGENT_KEYS = ("id", "route", "initial_position_m", "initial_speed_mps", "params")
 _SCHEDULE_KEYS = ("from_step", "topology")
 _EVENT_KEYS = ("time_s", "agent", "kind")
@@ -235,8 +233,7 @@ def _object(value, where: str) -> dict:
 
 
 def _known(mapping: dict, keys, ctx: str) -> None:
-    """Reject the first key of `mapping` that is not among `keys`: a key the
-    loader does not read is a misspelt or misplaced one, never an extra."""
+    """Reject the first key of `mapping` not among `keys`: it is misspelt or misplaced."""
     for key in mapping:
         if key not in keys:
             raise ScenarioError(f"{ctx}{key}: unknown field")
@@ -326,9 +323,8 @@ def _parse_agent(doc: dict, pos: int) -> AgentConfig:
     route_doc = _object(_require(doc, "route", ctx), ctx + "route")
     entry = _require(route_doc, "entry", ctx + "route.")
     exit_ = _require(route_doc, "exit", ctx + "route.")
-    route = _section(
-        doc, "route", ctx, _checked(ctx + "route", RouteSpec, entry, exit_), _ROUTE_KEYS, ("entry", "exit")
-    )
+    arms = _checked(ctx + "route", RouteSpec, entry, exit_)
+    route = _section(doc, "route", ctx, arms, _ROUTE_KEYS, ("entry", "exit"))
     position = _require(doc, "initial_position_m", ctx)
     if not isinstance(position, (list, tuple)) or len(position) != 2:
         raise ScenarioError(ctx + "initial_position_m: needs exactly two coordinates")
