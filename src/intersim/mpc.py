@@ -224,41 +224,32 @@ class OcpProblem:
 
         return value, derivatives
 
-    def _horizon_geometry(self, s):
-        """Pose, smoothed curvature and its slope, and exact curvature along
-        the horizon, with s clamped to the path."""
-        s_cl = np.minimum(np.maximum(0.0, s), self.path.total_length)
+    def _forward(self, u: np.ndarray, shrink: float):
+        """The forward pass of both evaluators: the states; along the horizon,
+        with s clamped to the path, the smoothed curvature, its slope and the
+        exact curvature; the lateral acceleration; the speed (low, high),
+        lateral and total-acceleration violations against the limits scaled by
+        `shrink`; the collision terms and their derivative builder (None
+        without tracks); and the preview hinge's factors (s_cr_out - s_N)+ and
+        (s_N - s_stop)+."""
+        p = self.params
+        states = self.states(u)
+        a, v, s = states[:, 0], states[:, 1], states[:, 2]
+        aj, vj = a[1:], v[1:]
+        s_cl = np.minimum(np.maximum(0.0, s[1:]), self.path.total_length)
         x, y, psi, kap_exact = self._table.pose(s_cl)
         kap, dkap = self._table.smoothed(s_cl, kap_exact)
-        return x, y, psi, kap, dkap, kap_exact
-
-    def _limit_residuals(self, aj, vj, ay, shrink):
-        """Speed (low, high), lateral and total-acceleration violations
-        against the limits scaled by `shrink`."""
-        p = self.params
-        return (
+        ay = kap * vj * vj
+        limits = (
             np.maximum(0.0, -vj),
             np.maximum(0.0, vj - p.v_max * shrink),
             np.maximum(0.0, np.abs(ay) - p.a_y_max * shrink),
             np.maximum(0.0, aj * aj + ay * ay - (p.a_tot_max * shrink) ** 2),
         )
-
-    def _forward(self, u: np.ndarray, shrink: float):
-        """The forward pass of both evaluators: states, horizon geometry, lateral
-        acceleration, limit residuals against the limits scaled by `shrink`,
-        collision terms and their derivative builder (None without tracks), and
-        the preview hinge's factors (s_cr_out - s_N)+ and (s_N - s_stop)+."""
-        states = self.states(u)
-        a, v, s = states[:, 0], states[:, 1], states[:, 2]
-        vj = v[1:]
-        geometry = self._horizon_geometry(s[1:])
-        x, y, psi, kap = geometry[:4]
-        ay = kap * vj * vj
-        limits = self._limit_residuals(a[1:], vj, ay, shrink)
         collision = self._ca_terms(x, y, psi, vj) if self.tracks else None
         s_n = float(s[-1])
         hinge = (max(0.0, self.regions.s_cr_out - s_n), max(0.0, s_n - self.regions.s_stop))
-        return states, geometry, ay, limits, collision, hinge
+        return states, (kap, dkap, kap_exact), ay, limits, collision, hinge
 
     # -- penalty objective -------------------------------------------------
 
@@ -278,8 +269,8 @@ class OcpProblem:
         p = self.params
         n = self.horizon
         total = np.add.reduce
-        states, (_, _, _, kap, dkap, kap_exact), ay, (r_lo, r_hi, r_ay, r_tot), collision, (h1, h2) = (
-            self._forward(u, 1.0 - self.ENFORCE_BACKOFF)
+        states, (kap, dkap, kap_exact), ay, (r_lo, r_hi, r_ay, r_tot), collision, (h1, h2) = self._forward(
+            u, 1.0 - self.ENFORCE_BACKOFF
         )
         a, v, s = states[:, 0], states[:, 1], states[:, 2]
         aj, vj, sj = a[1:], v[1:], s[1:]
