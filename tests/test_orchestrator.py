@@ -274,32 +274,6 @@ def test_unknown_key_is_rejected_at_its_path(doc, where):
         load_scenario(json.dumps(doc))
 
 
-def test_each_misspelt_key_is_reported_in_turn():
-    """One document with four misspelt keys, which read as defaults would run
-    with initial speed 0, default margins, lane offset 2 m and v_max 15 m/s.
-    Each is reported until the last is mended, and the mended document loads."""
-    doc = json.loads(json.dumps(TWO_AGENTS))
-    agent = doc["agents"][0]
-    agent["initial_speed"] = agent.pop("initial_speed_mps")
-    agent["route"]["lane_ofset_m"] = 2.0
-    agent["params"] = {"vmax": 12.0}
-    doc["safety_margin"] = {"long_m": 2.0}
-    mends = [
-        ("safety_margin", lambda: doc.update(safety_margins=doc.pop("safety_margin"))),
-        (r"agents\[0\]\.initial_speed", lambda: agent.update(initial_speed_mps=agent.pop("initial_speed"))),
-        (r"agents\[0\]\.route\.lane_ofset_m",
-         lambda: agent["route"].update(lane_offset_m=agent["route"].pop("lane_ofset_m"))),
-        (r"agents\[0\]\.params\.vmax", lambda: agent["params"].update(v_max=agent["params"].pop("vmax"))),
-    ]
-    for where, mend in mends:
-        with pytest.raises(ScenarioError, match=rf"^{where}: unknown field$"):
-            load_scenario(doc)
-        mend()
-    cfg = load_scenario(doc)
-    assert cfg.margins.long == 2.0 and cfg.agents[0].initial_speed == 14.0
-    assert cfg.agents[0].params.v_max == 12.0
-
-
 def readme_json_blocks() -> list[str]:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return re.findall(r"```json\n(.*?)```", text, flags=re.S)
