@@ -165,16 +165,18 @@ def box_distance(first: OrientedBox, second: OrientedBox) -> float:
 
     Apart, the nearest points of two convex polygons include a vertex of
     one, so the clearance is the least of the 32 distances from each box's
-    corners to the other's edges, computed as one (2, 4, 4) array."""
+    corners to the other's edges, computed as one (2, 4, 4) array. `vecdot`
+    runs `np.dot`'s kernel on each xy pair: a plain sum of products rounds
+    differently wherever that kernel fuses a multiply-add."""
     if area_overlap(first, second) > 0.0:
         return 0.0
     corners = np.stack((first.corners(), second.corners()))  # (box, corner, xy)
     a = corners[::-1, None]  # the other box's edge starts, (box, 1, edge, xy)
     ab = np.roll(a, -1, axis=2) - a
     p = corners[:, :, None]
-    t = np.sum((p - a) * ab, axis=-1) / np.maximum(np.sum(ab * ab, axis=-1), 1e-300)
+    t = np.vecdot(p - a, ab) / np.maximum(np.vecdot(ab, ab), 1e-300)
     gap = p - (a + np.minimum(np.maximum(t, 0.0), 1.0)[..., None] * ab)
-    return float(np.sqrt(np.min(np.sum(gap * gap, axis=-1))))
+    return float(np.sqrt(np.min(np.vecdot(gap, gap))))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
