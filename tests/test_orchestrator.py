@@ -274,14 +274,10 @@ def test_unknown_key_is_rejected_at_its_path(doc, where):
         load_scenario(json.dumps(doc))
 
 
-def readme_json_blocks() -> list[str]:
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return re.findall(r"```json\n(.*?)```", text, flags=re.S)
-
-
 def test_readme_scenario_example_loads():
-    """README's schema example is a document the loader accepts, key for key."""
-    cfg = load_scenario(readme_json_blocks()[0])
+    """README's schema example, its first JSON block, is a document the loader accepts, key for key."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cfg = load_scenario(re.search(r"```json\n(.*?)```", readme, flags=re.S).group(1))
     assert [a.agent_id for a in cfg.agents] == [1, 2]
     assert (cfg.t_s, cfg.horizon, cfg.steps) == (0.1, 50, 250)
     assert cfg.topology_schedule == ((50, "ring"),)
