@@ -171,10 +171,14 @@ class OcpProblem:
         # a broadcast is one step old: prediction step j reads the sender's
         # step j+1, and its last pose is held
         shift = np.minimum(np.arange(2, n_poses + 1), horizon)
-        # (T, N) neighbour poses at prediction steps 1..N, and (T, 1) half extents
+        # (T, N) neighbour poses at prediction steps 1..N and half extents:
+        # with one track every operand of the collision terms then has the
+        # shape of the own (1, N) rows, which numpy combines fastest
         self._ox, self._oy, self._opsi, self._ov = poses.take(shift, axis=2)
-        self._oa = extents[:, :1] / 2.0
-        self._ob = extents[:, 1:] / 2.0
+        self._neg_ov = -self._ov
+        half = extents / 2.0
+        self._oa = np.repeat(half[:, :1], horizon, axis=1)
+        self._ob = np.repeat(half[:, 1:], horizon, axis=1)
         self.stop_line: tuple[np.ndarray, float] | None = None
         self.evaluations = 0
         self.gradients = 0
@@ -186,10 +190,15 @@ class OcpProblem:
 
     # -- collision-avoidance terms ----------------------------------------
 
-    def _ca_terms(self, x, y, psi, v):
-        """Surrogate overlap with every track as a (T, N) array, and a function
-        of the exact curvature and the own path coordinate that builds its
-        derivatives w.r.t. that coordinate and the own speed."""
+    def _ca_terms(self, x, y, psi, v, kap, inside):
+        """Surrogate overlap with every track as a (T, N) array, from the own
+        pose, speed and exact curvature as (1, N) rows, and a function that
+        builds its derivatives w.r.t. the own path coordinate and speed.
+
+        `inside` is None where every coordinate lies strictly inside the
+        path, and else the (1, N) 0/1 mask of those that do: the pose is held
+        where s is clamped to a path end. x * 1.0 is x, so the mask is left
+        out when it holds only ones."""
         p = self.params
         m = self.margins
         rel = self._opsi - psi
@@ -206,18 +215,18 @@ class OcpProblem:
             self._oa, self._ob, m.sharpness,
         )
 
-        def derivatives(kap, s):
-            # the pose is held where s is clamped to a path end, so only
-            # coordinates strictly inside the path move it
-            inside = ((s > 0.0) & (s < self.path.total_length)).astype(float)
+        def derivatives():
             active = (closing > 0).astype(float)
             dext_dv = m.headway * active
-            dext_dpsi = m.headway * active * (-self._ov * sin_rel)
+            dext_dpsi = dext_dv * (self._neg_ov * sin_rel)
             dcrx, dcry, dth, dar = overlap_derivatives()
-            dpsi_ds = kap * inside
+            if inside is None:
+                dpsi_ds, dx_ds, dy_ds = kap, cos_p, sin_p
+            else:
+                dpsi_ds, dx_ds, dy_ds = kap * inside, cos_p * inside, sin_p * inside
             dext_ds = dext_dpsi * dpsi_ds
-            dcrx_ds = cos_p * inside + 0.5 * (dext_ds * cos_p - ext * sin_p * dpsi_ds)
-            dcry_ds = sin_p * inside + 0.5 * (dext_ds * sin_p + ext * cos_p * dpsi_ds)
+            dcrx_ds = dx_ds + 0.5 * (dext_ds * cos_p - ext * sin_p * dpsi_ds)
+            dcry_ds = dy_ds + 0.5 * (dext_ds * sin_p + ext * cos_p * dpsi_ds)
             dv_ds = dcrx * dcrx_ds + dcry * dcry_ds + dth * dpsi_ds + dar * 0.5 * dext_ds
             dv_dv = dcrx * 0.5 * dext_dv * cos_p + dcry * 0.5 * dext_dv * sin_p + dar * 0.5 * dext_dv
             return dv_ds, dv_dv
@@ -226,19 +235,20 @@ class OcpProblem:
 
     def _forward(self, u: np.ndarray, shrink: float):
         """The forward pass of both evaluators: the states; along the horizon,
-        with s clamped to the path, the smoothed curvature, its slope and the
-        exact curvature; the lateral acceleration; the speed (low, high),
-        lateral and total-acceleration violations against the limits scaled by
-        `shrink`; the collision terms and their derivative builder (None
-        without tracks); and the preview hinge's factors (s_cr_out - s_N)+ and
+        with s clamped to the path, the smoothed curvature and its slope; the
+        lateral acceleration; the speed (low, high), lateral and
+        total-acceleration violations against the limits scaled by `shrink`;
+        the collision terms and their derivative builder (None without
+        tracks); and the preview hinge's factors (s_cr_out - s_N)+ and
         (s_N - s_stop)+."""
         p = self.params
+        total = self.path.total_length
         states = self.states(u)
         a, v, s = states[:, 0], states[:, 1], states[:, 2]
         aj, vj = a[1:], v[1:]
-        s_cl = np.minimum(np.maximum(0.0, s[1:]), self.path.total_length)
-        x, y, psi, kap_exact = self._table.pose(s_cl)
-        kap, dkap = self._table.smoothed(s_cl, kap_exact)
+        s_cl = np.minimum(np.maximum(0.0, s[1:]), total)
+        lo, hi = float(s_cl.min()), float(s_cl.max())
+        x, y, psi, kap_exact, kap, dkap = self._table.pose_and_curvature(s_cl, lo, hi)
         ay = kap * vj * vj
         limits = (
             np.maximum(0.0, -vj),
@@ -246,10 +256,17 @@ class OcpProblem:
             np.maximum(0.0, np.abs(ay) - p.a_y_max * shrink),
             np.maximum(0.0, aj * aj + ay * ay - (p.a_tot_max * shrink) ** 2),
         )
-        collision = self._ca_terms(x, y, psi, vj) if self.tracks else None
+        collision = None
+        if self.tracks:
+            # the heading chain uses the exact curvature: the evaluated pose is
+            # the exact path map, so only this keeps gradients FD-consistent
+            inside = None
+            if not (0.0 < lo and hi < total):
+                inside = ((s[1:] > 0.0) & (s[1:] < total)).astype(float)[None]
+            collision = self._ca_terms(x[None], y[None], psi[None], vj[None], kap_exact[None], inside)
         s_n = float(s[-1])
         hinge = (max(0.0, self.regions.s_cr_out - s_n), max(0.0, s_n - self.regions.s_stop))
-        return states, (kap, dkap, kap_exact), ay, limits, collision, hinge
+        return states, (kap, dkap), ay, limits, collision, hinge
 
     # -- penalty objective -------------------------------------------------
 
@@ -269,17 +286,26 @@ class OcpProblem:
         p = self.params
         n = self.horizon
         total = np.add.reduce
-        states, (kap, dkap, kap_exact), ay, (r_lo, r_hi, r_ay, r_tot), collision, (h1, h2) = self._forward(
+        states, (kap, dkap), ay, (r_lo, r_hi, r_ay, r_tot), collision, (h1, h2) = self._forward(
             u, 1.0 - self.ENFORCE_BACKOFF
         )
-        a, v, s = states[:, 0], states[:, 1], states[:, 2]
-        aj, vj, sj = a[1:], v[1:], s[1:]
+        a, v = states[:, 0], states[:, 1]
+        aj, vj = a[1:], v[1:]
 
         dv_ref = v - p.v_ref
         value = self._tracking(u, dv_ref)
-        value += weight * float(total(r_lo**2) + total(r_hi**2))
-        value += weight * float(total(r_ay**2))
-        value += weight * float(total(r_tot**2))
+        # a penalty family that is zero throughout adds +0.0 to the value,
+        # which is >= +0.0, and +-0.0 to the gradient's adjoint entries,
+        # which no round-to-nearest sum from +0.0 makes -0.0: so it is skipped
+        # (count_nonzero is ndarray.any without its Python wrapper; a NaN counts)
+        nonzero = np.count_nonzero
+        speed, lateral, accel = nonzero(r_lo) or nonzero(r_hi), nonzero(r_ay), nonzero(r_tot)
+        if speed:
+            value += weight * float(total(r_lo**2) + total(r_hi**2))
+        if lateral:
+            value += weight * float(total(r_ay**2))
+        if accel:
+            value += weight * float(total(r_tot**2))
 
         if collision is not None:
             ca, ca_derivatives = collision
@@ -302,20 +328,19 @@ class OcpProblem:
             adj = np.zeros((n + 1, 3))
             adj[:n, 1] += 2.0 * p.q * dv_ref[:n]
             adj[n, 1] += 2.0 * p.q_n * dv_ref[n]
-            adj[1:, 1] += weight * (2.0 * r_hi - 2.0 * r_lo)
-
-            sgn = np.sign(ay)
-            adj[1:, 1] += weight * 4.0 * r_ay * sgn * kap * vj
-            adj[1:, 2] += weight * 2.0 * r_ay * sgn * dkap * vj * vj
-
-            adj[1:, 0] += weight * 4.0 * r_tot * aj
-            adj[1:, 1] += weight * 8.0 * r_tot * ay * kap * vj
-            adj[1:, 2] += weight * 4.0 * r_tot * ay * dkap * vj * vj
+            if speed:
+                adj[1:, 1] += weight * (2.0 * r_hi - 2.0 * r_lo)
+            if lateral:
+                sgn = np.sign(ay)
+                adj[1:, 1] += weight * 4.0 * r_ay * sgn * kap * vj
+                adj[1:, 2] += weight * 2.0 * r_ay * sgn * dkap * vj * vj
+            if accel:
+                adj[1:, 0] += weight * 4.0 * r_tot * aj
+                adj[1:, 1] += weight * 8.0 * r_tot * ay * kap * vj
+                adj[1:, 2] += weight * 4.0 * r_tot * ay * dkap * vj * vj
 
             if collision is not None:
-                # heading chain uses exact curvature: the evaluated pose is the
-                # exact path map, so only this keeps gradients FD-consistent
-                dca_ds, dca_dv = ca_derivatives(kap_exact, sj)
+                dca_ds, dca_dv = ca_derivatives()
                 scaled = weight * 2.0 * ca
                 # track by track, in order, as the value sums
                 for row_s, row_v in zip(scaled * dca_ds, scaled * dca_dv):
@@ -355,13 +380,13 @@ def _lbfgs_direction(pairs: deque, r: np.ndarray) -> np.ndarray:
     q = r.copy()
     alphas = []
     for s_i, y_i, rho_i in reversed(pairs):
-        alpha = rho_i * float(s_i @ q)
+        alpha = rho_i * float(s_i.dot(q))
         q -= alpha * y_i
         alphas.append(alpha)
     s_l, y_l, _ = pairs[-1]
-    q *= float(s_l @ y_l) / float(y_l @ y_l)
+    q *= float(s_l.dot(y_l)) / float(y_l.dot(y_l))
     for (s_i, y_i, rho_i), alpha in zip(pairs, reversed(alphas)):
-        beta = rho_i * float(y_i @ q)
+        beta = rho_i * float(y_i.dot(q))
         q += s_i * (alpha - beta)
     return q
 
@@ -376,15 +401,20 @@ def _project_box_halfspace(
     Otherwise the projection is clip(z - mu*c) with c @ clip(z - mu*c) = d
     for some mu > 0. That function of mu falls piecewise linearly, with a
     kink wherever a coordinate reaches a bound, so it is evaluated at every
-    kink and mu is interpolated on the segment whose ends bracket d."""
-    p = np.minimum(np.maximum(lower, z), upper)
+    kink and mu is interpolated on the segment whose ends bracket d.
+
+    Each clip is np.minimum(upper, np.maximum(lower, x)): numpy's maximum
+    and minimum return their second operand on a tie, so this keeps x where
+    it equals a bound, as np.clip does, bit for bit, the sign of a zero
+    included."""
+    p = np.minimum(upper, np.maximum(lower, z))
     phi = float(c @ p)
     if phi <= d:
         return p
     on = c > 0
     kinks = np.sort(np.concatenate(((z[on] - upper) / c[on], (z[on] - lower) / c[on])))
     kinks = kinks[kinks > 0.0]
-    at = np.minimum(np.maximum(lower, z - kinks[:, None] * c), upper) @ c
+    at = np.minimum(upper, np.maximum(lower, z - kinks[:, None] * c)) @ c
     past = np.flatnonzero(at <= d)
     if not past.size:
         # every coordinate with c > 0 at lower meets the halfspace but for
@@ -393,7 +423,7 @@ def _project_box_halfspace(
     k = int(past[0])
     lo, phi_lo = (float(kinks[k - 1]), float(at[k - 1])) if k else (0.0, phi)
     mu = lo + (float(kinks[k]) - lo) * (phi_lo - d) / (phi_lo - float(at[k]))
-    return np.minimum(np.maximum(lower, z - mu * c), upper)
+    return np.minimum(upper, np.maximum(lower, z - mu * c))
 
 
 def box_solve(
@@ -427,9 +457,11 @@ def box_solve(
 
     def project(z):
         if halfspace is None:
-            return np.minimum(np.maximum(lower, z), upper)
+            return np.minimum(upper, np.maximum(lower, z))  # np.clip, bit for bit
         return _project_box_halfspace(z, lower, upper, *halfspace)
 
+    # 1-D products go through ndarray.dot, the BLAS dot that `@` also calls
+    # on two vectors, with less call overhead
     def norm(z):
         return math.sqrt(z.dot(z))  # np.linalg.norm of a real vector
 
@@ -464,27 +496,26 @@ def box_solve(
     while iterations < cfg.max_inner_iterations:
         iterations += 1
         r = u - t
-        if float(np.max(np.abs(r))) <= cfg.inner_tolerance:
+        if float(np.abs(r).max()) <= cfg.inner_tolerance:
             u = t  # return the projected point, which meets the constraints
             converged = True
             break
         known = dict(start)
         f_t, gradient_t = evaluate(t)
+        gr, rr = float(g.dot(r)), float(r.dot(r))
         # enlarge the local Lipschitz estimate until the descent model holds
-        while (
-            f_t > f - float(g @ r) + 0.5 * lip * float(r @ r) + 1e-10 * (1.0 + abs(f))
-            and lip < 1e12
-        ):
+        while f_t > f - gr + 0.5 * lip * rr + 1e-10 * (1.0 + abs(f)) and lip < 1e12:
             lip *= 2.0
             gamma = 0.95 / lip
             pairs.clear()
             t = project(u - gamma * g)
             r = u - t
             f_t, gradient_t = evaluate(t)
-        fbe = f - float(g @ r) + float(r @ r) / (2.0 * gamma)
+            gr, rr = float(g.dot(r)), float(r.dot(r))
+        fbe = f - gr + rr / (2.0 * gamma)
 
         d = -_lbfgs_direction(pairs, r)
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(d).all():
             d = -r
         step_fb = t - u
         accepted = False
@@ -495,8 +526,8 @@ def box_solve(
             g_c = gradient_c()
             t_c = project(u_c - gamma * g_c)
             r_c = u_c - t_c
-            fbe_c = f_c - float(g_c @ r_c) + float(r_c @ r_c) / (2.0 * gamma)
-            if fbe_c <= fbe - 1e-4 * float(r @ r) / gamma:
+            fbe_c = f_c - float(g_c.dot(r_c)) + float(r_c.dot(r_c)) / (2.0 * gamma)
+            if fbe_c <= fbe - 1e-4 * rr / gamma:
                 accepted = True
                 break
             tau *= 0.5
@@ -507,7 +538,7 @@ def box_solve(
             u_new, t_new = t, project(t - gamma * g_new)
         s_i = u_new - u
         y_i = (u_new - t_new) - r
-        sy = float(s_i @ y_i)
+        sy = float(s_i.dot(y_i))
         if sy > 1e-12 * norm(s_i) * max(norm(y_i), 1e-300):
             pairs.append((s_i, y_i, 1.0 / sy))
         u, f, g, t = u_new, f_new, g_new, t_new

@@ -121,8 +121,9 @@ class PathSpec:
 
 
 class PathTable:
-    """Per-segment constants of one path, built once: the array sampler
-    `pose` reads them all, the scalar `sample_path` the segment starts.
+    """Per-segment constants of one path, built once: the array samplers
+    `pose` and `pose_and_curvature` read them all, the scalar `sample_path`
+    the segment starts.
 
     Holds the cumulative segment starts, each segment's exact curvature and
     the windows over which the smoothed curvature bridges the jumps of the
@@ -176,8 +177,50 @@ class PathTable:
                 arr.setflags(write=False)
 
     def pose(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(x_g, y_g, psi, kappa) at coordinates already inside [0, total_length]."""
+        """(x_g, y_g, psi, kappa) at one or more coordinates already inside
+        [0, total_length]."""
+        return self._pose(s, float(s.min()), float(s.max()))
+
+    def pose_and_curvature(self, s: np.ndarray, lo: float, hi: float):
+        """pose(s), then the smoothed curvature and its slope d/ds, at
+        coordinates s already inside [0, total_length] whose least and
+        greatest entries are lo and hi: one segment lookup serves both.
+
+        Each jump of the exact curvature becomes a C1 smoothstep over its
+        blend window, so the magnitude never drops below the exact one:
+        gradient consumers get a continuous profile while constraints stay
+        conservative. A window that [lo, hi] does not reach holds no sample
+        and is skipped.
+        """
+        x, y, psi, kappa = self._pose(s, lo, hi)
+        smooth = kappa.copy()
+        dsmooth = np.zeros(s.shape)
+        for z0, z1, k1, k2, w in self.blends:
+            if z1 < lo or hi < z0:
+                continue
+            m = (s >= z0) & (s <= z1)
+            if m.any():
+                t = (s[m] - z0) / w
+                smooth[m] = k1 + (k2 - k1) * (3.0 * t * t - 2.0 * t**3)
+                dsmooth[m] = (k2 - k1) * (6.0 * t - 6.0 * t * t) / w
+        return x, y, psi, kappa, smooth, dsmooth
+
+    def _pose(self, s: np.ndarray, lo: float, hi: float):
+        """pose(s), given the least and greatest coordinates lo and hi."""
         # the last segment whose start is <= s; total_length falls in the final one
+        j = bisect_right(self.starts, lo) - 1
+        if j == bisect_right(self.starts, hi) - 1:
+            # every coordinate lies on segment j, so the gathers below would
+            # repeat its scalar constants: those stand in for them
+            ds = s - self.cum[j]
+            kappa = np.full(s.shape, self.kappa[j])
+            if self._is_arc[j]:
+                radius = self._radius[j]
+                ang = self._start[j] + self._sgn[j] * ds / radius
+                return (self._cx[j] + radius * np.cos(ang), self._cy[j] + radius * np.sin(ang),
+                        ang + self._quarter[j], kappa)
+            return (self._x0[j] + ds * self._cos[j], self._y0[j] + ds * self._sin[j],
+                    np.full(s.shape, self._heading[j]), kappa)
         idx = np.searchsorted(self._junctions, s, side="right")
         ds = s - self.cum[idx]
         x = self._x0[idx] + ds * self._cos[idx]
@@ -192,24 +235,6 @@ class PathTable:
             y[on_arc] = self._cy[j] + radius * np.sin(ang)
             psi[on_arc] = ang + self._quarter[j]
         return x, y, psi, self.kappa[idx]
-
-    def smoothed(self, s: np.ndarray, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Smoothed curvature and its slope d/ds at s, given the exact kappa there.
-
-        Each jump of the exact curvature becomes a C1 smoothstep over its
-        blend window, so the magnitude never drops below the exact one:
-        gradient consumers get a continuous profile while constraints stay
-        conservative.
-        """
-        smooth = kappa.copy()
-        dsmooth = np.zeros_like(kappa)
-        for z0, z1, k1, k2, w in self.blends:
-            m = (s >= z0) & (s <= z1)
-            if m.any():
-                t = (s[m] - z0) / w
-                smooth[m] = k1 + (k2 - k1) * (3.0 * t * t - 2.0 * t**3)
-                dsmooth[m] = (k2 - k1) * (6.0 * t - 6.0 * t * t) / w
-        return smooth, dsmooth
 
 
 @dataclass(frozen=True)

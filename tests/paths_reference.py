@@ -1,10 +1,14 @@
-"""Reference region finder: `compute_regions` and the scalar `sample_path` as
-they were before the scalar sampler found its segment with `bisect`, each
-probe locating its segment with a numpy `searchsorted` on one float.
+"""Reference path samplers, kept to check that `intersim.paths` returns the
+same region bounds and samples bit for bit.
 
-Kept to check that `intersim.paths` returns the same region bounds and
-samples bit for bit. Uncached, with its own bisection, so that spying on or
-clearing the program's caches leaves it untouched.
+- `compute_regions` and the scalar `sample_path` as they were before the
+  scalar sampler found its segment with `bisect`, each probe locating its
+  segment with a numpy `searchsorted` on one float. Uncached, with its own
+  bisection, so that spying on or clearing the program's caches leaves it
+  untouched.
+- `pose`, the per-segment masked loop that the table's array pose replaced,
+  and `smoothed`, the curvature smoothing as it was before it shared the
+  pose's segment lookup and skipped the blend windows a horizon misses.
 """
 
 import math
@@ -12,6 +16,45 @@ import math
 import numpy as np
 
 from intersim.paths import PathSample, RegionBounds, StraightSegment
+
+
+def pose(path, s):
+    """(x_g, y_g, psi, kappa) at s: one boolean mask and one formula per segment."""
+    cum = np.asarray(path.cumulative)
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(path.segments) - 1)
+    ds = s - cum[idx]
+    x, y, psi, kappa = (np.empty_like(s) for _ in range(4))
+    for i, seg in enumerate(path.segments):
+        m = idx == i
+        if not m.any():
+            continue
+        if isinstance(seg, StraightSegment):
+            x[m] = seg.x0 + ds[m] * math.cos(seg.heading)
+            y[m] = seg.y0 + ds[m] * math.sin(seg.heading)
+            psi[m] = seg.heading
+            kappa[m] = 0.0
+        else:
+            sgn = 1.0 if seg.sweep >= 0 else -1.0
+            ang = seg.start_angle + sgn * ds[m] / seg.radius
+            x[m] = seg.cx + seg.radius * np.cos(ang)
+            y[m] = seg.cy + seg.radius * np.sin(ang)
+            psi[m] = ang + sgn * math.pi / 2.0
+            kappa[m] = sgn / seg.radius
+    return x, y, psi, kappa
+
+
+def smoothed(table, s, kappa):
+    """Smoothed curvature and its slope d/ds at s, given the exact kappa
+    there: every blend window of the table is tested against every sample."""
+    smooth = kappa.copy()
+    dsmooth = np.zeros_like(kappa)
+    for z0, z1, k1, k2, w in table.blends:
+        m = (s >= z0) & (s <= z1)
+        if m.any():
+            t = (s[m] - z0) / w
+            smooth[m] = k1 + (k2 - k1) * (3.0 * t * t - 2.0 * t**3)
+            dsmooth[m] = (k2 - k1) * (6.0 * t - 6.0 * t * t) / w
+    return smooth, dsmooth
 
 _REGION_SCAN_STEP = 0.05
 

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import box_solve_reference
 import numpy as np
+import paths_reference
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from intersim import mpc
@@ -172,12 +173,13 @@ def test_zero_weight_reduces_to_tracking_objective():
 
 
 def reference_geometry(prob, s):
-    """Horizon-geometry oracle: np.clip clamp plus the inside-the-path mask."""
+    """Horizon-geometry oracle: np.clip clamp, the reference pose and
+    smoothing, and the inside-the-path mask."""
     total = prob.path.total_length
     s_cl = np.clip(s, 0.0, total)
     inside = ((s > 0.0) & (s < total)).astype(float)
-    x, y, psi, kap_exact = prob.path.table.pose(s_cl)
-    kap, dkap = prob.path.table.smoothed(s_cl, kap_exact)
+    x, y, psi, kap_exact = paths_reference.pose(prob.path, s_cl)
+    kap, dkap = paths_reference.smoothed(prob.path.table, s_cl, kap_exact)
     return x, y, psi, kap, dkap, kap_exact, inside
 
 
@@ -325,22 +327,60 @@ def random_problems(rng, count):
         yield trial, OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
 
 
+def kernel_cases(prob, u):
+    """Which of the kernel's shortcuts an evaluation at u can take, from the
+    reference: each penalty family zero throughout or not, and the only one
+    that is not, the horizon
+    strictly inside the path or not, on one path segment or not, and the
+    track count (1, or 2 for two or more; the collision terms are the only
+    ones that depend on it)."""
+    p = prob.params
+    states = prob.base + prob.g_mat @ u
+    a, v, s = states[1:, 0], states[1:, 1], states[1:, 2]
+    total = prob.path.total_length
+    s_cl = np.clip(s, 0.0, total)
+    segment = np.searchsorted(prob.path.table.cum[1:-1], s_cl, side="right")
+    cases = {("one segment", bool(np.all(segment == segment[0])))}
+    if prob.tracks:
+        cases |= {("inside", bool(np.all((s > 0.0) & (s < total)))), ("tracks", min(len(prob.tracks), 2))}
+    shrink = 1.0 - OcpProblem.ENFORCE_BACKOFF
+    kap = paths_reference.smoothed(prob.path.table, s_cl, paths_reference.pose(prob.path, s_cl)[3])[0]
+    ay = kap * v * v
+    families = {
+        "speed": np.maximum(0.0, -v) + np.maximum(0.0, v - p.v_max * shrink),
+        "lateral": np.maximum(0.0, np.abs(ay) - p.a_y_max * shrink),
+        "accel": np.maximum(0.0, a * a + ay * ay - (p.a_tot_max * shrink) ** 2),
+    }
+    nonzero = {name for name, r in families.items() if np.any(r)}
+    cases |= {(name, name in nonzero) for name in families}
+    return cases | {("only", name) for name in nonzero if len(nonzero) == 1}
+
+
 def test_kernel_matches_per_track_reference_bit_for_bit():
     """240 random problems with 0-3 tracks on straight and turning routes,
-    some with horizons that leave the path at either end."""
+    some with horizons that leave the path at either end. Every shortcut of
+    the kernel is taken and not taken along the way (kernel_cases)."""
     rng = np.random.default_rng(2024)
     active = 0
+    seen = set()
     for trial, prob in random_problems(rng, 240):
-        for weight in (0.0, 10.0, 1250.0):
-            u = np.clip(rng.normal(0.0, 3.0, 50), -7.0, 4.0)
+        inputs = [(weight, np.clip(rng.normal(0.0, 3.0, 50), -7.0, 4.0)) for weight in (0.0, 10.0, 1250.0)]
+        # 1.6 s of full braking: on a straight from 11-14 m/s this breaks the
+        # total-acceleration limit alone
+        for weight, u in inputs + [(10.0, np.r_[np.full(16, -7.0), np.zeros(34)])]:
             value, gradient = prob.value_and_grad(u, weight)
             ref_value, ref_grad = reference_value_and_grad(prob, u, weight)
             assert same_bits(value, ref_value), trial
             assert same_bits(gradient(), ref_grad), trial
+            seen |= kernel_cases(prob, u)
+        u = inputs[-1][1]
         stack = prob.residual_stack(u)
         assert same_bits(stack, reference_residual_stack(prob, u)), trial
         active += bool(np.any(stack[200:-1] > 1e-3))
     assert active >= 20  # the avoidance terms were exercised, not just zeros
+    names = ("speed", "lateral", "accel", "inside", "one segment")
+    assert {(name, hit) for name in names for hit in (False, True)} <= seen
+    assert {("only", "speed"), ("only", "lateral"), ("only", "accel"), ("tracks", 1), ("tracks", 2)} <= seen
 
 
 def test_value_matches_value_and_grad_bit_for_bit():
@@ -789,6 +829,8 @@ def bisection_projection(z, lower, upper, c, d):
 
 @settings(max_examples=300, deadline=None)
 @given(halfspace_cases())
+# a zero-width box at 0 with z = -0.0: the clip keeps z's sign of zero, as np.clip does
+@example((np.array([-0.0]), 0.0, 0.0, np.array([0.0]), 0.0))
 def test_halfspace_projection_matches_a_bisection_oracle(case):
     z, lower, upper, c, d = case
     p = mpc._project_box_halfspace(z, lower, upper, c, d)
@@ -1259,6 +1301,56 @@ def test_use_case_1_window_evaluation_counts(monkeypatch):
     monkeypatch.setattr(orchestrator, "solve_ocp", solve)
     orchestrator.run_simulation(replace(load_scenario("use_case_1"), steps=10), workers=1)
     assert calls == reported == {"evaluations": 243, "gradients": 168}
+
+
+# `benchmarks/workloads.scenario_sources("queue", 1)[0]`, the first scenario of
+# the benchmark's queue workload at seed 1: two vehicles per arm, all turning
+# right, 6 steps
+QUEUE_SEED_1_FIRST = {
+    "sampling_time_s": 0.1, "horizon": 50, "steps": 6, "topology": "complete",
+    "agents": [
+        {"id": 1, "route": {"entry": "N", "exit": "W"}, "initial_position_m": [-2.0, 60.0],
+         "initial_speed_mps": 7.417561494979827},
+        {"id": 2, "route": {"entry": "S", "exit": "E"}, "initial_position_m": [2.0, -60.0],
+         "initial_speed_mps": 7.195657929572734},
+        {"id": 3, "route": {"entry": "W", "exit": "S"}, "initial_position_m": [-60.0, -2.0],
+         "initial_speed_mps": 7.5460115872820674},
+        {"id": 4, "route": {"entry": "E", "exit": "N"}, "initial_position_m": [60.0, 2.0],
+         "initial_speed_mps": 8.326034018284387},
+        {"id": 5, "route": {"entry": "N", "exit": "W"}, "initial_position_m": [-2.0, 76.51577080378763],
+         "initial_speed_mps": 8.101212786338362},
+        {"id": 6, "route": {"entry": "S", "exit": "E"}, "initial_position_m": [2.0, -79.58960293506763],
+         "initial_speed_mps": 8.32181743332557},
+        {"id": 7, "route": {"entry": "W", "exit": "S"}, "initial_position_m": [-79.1762481443679, -2.0],
+         "initial_speed_mps": 7.9050210308862665},
+        {"id": 8, "route": {"entry": "E", "exit": "N"}, "initial_position_m": [77.77955838347356, 2.0],
+         "initial_speed_mps": 8.844102781506775},
+    ],
+}
+
+
+def test_queue_window_evaluation_counts(monkeypatch):
+    """The first queue scenario of the benchmark at seed 1 makes 48 solves,
+    670 evaluations and 397 gradient builds over its 6 steps. The run is
+    deterministic. Like the use_case_1 window's counts, these hold for the
+    arithmetic kernels that numpy and OpenBLAS pick on an AVX-512 x86-64
+    CPU; other kernels round differently (ROADMAP item 16)."""
+    from intersim import orchestrator
+    from intersim.scenario import load_scenario
+
+    counts = {"solves": 0, "evaluations": 0, "gradients": 0}
+    original = orchestrator.solve_ocp
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        counts["solves"] += 1
+        counts["evaluations"] += result[2].evaluations
+        counts["gradients"] += result[2].gradients
+        return result
+
+    monkeypatch.setattr(orchestrator, "solve_ocp", counted)
+    orchestrator.run_simulation(load_scenario(QUEUE_SEED_1_FIRST), workers=1)
+    assert counts == {"solves": 48, "evaluations": 670, "gradients": 397}
 
 
 def test_use_case_1_window_second_start_tally(monkeypatch):

@@ -172,6 +172,11 @@ def kernel_points(path, fractions, margin=0.0):
     return np.clip(np.concatenate(pieces), margin, path.total_length - margin)
 
 
+def curve(table, s):
+    """The table's pose, smoothed curvature and slope at s, in one lookup."""
+    return table.pose_and_curvature(s, float(s.min()), float(s.max()))
+
+
 @settings(deadline=None)
 @given(ROUTE_PATHS, FRACTIONS)
 def test_kernel_matches_scalar_sampler(path, fractions):
@@ -189,8 +194,7 @@ def test_kernel_matches_scalar_sampler(path, fractions):
 @given(ROUTE_PATHS, FRACTIONS)
 def test_smoothed_curvature_bounds_exact_magnitude(path, fractions):
     s = kernel_points(path, fractions)
-    kappa = path.table.pose(s)[3]
-    smooth, _ = path.table.smoothed(s, kappa)
+    *_, kappa, smooth, _ = curve(path.table, s)
     assert np.all(np.abs(smooth) >= np.abs(kappa))
 
 
@@ -198,42 +202,11 @@ def test_smoothed_curvature_bounds_exact_magnitude(path, fractions):
 @given(ROUTE_PATHS, FRACTIONS)
 def test_curvature_slope_matches_central_differences(path, fractions):
     h = 1e-6
-    table = path.table
-
-    def smoothed(at):
-        return table.smoothed(at, table.pose(at)[3])
-
     s = kernel_points(path, fractions, margin=h)
-    _, slope = smoothed(s)
-    above, _ = smoothed(s + h)
-    below, _ = smoothed(s - h)
+    slope = curve(path.table, s)[5]
+    above = curve(path.table, s + h)[4]
+    below = curve(path.table, s - h)[4]
     np.testing.assert_allclose(slope, (above - below) / (2.0 * h), rtol=0, atol=1e-5)
-
-
-def masked_loop_pose(path, s):
-    """Pose oracle: the per-segment masked loop that pose() replaced, one
-    boolean mask and one formula per segment."""
-    cum = np.asarray(path.cumulative)
-    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(path.segments) - 1)
-    ds = s - cum[idx]
-    x, y, psi, kappa = (np.empty_like(s) for _ in range(4))
-    for i, seg in enumerate(path.segments):
-        m = idx == i
-        if not m.any():
-            continue
-        if isinstance(seg, StraightSegment):
-            x[m] = seg.x0 + ds[m] * math.cos(seg.heading)
-            y[m] = seg.y0 + ds[m] * math.sin(seg.heading)
-            psi[m] = seg.heading
-            kappa[m] = 0.0
-        else:
-            sgn = 1.0 if seg.sweep >= 0 else -1.0
-            ang = seg.start_angle + sgn * ds[m] / seg.radius
-            x[m] = seg.cx + seg.radius * np.cos(ang)
-            y[m] = seg.cy + seg.radius * np.sin(ang)
-            psi[m] = ang + sgn * math.pi / 2.0
-            kappa[m] = sgn / seg.radius
-    return x, y, psi, kappa
 
 
 def assert_same_bits(got, want):
@@ -249,7 +222,7 @@ def test_pose_matches_masked_loop_oracle_bit_for_bit(arms, radius):
     # the dense compute_regions grid
     grid = np.arange(0.0, total + 0.05, 0.05)
     grid[-1] = total
-    assert_same_bits(path.table.pose(grid), masked_loop_pose(path, grid))
+    assert_same_bits(path.table.pose(grid), paths_reference.pose(path, grid))
     # 50-point horizons: random windows, windows across every junction and
     # blend-window edge, and the path end; plus the junctions themselves
     rng = np.random.default_rng(len(arms[0] + arms[1]) * 100 + int(radius))
@@ -257,9 +230,49 @@ def test_pose_matches_masked_loop_oracle_bit_for_bit(arms, radius):
     starts = [*rng.uniform(0.0, total - 30.0, 8), *(max(0.0, m - 3.0) for m in marks)]
     for s0 in starts:
         s = np.minimum(s0 + np.sort(rng.uniform(0.0, 6.0, 50)), total)
-        assert_same_bits(path.table.pose(s), masked_loop_pose(path, s))
+        assert_same_bits(path.table.pose(s), paths_reference.pose(path, s))
     at = np.asarray(marks)
-    assert_same_bits(path.table.pose(at), masked_loop_pose(path, at))
+    assert_same_bits(path.table.pose(at), paths_reference.pose(path, at))
+
+
+def lookup_grids(path, rng):
+    """50-point horizons around the path's marks (0, total_length, every
+    junction and blend-window edge) and the floats next to them: each mark
+    alone, windows that end at, start at and straddle it, and random windows
+    along the path; all clamped to [0, total_length]."""
+    table, total = path.table, path.total_length
+    marks = np.array([0.0, total, *table.cum[1:-1], *(z for b in table.blends for z in b[:2])])
+    marks = np.clip(np.concatenate([marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf)]), 0.0, total)
+    ramp = np.linspace(0.0, 0.2, 50)
+    grids = []
+    for m in marks:
+        grids += [np.array([m]), m - ramp, m + ramp, m + 5.0 * (ramp - 0.1)]
+    for s0, width in zip(rng.uniform(0.0, total, 40), rng.uniform(0.0, 8.0, 40)):
+        grids.append(s0 + rng.uniform(0.0, width, 50))
+    return [np.clip(s, 0.0, total) for s in grids]
+
+
+@pytest.mark.parametrize("radius", [4.0, 8.0, 12.0])
+@pytest.mark.parametrize("arms", [(e, x) for e in ARMS for x in ARMS if e != x])
+def test_one_lookup_matches_reference_pose_and_smoothing_bit_for_bit(arms, radius):
+    """pose and pose_and_curvature equal the masked-loop pose and the
+    smoothing that tests every blend window, bit for bit, on horizons that lie
+    on one segment and on several, and that reach or miss each window."""
+    path = build_path(RouteSpec(*arms, turn_radius=radius))
+    table = path.table
+    seen = set()
+    for s in lookup_grids(path, np.random.default_rng(int(radius) + 17 * ARMS.index(arms[0]))):
+        lo, hi = float(s.min()), float(s.max())
+        want = paths_reference.pose(path, s)
+        assert_same_bits(table.pose(s), want)
+        assert_same_bits(table.pose_and_curvature(s, lo, hi), (*want, *paths_reference.smoothed(table, s, want[3])))
+        segment = np.searchsorted(table.cum[1:-1], s, side="right")
+        seen.add(("one segment", bool(np.all(segment == segment[0]))))
+        seen |= {("window missed", z1 < lo or hi < z0) for z0, z1, *_ in table.blends}
+    expected = {("one segment", True), ("one segment", False)} if len(path.segments) > 1 else {("one segment", True)}
+    if table.blends:
+        expected |= {("window missed", True), ("window missed", False)}
+    assert seen == expected
 
 
 def test_pose_matches_masked_loop_oracle_on_two_arcs():
@@ -270,7 +283,7 @@ def test_pose_matches_masked_loop_oracle_on_two_arcs():
     exit_ = StraightSegment(end.x_g, end.y_g, 0.0, 5.0)
     path = PathSpec((left, right, exit_), left.length + right.length + 5.0)
     s = np.linspace(0.0, path.total_length, 997)
-    assert_same_bits(path.table.pose(s), masked_loop_pose(path, s))
+    assert_same_bits(path.table.pose(s), paths_reference.pose(path, s))
 
 
 def test_shared_table_is_read_only():
