@@ -284,6 +284,10 @@ def test_pose_matches_masked_loop_oracle_on_two_arcs():
     path = PathSpec((left, right, exit_), left.length + right.length + 5.0)
     s = np.linspace(0.0, path.total_length, 997)
     assert_same_bits(path.table.pose(s), paths_reference.pose(path, s))
+    for s in lookup_grids(path, np.random.default_rng(5)):
+        want = paths_reference.pose(path, s)
+        got = path.table.pose_and_curvature(s, float(s.min()), float(s.max()))
+        assert_same_bits(got, (*want, *paths_reference.smoothed(path.table, s, want[3])))
 
 
 def test_shared_table_is_read_only():
