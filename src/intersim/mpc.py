@@ -68,8 +68,6 @@ class PredictedTrajectory:
 
 @dataclass
 class SolverReport:
-    outer_iterations: int
-    inner_iterations: int
     max_violation: float
     wall_ms: float
     converged: bool
@@ -140,13 +138,11 @@ class OcpProblem:
         neighbours: Sequence[PredictedTrajectory],
         horizon: int,
     ):
-        self.model = model
         self.params = params
         self.path = path
         self.regions = regions
         self.margins = margins
         self.horizon = horizon
-        self.x0 = state
         self._table = path.table
         if not np.all(np.abs(state.as_array()) <= _STATE_LIMIT):
             raise ValueError(
@@ -358,19 +354,22 @@ class OcpProblem:
 
     # -- constraint stack ---------------------------------------------------
 
-    def residual_stack(self, u: np.ndarray) -> np.ndarray:
-        """Nonnegative constraint violations against the true limits.
+    def residual_stack(self, u: np.ndarray) -> tuple[np.ndarray, float]:
+        """Nonnegative constraint violations against the true limits, and the
+        tracking cost, both from one forward pass. The tracking cost is
+        value_and_grad's at weight 0 bit for bit: there every penalty term
+        adds +0.0.
 
-        Layout: speed below zero, speed above v_max, lateral and total
-        acceleration (N entries each), one block of N per neighbor track,
-        then the preview hinge product.
+        Layout of the violations: speed below zero, speed above v_max,
+        lateral and total acceleration (N entries each), one block of N per
+        neighbor track, then the preview hinge product.
         """
-        _, _, _, limits, collision, (h1, h2) = self._forward(u, 1.0)
+        states, _, _, limits, collision, (h1, h2) = self._forward(u, 1.0)
         pieces = list(limits)
         if collision is not None:
             pieces.append(collision[0].ravel())
         pieces.append(np.array([h1 * h2]))
-        return np.concatenate(pieces)
+        return np.concatenate(pieces), self._tracking(u, states[:, 1] - self.params.v_ref)
 
 
 def _lbfgs_direction(pairs: deque, r: np.ndarray) -> np.ndarray:
@@ -566,8 +565,6 @@ class _Candidate:
     u: np.ndarray
     violation: float
     tracking: float
-    outer: int
-    inner: int
     history: tuple[float, ...]
 
 
@@ -576,12 +573,6 @@ def _rank(violation: float, tracking: float, tol: float) -> tuple[bool, float, f
     (violation <= tol) first, by tracking cost; infeasible by violation, then tracking."""
     infeasible = violation > tol
     return (infeasible, violation if infeasible else tracking, tracking)
-
-
-def _tracking_objective(problem: OcpProblem, u: np.ndarray) -> float:
-    """The tracking part of value_and_grad, without its penalty kernel: at
-    weight 0 every penalty term there adds +0.0, so the two agree bit for bit."""
-    return problem._tracking(u, problem.states(u)[:, 1] - problem.params.v_ref)
 
 
 def _reach_bound(
@@ -623,34 +614,30 @@ def _penalty_loop(
     stop_on_stall = incumbent is not None and incumbent.violation <= cfg.constraint_tolerance
     stall = math.sqrt(cfg.multiplier)
     weight = cfg.initial_weight
-    inner_total = 0
     u = u0
     history: list[float] = []
     best: tuple | None = None  # (rank, violation, tracking, u) of the best round
-    outer = 0
     while True:
-        outer += 1
         # the displacement criterion weakens as the weight stiffens the
         # objective, so tighten it with the weight to keep outer progress
         scaled = replace(
             cfg, inner_tolerance=cfg.inner_tolerance * math.sqrt(cfg.initial_weight / weight)
         )
         objective = partial(problem.value_and_grad, weight=weight)
-        u, iters, _ = box_solve(objective, lo, hi, u, scaled, halfspace=problem.stop_line)
-        inner_total += iters
-        violation = float(np.max(problem.residual_stack(u)))
+        u = box_solve(objective, lo, hi, u, scaled, halfspace=problem.stop_line)[0]
+        residuals, tracking = problem.residual_stack(u)
+        violation = float(np.max(residuals))
         history.append(violation)
-        tracking = _tracking_objective(problem, u)
         rank = _rank(violation, tracking, cfg.constraint_tolerance)
         if best is None or rank < best[0]:
             best = (rank, violation, tracking, u)
-        if violation <= cfg.constraint_tolerance or outer >= cfg.max_outer_iterations:
+        if violation <= cfg.constraint_tolerance or len(history) >= cfg.max_outer_iterations:
             break
-        if stop_on_stall and outer >= 2 and not violation < history[-2] / stall:
+        if stop_on_stall and len(history) >= 2 and not violation < history[-2] / stall:
             break
         weight *= cfg.multiplier
     _, violation, tracking, u = best
-    return _Candidate(u, violation, tracking, outer, inner_total, tuple(history))
+    return _Candidate(u, violation, tracking, tuple(history))
 
 
 def solve_ocp(
@@ -716,7 +703,6 @@ def solve_ocp(
         return problem.states(c.u)
 
     chosen = _penalty_loop(problem, u0, cfg)
-    inner_total, outer_total = chosen.inner, chosen.outer
     states = predicted(chosen)
     s_end = float(states[-1, 2])
     # the second start matters only when the stop-before-the-line branch is
@@ -729,8 +715,6 @@ def solve_ocp(
         second_start = "not_run"
     else:
         go = _penalty_loop(problem, np.full(horizon, params.a_x_max), cfg, incumbent=chosen)
-        inner_total += go.inner
-        outer_total = max(outer_total, go.outer)
         if _rank(go.violation, go.tracking, tol) < _rank(chosen.violation, chosen.tracking, tol):
             chosen, states, second_start = go, predicted(go), "won"
         else:
@@ -738,8 +722,6 @@ def solve_ocp(
 
     broadcast = _broadcast(states[:, 2], states[:, 1], path, params)
     report = SolverReport(
-        outer_iterations=outer_total,
-        inner_iterations=inner_total,
         max_violation=chosen.violation,
         wall_ms=(time.perf_counter() - t_start) * 1e3,
         converged=chosen.violation <= tol,

@@ -107,7 +107,6 @@ class _AgentRuntime:
     emergency: bool = False
     broadcast: PredictedTrajectory | None = None
     warm: np.ndarray | None = None
-    applied_u: float = 0.0
 
 
 def _shift_warm(u: np.ndarray) -> np.ndarray:
@@ -287,7 +286,6 @@ def run_simulation(
             except ValueError as exc:
                 raise RuntimeError(f"solve failed for agent {i} at step {k}: {exc}") from exc
             rt.warm = u
-            rt.applied_u = float(u[0])
             solved[i] = broadcast
             next_broadcasts[i] = broadcast
             max_mpc_ms = max(max_mpc_ms, report.wall_ms)
@@ -305,8 +303,7 @@ def run_simulation(
             rt = rts[i]
             pose = views[i].pose
             a_y = pose.kappa * rt.state.v**2
-            if i not in solved:
-                rt.applied_u = 0.0
+            u_applied = float(rt.warm[0]) if i in solved else 0.0
             min_dist, overlap = _pair_metrics(views, i, partners[i], cfg.margins)
             sim_log.trajectory.append(
                 TrajectoryRow(
@@ -316,7 +313,7 @@ def run_simulation(
                     s_m=rt.state.s,
                     v_mps=rt.state.v,
                     ax_mps2=rt.state.a_x,
-                    u_mps2=rt.applied_u,
+                    u_mps2=u_applied,
                     x_g_m=pose.x_g,
                     y_g_m=pose.y_g,
                     psi_rad=pose.psi,
@@ -339,7 +336,7 @@ def run_simulation(
                 )
             )
             try:
-                nxt = step(rt.model, rt.state, rt.applied_u)
+                nxt = step(rt.model, rt.state, u_applied)
                 if nxt.v < 0.0:
                     sim_log.speed_clamps.append((k, i, nxt.v))
                     log.info("step %d agent %d: speed %.3g clamped to 0", k, i, nxt.v)
@@ -347,7 +344,7 @@ def run_simulation(
             except ValueError as exc:
                 raise RuntimeError(
                     f"non-finite state for agent {i} at step {k}: "
-                    f"previous state={rt.state}, applied u={rt.applied_u}"
+                    f"previous state={rt.state}, applied u={u_applied}"
                 ) from exc
             rt.state = nxt
             if i in solved:

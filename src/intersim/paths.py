@@ -133,7 +133,6 @@ class PathTable:
 
     def __init__(self, path: PathSpec):
         segs = path.segments
-        self.segments = segs
         cumulative = path.cumulative
         self.cum = np.asarray(cumulative)
         # the same segment starts as floats, for the scalar sampler's bisect

@@ -8,8 +8,8 @@ to see the per-criterion lines.
 import math
 import time
 from dataclasses import replace
-from pathlib import Path
 
+import golden_environment
 import numpy as np
 import pytest
 
@@ -21,7 +21,7 @@ from intersim.network import Topology, graph_ell
 from intersim.orchestrator import export_logs, run_simulation
 
 
-GOLDEN = Path(__file__).parent / "golden"
+GOLDEN = golden_environment.GOLDEN
 
 
 def report(num: int, description: str, ok: bool):
@@ -230,7 +230,7 @@ def test_criterion_7_gradient_check_with_active_terms():
             lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0, u0, PenaltyConfig(max_inner_iterations=40)
         )
         u = np.clip(u_mid + rng.normal(0.0, 0.05, 50), -7, 4)
-        stack = prob.residual_stack(u)
+        stack = prob.residual_stack(u)[0]
         if stack[-1] > 0:
             preview_seen += 1
         if neighbors and np.max(stack[200:250]) > 1e-6:
@@ -308,6 +308,10 @@ def first_difference(got: bytes, want: bytes) -> str | None:
 def test_preset_runs_match_golden_exports(fixture, preset, request, tmp_path):
     _, log, timing = request.getfixturevalue(fixture)
     export_logs(log, timing, tmp_path)
-    for name in ("trajectory.csv", "priorities.csv"):
+    for name in golden_environment.EXPORTS:
         diff = first_difference((tmp_path / name).read_bytes(), (GOLDEN / preset / name).read_bytes())
-        assert diff is None, f"{preset} {name} differs from tests/golden: {diff}"
+        # a last-bit difference in the arithmetic kernels moves the whole run
+        assert diff is None, (
+            f"{preset} {name} differs from tests/golden: {diff}; golden environment "
+            f"{golden_environment.recorded()}, this one {golden_environment.current()}"
+        )

@@ -111,7 +111,7 @@ def test_preview_residual_branches():
         # standing still with zero input holds the horizon end at s_n
         prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 0.0, s_n), (), 50)
         assert prob.states(np.zeros(50))[-1, 2] == s_n
-        return prob.residual_stack(np.zeros(50))[-1]
+        return prob.residual_stack(np.zeros(50))[0][-1]
 
     assert hinge(bounds.s_cr_out + 5.0) == 0.0  # clears the critical region
     assert hinge(bounds.s_stop - 5.0) == 0.0  # stops before the line
@@ -125,7 +125,7 @@ def test_preview_residual_branches():
 def cruise_residuals(path, bounds, speed):
     """Residual stack of a zero-input horizon from steady cruise at `speed`."""
     state = AgentState(0.0, speed, 0.0)
-    return OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, (), 50).residual_stack(np.zeros(50))
+    return OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, (), 50).residual_stack(np.zeros(50))[0]
 
 
 def test_cruising_agent_has_zero_residuals():
@@ -374,7 +374,7 @@ def test_kernel_matches_per_track_reference_bit_for_bit():
             assert same_bits(gradient(), ref_grad), trial
             seen |= kernel_cases(prob, u)
         u = inputs[-1][1]
-        stack = prob.residual_stack(u)
+        stack = prob.residual_stack(u)[0]
         assert same_bits(stack, reference_residual_stack(prob, u)), trial
         active += bool(np.any(stack[200:-1] > 1e-3))
     assert active >= 20  # the avoidance terms were exercised, not just zeros
@@ -415,7 +415,7 @@ def test_tracking_objective_matches_zero_weight_kernel_bit_for_bit():
         state = AgentState(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 16.0), rng.uniform(0.0, 110.0))
         prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
         for u in (np.clip(rng.normal(0.0, 3.0, 50), -7.0, 4.0), np.full(50, 4.0), np.zeros(50)):
-            assert same_bits(mpc._tracking_objective(prob, u), prob.value_and_grad(u, 0.0)[0]), trial
+            assert same_bits(prob.residual_stack(u)[1], prob.value_and_grad(u, 0.0)[0]), trial
 
 
 def test_sensitivities_are_shared_read_only_and_exact():
@@ -425,6 +425,7 @@ def test_sensitivities_are_shared_read_only_and_exact():
     def problem(t_ax, horizon=50):
         return OcpProblem(discretize(t_ax, 0.1), PARAMS, path, bounds, MARGINS, state, (), horizon)
 
+    model = discretize(0.3, 0.1)  # the model of problem(0.3)
     first, second = problem(0.3), problem(0.3)
     assert first.f_mat is second.f_mat and first.g_mat is second.g_mat
     assert problem(0.5).g_mat is not first.g_mat
@@ -434,7 +435,7 @@ def test_sensitivities_are_shared_read_only_and_exact():
         with pytest.raises(ValueError):
             arr[1, 0, 0] = 0.0
     # bit for bit the per-solve construction they replace
-    a_d, b_d = first.model.a_d, first.model.b_d
+    a_d, b_d = model.a_d, model.b_d
     powers = [np.eye(3)]
     for _ in range(50):
         powers.append(a_d @ powers[-1])
@@ -444,7 +445,7 @@ def test_sensitivities_are_shared_read_only_and_exact():
         g[j][:, j - 1] = b_d
     assert same_bits(first.f_mat, np.stack(powers)) and same_bits(first.g_mat, g)
     u = np.linspace(-7.0, 4.0, 50)
-    expect = step_states(first.model, state, u)
+    expect = step_states(model, state, u)
     np.testing.assert_allclose(first.states(u), expect, rtol=1e-12, atol=1e-9)
 
 
@@ -477,7 +478,7 @@ def test_state_at_the_range_limit_evaluates_without_overflow():
         weight = CFG.initial_weight * CFG.multiplier ** CFG.max_outer_iterations
         value, gradient = prob.value_and_grad(np.full(50, 4.0), weight)
         assert np.isfinite(value) and np.all(np.isfinite(gradient()))
-        assert np.all(np.isfinite(prob.residual_stack(np.full(50, -7.0))))
+        assert np.all(np.isfinite(prob.residual_stack(np.full(50, -7.0))[0]))
 
 
 def spoilt(field, how):
@@ -927,7 +928,7 @@ def test_solve_refuses_a_non_finite_input(monkeypatch, bad):
     def broken(problem, u0, cfg, incumbent=None):
         u = np.zeros(problem.horizon)
         u[3] = bad
-        return mpc._Candidate(u, 0.0, 0.0, 1, 1, (0.0,))
+        return mpc._Candidate(u, 0.0, 0.0, (0.0,))
 
     monkeypatch.setattr(mpc, "_penalty_loop", broken)
     with pytest.raises(ValueError, match="non-finite input"):
@@ -951,16 +952,16 @@ def test_penalty_violation_history_is_recorded():
 def test_warm_start_shift_iteration_guard():
     """Warm-started resolves in a static environment stay cheap."""
     path, bounds = make_env(approach=300.0)
-    cold_iters = []
-    warm_iters = []
+    cold_evals = []
+    warm_evals = []
     state = AgentState(0.0, 14.0, 2.0)
     warm = None
     for k in range(12):
         u, _, rep = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50, warm)
-        (warm_iters if warm is not None else cold_iters).append(rep.inner_iterations)
+        (warm_evals if warm is not None else cold_evals).append(rep.evaluations)
         warm = np.concatenate([u[1:], u[-1:]])
         state = step(MODEL, state, float(u[0]))
-    assert np.median(warm_iters) <= 2 * max(np.median(cold_iters), 1)
+    assert np.median(warm_evals) <= 2 * max(np.median(cold_evals), 1)
 
 
 def test_initial_broadcast_constant_speed():
@@ -1000,7 +1001,8 @@ def test_neighbor_length_validation():
 def scripted_loop(monkeypatch, violations):
     """A real problem whose box_solve and residual_stack replay `violations`,
     one per round: round k returns u = k everywhere, with violation
-    violations[k-1]. Returns the problem and the list of box_solve start points."""
+    violations[k-1] and the real tracking cost at u. Returns the problem and
+    the list of box_solve start points."""
     path, bounds = make_env()
     prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 14.0, 40.0), (), 50)
     starts = []
@@ -1010,12 +1012,13 @@ def scripted_loop(monkeypatch, violations):
         return np.full(50, float(len(starts))), 7, True
 
     monkeypatch.setattr(mpc, "box_solve", fake_box_solve)
-    monkeypatch.setattr(prob, "residual_stack", lambda u: np.array([violations[int(u[0]) - 1]]))
+    real = prob.residual_stack
+    monkeypatch.setattr(prob, "residual_stack", lambda u: (np.array([violations[int(u[0]) - 1]]), real(u)[1]))
     return prob, starts
 
 
 def incumbent(violation):
-    return mpc._Candidate(np.zeros(50), violation, 0.0, 1, 1, (violation,))
+    return mpc._Candidate(np.zeros(50), violation, 0.0, (violation,))
 
 
 STALLING = [1.0, 0.3, 0.2, 0.19, 0.18, 0.17]  # shrinks x0.3, then stalls
@@ -1026,14 +1029,14 @@ def test_second_start_stops_at_first_stalled_round_behind_feasible_incumbent(mon
     got = mpc._penalty_loop(prob, np.full(50, 4.0), CFG, incumbent=incumbent(CFG.constraint_tolerance))
     # round 2 shrank below 1.0 / sqrt(5) = 0.447; round 3's 0.2 is not below 0.3 / sqrt(5)
     assert got.history == (1.0, 0.3, 0.2)
-    assert (got.outer, got.inner, len(starts)) == (3, 21, 3)
+    assert len(starts) == 3
     assert got.violation == 0.2 and np.all(got.u == 3.0)
 
 
 def test_shrinking_by_exactly_sqrt_multiplier_counts_as_stalled(monkeypatch):
     prob, _ = scripted_loop(monkeypatch, [1.0, 1.0 / math.sqrt(CFG.multiplier), 0.1, 0.1, 0.1, 0.1])
     got = mpc._penalty_loop(prob, np.zeros(50), CFG, incumbent=incumbent(0.0))
-    assert got.outer == 2
+    assert len(got.history) == 2
 
 
 @pytest.mark.parametrize("rival", [None, incumbent(0.5)], ids=["no incumbent", "infeasible incumbent"])
@@ -1057,7 +1060,7 @@ def test_stopped_start_returns_its_best_iterate(monkeypatch):
     assert got.history == (1.0, 0.3, 0.35)
     # the best of the three rounds, not the last; each round starts where the last ended
     assert got.violation == 0.3 and np.all(got.u == 2.0)
-    assert got.tracking == mpc._tracking_objective(prob, np.full(50, 2.0))
+    assert got.tracking == OcpProblem.residual_stack(prob, np.full(50, 2.0))[1]
     assert [float(u[0]) for u in starts] == [4.0, 1.0, 2.0]
 
 
@@ -1190,7 +1193,7 @@ def test_out_of_reach_approach_holds_the_stop_line_in_one_round(monkeypatch):
     state = AgentState(0.0, 13.99, 11.2)
     u, _, report = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
     assert len(halfspaces) == 1 and halfspaces[0] is not None
-    assert report.outer_iterations == 1 and report.converged and report.second_start == "unreachable"
+    assert len(report.violation_history) == 1 and report.converged and report.second_start == "unreachable"
     assert step_states(MODEL, state, u)[-1, 2] <= bounds.s_stop + 1e-9
 
 
@@ -1211,7 +1214,7 @@ def test_stop_line_replaces_the_hinge_in_the_objective_only():
     prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 13.99, 11.2), (), 50)
     u = np.zeros(50)  # cruising ends the horizon between the stop line and the exit
     hinge_value, hinge_gradient = prob.value_and_grad(u, 10.0)
-    stack = prob.residual_stack(u)
+    stack = prob.residual_stack(u)[0]
     s_n = prob.states(u)[-1, 2]
     prob.stop_line = (prob.g_mat[50, 2], bounds.s_stop - prob.base[50, 2])
     value, gradient = prob.value_and_grad(u, 10.0)
@@ -1221,7 +1224,7 @@ def test_stop_line_replaces_the_hinge_in_the_objective_only():
     d_prev = (bounds.s_cr_out - s_n) - (s_n - bounds.s_stop)
     np.testing.assert_allclose(hinge_gradient() - gradient(), 20.0 * r_prev * d_prev * prob.g_mat[50, 2],
                                rtol=1e-9, atol=1e-9)
-    assert same_bits(prob.residual_stack(u), stack)
+    assert same_bits(prob.residual_stack(u)[0], stack)
 
 
 def test_second_start_outcome_is_reported():
@@ -1331,26 +1334,40 @@ QUEUE_SEED_1_FIRST = {
 
 def test_queue_window_evaluation_counts(monkeypatch):
     """The first queue scenario of the benchmark at seed 1 makes 48 solves,
-    670 evaluations and 397 gradient builds over its 6 steps. The run is
-    deterministic. Like the use_case_1 window's counts, these hold for the
-    arithmetic kernels that numpy and OpenBLAS pick on an AVX-512 x86-64
-    CPU; other kernels round differently (ROADMAP item 16)."""
+    670 evaluations and 397 gradient builds over its 6 steps, 2 of the
+    solves unconverged. The run is deterministic. Like the use_case_1
+    window's counts, these hold for the arithmetic kernels that numpy and
+    OpenBLAS pick on an AVX-512 x86-64 CPU; other kernels round differently
+    (ROADMAP item 16).
+
+    Every solve's verdict agrees with its violation history, which the CLI
+    summary and the benchmark count as unconverged when min(history) > tol:
+    converged exactly when the history reaches tol, and an unconverged
+    solve reports its history's least violation."""
     from intersim import orchestrator
     from intersim.scenario import load_scenario
 
-    counts = {"solves": 0, "evaluations": 0, "gradients": 0}
+    cfg = load_scenario(QUEUE_SEED_1_FIRST)
+    tol = cfg.penalty.constraint_tolerance
+    counts = {"solves": 0, "evaluations": 0, "gradients": 0, "unconverged": 0}
     original = orchestrator.solve_ocp
 
     def counted(*args, **kwargs):
         result = original(*args, **kwargs)
+        report = result[2]
         counts["solves"] += 1
-        counts["evaluations"] += result[2].evaluations
-        counts["gradients"] += result[2].gradients
+        counts["evaluations"] += report.evaluations
+        counts["gradients"] += report.gradients
+        least = min(report.violation_history)
+        assert report.converged == (least <= tol)
+        if not report.converged:
+            counts["unconverged"] += 1
+            assert report.max_violation == least
         return result
 
     monkeypatch.setattr(orchestrator, "solve_ocp", counted)
-    orchestrator.run_simulation(load_scenario(QUEUE_SEED_1_FIRST), workers=1)
-    assert counts == {"solves": 48, "evaluations": 670, "gradients": 397}
+    orchestrator.run_simulation(cfg, workers=1)
+    assert counts == {"solves": 48, "evaluations": 670, "gradients": 397, "unconverged": 2}
 
 
 def test_use_case_1_window_second_start_tally(monkeypatch):

@@ -602,6 +602,57 @@ def test_information_pattern_ignores_current_step_broadcasts():
     assert clean.trajectory == poisoned.trajectory
 
 
+def test_solves_receive_only_broadcasts_committed_at_the_previous_step(monkeypatch):
+    """Every neighbour trajectory a solve at step k receives is, by identity,
+    a broadcast committed at step k-1 by another vehicle: what that vehicle's
+    solve at k-1 returned, or its constant-speed hold. Never the solver's own,
+    and never one returned at step k."""
+    import intersim.orchestrator as orch
+
+    # two right-turn lanes of two vehicles: each follower holds its leader's track
+    lanes = (("N", "W", (-2.0, 1.0)), ("S", "E", (2.0, -1.0)))
+    cfg = load_scenario({
+        "sampling_time_s": 0.1, "horizon": 50, "steps": 6, "topology": "complete",
+        "agents": [
+            {"id": 2 * n + j + 1, "route": {"entry": entry, "exit": exit},
+             "initial_position_m": [x, sign * (60.0 + 15.0 * j)], "initial_speed_mps": 8.0}
+            for n, (entry, exit, (x, sign)) in enumerate(lanes) for j in range(2)
+        ],
+    })
+    committed: list[dict] = []  # per step: agent -> broadcast at the hook
+    states: list[dict] = []  # per step: agent -> state object at the hook
+    returned: list[dict] = []  # per step: agent -> broadcast its solve returned
+    received = []  # (step, agent, neighbours) per solve
+    original = orch.solve_ocp
+
+    def hook(step, rts, next_broadcasts):
+        assert step == len(committed)
+        committed.append({i: rt.broadcast for i, rt in rts.items()})
+        states.append({i: rt.state for i, rt in rts.items()})
+        returned.append({})
+
+    def solve(state, neighbours, *args, **kwargs):
+        k = len(committed) - 1
+        (agent,) = [i for i, st in states[k].items() if st is state]
+        received.append((k, agent, neighbours))
+        result = original(state, neighbours, *args, **kwargs)
+        returned[k][agent] = result[1]
+        return result
+
+    monkeypatch.setattr(orch, "solve_ocp", solve)
+    run_simulation(cfg, pre_solve_hook=hook)
+    assert len(committed) == cfg.steps
+    for k in range(1, cfg.steps):
+        for i, broadcast in returned[k - 1].items():
+            assert committed[k][i] is broadcast
+    for k, agent, neighbours in received:
+        for nb in neighbours:
+            assert any(nb is committed[k][l] for l in committed[k] if l != agent)
+            assert nb is not committed[k][agent]
+            assert all(nb is not b for b in returned[k].values())
+    assert sum(len(nbs) for k, _, nbs in received if k >= 1) >= 10
+
+
 def test_non_finite_state_aborts_with_context():
     from intersim.dynamics import AgentState
 
