@@ -33,6 +33,7 @@ from .paths import (
 AHEAD_WINDOW = 50.0  # m of path ahead considered for rear-end coupling
 PATH_CONFLICT_MARGIN = 0.5  # m added around each swept corridor
 CLIP_SLACK = 1e-6  # m beyond touching, far above the rounding of the overlap clip
+OVERLAP_SHARPNESS = 4.0  # 1/m softplus steepness of the solver's smooth overlap surrogate
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,10 @@ class SafetyMargins:
     long: float = 1.5
     lat: float = 0.25
     headway: float = 0.5  # s converted into forward extension by closing speed
-    sharpness: float = 4.0  # 1/m softplus steepness of the smooth surrogate
 
     def __post_init__(self):
         if self.long < 0 or self.lat < 0 or self.headway < 0:
             raise ValueError("margins must be >= 0")
-        if self.sharpness <= 0:
-            raise ValueError("sharpness must be > 0")
 
 
 def bounding_box(sample: PathSample, length: float, width: float) -> OrientedBox:
@@ -200,7 +198,8 @@ def smooth_overlap_core(crx, cry, cos_t, sin_t, a_r, b_r, cox, coy, cos_d, sin_d
     centres, so its partials are -d_crx and -d_cry.
 
     The 1-D interval overlaps along the region's body axes are pushed
-    through a softplus, so the product upper-bounds the hinge product (and
+    through a softplus of steepness beta (1/m; the solver passes
+    OVERLAP_SHARPNESS), so the product upper-bounds the hinge product (and
     therefore the true intersection area) and stays differentiable.
     """
     dx, dy = cox - crx, coy - cry

@@ -14,43 +14,38 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
 from .dynamics import AgentParams, AgentState, DiscreteModel
-from .geometry import SafetyMargins, smooth_overlap_core
+from .geometry import OVERLAP_SHARPNESS, SafetyMargins, smooth_overlap_core
 from .paths import PathSpec, RegionBounds
 
 
 # bound on |a_x|, |v| and |s| of a state the solver accepts: no vehicle
 # comes near it, and the penalty terms, up to eighth powers of the state
 # (the squared total-acceleration residual), stay far from overflowing
-_STATE_LIMIT = 1e6
+STATE_LIMIT = 1e6
+
+# the numerics of the penalty loop and of box_solve
+INITIAL_WEIGHT = 10.0  # penalty weight of the first round
+WEIGHT_MULTIPLIER = 5.0  # growth of the weight per round
+MAX_OUTER_ITERATIONS = 6  # weight rounds per start point
+INNER_TOLERANCE = 1e-4  # box_solve's stopping displacement in the first round
+MAX_INNER_ITERATIONS = 500  # box_solve's iteration cap
+LBFGS_MEMORY = 10  # (s, y) pairs box_solve keeps
 
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    initial_weight: float = 10.0
-    multiplier: float = 5.0
-    max_outer_iterations: int = 6
     constraint_tolerance: float = 1e-2
-    inner_tolerance: float = 1e-4
-    lbfgs_memory: int = 10
-    max_inner_iterations: int = 500
 
     def __post_init__(self):
-        if self.multiplier <= 1:
-            raise ValueError("penalty multiplier must be > 1")
-        if self.constraint_tolerance <= 0 or self.inner_tolerance <= 0:
-            raise ValueError("tolerances must be > 0")
-        if self.initial_weight <= 0:
-            raise ValueError("initial weight must be > 0")
-        for name, least in (("lbfgs_memory", 0), ("max_inner_iterations", 1), ("max_outer_iterations", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}")
+        if self.constraint_tolerance <= 0:
+            raise ValueError("constraint_tolerance must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,10 +139,10 @@ class OcpProblem:
         self.margins = margins
         self.horizon = horizon
         self._table = path.table
-        if not np.all(np.abs(state.as_array()) <= _STATE_LIMIT):
+        if not np.all(np.abs(state.as_array()) <= STATE_LIMIT):
             raise ValueError(
                 f"state {state} is out of range: |a_x|, |v| and |s| must not exceed "
-                f"{_STATE_LIMIT:g}, which keeps every penalty term far from where float64 overflows"
+                f"{STATE_LIMIT:g}, which keeps every penalty term far from where float64 overflows"
             )
         self.f_mat, self.g_mat, self._g_flat = _sensitivities(
             model.a_d.tobytes(), model.b_d.tobytes(), horizon
@@ -208,7 +203,7 @@ class OcpProblem:
         cry = y + 0.5 * ext * sin_p
         value, overlap_derivatives = smooth_overlap_core(
             crx, cry, cos_p, sin_p, a_r, b_r, self._ox, self._oy, cos_rel, sin_rel,
-            self._oa, self._ob, m.sharpness,
+            self._oa, self._ob, OVERLAP_SHARPNESS,
         )
 
         def derivatives():
@@ -354,11 +349,11 @@ class OcpProblem:
 
     # -- constraint stack ---------------------------------------------------
 
-    def residual_stack(self, u: np.ndarray) -> tuple[np.ndarray, float]:
-        """Nonnegative constraint violations against the true limits, and the
-        tracking cost, both from one forward pass. The tracking cost is
-        value_and_grad's at weight 0 bit for bit: there every penalty term
-        adds +0.0.
+    def residual_stack(self, u: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        """Nonnegative constraint violations against the true limits, the
+        tracking cost and the states, all from one forward pass. The tracking
+        cost is value_and_grad's at weight 0 bit for bit: there every penalty
+        term adds +0.0.
 
         Layout of the violations: speed below zero, speed above v_max,
         lateral and total acceleration (N entries each), one block of N per
@@ -369,7 +364,7 @@ class OcpProblem:
         if collision is not None:
             pieces.append(collision[0].ravel())
         pieces.append(np.array([h1 * h2]))
-        return np.concatenate(pieces), self._tracking(u, states[:, 1] - self.params.v_ref)
+        return np.concatenate(pieces), self._tracking(u, states[:, 1] - self.params.v_ref), states
 
 
 def _lbfgs_direction(pairs: deque, r: np.ndarray) -> np.ndarray:
@@ -430,7 +425,8 @@ def box_solve(
     lower: float,
     upper: float,
     u0: np.ndarray,
-    cfg: PenaltyConfig,
+    tolerance: float,
+    max_iterations: int,
     halfspace: tuple[np.ndarray, float] | None = None,
 ) -> tuple[np.ndarray, int, bool]:
     """Find a stationary point of a smooth objective over the box
@@ -441,8 +437,8 @@ def box_solve(
     forward-backward envelope and a pure projected step as fallback
     (PANOC). Only the projection knows the feasible set: without a
     halfspace it is a clip, with one `_project_box_halfspace`.
-    Stops when the projected-gradient displacement falls below the inner
-    tolerance. Returns (u, iterations, converged).
+    Stops when the projected-gradient displacement falls to `tolerance`,
+    or after `max_iterations` iterations. Returns (u, iterations, converged).
 
     `objective(u)` returns the value at u and a zero-argument function that
     builds the gradient there, once. The gradient is built only where it is
@@ -487,15 +483,15 @@ def box_solve(
         lip = 1.0
     lip = max(lip, 1e-6)
     gamma = 0.95 / lip
-    pairs: deque = deque(maxlen=cfg.lbfgs_memory)
+    pairs: deque = deque(maxlen=LBFGS_MEMORY)
 
     converged = False
     iterations = 0
     t = project(u - gamma * g)
-    while iterations < cfg.max_inner_iterations:
+    while iterations < max_iterations:
         iterations += 1
         r = u - t
-        if float(np.abs(r).max()) <= cfg.inner_tolerance:
+        if float(np.abs(r).max()) <= tolerance:
             u = t  # return the projected point, which meets the constraints
             converged = True
             break
@@ -565,6 +561,7 @@ class _Candidate:
     u: np.ndarray
     violation: float
     tracking: float
+    states: np.ndarray  # problem.states(u), from the round's residual_stack
     history: tuple[float, ...]
 
 
@@ -596,48 +593,46 @@ def _reach_bound(
 
 
 def _penalty_loop(
-    problem: OcpProblem, u0: np.ndarray, cfg: PenaltyConfig, incumbent: _Candidate | None = None
+    problem: OcpProblem, u0: np.ndarray, tol: float, incumbent: _Candidate | None = None
 ) -> _Candidate:
     """Escalate the penalty weight around box_solve from one start point.
 
-    Keeps the round that ranks first (`_rank`), so a late weight bump
-    cannot degrade the returned trajectory.
+    Keeps the round that ranks first (`_rank` at tolerance `tol`), so a
+    late weight bump cannot degrade the returned trajectory.
 
     Against a feasible incumbent this start can only win by becoming
     feasible, so it stops after an infeasible round r >= 2 whose violation
-    did not fall below the previous round's / sqrt(multiplier). A locally
-    feasible start shrinks its violation about 1/multiplier per round under
-    a quadratic penalty; missing even the square root of that marks a
-    locally infeasible basin.
+    did not fall below the previous round's / sqrt(WEIGHT_MULTIPLIER). A
+    locally feasible start shrinks its violation about 1/WEIGHT_MULTIPLIER
+    per round under a quadratic penalty; missing even the square root of
+    that marks a locally infeasible basin.
     """
     lo, hi = problem.params.a_x_min, problem.params.a_x_max
-    stop_on_stall = incumbent is not None and incumbent.violation <= cfg.constraint_tolerance
-    stall = math.sqrt(cfg.multiplier)
-    weight = cfg.initial_weight
+    stop_on_stall = incumbent is not None and incumbent.violation <= tol
+    stall = math.sqrt(WEIGHT_MULTIPLIER)
+    weight = INITIAL_WEIGHT
     u = u0
     history: list[float] = []
-    best: tuple | None = None  # (rank, violation, tracking, u) of the best round
+    best: tuple | None = None  # (rank, violation, tracking, u, states) of the best round
     while True:
         # the displacement criterion weakens as the weight stiffens the
         # objective, so tighten it with the weight to keep outer progress
-        scaled = replace(
-            cfg, inner_tolerance=cfg.inner_tolerance * math.sqrt(cfg.initial_weight / weight)
-        )
+        tolerance = INNER_TOLERANCE * math.sqrt(INITIAL_WEIGHT / weight)
         objective = partial(problem.value_and_grad, weight=weight)
-        u = box_solve(objective, lo, hi, u, scaled, halfspace=problem.stop_line)[0]
-        residuals, tracking = problem.residual_stack(u)
+        u = box_solve(objective, lo, hi, u, tolerance, MAX_INNER_ITERATIONS, problem.stop_line)[0]
+        residuals, tracking, states = problem.residual_stack(u)
         violation = float(np.max(residuals))
         history.append(violation)
-        rank = _rank(violation, tracking, cfg.constraint_tolerance)
+        rank = _rank(violation, tracking, tol)
         if best is None or rank < best[0]:
-            best = (rank, violation, tracking, u)
-        if violation <= cfg.constraint_tolerance or len(history) >= cfg.max_outer_iterations:
+            best = (rank, violation, tracking, u, states)
+        if violation <= tol or len(history) >= MAX_OUTER_ITERATIONS:
             break
         if stop_on_stall and len(history) >= 2 and not violation < history[-2] / stall:
             break
-        weight *= cfg.multiplier
-    _, violation, tracking, u = best
-    return _Candidate(u, violation, tracking, tuple(history))
+        weight *= WEIGHT_MULTIPLIER
+    _, violation, tracking, u, states = best
+    return _Candidate(u, violation, tracking, states, tuple(history))
 
 
 def solve_ocp(
@@ -696,15 +691,8 @@ def solve_ocp(
         if float(c @ np.full(horizon, params.a_x_min)) <= d:
             problem.stop_line = (c, d)
 
-    def predicted(c: _Candidate) -> np.ndarray:
-        # a non-finite input is refused before it is predicted or broadcast
-        if not np.all(np.isfinite(c.u)):
-            raise ValueError("non-finite input")
-        return problem.states(c.u)
-
-    chosen = _penalty_loop(problem, u0, cfg)
-    states = predicted(chosen)
-    s_end = float(states[-1, 2])
+    chosen = _penalty_loop(problem, u0, tol)
+    s_end = float(chosen.states[-1, 2])
     # the second start matters only when the stop-before-the-line branch is
     # binding: the horizon end sits near or past the stop line yet short of
     # the critical-region exit
@@ -714,13 +702,16 @@ def solve_ocp(
     elif not near_line:
         second_start = "not_run"
     else:
-        go = _penalty_loop(problem, np.full(horizon, params.a_x_max), cfg, incumbent=chosen)
+        go = _penalty_loop(problem, np.full(horizon, params.a_x_max), tol, incumbent=chosen)
         if _rank(go.violation, go.tracking, tol) < _rank(chosen.violation, chosen.tracking, tol):
-            chosen, states, second_start = go, predicted(go), "won"
+            chosen, second_start = go, "won"
         else:
             second_start = "lost_feasible" if go.violation <= tol else "lost_infeasible"
 
-    broadcast = _broadcast(states[:, 2], states[:, 1], path, params)
+    # a non-finite input is refused before its prediction is broadcast
+    if not np.all(np.isfinite(chosen.u)):
+        raise ValueError("non-finite input")
+    broadcast = _broadcast(chosen.states[:, 2], chosen.states[:, 1], path, params)
     report = SolverReport(
         max_violation=chosen.violation,
         wall_ms=(time.perf_counter() - t_start) * 1e3,

@@ -15,7 +15,7 @@ from pathlib import Path
 from .auction import BidParams
 from .dynamics import AgentParams
 from .geometry import SafetyMargins
-from .mpc import PenaltyConfig
+from .mpc import STATE_LIMIT, PenaltyConfig
 from .network import Topology, is_strongly_connected
 from .paths import IntersectionGeometry, RouteSpec, build_path, compute_regions, project_onto_path
 
@@ -76,6 +76,14 @@ class ScenarioConfig:
             raise ScenarioError("horizon: must be >= 1")
         if self.steps < 1:
             raise ScenarioError("steps: must be >= 1")
+        # the solver takes states within STATE_LIMIT and inputs within the
+        # acceleration limits, which the agent loop below holds within it too:
+        # over a horizon of at most STATE_LIMIT seconds its predicted states
+        # then stay below STATE_LIMIT**3, whose penalty terms are finite
+        if self.t_s * self.horizon > STATE_LIMIT:
+            raise ScenarioError(
+                f"sampling_time_s: the horizon spans {self.t_s * self.horizon:g} s, over {STATE_LIMIT:g}"
+            )
         if not self.agents:
             raise ScenarioError("agents: list must not be empty")
         ids: dict[int, int] = {}  # agent id -> list index
@@ -86,8 +94,15 @@ class ScenarioConfig:
                 raise ScenarioError(
                     f"agents[{pos}].id: {a.agent_id} is already the id of agents[{ids[a.agent_id]}]"
                 )
-            if a.initial_speed < 0:
-                raise ScenarioError(f"agents[{pos}].initial_speed: must be >= 0")
+            if not 0 <= a.initial_speed <= STATE_LIMIT:
+                raise ScenarioError(
+                    f"agents[{pos}].initial_speed_mps: must lie in [0, {STATE_LIMIT:g}]"
+                )
+            for name in ("a_x_min", "a_x_max", "a_tot_max"):
+                if abs(getattr(a.params, name)) > STATE_LIMIT:
+                    raise ScenarioError(
+                        f"agents[{pos}].params.{name}: |{name}| must not exceed {STATE_LIMIT:g}"
+                    )
             ids[a.agent_id] = pos
         for k, ev in enumerate(self.events):
             if ev.kind != "emergency_on":
@@ -210,14 +225,8 @@ _GEOMETRY_KEYS = {
     "brake_margin": "brake_margin_m", "stop_setback": "stop_setback_m",
 }
 _BID_KEYS = {name: name for name in ("alpha1", "alpha2", "alpha3", "alpha4", "alpha5", "emergency_bid")}
-_MARGIN_KEYS = {"long": "long_m", "lat": "lat_m", "headway": "headway_s", "sharpness": "smooth_sharpness"}
-_PENALTY_KEYS = {
-    name: name
-    for name in (
-        "initial_weight", "multiplier", "max_outer_iterations", "constraint_tolerance",
-        "inner_tolerance", "lbfgs_memory", "max_inner_iterations",
-    )
-}
+_MARGIN_KEYS = {"long": "long_m", "lat": "lat_m", "headway": "headway_s"}
+_PENALTY_KEYS = {"constraint_tolerance": "constraint_tolerance"}
 # the keys of the objects that are not sections: every other key is an error
 _ROOT_KEYS = ("sampling_time_s", "horizon", "steps", "agents", "geometry", "bid_params", "safety_margins",
               "penalty", "topology", "topology_schedule", "events")
@@ -287,16 +296,15 @@ def _checked(where: str, build, *args, **kwargs):
 
 
 def _section(doc: dict, key: str, ctx: str, defaults, keys: dict[str, str], other: tuple[str, ...] = ()):
-    """`defaults` (a dataclass) with the numeric fields of doc[key] read in;
-    a field whose default is an int must be an integer. The section may hold
-    only those fields and the `other` keys, read by the caller."""
+    """`defaults` (a dataclass) with the numeric fields of doc[key] read in.
+    The section may hold only those fields and the `other` keys, read by the
+    caller."""
     where = ctx + key
     sub = _object(doc.get(key, {}), where)
     _known(sub, (*other, *keys.values()), where + ".")
     values = {}
     for name, doc_key in keys.items():
-        default = getattr(defaults, name)
-        values[name] = _field(sub, doc_key, where + ".", default, isinstance(default, int))
+        values[name] = _field(sub, doc_key, where + ".", getattr(defaults, name))
     return _checked(where, replace, defaults, **values)
 
 

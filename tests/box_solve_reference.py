@@ -11,7 +11,7 @@ from collections import deque
 
 import numpy as np
 
-from intersim.mpc import PenaltyConfig
+from intersim.mpc import LBFGS_MEMORY
 
 
 def _lbfgs_direction(pairs: deque, r: np.ndarray) -> np.ndarray:
@@ -37,15 +37,16 @@ def box_solve(
     lower: float,
     upper: float,
     u0: np.ndarray,
-    cfg: PenaltyConfig,
+    tolerance: float,
+    max_iterations: int,
 ) -> tuple[np.ndarray, int, bool]:
     """Find a box-stationary point of a smooth objective.
 
     Forward-backward (projected-gradient) iterations accelerated by an
     L-BFGS direction on the fixed-point residual, with a line search on the
     forward-backward envelope and a pure projected step as fallback.
-    Stops when the projected-gradient displacement falls below the inner
-    tolerance. Returns (u, iterations, converged).
+    Stops when the projected-gradient displacement falls to `tolerance`,
+    or after `max_iterations` iterations. Returns (u, iterations, converged).
     """
 
     def clip(z):
@@ -62,15 +63,15 @@ def box_solve(
         lip = 1.0
     lip = max(lip, 1e-6)
     gamma = 0.95 / lip
-    pairs: deque = deque(maxlen=cfg.lbfgs_memory)
+    pairs: deque = deque(maxlen=LBFGS_MEMORY)
 
     converged = False
     iterations = 0
-    while iterations < cfg.max_inner_iterations:
+    while iterations < max_iterations:
         iterations += 1
         t = clip(u - gamma * g)
         r = u - t
-        if float(np.max(np.abs(r))) <= cfg.inner_tolerance:
+        if float(np.max(np.abs(r))) <= tolerance:
             u = t  # return the projected point so the box holds exactly
             converged = True
             break

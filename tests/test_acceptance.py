@@ -16,7 +16,7 @@ import pytest
 import intersim as xs
 from intersim.auction import run_cbaam
 from intersim.dynamics import discretize
-from intersim.mpc import OcpProblem, PenaltyConfig, PredictedTrajectory, box_solve
+from intersim.mpc import INNER_TOLERANCE, OcpProblem, PredictedTrajectory, box_solve
 from intersim.network import Topology, graph_ell
 from intersim.orchestrator import export_logs, run_simulation
 
@@ -226,9 +226,7 @@ def test_criterion_7_gradient_check_with_active_terms():
         state = xs.AgentState(rng.uniform(-0.5, 0.5), rng.uniform(8.0, 14.0), rng.uniform(30.0, 70.0))
         prob = OcpProblem(model, params, path, bounds, margins, state, neighbors, 50)
         u0 = np.clip(rng.normal(0.0, 0.5, 50), -7, 4)
-        u_mid, _, _ = box_solve(
-            lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0, u0, PenaltyConfig(max_inner_iterations=40)
-        )
+        u_mid, _, _ = box_solve(lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0, u0, INNER_TOLERANCE, 40)
         u = np.clip(u_mid + rng.normal(0.0, 0.05, 50), -7, 4)
         stack = prob.residual_stack(u)[0]
         if stack[-1] > 0:

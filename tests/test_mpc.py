@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from intersim import mpc
 from intersim.dynamics import AgentParams, AgentState, discretize, step
-from intersim.geometry import SafetyMargins, smooth_overlap_core
+from intersim.geometry import OVERLAP_SHARPNESS, SafetyMargins, smooth_overlap_core
 from intersim.mpc import (
     OcpProblem,
     PenaltyConfig,
@@ -32,6 +32,9 @@ PARAMS = AgentParams(0.3, -7.0, 4.0, 15.0, 3.5, 7.0, 5.0, 2.0, 1.0, 1.0, 20.0, 1
 MODEL = discretize(0.3, 0.1)
 MARGINS = SafetyMargins()
 CFG = PenaltyConfig()
+TOL = CFG.constraint_tolerance
+# box_solve's first-round stopping displacement and iteration cap in the penalty loop
+LIMITS = (mpc.INNER_TOLERANCE, mpc.MAX_INNER_ITERATIONS)
 GEOM = IntersectionGeometry()
 
 
@@ -204,7 +207,7 @@ def reference_ca_terms(prob, x, y, psi, kap, inside, v, track):
     cry = y + 0.5 * ext * sin_p
     value, derivatives = smooth_overlap_core(
         crx, cry, cos_p, sin_p, a_r, b_r, ox, oy, np.cos(rel), np.sin(rel),
-        track.length / 2.0, track.width / 2.0, m.sharpness,
+        track.length / 2.0, track.width / 2.0, OVERLAP_SHARPNESS,
     )
     dcrx, dcry, dth, dar = derivatives()
     dpsi_ds = kap * inside
@@ -475,7 +478,7 @@ def test_state_at_the_range_limit_evaluates_without_overflow():
     for state in (AgentState(1e6, 1e6, 1e6), AgentState(-1e6, -1e6, -1e6)):
         tracks = (crossing_neighbor(), crossing_neighbor(offset=30.0))
         prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
-        weight = CFG.initial_weight * CFG.multiplier ** CFG.max_outer_iterations
+        weight = mpc.INITIAL_WEIGHT * mpc.WEIGHT_MULTIPLIER ** mpc.MAX_OUTER_ITERATIONS
         value, gradient = prob.value_and_grad(np.full(50, 4.0), weight)
         assert np.isfinite(value) and np.all(np.isfinite(gradient()))
         assert np.all(np.isfinite(prob.residual_stack(np.full(50, -7.0))[0]))
@@ -555,8 +558,7 @@ def test_gradient_matches_finite_differences_on_random_instances():
         state = AgentState(rng.uniform(-0.5, 0.5), rng.uniform(8.0, 14.0), s0)
         prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, neighbors, 50)
         u0 = np.clip(rng.normal(0.0, 0.5, 50), -7, 4)
-        u_mid, _, _ = box_solve(lambda w: prob.value_and_grad(w, 10.0),
-                                -7.0, 4.0, u0, PenaltyConfig(max_inner_iterations=40))
+        u_mid, _, _ = box_solve(lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0, u0, mpc.INNER_TOLERANCE, 40)
         u_test = np.clip(u_mid + rng.normal(0.0, 0.05, 50), -7, 4)
         worst = max(worst, gradient_fd_check(prob, u_test, 10.0))
     assert worst < 1e-5
@@ -593,19 +595,20 @@ def eager(objective):
     return value_grad
 
 
-def solve_box(value_grad, lower, upper, u0, cfg, halfspace=None):
-    """box_solve on an objective given as its value_grad."""
-    return box_solve(lazy(value_grad), lower, upper, u0, cfg, halfspace)
+def solve_box(value_grad, lower, upper, u0, limits, halfspace=None):
+    """box_solve on an objective given as its value_grad, with limits =
+    (tolerance, max_iterations)."""
+    return box_solve(lazy(value_grad), lower, upper, u0, *limits, halfspace)
 
 
 def test_interior_quadratic():
-    u, _, converged = solve_box(quadratic(np.array([3.0])), -7.0, 4.0, np.array([0.0]), CFG)
+    u, _, converged = solve_box(quadratic(np.array([3.0])), -7.0, 4.0, np.array([0.0]), LIMITS)
     assert converged
     assert u[0] == pytest.approx(3.0, abs=1e-4)
 
 
 def test_active_bound_quadratic():
-    u, _, converged = solve_box(quadratic(np.array([10.0])), -7.0, 4.0, np.array([0.0]), CFG)
+    u, _, converged = solve_box(quadratic(np.array([10.0])), -7.0, 4.0, np.array([0.0]), LIMITS)
     assert converged
     assert u[0] == pytest.approx(4.0, abs=1e-9)
 
@@ -622,7 +625,7 @@ def test_matches_long_run_projected_gradient_oracle():
         return float(0.5 * u @ hess @ u + b @ u), hess @ u + b
 
     u0 = np.zeros(n)
-    u_fast, _, converged = solve_box(f, lo, hi, u0, PenaltyConfig(inner_tolerance=1e-9))
+    u_fast, _, converged = solve_box(f, lo, hi, u0, (1e-9, mpc.MAX_INNER_ITERATIONS))
     assert converged
 
     # independent oracle: plain projected gradient, many iterations
@@ -636,7 +639,7 @@ def test_matches_long_run_projected_gradient_oracle():
 def test_iteration_cap_returns_flag():
     u, iters, converged = solve_box(
         quadratic(np.array([3.0])), -7.0, 4.0, np.array([-7.0]),
-        PenaltyConfig(max_inner_iterations=1, inner_tolerance=1e-14),
+        (1e-14, 1),
     )
     assert iters == 1 and not converged
 
@@ -683,30 +686,30 @@ def quadratic_nd(rng, n=30):
 
 
 def solver_cases(rng):
-    """(name, objective, lower, upper, u0, cfg) for box_solve: random
+    """(name, objective, lower, upper, u0, (tolerance, max_iterations)) for box_solve: random
     quadratics, kinked and uphill objectives that force the fallback step,
     penalty objectives of random problems at two weights, and one start at
     a corner of the box that the solver comes back to."""
     for k in range(12):
         for name, make in (("quadratic", quadratic_nd), ("kinked", kinked), ("uphill", uphill)):
             u0 = rng.uniform(-1.0, 1.0, 30 if name == "quadratic" else 20)
-            cfg = PenaltyConfig(inner_tolerance=10.0 ** -rng.integers(4, 10), max_inner_iterations=60)
-            yield f"{name} {k}", lazy(make(rng)), -1.0, 1.0, u0, cfg
+            limits = (10.0 ** -rng.integers(4, 10), 60)
+            yield f"{name} {k}", lazy(make(rng)), -1.0, 1.0, u0, limits
     for trial, prob in random_problems(rng, 40):
         weight = (10.0, 1250.0)[trial % 2]
         u0 = np.clip(rng.normal(0.0, 2.0, 50), -7.0, 4.0)
-        yield f"problem {trial}", lambda u, prob=prob, w=weight: prob.value_and_grad(u, w), -7.0, 4.0, u0, CFG
+        yield f"problem {trial}", lambda u, prob=prob, w=weight: prob.value_and_grad(u, w), -7.0, 4.0, u0, LIMITS
     # a full-throttle start that a later forward-backward step lands back on
     _, prob = list(random_problems(np.random.default_rng(5), 14))[13]
-    yield "corner start", lambda u: prob.value_and_grad(u, 1250.0), -7.0, 4.0, np.full(50, 4.0), CFG
+    yield "corner start", lambda u: prob.value_and_grad(u, 1250.0), -7.0, 4.0, np.full(50, 4.0), LIMITS
 
 
 def test_box_solve_matches_full_evaluation_reference_bit_for_bit():
     rng = np.random.default_rng(77)
     fallbacks = 0
-    for name, objective, lo, hi, u0, cfg in solver_cases(rng):
-        u, iters, converged = box_solve(objective, lo, hi, u0, cfg)
-        (u_ref, iters_ref, converged_ref), log = reference_log(eager(objective), lo, hi, u0, cfg)
+    for name, objective, lo, hi, u0, limits in solver_cases(rng):
+        u, iters, converged = box_solve(objective, lo, hi, u0, *limits)
+        (u_ref, iters_ref, converged_ref), log = reference_log(eager(objective), lo, hi, u0, limits)
         assert same_bits(u, u_ref) and (iters, converged) == (iters_ref, converged_ref), name
         fallbacks += sum(site == "fallback" for site, _ in log)
     assert fallbacks >= 10
@@ -717,7 +720,7 @@ def test_box_solve_matches_full_evaluation_reference_bit_for_bit():
 FALLBACK = "u_new, f_new, g_new = t, f_t, g_t"
 
 
-def reference_log(value_grad, lower, upper, u0, cfg):
+def reference_log(value_grad, lower, upper, u0, limits):
     """The reference solver's result, and its gradient reads in order as
     (site, point bytes): one per evaluation, its site named by the line that
     called value_grad, and one per fallback step, at its point t."""
@@ -741,13 +744,13 @@ def reference_log(value_grad, lower, upper, u0, cfg):
     previous = sys.gettrace()
     sys.settrace(trace_calls)
     try:
-        result = box_solve_reference.box_solve(spy, lower, upper, u0, cfg)
+        result = box_solve_reference.box_solve(spy, lower, upper, u0, *limits)
     finally:
         sys.settrace(previous)
     return result, log
 
 
-def logged_solve(objective, lower, upper, u0, cfg):
+def logged_solve(objective, lower, upper, u0, limits):
     """box_solve's evaluations and gradient builds in order, as ("value" or
     "gradient", point bytes); a builder called again logs nothing, as it
     returns its cached array."""
@@ -767,7 +770,7 @@ def logged_solve(objective, lower, upper, u0, cfg):
 
         return value, spy_gradient
 
-    box_solve(spy, lower, upper, u0, cfg)
+    box_solve(spy, lower, upper, u0, *limits)
     return log
 
 
@@ -781,10 +784,10 @@ def test_box_solve_evaluates_each_point_once_and_gradients_where_read():
     rng = np.random.default_rng(78)
     counts = {"value only": 0, "start": 0, "probe": 0, "line search": 0, "fallback": 0}
     revisits = 0
-    for name, objective, lo, hi, u0, cfg in solver_cases(rng):
-        log = logged_solve(objective, lo, hi, u0, cfg)
+    for name, objective, lo, hi, u0, limits in solver_cases(rng):
+        log = logged_solve(objective, lo, hi, u0, limits)
         sites: dict[bytes, set] = {}
-        for site, key in reference_log(eager(objective), lo, hi, u0, cfg)[1]:
+        for site, key in reference_log(eager(objective), lo, hi, u0, limits)[1]:
             sites.setdefault(key, set()).add(site)
         evaluated = [key for kind, key in log if kind == "value"]
         assert len(evaluated) == len(set(evaluated)), name  # no point twice
@@ -852,7 +855,7 @@ def test_box_solve_with_a_halfspace_finds_the_projection_of_the_minimiser():
         c = rng.uniform(0.0, 2.0, 20) * (rng.random(20) < 0.8)
         d = float(c @ np.full(20, -1.0)) + rng.uniform(0.0, 5.0)
         u, _, converged = solve_box(quadratic(centre), -1.0, 1.0, np.zeros(20),
-                                    PenaltyConfig(inner_tolerance=1e-10), halfspace=(c, d))
+                                    (1e-10, mpc.MAX_INNER_ITERATIONS), halfspace=(c, d))
         assert converged, trial
         expected = mpc._project_box_halfspace(centre, -1.0, 1.0, c, d)
         np.testing.assert_allclose(u, expected, rtol=0.0, atol=1e-8, err_msg=str(trial))
@@ -925,10 +928,10 @@ def test_solve_refuses_a_non_finite_input(monkeypatch, bad):
     """A start that returned a non-finite input is refused, not broadcast."""
     path, bounds = make_env()
 
-    def broken(problem, u0, cfg, incumbent=None):
+    def broken(problem, u0, tol, incumbent=None):
         u = np.zeros(problem.horizon)
         u[3] = bad
-        return mpc._Candidate(u, 0.0, 0.0, (0.0,))
+        return mpc._Candidate(u, 0.0, 0.0, np.zeros((problem.horizon + 1, 3)), (0.0,))
 
     monkeypatch.setattr(mpc, "_penalty_loop", broken)
     with pytest.raises(ValueError, match="non-finite input"):
@@ -1007,18 +1010,18 @@ def scripted_loop(monkeypatch, violations):
     prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 14.0, 40.0), (), 50)
     starts = []
 
-    def fake_box_solve(objective, lower, upper, u0, cfg, halfspace=None):
+    def fake_box_solve(objective, lower, upper, u0, tolerance, max_iterations, halfspace=None):
         starts.append(u0)
         return np.full(50, float(len(starts))), 7, True
 
     monkeypatch.setattr(mpc, "box_solve", fake_box_solve)
     real = prob.residual_stack
-    monkeypatch.setattr(prob, "residual_stack", lambda u: (np.array([violations[int(u[0]) - 1]]), real(u)[1]))
+    monkeypatch.setattr(prob, "residual_stack", lambda u: (np.array([violations[int(u[0]) - 1]]), *real(u)[1:]))
     return prob, starts
 
 
 def incumbent(violation):
-    return mpc._Candidate(np.zeros(50), violation, 0.0, (violation,))
+    return mpc._Candidate(np.zeros(50), violation, 0.0, None, (violation,))
 
 
 STALLING = [1.0, 0.3, 0.2, 0.19, 0.18, 0.17]  # shrinks x0.3, then stalls
@@ -1026,7 +1029,7 @@ STALLING = [1.0, 0.3, 0.2, 0.19, 0.18, 0.17]  # shrinks x0.3, then stalls
 
 def test_second_start_stops_at_first_stalled_round_behind_feasible_incumbent(monkeypatch):
     prob, starts = scripted_loop(monkeypatch, STALLING)
-    got = mpc._penalty_loop(prob, np.full(50, 4.0), CFG, incumbent=incumbent(CFG.constraint_tolerance))
+    got = mpc._penalty_loop(prob, np.full(50, 4.0), TOL, incumbent=incumbent(TOL))
     # round 2 shrank below 1.0 / sqrt(5) = 0.447; round 3's 0.2 is not below 0.3 / sqrt(5)
     assert got.history == (1.0, 0.3, 0.2)
     assert len(starts) == 3
@@ -1034,29 +1037,29 @@ def test_second_start_stops_at_first_stalled_round_behind_feasible_incumbent(mon
 
 
 def test_shrinking_by_exactly_sqrt_multiplier_counts_as_stalled(monkeypatch):
-    prob, _ = scripted_loop(monkeypatch, [1.0, 1.0 / math.sqrt(CFG.multiplier), 0.1, 0.1, 0.1, 0.1])
-    got = mpc._penalty_loop(prob, np.zeros(50), CFG, incumbent=incumbent(0.0))
+    prob, _ = scripted_loop(monkeypatch, [1.0, 1.0 / math.sqrt(mpc.WEIGHT_MULTIPLIER), 0.1, 0.1, 0.1, 0.1])
+    got = mpc._penalty_loop(prob, np.zeros(50), TOL, incumbent=incumbent(0.0))
     assert len(got.history) == 2
 
 
 @pytest.mark.parametrize("rival", [None, incumbent(0.5)], ids=["no incumbent", "infeasible incumbent"])
 def test_every_round_runs_without_a_feasible_incumbent(monkeypatch, rival):
     prob, starts = scripted_loop(monkeypatch, STALLING)
-    got = mpc._penalty_loop(prob, np.full(50, 4.0), CFG, incumbent=rival)
-    assert got.history == tuple(STALLING) and len(starts) == CFG.max_outer_iterations
+    got = mpc._penalty_loop(prob, np.full(50, 4.0), TOL, incumbent=rival)
+    assert got.history == tuple(STALLING) and len(starts) == mpc.MAX_OUTER_ITERATIONS
     assert got.violation == 0.17 and np.all(got.u == 6.0)
 
 
 def test_every_round_runs_while_each_shrinks_by_sqrt_multiplier(monkeypatch):
     shrinking = [1.0, 0.44, 0.19, 0.083, 0.036, 0.0155]  # each below the previous / sqrt(5)
     prob, starts = scripted_loop(monkeypatch, shrinking)
-    got = mpc._penalty_loop(prob, np.full(50, 4.0), CFG, incumbent=incumbent(0.0))
-    assert got.history == tuple(shrinking) and len(starts) == CFG.max_outer_iterations
+    got = mpc._penalty_loop(prob, np.full(50, 4.0), TOL, incumbent=incumbent(0.0))
+    assert got.history == tuple(shrinking) and len(starts) == mpc.MAX_OUTER_ITERATIONS
 
 
 def test_stopped_start_returns_its_best_iterate(monkeypatch):
     prob, starts = scripted_loop(monkeypatch, [1.0, 0.3, 0.35, 0.1, 0.1, 0.1])
-    got = mpc._penalty_loop(prob, np.full(50, 4.0), CFG, incumbent=incumbent(0.0))
+    got = mpc._penalty_loop(prob, np.full(50, 4.0), TOL, incumbent=incumbent(0.0))
     assert got.history == (1.0, 0.3, 0.35)
     # the best of the three rounds, not the last; each round starts where the last ended
     assert got.violation == 0.3 and np.all(got.u == 2.0)
@@ -1069,9 +1072,9 @@ def test_second_start_gets_the_warm_candidate_as_incumbent(monkeypatch):
     calls = []
     original = mpc._penalty_loop
 
-    def spy(problem, u0, cfg, incumbent=None):
+    def spy(problem, u0, tol, incumbent=None):
         calls.append(incumbent)
-        result = original(problem, u0, cfg, incumbent=incumbent)
+        result = original(problem, u0, tol, incumbent=incumbent)
         calls.append(result)
         return result
 
@@ -1156,9 +1159,9 @@ def test_no_second_start_where_the_crossing_side_is_out_of_reach(monkeypatch):
     starts = []
     original = mpc._penalty_loop
 
-    def spy(problem, u0, cfg, incumbent=None):
+    def spy(problem, u0, tol, incumbent=None):
         starts.append(u0)
-        return original(problem, u0, cfg, incumbent=incumbent)
+        return original(problem, u0, tol, incumbent=incumbent)
 
     monkeypatch.setattr(mpc, "_penalty_loop", spy)
     state = AgentState(0.0, 13.99, 11.2)
@@ -1175,9 +1178,9 @@ def spy_halfspaces(monkeypatch):
     seen = []
     original = mpc.box_solve
 
-    def spy(objective, lower, upper, u0, cfg, halfspace=None):
+    def spy(objective, lower, upper, u0, tolerance, max_iterations, halfspace=None):
         seen.append(halfspace)
-        return original(objective, lower, upper, u0, cfg, halfspace)
+        return original(objective, lower, upper, u0, tolerance, max_iterations, halfspace)
 
     monkeypatch.setattr(mpc, "box_solve", spy)
     return seen
@@ -1203,7 +1206,7 @@ def test_out_of_reach_vehicle_past_the_stop_line_keeps_the_hinge(monkeypatch):
     path, bounds = make_env()
     halfspaces = spy_halfspaces(monkeypatch)
     state = AgentState(0.0, 2.0, 78.0)
-    assert mpc._reach_bound(MODEL, PARAMS, state, CFG.constraint_tolerance, 5) < bounds.s_cr_out - 0.01
+    assert mpc._reach_bound(MODEL, PARAMS, state, TOL, 5) < bounds.s_cr_out - 0.01
     _, _, report = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 5)
     assert halfspaces and all(h is None for h in halfspaces)
     assert report.second_start == "unreachable"

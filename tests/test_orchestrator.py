@@ -179,7 +179,7 @@ NUMERIC_FIELDS = [
     "geometry.cr_half_width_m",
     "safety_margins.headway_s",
     "bid_params.alpha1",
-    "penalty.multiplier",
+    "penalty.constraint_tolerance",
     "sampling_time_s",
     "horizon",
     "steps",
@@ -211,8 +211,8 @@ def test_huge_finite_position_is_rejected_with_a_finite_distance():
 def test_scenario_field_errors_name_their_path():
     with pytest.raises(ScenarioError, match=r"^horizon: must be an integer"):
         load_scenario(dict(TWO_AGENTS, horizon=50.5))
-    with pytest.raises(ScenarioError, match=r"^penalty: penalty multiplier must be > 1"):
-        load_scenario(spoil(TWO_AGENTS, "penalty.multiplier", 0.5))
+    with pytest.raises(ScenarioError, match=r"^penalty: constraint_tolerance must be > 0$"):
+        load_scenario(spoil(TWO_AGENTS, "penalty.constraint_tolerance", 0.0))
     with pytest.raises(ScenarioError, match=r"^agents\[1\]\.params: t_ax must be > 0"):
         load_scenario(spoil(TWO_AGENTS, "agents[1].params.t_ax_s", -1))
     with pytest.raises(ScenarioError, match=r"^events\[0\]\.agent: missing"):
@@ -232,7 +232,8 @@ LISTED_ERRORS = [
      r"events\[1\]\.agent: unknown agent 9"),
     (spoil(TWO_AGENTS, "agents[1].id", 1), r"agents\[1\]\.id: 1 is already the id of agents\[0\]"),
     (spoil(TWO_AGENTS, "agents[1].id", 0), r"agents\[1\]\.id: must be a positive integer"),
-    (spoil(TWO_AGENTS, "agents[1].initial_speed_mps", -1.0), r"agents\[1\]\.initial_speed: must be >= 0"),
+    (spoil(TWO_AGENTS, "agents[1].initial_speed_mps", -1.0),
+     r"agents\[1\]\.initial_speed_mps: must lie in \[0, 1e\+06\]"),
 ]
 
 
@@ -254,6 +255,9 @@ UNKNOWN_KEYS = [
     (spoil(TWO_AGENTS, "bid_params.alpha6", 1.0), r"bid_params\.alpha6"),
     (spoil(TWO_AGENTS, "safety_margins.long", 2.0), r"safety_margins\.long"),
     (spoil(TWO_AGENTS, "penalty.max_iterations", 9), r"penalty\.max_iterations"),
+    # solver settings that are constants of the program, not scenario fields
+    (spoil(TWO_AGENTS, "penalty.multiplier", 5.0), r"penalty\.multiplier"),
+    (spoil(TWO_AGENTS, "safety_margins.smooth_sharpness", 4.0), r"safety_margins\.smooth_sharpness"),
     (dict(TWO_AGENTS, events=[{"time_s": 0.5, "agent": 1}, {"time": 0.5, "agent": 2}]), r"events\[1\]\.time"),
     (dict(TWO_AGENTS, topology_schedule=[{"from_step": 1, "topolgy": "ring"}]),
      r"topology_schedule\[0\]\.topolgy"),
@@ -263,7 +267,7 @@ UNKNOWN_KEYS = [
 @pytest.mark.parametrize(
     "doc, where", UNKNOWN_KEYS,
     ids=["root", "agent", "route", "params", "geometry", "bid_params", "safety_margins", "penalty",
-         "event", "schedule entry"],
+         "penalty setting", "sharpness", "event", "schedule entry"],
 )
 def test_unknown_key_is_rejected_at_its_path(doc, where):
     """A key the loader does not read is a misspelt or misplaced one: each
@@ -375,15 +379,62 @@ def test_emergency_bid_must_exceed_every_inside_bid():
     replace(base, bid_params=BidParams(alpha3=1.0, alpha5=999_990.0, emergency_bid=top + 1.0))
 
 
-@pytest.mark.parametrize(
-    "field, value, least",
-    [("lbfgs_memory", -1, 0), ("max_inner_iterations", 0, 1), ("max_outer_iterations", 0, 1)],
+# N->S from (-2, 82) and W->N from (-84, -2), both at 14 m/s
+CROSSING_PAIR = spoil(
+    spoil(TWO_AGENTS, "agents[1].route", {"entry": "W", "exit": "N"}), "agents[1].initial_position_m", [-84.0, -2.0]
 )
-def test_penalty_counts_are_checked_at_load(field, value, least):
-    # lbfgs_memory -1 loaded, then every run failed at step 0; a 0 in the
-    # iteration caps meant no inner iteration, or one outer round anyway
-    with pytest.raises(ScenarioError, match=rf"^penalty: {field} must be >= {least}$"):
-        load_scenario(spoil(TWO_AGENTS, f"penalty.{field}", value))
+# fields whose huge values once loaded and then crashed the first solve
+SOLVER_RANGE_FIELDS = ["sampling_time_s", "initial_speed_mps", "params.a_tot_max"]
+
+
+def with_value(doc, field, value):
+    """doc with `field` set to `value`: at the root, or else on every agent."""
+    if field == "sampling_time_s":
+        return dict(doc, sampling_time_s=value)
+    for pos in range(len(doc["agents"])):
+        doc = spoil(doc, f"agents[{pos}].{field}", value)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("params.a_tot_max", 1e200, r"agents\[0\]\.params\.a_tot_max: \|a_tot_max\| must not exceed 1e\+06"),
+        ("sampling_time_s", 1e160, r"sampling_time_s: the horizon spans 5e\+161 s, over 1e\+06"),
+        ("initial_speed_mps", 1.1e6, r"agents\[0\]\.initial_speed_mps: must lie in \[0, 1e\+06\]"),
+        ("params.a_x_max", 1e200, r"agents\[0\]\.params\.a_x_max: \|a_x_max\| must not exceed 1e\+06"),
+    ],
+    ids=["a_tot_max", "sampling_time_s", "initial_speed_mps", "a_x_max"],
+)
+def test_values_beyond_the_solver_state_limit_fail_at_load(field, value, message, capsys):
+    # the first three loaded and passed `check`, then failed at step 0: an
+    # OverflowError in the total-acceleration term, a non-finite input, a
+    # state out of range; a full-throttle start at a_x_max = 1e200 overflows
+    # the penalty terms
+    doc = with_value(CROSSING_PAIR, field, value)
+    with pytest.raises(ScenarioError, match=rf"^{message}$"):
+        load_scenario(doc)
+    from intersim.cli import main
+
+    assert main(["check", "--scenario", json.dumps(doc)]) == 1
+    assert re.fullmatch(rf"scenario error: {message}\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("field", SOLVER_RANGE_FIELDS)
+def test_every_decade_is_rejected_at_load_or_runs(field):
+    """10**e for every e in [-300, 300]: rejected at load, or three steps run
+    without an exception (or a warning, which the suite makes an error)."""
+    outcomes = set()
+    for exponent in range(-300, 301):
+        try:
+            cfg = load_scenario(with_value(CROSSING_PAIR, field, 10.0**exponent))
+        except ScenarioError:
+            outcomes.add("rejected")
+            continue
+        log, _ = run_simulation(cfg)
+        assert len(log.trajectory) == 3 * len(cfg.agents), exponent
+        outcomes.add("ran")
+    assert outcomes == {"rejected", "ran"}
 
 
 @pytest.mark.parametrize("field", ["events", "topology_schedule"])
