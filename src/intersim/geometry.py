@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -314,18 +314,18 @@ def conflict_sets(
     i: int,
     views: Mapping[int, AgentView],
     higher: frozenset[int],
-    conflicts: Callable[[int, int], bool],
+    crossing: frozenset[int],
 ) -> frozenset[int]:
     """The agents i holds avoidance constraints toward.
 
     Outside the intersection control region only the rear-end set matters.
     Inside it i also avoids the `higher`-priority agents that can still
-    cross its way: those short of their critical-region exit whose route
-    `conflicts` with i's.
+    cross its way: those short of their critical-region exit that are in
+    `crossing`, the agents whose route conflicts with i's.
     """
     me = views[i]
     ahead = ahead_set(i, views)
     if region_of(me.bounds, me.state.s) in ("icr", "bsr", "cr"):
-        cross = {l for l in higher if views[l].state.s < views[l].bounds.s_cr_out and conflicts(i, l)}
+        cross = {l for l in higher & crossing if views[l].state.s < views[l].bounds.s_cr_out}
         return frozenset(cross) | ahead
     return ahead

@@ -144,10 +144,8 @@ class OcpProblem:
                 f"state {state} is out of range: |a_x|, |v| and |s| must not exceed "
                 f"{STATE_LIMIT:g}, which keeps every penalty term far from where float64 overflows"
             )
-        self.f_mat, self.g_mat, self._g_flat = _sensitivities(
-            model.a_d.tobytes(), model.b_d.tobytes(), horizon
-        )
-        self.base = self.f_mat @ state.as_array()
+        f_mat, self.g_mat, self._g_flat = _sensitivities(model.a_d.tobytes(), model.b_d.tobytes(), horizon)
+        self.base = f_mat @ state.as_array()
 
         # the V2V input boundary: every broadcast holds N+1 finite poses
         self.tracks = tuple(neighbours)

@@ -98,7 +98,6 @@ class TimingReport:
 
 @dataclass
 class _AgentRuntime:
-    agent_id: int
     config: "AgentConfig"
     path: "PathSpec"
     bounds: "RegionBounds"
@@ -121,7 +120,6 @@ def _build_runtimes(cfg: ScenarioConfig) -> dict[int, _AgentRuntime]:
         s0, _ = agent.start
         state = AgentState(0.0, agent.initial_speed, s0)
         out[agent.agent_id] = _AgentRuntime(
-            agent_id=agent.agent_id,
             config=agent,
             path=path,
             bounds=bounds,
@@ -132,7 +130,8 @@ def _build_runtimes(cfg: ScenarioConfig) -> dict[int, _AgentRuntime]:
     return out
 
 
-def _conflict_matrix(cfg: ScenarioConfig, rts: dict[int, _AgentRuntime]) -> dict[tuple[int, int], bool]:
+def _crossing_sets(cfg: ScenarioConfig, rts: dict[int, _AgentRuntime]) -> dict[int, frozenset[int]]:
+    """Per vehicle, the vehicles whose route corridor meets its own (see paths_conflict)."""
     ids = sorted(rts)
     # number each distinct corridor by first appearance and test a pair of
     # corridors in that order: the paths_conflict cache then answers both
@@ -142,11 +141,11 @@ def _conflict_matrix(cfg: ScenarioConfig, rts: dict[int, _AgentRuntime]) -> dict
         i: corridors.setdefault((rts[i].path, rts[i].bounds, rts[i].config.params.width), len(corridors))
         for i in ids
     }
-    out: dict[tuple[int, int], bool] = {}
+    crossing: dict[int, set[int]] = {i: set() for i in ids}
     for n, i in enumerate(ids):
         for l in ids[n + 1:]:
             a, b = (i, l) if rank[i] <= rank[l] else (l, i)
-            out[(i, l)] = paths_conflict(
+            if paths_conflict(
                 rts[a].path,
                 rts[a].bounds,
                 rts[b].path,
@@ -154,8 +153,10 @@ def _conflict_matrix(cfg: ScenarioConfig, rts: dict[int, _AgentRuntime]) -> dict
                 rts[a].config.params.width,
                 rts[b].config.params.width,
                 cfg.geometry.cr_half_width,
-            )
-    return out
+            ):
+                crossing[i].add(l)
+                crossing[l].add(i)
+    return {i: frozenset(c) for i, c in crossing.items()}
 
 
 def _pair_metrics(
@@ -206,10 +207,7 @@ def run_simulation(
         raise ValueError(f"workers must be 1, got {workers}")
     rts = _build_runtimes(cfg)
     ids = sorted(rts)
-    conflict_lookup = _conflict_matrix(cfg, rts)
-
-    def paths_do_conflict(i: int, l: int) -> bool:
-        return conflict_lookup[(min(i, l), max(i, l))]
+    crossing = _crossing_sets(cfg, rts)
 
     # an event applies from the first step at or after its time; the guard
     # keeps a time on a step boundary on that step where the quotient rounds
@@ -258,7 +256,7 @@ def run_simulation(
             if rts[i].state.s > rts[i].bounds.s_icr_out:
                 continue  # left the control region: open-loop speed hold
             higher = assignment.hp_sets.get(i, frozenset()) if assignment is not None else frozenset()
-            partners[i] = conflict_sets(i, views, higher, paths_do_conflict)
+            partners[i] = conflict_sets(i, views, higher, crossing[i])
             solve_list.append((i, tuple(rts[l].broadcast for l in sorted(partners[i]))))
 
         next_broadcasts: dict[int, PredictedTrajectory] = {}

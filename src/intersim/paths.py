@@ -91,28 +91,31 @@ Segment = StraightSegment | ArcSegment
 
 @dataclass(frozen=True)
 class PathSpec:
+    """A chain of segments; its length and segment starts follow from them."""
+
     segments: tuple[Segment, ...]
-    total_length: float
 
     def __post_init__(self):
         if not self.segments:
             raise ValueError("path needs at least one segment")
-        lengths = [seg.length for seg in self.segments]
-        if any(l <= 0 for l in lengths):
+        if any(seg.length <= 0 for seg in self.segments):
             raise ValueError("every segment must have positive length")
-        if not math.isclose(sum(lengths), self.total_length, rel_tol=0, abs_tol=1e-9):
-            raise ValueError("total_length must equal the sum of segment lengths")
         for prev, nxt in zip(self.segments, self.segments[1:]):
             end, start = prev.pose_at(prev.length), nxt.pose_at(0.0)
             if math.hypot(end.x_g - start.x_g, end.y_g - start.y_g) > 1e-9 or abs(end.psi - start.psi) > 1e-9:
                 raise ValueError("segments are not C0-continuous")
 
-    @property
+    @cached_property
     def cumulative(self) -> tuple[float, ...]:
+        """0, then the running sum of the segment lengths."""
         out = [0.0]
         for seg in self.segments:
             out.append(out[-1] + seg.length)
         return tuple(out)
+
+    @cached_property
+    def total_length(self) -> float:
+        return self.cumulative[-1]
 
     @cached_property
     def table(self) -> PathTable:
@@ -274,14 +277,13 @@ class IntersectionGeometry:
 class RegionBounds:
     s_icr_in: float
     s_bsr_in: float
-    s_bsr_out: float
     s_cr_in: float
     s_cr_out: float
     s_stop: float
     s_icr_out: float
 
     def __post_init__(self):
-        if not (self.s_icr_in < self.s_bsr_in < self.s_bsr_out <= self.s_cr_in < self.s_cr_out):
+        if not (self.s_icr_in < self.s_bsr_in < self.s_cr_in < self.s_cr_out):
             raise ValueError("region bounds out of order")
         if not self.s_stop < self.s_cr_in:
             raise ValueError("stop line must precede the critical region")
@@ -309,8 +311,7 @@ def build_path(route: RouteSpec) -> PathSpec:
     start = (-a_len * d_in[0] + off_in[0], -a_len * d_in[1] + off_in[1])
 
     if d_out == d_in:  # straight through
-        seg = StraightSegment(start[0], start[1], heading_in, a_len + x_len)
-        return PathSpec((seg,), seg.length)
+        return PathSpec((StraightSegment(start[0], start[1], heading_in, a_len + x_len),))
 
     if r <= 0:
         raise RouteGeometryError("turning routes require a positive turn radius")
@@ -345,8 +346,7 @@ def build_path(route: RouteSpec) -> PathSpec:
     entry_seg = StraightSegment(start[0], start[1], heading_in, entry_len)
     arc_seg = ArcSegment(center[0], center[1], r, start_angle, sweep)
     exit_seg = StraightSegment(t_x[0], t_x[1], heading_out, exit_len)
-    total = entry_len + arc_seg.length + exit_len
-    return PathSpec((entry_seg, arc_seg, exit_seg), total)
+    return PathSpec((entry_seg, arc_seg, exit_seg))
 
 
 def sample_path(path: PathSpec, s: float) -> PathSample:
@@ -361,15 +361,15 @@ def sample_path(path: PathSpec, s: float) -> PathSample:
     return path.segments[idx].pose_at(s - starts[idx])
 
 
-def _refine_crossing(path: PathSpec, inside, s_out: float, s_in: float, tol: float = 1e-10) -> float:
-    """Bisect the boundary between an outside and an inside coordinate."""
+def _refine_crossing(inside, s_out: float, s_in: float) -> float:
+    """Bisect the boundary between an outside and an inside coordinate, to 1e-10."""
     for _ in range(80):
         mid = 0.5 * (s_out + s_in)
         if inside(mid):
             s_in = mid
         else:
             s_out = mid
-        if abs(s_in - s_out) < tol:
+        if abs(s_in - s_out) < 1e-10:
             break
     return s_in
 
@@ -406,11 +406,11 @@ def compute_regions(
     first = int(np.argmax(in_cr))
     if first == 0:
         raise ValueError("path starts inside the critical region")
-    s_cr_in = _refine_crossing(path, cr_inside, grid[first - 1], grid[first])
+    s_cr_in = _refine_crossing(cr_inside, grid[first - 1], grid[first])
     last = len(in_cr) - 1 - int(np.argmax(in_cr[::-1]))
     if last == len(grid) - 1:
         raise ValueError("path ends inside the critical region")
-    s_cr_out = _refine_crossing(path, cr_inside, grid[last + 1], grid[last])
+    s_cr_out = _refine_crossing(cr_inside, grid[last + 1], grid[last])
 
     dist = np.hypot(x, y)
     in_icr = dist <= geometry.icr_radius
@@ -423,18 +423,17 @@ def compute_regions(
     if first_icr == 0:
         s_icr_in = 0.0
     else:
-        s_icr_in = _refine_crossing(path, icr_inside, grid[first_icr - 1], grid[first_icr])
+        s_icr_in = _refine_crossing(icr_inside, grid[first_icr - 1], grid[first_icr])
     last_icr = len(in_icr) - 1 - int(np.argmax(in_icr[::-1]))
     if last_icr == len(grid) - 1:
         s_icr_out = path.total_length
     else:
-        s_icr_out = _refine_crossing(path, icr_inside, grid[last_icr + 1], grid[last_icr])
+        s_icr_out = _refine_crossing(icr_inside, grid[last_icr + 1], grid[last_icr])
 
     bsr_length = v_max * v_max / (2.0 * abs(a_x_min)) + geometry.brake_margin
     return RegionBounds(
         s_icr_in=s_icr_in,
         s_bsr_in=s_cr_in - bsr_length,
-        s_bsr_out=s_cr_in,
         s_cr_in=s_cr_in,
         s_cr_out=s_cr_out,
         s_stop=s_cr_in - geometry.stop_setback,

@@ -143,7 +143,6 @@ def compute_regions(path, geometry, v_max, a_x_min):
     return RegionBounds(
         s_icr_in=s_icr_in,
         s_bsr_in=s_cr_in - bsr_length,
-        s_bsr_out=s_cr_in,
         s_cr_in=s_cr_in,
         s_cr_out=s_cr_out,
         s_stop=s_cr_in - geometry.stop_setback,

@@ -473,9 +473,7 @@ def test_ahead_set_prefilter_changes_no_set(case):
         assert ahead_set(i, views, window) == unfiltered
 
 
-def always(i, l):
-    """Every pair of routes conflicts."""
-    return True
+ALL_CROSS = frozenset({1, 2, 3})  # the route of every agent below conflicts with every other
 
 
 def test_conflict_sets_by_region():
@@ -484,7 +482,7 @@ def test_conflict_sets_by_region():
         1: make_view(RouteSpec("N", "S"), 0.0),
         2: make_view(RouteSpec("N", "S"), 20.0),
     }
-    assert conflict_sets(1, views, frozenset({2}), always) == {2}
+    assert conflict_sets(1, views, frozenset({2}), ALL_CROSS) == {2}
 
     # inside the control region: union with the crossing set
     views_in = {
@@ -493,10 +491,10 @@ def test_conflict_sets_by_region():
         3: make_view(RouteSpec("E", "W"), 30.0),
     }
     assert ahead_set(1, views_in) == {2}
-    assert conflict_sets(1, views_in, frozenset({3}), always) == {2, 3}
+    assert conflict_sets(1, views_in, frozenset({3}), ALL_CROSS) == {2, 3}
 
     # nobody ahead, outside control region
-    assert conflict_sets(1, {1: make_view(RouteSpec("N", "S"), 0.0)}, frozenset(), always) == set()
+    assert conflict_sets(1, {1: make_view(RouteSpec("N", "S"), 0.0)}, frozenset(), ALL_CROSS) == set()
 
 
 def test_conflict_sets_crossing_filter():
@@ -509,12 +507,12 @@ def test_conflict_sets_crossing_filter():
     assert all(ahead_set(i, views) == set() for i in views)
 
     # top-priority agent: no crossing partner regardless
-    assert conflict_sets(1, views, assignment.hp_sets[1], always) == set()
+    assert conflict_sets(1, views, assignment.hp_sets[1], ALL_CROSS) == set()
     # agent 1 has higher priority than 3 but already left its critical region
-    assert conflict_sets(3, views, assignment.hp_sets[3], always) == {2}
+    assert conflict_sets(3, views, assignment.hp_sets[3], ALL_CROSS) == {2}
     # non-conflicting routes are excluded
-    assert conflict_sets(3, views, assignment.hp_sets[3], lambda i, l: False) == set()
+    assert conflict_sets(3, views, assignment.hp_sets[3], frozenset()) == set()
     # outside the control region no crossing partner is added
     views[3] = make_view(RouteSpec("N", "S"), 10.0)
     assert views[3].state.s < views[3].bounds.s_icr_in
-    assert conflict_sets(3, views, assignment.hp_sets[3], always) == set()
+    assert conflict_sets(3, views, assignment.hp_sets[3], ALL_CROSS) == set()

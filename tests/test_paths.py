@@ -87,7 +87,7 @@ def test_impossible_turn_radius_rejected():
 
 
 def test_straight_segment_sampling():
-    path = PathSpec((StraightSegment(0.0, 0.0, 0.0, 10.0),), 10.0)
+    path = PathSpec((StraightSegment(0.0, 0.0, 0.0, 10.0),))
     p = sample_path(path, 5.0)
     assert (p.x_g, p.y_g, p.psi, p.kappa) == (5.0, 0.0, 0.0, 0.0)
 
@@ -95,7 +95,7 @@ def test_straight_segment_sampling():
 def test_arc_sampling_matches_circle_parameterization():
     # radius-10 circle starting at angle -pi/2; s = 5*pi sweeps to angle 0
     arc = ArcSegment(0.0, 0.0, 10.0, -math.pi / 2, math.pi)
-    path = PathSpec((arc,), arc.length)
+    path = PathSpec((arc,))
     s = 5.0 * math.pi
     p = sample_path(path, s)
     assert p.x_g == pytest.approx(10.0, abs=1e-12)
@@ -281,7 +281,7 @@ def test_pose_matches_masked_loop_oracle_on_two_arcs():
     right = ArcSegment(20.0, 10.0, 10.0, math.pi, -math.pi / 2)
     end = right.pose_at(right.length)
     exit_ = StraightSegment(end.x_g, end.y_g, 0.0, 5.0)
-    path = PathSpec((left, right, exit_), left.length + right.length + 5.0)
+    path = PathSpec((left, right, exit_))
     s = np.linspace(0.0, path.total_length, 997)
     assert_same_bits(path.table.pose(s), paths_reference.pose(path, s))
     for s in lookup_grids(path, np.random.default_rng(5)):
@@ -302,10 +302,7 @@ def test_c0_continuity_validation():
     good = left_turn_wn()
     assert len(good.segments) == 3
     with pytest.raises(ValueError):
-        PathSpec(
-            (StraightSegment(0, 0, 0, 5), StraightSegment(5.1, 0, 0, 5)),
-            10.0,
-        )
+        PathSpec((StraightSegment(0, 0, 0, 5), StraightSegment(5.1, 0, 0, 5)))
 
 
 # -- compute_regions ----------------------------------------------------------
@@ -324,7 +321,6 @@ def test_bsr_length_from_braking_distance():
     bounds = compute_regions(path, GEOM, 15.0, -7.0)
     expected = 15.0**2 / 14.0 + 2.0
     assert bounds.s_cr_in - bounds.s_bsr_in == pytest.approx(expected, abs=1e-6)
-    assert bounds.s_bsr_out == bounds.s_cr_in
 
 
 def test_stop_line_setback():
@@ -344,7 +340,7 @@ def test_icr_entry_at_configured_radius():
 
 def test_path_missing_cr_is_rejected():
     # a short path that stays far from the center
-    path = PathSpec((StraightSegment(50.0, 50.0, 0.0, 10.0),), 10.0)
+    path = PathSpec((StraightSegment(50.0, 50.0, 0.0, 10.0),))
     with pytest.raises(ValueError):
         compute_regions(path, GEOM, 15.0, -7.0)
 
@@ -459,7 +455,7 @@ def test_projection_is_nearest_on_a_path_that_starts_and_ends_on_arcs():
     # no straight beside the end arcs covers their clamped ends
     left = ArcSegment(0.0, 10.0, 10.0, -math.pi / 2, math.pi / 2)
     right = ArcSegment(20.0, 10.0, 10.0, math.pi, -math.pi / 2)
-    path = PathSpec((left, right), left.length + right.length)
+    path = PathSpec((left, right))
     assert_projection_is_nearest(path, np.random.default_rng(11))
 
 
