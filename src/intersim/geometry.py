@@ -32,6 +32,9 @@ from .paths import (
 
 AHEAD_WINDOW = 50.0  # m of path ahead considered for rear-end coupling
 PATH_CONFLICT_MARGIN = 0.5  # m added around each swept corridor
+# widest critical region a scenario may set: paths_conflict's distance matrix
+# then holds at most 2,001 x 2,001 float64, 32 MB (see README)
+MAX_CR_HALF_WIDTH = 100.0
 CLIP_SLACK = 1e-6  # m beyond touching, far above the rounding of the overlap clip
 OVERLAP_SHARPNESS = 4.0  # 1/m softplus steepness of the solver's smooth overlap surrogate
 

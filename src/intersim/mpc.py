@@ -29,6 +29,10 @@ from .paths import PathSpec, RegionBounds
 # comes near it, and the penalty terms, up to eighth powers of the state
 # (the squared total-acceleration residual), stay far from overflowing
 STATE_LIMIT = 1e6
+# longest horizon a scenario may set: it keeps the (N+1, 3, N) sensitivities
+# at 24 MB and the (2N, N) kink matrix of _project_box_halfspace at 16 MB,
+# within a budget of 32 MB per array
+MAX_HORIZON = 1000
 
 # the numerics of the penalty loop and of box_solve
 INITIAL_WEIGHT = 10.0  # penalty weight of the first round

@@ -22,6 +22,9 @@ _INBOUND = {"N": (0.0, -1.0), "E": (-1.0, 0.0), "S": (0.0, 1.0), "W": (1.0, 0.0)
 _OUTBOUND = {"N": (0.0, 1.0), "E": (1.0, 0.0), "S": (0.0, -1.0), "W": (-1.0, 0.0)}
 
 _REGION_SCAN_STEP = 0.05
+# longest path compute_regions scans: 200,000 samples, so the dozen arrays
+# of the scan's length stay within 20 MB together (see README)
+MAX_PATH_LENGTH = 10_000.0
 _CURVATURE_BLEND = 0.5
 
 
@@ -390,6 +393,8 @@ def compute_regions(
     """
     if v_max <= 0 or a_x_min >= 0:
         raise ValueError("need v_max > 0 and a_x_min < 0")
+    if not path.total_length <= MAX_PATH_LENGTH:
+        raise ValueError(f"the path is {path.total_length:g} m long, over {MAX_PATH_LENGTH:g} m")
     half = geometry.cr_half_width
     grid = np.arange(0.0, path.total_length + _REGION_SCAN_STEP, _REGION_SCAN_STEP)
     grid[-1] = path.total_length

@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .auction import BidParams
 from .dynamics import AgentParams
-from .geometry import SafetyMargins
-from .mpc import STATE_LIMIT, PenaltyConfig
+from .geometry import MAX_CR_HALF_WIDTH, SafetyMargins
+from .mpc import MAX_HORIZON, STATE_LIMIT, PenaltyConfig
 from .network import Topology, is_strongly_connected
 from .paths import IntersectionGeometry, RouteSpec, build_path, compute_regions, project_onto_path
 
@@ -72,8 +72,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.t_s <= 0:
             raise ScenarioError("sampling_time_s: must be > 0")
-        if self.horizon < 1:
-            raise ScenarioError("horizon: must be >= 1")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ScenarioError(f"horizon: must lie in [1, {MAX_HORIZON}]")
         if self.steps < 1:
             raise ScenarioError("steps: must be >= 1")
         # the solver takes states within STATE_LIMIT and inputs within the
@@ -84,6 +84,11 @@ class ScenarioConfig:
             raise ScenarioError(
                 f"sampling_time_s: the horizon spans {self.t_s * self.horizon:g} s, over {STATE_LIMIT:g}"
             )
+        if self.geometry.cr_half_width > MAX_CR_HALF_WIDTH:
+            raise ScenarioError(f"geometry.cr_half_width_m: must not exceed {MAX_CR_HALF_WIDTH:g}")
+        # the stop line is a path coordinate, which the solver compares with states
+        if self.geometry.stop_setback > STATE_LIMIT:
+            raise ScenarioError(f"geometry.stop_setback_m: must not exceed {STATE_LIMIT:g}")
         if not self.agents:
             raise ScenarioError("agents: list must not be empty")
         ids: dict[int, int] = {}  # agent id -> list index
@@ -98,10 +103,12 @@ class ScenarioConfig:
                 raise ScenarioError(
                     f"agents[{pos}].initial_speed_mps: must lie in [0, {STATE_LIMIT:g}]"
                 )
-            for name in ("a_x_min", "a_x_max", "a_tot_max"):
+            # a drivetrain lag, size or reference speed beyond it overflowed
+            # the first steps' arithmetic, as the acceleration limits did
+            for name, key in _PARAM_KEYS.items():
                 if abs(getattr(a.params, name)) > STATE_LIMIT:
                     raise ScenarioError(
-                        f"agents[{pos}].params.{name}: |{name}| must not exceed {STATE_LIMIT:g}"
+                        f"agents[{pos}].params.{key}: |{key}| must not exceed {STATE_LIMIT:g}"
                     )
             ids[a.agent_id] = pos
         for k, ev in enumerate(self.events):

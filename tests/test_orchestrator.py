@@ -383,14 +383,18 @@ def test_emergency_bid_must_exceed_every_inside_bid():
 CROSSING_PAIR = spoil(
     spoil(TWO_AGENTS, "agents[1].route", {"entry": "W", "exit": "N"}), "agents[1].initial_position_m", [-84.0, -2.0]
 )
-# fields whose huge values once loaded and then crashed the first solve
+# fields whose huge values once loaded and then crashed the first steps: the
+# first three are swept at every decade, the others at every tenth
 SOLVER_RANGE_FIELDS = ["sampling_time_s", "initial_speed_mps", "params.a_tot_max"]
+TENTH_DECADE_FIELDS = ["params.t_ax_s", "params.length_m", "params.width_m", "params.v_ref_mps",
+                       "geometry.stop_setback_m"]
 
 
 def with_value(doc, field, value):
-    """doc with `field` set to `value`: at the root, or else on every agent."""
-    if field == "sampling_time_s":
-        return dict(doc, sampling_time_s=value)
+    """doc with `field` set to `value`: on every agent for an agent field,
+    or else at its place from the root."""
+    if field.startswith(("sampling_time_s", "geometry.")):
+        return spoil(doc, field, value)
     for pos in range(len(doc["agents"])):
         doc = spoil(doc, f"agents[{pos}].{field}", value)
     return doc
@@ -403,14 +407,21 @@ def with_value(doc, field, value):
         ("sampling_time_s", 1e160, r"sampling_time_s: the horizon spans 5e\+161 s, over 1e\+06"),
         ("initial_speed_mps", 1.1e6, r"agents\[0\]\.initial_speed_mps: must lie in \[0, 1e\+06\]"),
         ("params.a_x_max", 1e200, r"agents\[0\]\.params\.a_x_max: \|a_x_max\| must not exceed 1e\+06"),
+        ("params.t_ax_s", 1e160, r"agents\[0\]\.params\.t_ax_s: \|t_ax_s\| must not exceed 1e\+06"),
+        ("params.length_m", 1e160, r"agents\[0\]\.params\.length_m: \|length_m\| must not exceed 1e\+06"),
+        ("params.width_m", 1e160, r"agents\[0\]\.params\.width_m: \|width_m\| must not exceed 1e\+06"),
+        ("params.v_ref_mps", 1e160, r"agents\[0\]\.params\.v_ref_mps: \|v_ref_mps\| must not exceed 1e\+06"),
+        ("geometry.stop_setback_m", 1e80, r"geometry\.stop_setback_m: must not exceed 1e\+06"),
     ],
-    ids=["a_tot_max", "sampling_time_s", "initial_speed_mps", "a_x_max"],
+    ids=["a_tot_max", "sampling_time_s", "initial_speed_mps", "a_x_max", "t_ax_s", "length_m", "width_m",
+         "v_ref_mps", "stop_setback_m"],
 )
 def test_values_beyond_the_solver_state_limit_fail_at_load(field, value, message, capsys):
     # the first three loaded and passed `check`, then failed at step 0: an
     # OverflowError in the total-acceleration term, a non-finite input, a
     # state out of range; a full-throttle start at a_x_max = 1e200 overflows
-    # the penalty terms
+    # the penalty terms; the last five passed `check` and then overflowed
+    # the discretization, the footprints, the tracking cost or the stop line
     doc = with_value(CROSSING_PAIR, field, value)
     with pytest.raises(ScenarioError, match=rf"^{message}$"):
         load_scenario(doc)
@@ -420,12 +431,17 @@ def test_values_beyond_the_solver_state_limit_fail_at_load(field, value, message
     assert re.fullmatch(rf"scenario error: {message}\n", capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("field", SOLVER_RANGE_FIELDS)
-def test_every_decade_is_rejected_at_load_or_runs(field):
-    """10**e for every e in [-300, 300]: rejected at load, or three steps run
-    without an exception (or a warning, which the suite makes an error)."""
+@pytest.mark.parametrize(
+    "field, stride",
+    [pytest.param(field, 1, id=field) for field in SOLVER_RANGE_FIELDS]
+    + [pytest.param(field, 10, id=field) for field in TENTH_DECADE_FIELDS],
+)
+def test_every_decade_is_rejected_at_load_or_runs(field, stride):
+    """10**e for every `stride`-th e in [-300, 300]: rejected at load, or
+    three steps run without an exception (or a warning, which the suite
+    makes an error)."""
     outcomes = set()
-    for exponent in range(-300, 301):
+    for exponent in range(-300, 301, stride):
         try:
             cfg = load_scenario(with_value(CROSSING_PAIR, field, 10.0**exponent))
         except ScenarioError:
@@ -435,6 +451,62 @@ def test_every_decade_is_rejected_at_load_or_runs(field):
         assert len(log.trajectory) == 3 * len(cfg.agents), exponent
         outcomes.add("ran")
     assert outcomes == {"rejected", "ran"}
+
+
+TOO_LONG = r"the path is [0-9.e+]+ m long, over 10000 m"
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"horizon": 10_000}, r"horizon: must lie in \[1, 1000\]"),
+        ({"agents[0].route.approach_length_m": 1e7}, rf"agents\[0\]\.route: {TOO_LONG}"),
+        ({"agents[0].route.exit_length_m": 1e7}, rf"agents\[0\]\.route: {TOO_LONG}"),
+        # on the left turn, the offset lengthens both straights
+        ({"agents[1].route.lane_offset_m": 1e7}, rf"agents\[1\]\.route: {TOO_LONG}"),
+        (
+            {"geometry.cr_half_width_m": 1000, "geometry.icr_radius_m": 2000,
+             "agents[0].route.approach_length_m": 3000, "agents[1].route.approach_length_m": 3000},
+            r"geometry\.cr_half_width_m: must not exceed 100",
+        ),
+    ],
+    ids=["horizon", "approach_length_m", "exit_length_m", "lane_offset_m", "cr_half_width_m"],
+)
+def test_sizes_beyond_the_memory_budget_fail_at_load(changes, message, capsys):
+    """Each document would have the set-up or a solve build an array of
+    gigabytes, so it is only loaded here, never run."""
+    doc = CROSSING_PAIR
+    for field, value in changes.items():
+        doc = spoil(doc, field, value)
+    with pytest.raises(ScenarioError, match=rf"^{message}$"):
+        load_scenario(doc)
+    from intersim.cli import main
+
+    assert main(["check", "--scenario", json.dumps(doc)]) == 1
+    assert re.fullmatch(rf"scenario error: {message}\n", capsys.readouterr().err)
+
+
+def brake_at_a_crawl(step, rts, next_broadcasts):
+    """From step 1, agent 1 is past its control region, braking hard at 5 cm/s."""
+    from intersim.dynamics import AgentState
+
+    if step == 1:
+        rts[1].state = AgentState(-7.0, 0.05, rts[1].bounds.s_icr_out + 1.0)
+
+
+def test_plant_clamps_a_negative_speed_to_zero(monkeypatch, tmp_path, capsys):
+    import intersim.cli as cli
+
+    cfg = load_scenario(CROSSING_PAIR)
+    log, _ = run_simulation(cfg, pre_solve_hook=brake_at_a_crawl)
+    # the lag keeps a_x negative for a step after the speed is clamped, so it clamps twice
+    assert [(k, i) for k, i, _ in log.speed_clamps] == [(1, 1), (2, 1)]
+    assert all(v < 0.0 for _, _, v in log.speed_clamps)
+    row = next(r for r in log.trajectory if (r.step, r.agent) == (2, 1))
+    assert row.v_mps == 0.0
+    monkeypatch.setattr(cli, "run_simulation", lambda cfg: run_simulation(cfg, pre_solve_hook=brake_at_a_crawl))
+    cli.main(["simulate", "--scenario", json.dumps(CROSSING_PAIR), "--out", str(tmp_path)])
+    assert "speed clamps: 2\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("field", ["events", "topology_schedule"])
