@@ -110,7 +110,6 @@ class PathSpec:
 
     @cached_property
     def cumulative(self) -> tuple[float, ...]:
-        """0, then the running sum of the segment lengths."""
         out = [0.0]
         for seg in self.segments:
             out.append(out[-1] + seg.length)
