@@ -487,7 +487,7 @@ def test_sizes_beyond_the_memory_budget_fail_at_load(changes, message, capsys):
 
 
 def brake_at_a_crawl(step, rts, next_broadcasts):
-    """From step 1, agent 1 is past its control region, braking hard at 5 cm/s."""
+    """At step 1, put agent 1 past its control region, braking hard at 5 cm/s."""
     from intersim.dynamics import AgentState
 
     if step == 1:
