@@ -6,7 +6,7 @@ receding-horizon control problem against the higher-priority vehicles'
 broadcast trajectories.
 """
 
-from .auction import BidParams, PriorityAssignment, compute_bid, run_cbaam
+from .auction import BidParams, compute_bid, run_cbaam
 from .dynamics import AgentParams, AgentState, DiscreteModel, discretize, step
 from .geometry import (
     OrientedBox,

@@ -46,16 +46,6 @@ class BidParams:
             )
 
 
-@dataclass(frozen=True)
-class PriorityAssignment:
-    order: tuple[int, ...]  # agent ids, highest priority first
-    hp_sets: dict[int, frozenset[int]]
-
-    def rank(self, agent: int) -> int:
-        """1-based priority rank (1 = highest)."""
-        return self.order.index(agent) + 1
-
-
 def compute_bid(s: float, v: float, s_bsr_in: float, p: BidParams, emergency: bool = False) -> float:
     """Bid of a vehicle at path coordinate s with speed v.
 
@@ -73,52 +63,33 @@ def compute_bid(s: float, v: float, s_bsr_in: float, p: BidParams, emergency: bo
     return p.alpha3 * (s - s_bsr_in) + p.alpha5
 
 
-def resolve_bid_ties(bids: Mapping[int, float]) -> dict[int, float]:
-    """Deterministically perturb duplicated bids by agent id.
-
-    The protocol assumes pairwise distinct bids; colliding values are nudged
-    down by id * 1e-9, which preserves every already-strict comparison.
-    """
-    by_value: dict[float, list[int]] = {}
-    for agent, bid in bids.items():
-        by_value.setdefault(bid, []).append(agent)
-    out = dict(bids)
-    for value, agents in by_value.items():
-        if len(agents) > 1:
-            for agent in agents:
-                out[agent] = value - agent * 1e-9
-    if len(set(out.values())) != len(out):
-        raise ValueError("could not disambiguate bids deterministically")
-    return out
-
-
-def run_cbaam(bids: Mapping[int, float], topology: Topology) -> tuple[PriorityAssignment, int]:
+def run_cbaam(bids: Mapping[int, float], topology: Topology) -> tuple[tuple[int, ...], int]:
     """Simulate the auction until every node holds the bid sort.
 
-    `bids` covers a subset of `topology.nodes`; the other nodes relay. Every
-    node keeps one priority vector as a row of `who` (bidder index per slot,
-    -1 when empty) and `w` (bid per slot, 0 when empty). Agreement is a
-    fixpoint of both phases, so the run stops at the first superstep that
-    reaches it and returns the assignment with that superstep.
+    `bids` covers a subset of `topology.nodes`; the other nodes relay. The
+    bid sort is descending, and equal bids rank the lower id first (CBAA's
+    tie rule). Every node keeps one priority vector as a row of `who`
+    (bidder index per slot, -1 when empty) and `w` (bid per slot, 0 when
+    empty). Agreement is a fixpoint of both phases, so the run stops at the
+    first superstep that reaches it and returns the order, highest priority
+    first, with that superstep.
     """
     if not bids:
         raise ValueError("auction needs at least one participant")
     if not set(bids) <= topology.nodes:
         raise ValueError("every bidder must be a topology node")
 
-    eff = resolve_bid_ties(bids)
-    if min(eff.values()) <= 0:
-        raise ValueError("bids must be > 0")
-    order = tuple(sorted(eff, key=lambda a: -eff[a]))
+    order = tuple(sorted(bids, key=lambda a: (-bids[a], a)))
     nodes = sorted(topology.nodes)
     index = {node: k for k, node in enumerate(nodes)}
     n, m = len(nodes), len(order)
-    # relays bid 0, which beats no slot; distinct bids make a slot's bid
-    # name its bidder, so the slot-wise max needs no tie rule
-    bid = np.zeros(n)
-    for agent, value in eff.items():
-        bid[index[agent]] = value
     expect = np.array([index[a] for a in order])
+    # both phases only compare bids, so bidder k of the sort enters as its
+    # place code m - k, which fills the same slots as its bid would; relays
+    # bid 0, which beats no slot, and a slot's code names its bidder, so
+    # the slot-wise max needs no tie rule
+    bid = np.zeros(n, dtype=int)
+    bid[expect] = np.arange(m, 0, -1)
     # each node hears itself and its in-neighbours, padded with itself
     hears = [[k] for k in range(n)]
     for i, j in topology.arcs:
@@ -127,7 +98,7 @@ def run_cbaam(bids: Mapping[int, float], topology: Topology) -> tuple[PriorityAs
     hears = np.array([h + h[:1] * (width - len(h)) for h in hears])
     rows, slots = np.arange(n), np.arange(m)
     who = np.full((n, m), -1)
-    w = np.zeros((n, m))
+    w = np.zeros((n, m), dtype=int)
 
     for superstep in range(1, m * graph_ell(topology) + 1):
         # phase 1: an absent bidder writes at the first slot it beats
@@ -140,6 +111,5 @@ def run_cbaam(bids: Mapping[int, float], topology: Topology) -> tuple[PriorityAs
         src = hears[rows[:, None], w[hears].argmax(axis=1)]
         who, w = who[src, slots], w[src, slots]
         if (who == expect).all():
-            hp_sets = {agent: frozenset(order[:pos]) for pos, agent in enumerate(order)}
-            return PriorityAssignment(order, hp_sets), superstep
+            return order, superstep
     raise AssertionError("auction failed to agree within the n*ell bound")

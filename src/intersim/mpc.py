@@ -447,9 +447,8 @@ def box_solve(
     read: at the start, the Lipschitz probe, the line-search candidates and
     a fallback step; a forward-backward point needs only its value for the
     descent test. A point bitwise equal to one evaluated in the same
-    iteration, or to the start point, reuses that evaluation: line-search
-    candidates often coincide with the forward-backward point, and a
-    forward-backward step can land back on a start at a corner of the box.
+    iteration reuses that evaluation: line-search candidates often coincide
+    with the forward-backward point.
     """
 
     def project(z):
@@ -465,9 +464,6 @@ def box_solve(
     u = project(np.asarray(u0, dtype=float))
     f, gradient = objective(u)
     g = gradient()
-    # point bytes -> (value, gradient builder) of the start point, and in
-    # `known` of the current iteration's points as well
-    start = {u.tobytes(): (f, gradient)}
 
     def evaluate(z):
         key = z.tobytes()
@@ -497,7 +493,8 @@ def box_solve(
             u = t  # return the projected point, which meets the constraints
             converged = True
             break
-        known = dict(start)
+        # point bytes -> (value, gradient builder) of this iteration's points
+        known = {}
         f_t, gradient_t = evaluate(t)
         gr, rr = float(g.dot(r)), float(r.dot(r))
         # enlarge the local Lipschitz estimate until the descent model holds

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .auction import PriorityAssignment, compute_bid, run_cbaam
+from .auction import compute_bid, run_cbaam
 from .dynamics import AgentState, discretize, step
 from .geometry import (
     AgentView,
@@ -236,13 +236,14 @@ def run_simulation(
             )
             for i in participants
         }
-        assignment: PriorityAssignment | None = None
+        order: tuple[int, ...] = ()
         iterations = 0
         ell = 1
         if participants:
             topo = cfg.topology_among(k, participants)
             ell = graph_ell(topo)
-            assignment, iterations = run_cbaam(bids, topo)
+            order, iterations = run_cbaam(bids, topo)
+        place = {agent: pos for pos, agent in enumerate(order)}  # 0 = highest priority
 
         views: dict[int, AgentView] = {}
         for i in ids:
@@ -255,7 +256,7 @@ def run_simulation(
         for i in ids:
             if rts[i].state.s > rts[i].bounds.s_icr_out:
                 continue  # left the control region: open-loop speed hold
-            higher = assignment.hp_sets.get(i, frozenset()) if assignment is not None else frozenset()
+            higher = frozenset(order[: place.get(i, 0)])
             partners[i] = conflict_sets(i, views, higher, crossing[i])
             solve_list.append((i, tuple(rts[l].broadcast for l in sorted(partners[i]))))
 
@@ -328,7 +329,7 @@ def run_simulation(
                     time_s=t_now,
                     agent=i,
                     bid=bids.get(i, 0.0),
-                    rank=assignment.rank(i) if assignment is not None and i in participants else 0,
+                    rank=place[i] + 1 if i in place else 0,
                     emergency_flag=rt.emergency,
                     auction_iterations=iterations,
                 )

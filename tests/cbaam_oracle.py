@@ -5,6 +5,9 @@ for every bidder, delivers every node's vectors to its out-neighbours with
 `broadcast_round`, and merges them with `consensus_update`. `run_reference`
 runs the full n_bidders * ell supersteps and reports the first superstep at
 which every node held the bid sort.
+
+Both phases compare slots as (bid, -id) pairs, so an equal bid ranks the
+lower id first, and the bid sort is the descending sort of those pairs.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence, TypeVar
 
-from intersim.auction import PriorityAssignment, resolve_bid_ties
 from intersim.network import Topology, graph_ell
 
 T = TypeVar("T")
@@ -43,8 +45,8 @@ def local_auction(i: int, c_i: float, prev: PriorityVectors) -> PriorityVectors:
     if i in prev.v:
         return prev.copy()
     out = prev.copy()
-    for j, w_j in enumerate(prev.w):
-        if c_i > w_j:
+    for j, (w_j, v_j) in enumerate(zip(prev.w, prev.v)):
+        if (c_i, -i) > (w_j, -v_j):
             out.v[j] = i
             out.w[j] = c_i
             break
@@ -52,7 +54,7 @@ def local_auction(i: int, c_i: float, prev: PriorityVectors) -> PriorityVectors:
 
 
 def consensus_update(own: PriorityVectors, received: Sequence[PriorityVectors]) -> PriorityVectors:
-    """Phase 2: slot-wise max over own and received vectors.
+    """Phase 2: slot-wise max of (bid, -id) over own and received vectors.
 
     The winning bid's agent id is copied from the same source; sources are
     scanned own-first then in the caller's (sender-sorted) order, with strict
@@ -65,7 +67,7 @@ def consensus_update(own: PriorityVectors, received: Sequence[PriorityVectors]) 
     out = own.copy()
     for r in received:
         for j in range(n):
-            if r.w[j] > out.w[j]:
+            if (r.w[j], -r.v[j]) > (out.w[j], -out.v[j]):
                 out.w[j] = r.w[j]
                 out.v[j] = r.v[j]
     return out
@@ -93,22 +95,21 @@ def broadcast_round(t: Topology, payloads: Mapping[int, T]) -> dict[int, list[T]
     return inbox
 
 
-def run_reference(bids: Mapping[int, float], topology: Topology) -> tuple[PriorityAssignment, int]:
-    """Run every superstep of the bound; nodes without a bid only relay."""
-    eff = resolve_bid_ties(bids)
-    m = len(eff)
+def run_reference(bids: Mapping[int, float], topology: Topology) -> tuple[tuple[int, ...], int]:
+    """Run every superstep of the bound; nodes without a bid only relay.
+    Returns the order, highest priority first, and the agreement superstep."""
+    m = len(bids)
     vectors = {i: PriorityVectors.empty(m) for i in topology.nodes}
-    expect_order = tuple(sorted(eff, key=lambda a: -eff[a]))
-    expect = PriorityVectors(list(expect_order), [eff[a] for a in expect_order])
+    expect_order = tuple(sorted(bids, key=lambda a: (bids[a], -a), reverse=True))
+    expect = PriorityVectors(list(expect_order), [bids[a] for a in expect_order])
     agreed_at = 0
     for superstep in range(1, m * graph_ell(topology) + 1):
-        for i in eff:
-            vectors[i] = local_auction(i, eff[i], vectors[i])
+        for i in bids:
+            vectors[i] = local_auction(i, bids[i], vectors[i])
         inbox = broadcast_round(topology, vectors)
         vectors = {i: consensus_update(vectors[i], inbox[i]) for i in topology.nodes}
         if agreed_at == 0 and all(vec == expect for vec in vectors.values()):
             agreed_at = superstep
     if agreed_at == 0:
         raise AssertionError("auction failed to agree within the n*ell bound")
-    hp_sets = {agent: frozenset(expect_order[:pos]) for pos, agent in enumerate(expect_order)}
-    return PriorityAssignment(expect_order, hp_sets), agreed_at
+    return expect_order, agreed_at

@@ -5,8 +5,9 @@ from (-84, -2), both at 14 m/s) is set to every decade in turn; an agent
 field is set on both vehicles. A value the loader accepts is run for at most
 three steps with warnings as errors, so every value is either rejected at
 load with a ScenarioError or runs: anything else is a crash, and a missing
-load-time check. One line per field: decades run, decades rejected, and the
-first crash.
+load-time check. A `bid_params` field runs with both vehicles flagged
+emergency from 0 s, so that their bids tie from the first step. One line per
+field: decades run, decades rejected, and the first crash.
 
 The process caps its own address space (RLIMIT_AS) and each run's time
 (SIGALRM): a value that would exhaust memory fails as a MemoryError and one
@@ -45,10 +46,15 @@ DOCUMENT = {
          "initial_position_m": [-84.0, -2.0], "initial_speed_mps": 14.0},
     ],
 }
-# sections the document does not hold, added for the fields inside them
+# sections the document does not hold, added for the fields inside them; a
+# `bid_params` field runs with both vehicles emergency from 0 s
 EXTRA = {
     "events[0].time_s": {"events": [{"time_s": 0.5, "agent": 2}]},
     "topology_schedule[0].from_step": {"topology_schedule": [{"from_step": 1, "topology": "ring"}]},
+    **{
+        f"bid_params.{key}": {"events": [{"time_s": 0.0, "agent": 1}, {"time_s": 0.0, "agent": 2}]}
+        for key in scenario._BID_KEYS.values()
+    },
 }
 
 
@@ -67,7 +73,7 @@ def fields() -> list[str]:
            "agents.initial_position_m[0]", "agents.initial_position_m[1]", *EXTRA]
     for section, keys in sections.items():
         out += [f"{section}.{key}" for key in keys.values()]
-    return out
+    return list(dict.fromkeys(out))  # a section field can also be in EXTRA
 
 
 def _set(doc, where: str, value) -> None:

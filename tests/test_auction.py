@@ -4,9 +4,11 @@ The protocol phases are tested on the message-passing reference in
 `cbaam_oracle`; `run_cbaam` is checked against that reference.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cbaam_oracle import (
@@ -16,12 +18,7 @@ from cbaam_oracle import (
     local_auction,
     run_reference,
 )
-from intersim.auction import (
-    BidParams,
-    compute_bid,
-    resolve_bid_ties,
-    run_cbaam,
-)
+from intersim.auction import BidParams, compute_bid, run_cbaam
 from intersim.network import Topology, graph_ell
 
 FIG_PARAMS = BidParams(alpha1=0.1, alpha2=5.0, alpha3=0.1, alpha4=1.0, alpha5=7.0)
@@ -171,18 +168,18 @@ def test_length_mismatch_rejected():
 
 
 def test_single_agent_converges_in_one_superstep():
-    assignment, iters = run_cbaam({5: 2.0}, Topology(frozenset({5}), frozenset()))
-    assert assignment.order == (5,)
+    order, iters = run_cbaam({5: 2.0}, Topology(frozenset({5}), frozenset()))
+    assert order == (5,)
     assert iters == 1
-    assert assignment.hp_sets[5] == frozenset()
+    assert order[: order.index(5)] == ()
 
 
 def test_three_agents_complete_graph():
-    assignment, iters = run_cbaam({1: 3.5, 2: 6.9, 3: 8.0}, Topology.complete([1, 2, 3]))
-    assert assignment.order == (3, 2, 1)
+    order, iters = run_cbaam({1: 3.5, 2: 6.9, 3: 8.0}, Topology.complete([1, 2, 3]))
+    assert order == (3, 2, 1)
     assert iters <= 3  # n * ell = 3 * 1
-    assert assignment.hp_sets[1] == {2, 3}
-    assert assignment.hp_sets[3] == frozenset()
+    assert set(order[: order.index(1)]) == {2, 3}
+    assert order[: order.index(3)] == ()
 
 
 def test_directed_ring_within_bound():
@@ -191,9 +188,9 @@ def test_directed_ring_within_bound():
     assert graph_ell(ring) == 3
     for _ in range(100):
         bids = {i: float(b) for i, b in zip([1, 2, 3, 4], rng.uniform(1, 100, 4))}
-        assignment, iters = run_cbaam(bids, ring)
+        order, iters = run_cbaam(bids, ring)
         assert iters <= 4 * 3
-        assert list(assignment.order) == sorted(bids, key=lambda a: -bids[a])
+        assert list(order) == sorted(bids, key=lambda a: -bids[a])
 
 
 def test_oracle_equivalence_random_digraphs():
@@ -202,8 +199,8 @@ def test_oracle_equivalence_random_digraphs():
         for _ in range(50):
             topo = random_sc_topology(rng, n)
             bids = {i: float(b) for i, b in zip(range(1, n + 1), rng.uniform(0.5, 50, n))}
-            assignment, iters = run_cbaam(bids, topo)
-            assert list(assignment.order) == sorted(bids, key=lambda a: -bids[a])
+            order, iters = run_cbaam(bids, topo)
+            assert list(order) == sorted(bids, key=lambda a: -bids[a])
             assert iters <= n * graph_ell(topo)
 
 
@@ -214,13 +211,26 @@ def test_rejects_weakly_connected_topology():
 
 
 def test_tie_resolution_is_deterministic():
-    out = resolve_bid_ties({1: 5.0, 2: 5.0, 3: 1.0})
-    assert out[3] == 1.0
-    assert out[1] == pytest.approx(5.0 - 1e-9)
-    assert out[2] == pytest.approx(5.0 - 2e-9)
-    assert out[1] > out[2]
-    assignment, _ = run_cbaam({1: 5.0, 2: 5.0, 3: 1.0}, Topology.complete([1, 2, 3]))
-    assert assignment.order == (1, 2, 3)
+    """Equal bids rank the lower id first, whatever order the bids come in,
+    and each run agrees at the same superstep. A bid a few 1e-9 under a
+    tied pair ranks after both."""
+    for topo in (Topology.complete([1, 2, 3]), Topology.ring([1, 2, 3])):
+        first = run_cbaam({1: 5.0, 2: 5.0, 3: 1.0}, topo)
+        assert first[0] == (1, 2, 3)
+        assert run_cbaam({3: 1.0, 2: 5.0, 1: 5.0}, topo) == first
+        assert run_cbaam({1: 5.0, 2: 5.0, 3: 1.0}, topo) == first
+        for gap in (1e-9, 1.5e-9):
+            assert run_cbaam({1: 5.0, 2: 5.0, 3: 5.0 - gap}, topo) == first
+
+
+@pytest.mark.parametrize("bid", [1e7, 1e300])
+def test_equal_large_bids_rank_the_lower_id_first(bid):
+    """Ties among bids so large that a nudge of id * 1e-9 is below their
+    float spacing, as two emergency vehicles bid."""
+    complete = Topology.complete([1, 2, 3, 4])
+    assert run_cbaam({1: bid, 2: bid, 3: 1.0}, complete)[0] == (1, 2, 3)
+    assert run_cbaam({4: bid, 2: bid, 1: 9.0, 3: bid}, complete)[0] == (2, 3, 4, 1)
+    assert run_cbaam({2: bid, 1: bid}, Topology.ring([1, 2]))[0] == (1, 2)
 
 
 def test_monotone_and_fixpoint_properties():
@@ -230,7 +240,6 @@ def test_monotone_and_fixpoint_properties():
         n = int(rng.integers(2, 7))
         topo = random_sc_topology(rng, n)
         bids = {i: float(b) for i, b in zip(range(1, n + 1), rng.uniform(1, 9, n))}
-        bids = resolve_bid_ties(bids)
         vectors = {i: PriorityVectors.empty(n) for i in bids}
         prev_w = {i: list(vectors[i].w) for i in bids}
         ell = graph_ell(topo)
@@ -242,18 +251,18 @@ def test_monotone_and_fixpoint_properties():
             for i in bids:
                 assert all(b >= a for a, b in zip(prev_w[i], vectors[i].w))
                 prev_w[i] = list(vectors[i].w)
-        expect_order = sorted(bids, key=lambda a: -bids[a])
+        expect_order = sorted(bids, key=lambda a: (-bids[a], a))
         for i in bids:
             assert vectors[i].v == expect_order  # fixpoint reached and held
 
 
 def test_relay_nodes_forward_without_bidding():
     ring = Topology.ring([1, 2, 3])
-    assignment, iters = run_cbaam({1: 2.0}, ring)
-    assert assignment.order == (1,)
+    order, iters = run_cbaam({1: 2.0}, ring)
+    assert order == (1,)
     assert iters == 2  # the bid crosses both relays: 1 * ell
-    assignment, iters = run_cbaam({3: 1.0, 1: 4.0}, ring)
-    assert assignment.order == (1, 3) and iters <= 2 * graph_ell(ring)
+    order, iters = run_cbaam({3: 1.0, 1: 4.0}, ring)
+    assert order == (1, 3) and iters <= 2 * graph_ell(ring)
     with pytest.raises(ValueError):
         run_cbaam({4: 1.0}, ring)
 
@@ -281,18 +290,37 @@ def auctions(draw):
 @given(auctions())
 def test_run_cbaam_matches_message_passing_reference(case):
     bids, topology = case
-    assignment, iters = run_cbaam(bids, topology)
-    expect, expect_iters = run_reference(bids, topology)
-    assert (assignment.order, iters) == (expect.order, expect_iters)
-    assert assignment.hp_sets == expect.hp_sets
+    assert run_cbaam(bids, topology) == run_reference(bids, topology)
+
+
+# strictly increasing maps; a map that merges two drawn bids in floating
+# point is not strictly increasing on them, and the draw is skipped
+INCREASING = {
+    "times 1e8": lambda b: b * 1e8,
+    "times 1e-8": lambda b: b * 1e-8,
+    "minus 1e3": lambda b: b - 1e3,  # every bid negative
+    "log": math.log,  # bids below 1 turn negative
+    "cube": lambda b: b**3,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(auctions(), st.sampled_from(sorted(INCREASING)))
+def test_order_and_superstep_depend_only_on_the_bid_order(case, name):
+    bids, topology = case
+    mapped = {agent: INCREASING[name](bid) for agent, bid in bids.items()}
+    assume(all((a < b) == (mapped[i] < mapped[j]) for i, a in bids.items() for j, b in bids.items()))
+    assert run_cbaam(mapped, topology) == run_cbaam(bids, topology)
 
 
 def test_hp_sets_antisymmetric():
+    """The higher-priority sets, prefixes of the order, never hold each other."""
     rng = np.random.default_rng(31)
     bids = {i: float(b) for i, b in zip(range(1, 7), rng.uniform(1, 9, 6))}
-    assignment, _ = run_cbaam(bids, Topology.complete(bids))
+    order, _ = run_cbaam(bids, Topology.complete(bids))
+    higher = {agent: set(order[:pos]) for pos, agent in enumerate(order)}
     for i in bids:
         for j in bids:
-            if j in assignment.hp_sets[i]:
-                assert i not in assignment.hp_sets[j]
+            if j in higher[i]:
+                assert i not in higher[j]
 

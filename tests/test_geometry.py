@@ -498,7 +498,9 @@ def test_conflict_sets_by_region():
 
 
 def test_conflict_sets_crossing_filter():
-    assignment, _ = run_cbaam({1: 9.0, 2: 5.0, 3: 3.0}, Topology.complete([1, 2, 3]))
+    order, _ = run_cbaam({1: 9.0, 2: 5.0, 3: 3.0}, Topology.complete([1, 2, 3]))
+    higher = {agent: frozenset(order[:pos]) for pos, agent in enumerate(order)}
+    assert higher[1] == frozenset() and higher[3] == {1, 2}
     views = {
         1: make_view(RouteSpec("W", "E"), 95.0),  # past its s_cr_out of 90 m
         2: make_view(RouteSpec("E", "W"), 50.0),
@@ -507,12 +509,12 @@ def test_conflict_sets_crossing_filter():
     assert all(ahead_set(i, views) == set() for i in views)
 
     # top-priority agent: no crossing partner regardless
-    assert conflict_sets(1, views, assignment.hp_sets[1], ALL_CROSS) == set()
+    assert conflict_sets(1, views, higher[1], ALL_CROSS) == set()
     # agent 1 has higher priority than 3 but already left its critical region
-    assert conflict_sets(3, views, assignment.hp_sets[3], ALL_CROSS) == {2}
+    assert conflict_sets(3, views, higher[3], ALL_CROSS) == {2}
     # non-conflicting routes are excluded
-    assert conflict_sets(3, views, assignment.hp_sets[3], frozenset()) == set()
+    assert conflict_sets(3, views, higher[3], frozenset()) == set()
     # outside the control region no crossing partner is added
     views[3] = make_view(RouteSpec("N", "S"), 10.0)
     assert views[3].state.s < views[3].bounds.s_icr_in
-    assert conflict_sets(3, views, assignment.hp_sets[3], ALL_CROSS) == set()
+    assert conflict_sets(3, views, higher[3], ALL_CROSS) == set()

@@ -509,6 +509,24 @@ def test_plant_clamps_a_negative_speed_to_zero(monkeypatch, tmp_path, capsys):
     assert "speed clamps: 2\n" in capsys.readouterr().out
 
 
+def test_two_emergency_vehicles_with_equal_large_bids_run(tmp_path, capsys):
+    """Both vehicles bid emergency_bid = 1e12 from step 0, a tie far above
+    any id-sized nudge: `check` accepts the document, so it must run, and
+    the lower id ranks first."""
+    from intersim.cli import main
+
+    doc = dict(CROSSING_PAIR, events=[{"time_s": 0.0, "agent": 1}, {"time_s": 0.0, "agent": 2}])
+    doc = spoil(doc, "bid_params.emergency_bid", 1e12)
+    assert main(["check", "--scenario", json.dumps(doc)]) == 0
+    assert main(["simulate", "--scenario", json.dumps(doc), "--out", str(tmp_path)]) == 0
+    assert "steps=3 agents=2 overlap_violations=0\n" in capsys.readouterr().out
+    rows = (tmp_path / "priorities.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 * 2
+    for row in rows:
+        step, _, agent, bid, rank, emergency, _ = row.split(",")
+        assert (bid, rank, emergency) == ("1e+12", agent, "true"), row
+
+
 @pytest.mark.parametrize("field", ["events", "topology_schedule"])
 @pytest.mark.parametrize(
     "value", [5, None, "ring", {"time_s": 0.5, "agent": 2}], ids=["int", "null", "string", "object"]
