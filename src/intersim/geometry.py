@@ -260,7 +260,7 @@ def paths_conflict(
     pts = []
     for path, bounds in ((path_i, bounds_i), (path_l, bounds_l)):
         s = np.arange(bounds.s_cr_in, min(bounds.s_cr_out, path.total_length) + 0.1, 0.1)
-        x, y, _, _ = path.table.pose(np.clip(s, 0.0, path.total_length))
+        x, y, _, _ = path.pose(np.clip(s, 0.0, path.total_length))
         inside = (np.abs(x) <= cr_half_width) & (np.abs(y) <= cr_half_width)
         pts.append(np.column_stack([x[inside], y[inside]]))
     if len(pts[0]) == 0 or len(pts[1]) == 0:

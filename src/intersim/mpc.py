@@ -142,7 +142,6 @@ class OcpProblem:
         self.regions = regions
         self.margins = margins
         self.horizon = horizon
-        self._table = path.table
         if not np.all(np.abs(state.as_array()) <= STATE_LIMIT):
             raise ValueError(
                 f"state {state} is out of range: |a_x|, |v| and |s| must not exceed "
@@ -241,7 +240,7 @@ class OcpProblem:
         aj, vj = a[1:], v[1:]
         s_cl = np.minimum(np.maximum(0.0, s[1:]), total)
         lo, hi = float(s_cl.min()), float(s_cl.max())
-        x, y, psi, kap_exact, kap, dkap = self._table.pose_and_curvature(s_cl, lo, hi)
+        x, y, psi, kap_exact, kap, dkap = self.path.pose_and_curvature(s_cl, lo, hi)
         ay = kap * vj * vj
         limits = (
             np.maximum(0.0, -vj),
@@ -551,7 +550,7 @@ def initial_broadcast(
 
 
 def _broadcast(s: np.ndarray, v: np.ndarray, path: PathSpec, params: AgentParams) -> PredictedTrajectory:
-    x, y, psi, _ = path.table.pose(np.clip(s, 0.0, path.total_length))
+    x, y, psi, _ = path.pose(np.clip(s, 0.0, path.total_length))
     return PredictedTrajectory(x, y, psi, v, params.length, params.width)
 
 

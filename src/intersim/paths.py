@@ -55,14 +55,14 @@ class StraightSegment:
     heading: float
     length: float
 
-    def pose_at(self, ds: float) -> PathSample:
-        """The pose ds along the segment."""
-        return PathSample(
-            self.x0 + ds * math.cos(self.heading),
-            self.y0 + ds * math.sin(self.heading),
-            self.heading,
-            0.0,
-        )
+    def pose_at(self, ds: float | np.ndarray):
+        """(x, y, psi, kappa) ds along the segment: floats for one float,
+        arrays of its shape for an array."""
+        x = self.x0 + ds * math.cos(self.heading)
+        y = self.y0 + ds * math.sin(self.heading)
+        if isinstance(ds, np.ndarray):
+            return x, y, np.full(ds.shape, self.heading), np.zeros(ds.shape)
+        return x, y, self.heading, 0.0
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,22 @@ class ArcSegment:
     def length(self) -> float:
         return self.radius * abs(self.sweep)
 
-    def pose_at(self, ds: float) -> PathSample:
-        """The pose ds of arc along the segment."""
+    def pose_at(self, ds: float | np.ndarray):
+        """(x, y, psi, kappa) ds of arc along the segment: floats for one
+        float, arrays of its shape for an array. One float takes libm's
+        cosine and sine, an array numpy's."""
         sgn = 1.0 if self.sweep >= 0 else -1.0
         angle = self.start_angle + sgn * ds / self.radius
-        return PathSample(
-            self.cx + self.radius * math.cos(angle),
-            self.cy + self.radius * math.sin(angle),
+        kappa = sgn / self.radius
+        if isinstance(ds, np.ndarray):
+            cos, sin, kappa = np.cos, np.sin, np.full(ds.shape, kappa)
+        else:
+            cos, sin = math.cos, math.sin
+        return (
+            self.cx + self.radius * cos(angle),
+            self.cy + self.radius * sin(angle),
             angle + sgn * math.pi / 2.0,
-            sgn / self.radius,
+            kappa,
         )
 
 
@@ -94,7 +101,8 @@ Segment = StraightSegment | ArcSegment
 
 @dataclass(frozen=True)
 class PathSpec:
-    """A chain of segments; its length and segment starts follow from them."""
+    """A chain of segments; its length, segment starts and curvature blend
+    windows follow from them, and it samples itself."""
 
     segments: tuple[Segment, ...]
 
@@ -104,8 +112,8 @@ class PathSpec:
         if any(seg.length <= 0 for seg in self.segments):
             raise ValueError("every segment must have positive length")
         for prev, nxt in zip(self.segments, self.segments[1:]):
-            end, start = prev.pose_at(prev.length), nxt.pose_at(0.0)
-            if math.hypot(end.x_g - start.x_g, end.y_g - start.y_g) > 1e-9 or abs(end.psi - start.psi) > 1e-9:
+            (x1, y1, psi1, _), (x2, y2, psi2, _) = prev.pose_at(prev.length), nxt.pose_at(0.0)
+            if math.hypot(x1 - x2, y1 - y2) > 1e-9 or abs(psi1 - psi2) > 1e-9:
                 raise ValueError("segments are not C0-continuous")
 
     @cached_property
@@ -120,65 +128,29 @@ class PathSpec:
         return self.cumulative[-1]
 
     @cached_property
-    def table(self) -> PathTable:
-        """The path's sampling table, built on first use."""
-        return PathTable(self)
+    def starts(self) -> tuple[float, ...]:
+        """Each segment's start coordinate, for bisect."""
+        return self.cumulative[:-1]
 
-
-class PathTable:
-    """Per-segment constants of one path, built once: the array samplers
-    `pose` and `pose_and_curvature` read them all, the scalar `sample_path`
-    the segment starts.
-
-    Holds the cumulative segment starts, each segment's exact curvature and
-    the windows over which the smoothed curvature bridges the jumps of the
-    exact one at segment junctions. Its arrays are read-only: one table
-    serves every vehicle on the route (see build_path).
-    """
-
-    def __init__(self, path: PathSpec):
-        segs = path.segments
-        cumulative = path.cumulative
-        self.cum = np.asarray(cumulative)
-        # the same segment starts as floats, for the scalar sampler's bisect
-        self.starts = cumulative[:-1]
-        self.kappa = np.array([
-            0.0 if isinstance(seg, StraightSegment) else math.copysign(1.0 / seg.radius, seg.sweep)
-            for seg in segs
-        ])
-        # (z0, z1, k1, k2, width) per junction where the curvature jumps; the
-        # window sits on the lower-|kappa| side of the junction
-        blends = []
+    @cached_property
+    def blends(self) -> tuple[tuple[float, float, float, float, float], ...]:
+        """(z0, z1, k1, k2, width) per junction where the exact curvature
+        jumps from k1 to k2; the window [z0, z1] sits on the lower-|kappa|
+        side of the junction."""
+        segs = self.segments
+        kappa = [seg.pose_at(0.0)[3] for seg in segs]
+        out = []
         for j in range(1, len(segs)):
-            k1, k2 = self.kappa[j - 1], self.kappa[j]
+            k1, k2 = kappa[j - 1], kappa[j]
             if k1 == k2:
                 continue
-            sb = self.cum[j]
+            sb = self.cumulative[j]
             w = min(_CURVATURE_BLEND, segs[j - 1].length / 2.0, segs[j].length / 2.0)
             if abs(k2) >= abs(k1):
-                blends.append((sb - w, sb, k1, k2, w))  # ramp up before the sharper segment
+                out.append((sb - w, sb, k1, k2, w))  # ramp up before the sharper segment
             else:
-                blends.append((sb, sb + w, k1, k2, w))  # hold the sharper value past the junction
-        self.blends = tuple(blends)
-        # per-segment constants that pose() gathers by segment index: the
-        # straight-line terms (zero on arcs, which overwrite them) and the
-        # arc terms (inert on straights)
-        rows = []
-        for seg in segs:
-            if isinstance(seg, StraightSegment):
-                h = seg.heading
-                rows.append((seg.x0, seg.y0, math.cos(h), math.sin(h), h, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0))
-            else:
-                sgn = 1.0 if seg.sweep >= 0 else -1.0
-                rows.append((0.0, 0.0, 0.0, 0.0, 0.0,
-                             seg.cx, seg.cy, seg.radius, seg.start_angle, sgn, sgn * math.pi / 2.0))
-        (self._x0, self._y0, self._cos, self._sin, self._heading,
-         self._cx, self._cy, self._radius, self._start, self._sgn, self._quarter) = np.array(rows).T.copy()
-        self._is_arc = np.array([isinstance(seg, ArcSegment) for seg in segs])
-        self._junctions = self.cum[1:-1]
-        for arr in vars(self).values():
-            if isinstance(arr, np.ndarray):
-                arr.setflags(write=False)
+                out.append((sb, sb + w, k1, k2, w))  # hold the sharper value past the junction
+        return tuple(out)
 
     def pose(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(x_g, y_g, psi, kappa) at one or more coordinates already inside
@@ -211,34 +183,21 @@ class PathTable:
 
     def _pose(self, s: np.ndarray, lo: float, hi: float):
         """pose(s), given the least and greatest coordinates lo and hi."""
-        # the last segment whose start is <= s; total_length falls in the final one
-        j = bisect_right(self.starts, lo) - 1
-        if j == bisect_right(self.starts, hi) - 1:
-            # every coordinate lies on segment j, so the gathers below would
-            # repeat its scalar constants: those stand in for them
-            ds = s - self.cum[j]
-            kappa = np.full(s.shape, self.kappa[j])
-            if self._is_arc[j]:
-                radius = self._radius[j]
-                ang = self._start[j] + self._sgn[j] * ds / radius
-                return (self._cx[j] + radius * np.cos(ang), self._cy[j] + radius * np.sin(ang),
-                        ang + self._quarter[j], kappa)
-            return (self._x0[j] + ds * self._cos[j], self._y0[j] + ds * self._sin[j],
-                    np.full(s.shape, self._heading[j]), kappa)
-        idx = np.searchsorted(self._junctions, s, side="right")
-        ds = s - self.cum[idx]
-        x = self._x0[idx] + ds * self._cos[idx]
-        y = self._y0[idx] + ds * self._sin[idx]
-        psi = self._heading[idx]
-        on_arc = self._is_arc[idx]
-        if on_arc.any():
-            j = idx[on_arc]
-            radius = self._radius[j]
-            ang = self._start[j] + self._sgn[j] * ds[on_arc] / radius
-            x[on_arc] = self._cx[j] + radius * np.cos(ang)
-            y[on_arc] = self._cy[j] + radius * np.sin(ang)
-            psi[on_arc] = ang + self._quarter[j]
-        return x, y, psi, self.kappa[idx]
+        starts = self.starts
+        # the segments of lo and hi: the last whose start is <= each;
+        # total_length falls in the final one
+        j = bisect_right(starts, lo) - 1
+        k = bisect_right(starts, hi) - 1
+        # segment j's pose fills every coordinate, and each later segment
+        # overwrites the coordinates that lie on it; the upper bound only
+        # spares the work on coordinates that a later segment overwrites
+        x, y, psi, kappa = self.segments[j].pose_at(s - starts[j])
+        for i in range(j + 1, k + 1):
+            m = s >= starts[i]
+            if i < k:
+                m &= s < starts[i + 1]
+            x[m], y[m], psi[m], kappa[m] = self.segments[i].pose_at(s[m] - starts[i])
+        return x, y, psi, kappa
 
 
 @dataclass(frozen=True)
@@ -298,8 +257,7 @@ def build_path(route: RouteSpec) -> PathSpec:
     Straight routes are a single segment through the intersection; turning
     routes are entry straight, quarter-circle arc, exit straight. Raises
     RouteGeometryError when the turn radius does not fit the approach.
-    Cached: every vehicle on an equal route shares one PathSpec and so one
-    table.
+    Cached: every vehicle on an equal route shares one PathSpec.
     """
     lam = route.lane_offset
     r = route.turn_radius
@@ -357,10 +315,10 @@ def sample_path(path: PathSpec, s: float) -> PathSample:
     Out-of-range s clamps to the nearest path end.
     """
     s = min(max(float(s), 0.0), path.total_length)
-    starts = path.table.starts
+    starts = path.starts
     # last segment whose start is <= s; s == total_length falls in the final one
     idx = bisect_right(starts, s) - 1
-    return path.segments[idx].pose_at(s - starts[idx])
+    return PathSample(*path.segments[idx].pose_at(s - starts[idx]))
 
 
 def _refine_crossing(inside, s_out: float, s_in: float) -> float:
@@ -397,7 +355,7 @@ def compute_regions(
     half = geometry.cr_half_width
     grid = np.arange(0.0, path.total_length + _REGION_SCAN_STEP, _REGION_SCAN_STEP)
     grid[-1] = path.total_length
-    x, y, _, _ = path.table.pose(grid)
+    x, y, _, _ = path.pose(grid)
 
     in_cr = (np.abs(x) <= half) & (np.abs(y) <= half)
     if not np.any(in_cr):
@@ -480,7 +438,7 @@ def project_onto_path(path: PathSpec, px: float, py: float) -> tuple[float, floa
     the one to sample_path(path, s).
     """
     best = (0.0, math.inf)
-    for start, seg in zip(path.table.starts, path.segments):
+    for start, seg in zip(path.cumulative, path.segments):
         s = start + _nearest_offset(seg, px, py)
         p = sample_path(path, s)
         dist = math.hypot(p.x_g - px, p.y_g - py)

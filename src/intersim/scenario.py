@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -19,7 +20,6 @@ from .mpc import MAX_HORIZON, STATE_LIMIT, PenaltyConfig
 from .network import Topology, is_strongly_connected
 from .paths import IntersectionGeometry, RouteSpec, build_path, compute_regions, project_onto_path
 
-PRESETS = ("use_case_1", "use_case_2")
 NAMED_TOPOLOGIES = ("complete", "ring")
 _MAX_POSITION_ERROR = 0.1
 
@@ -213,6 +213,10 @@ def use_case_2() -> ScenarioConfig:
     return replace(use_case_1(), events=(EventSpec(0.5, 2),))
 
 
+# preset name -> builder, read by load_scenario
+PRESETS = {"use_case_1": use_case_1, "use_case_2": use_case_2}
+
+
 _REQUIRED = object()
 
 # dataclass field -> document key of the numeric fields read from each section
@@ -271,11 +275,14 @@ def _require(mapping: dict, key: str, ctx: str):
 
 def _number(value, where: str, integer: bool = False):
     """The one reader of scenario numbers: a finite float, or an int where
-    `integer` is set. Anything else is a ScenarioError naming the field."""
+    `integer` is set. Only a JSON number is a number: a boolean or a string
+    is not. Anything else is a ScenarioError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{where}: expected a number, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{where}: expected a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ScenarioError(f"{where}: must be finite, got {value!r}") from None
     if not math.isfinite(number):
         raise ScenarioError(f"{where}: must be finite, got {value!r}")
     if not integer:
@@ -415,10 +422,8 @@ def load_scenario(source: str | Path | dict) -> ScenarioConfig:
         return _parse_document(source)
     if isinstance(source, Path):
         return _parse_json(read_text(source))
-    if source == "use_case_1":
-        return use_case_1()
-    if source == "use_case_2":
-        return use_case_2()
+    if source in PRESETS:
+        return PRESETS[source]()
     # JSON text first: text longer than the OS file-name limit would make
     # the file test below raise
     text = source.strip()

@@ -1,14 +1,16 @@
 """Reference path samplers, kept to check that `intersim.paths` returns the
-same region bounds and samples bit for bit.
+same region bounds and samples bit for bit. None of them calls a sampler of
+the program: they read a path's segments, `cumulative` and `blends` only,
+and write each segment kind's formula out themselves.
 
-- `compute_regions` and the scalar `sample_path` as they were before the
-  scalar sampler found its segment with `bisect`, each probe locating its
-  segment with a numpy `searchsorted` on one float. Uncached, with its own
-  bisection, so that spying on or clearing the program's caches leaves it
-  untouched.
-- `pose`, the per-segment masked loop that the table's array pose replaced,
-  and `smoothed`, the curvature smoothing as it was before it shared the
-  pose's segment lookup and skipped the blend windows a horizon misses.
+- `pose`, a per-segment masked loop, and `smoothed`, the curvature
+  smoothing as it was before it shared the pose's segment lookup and
+  skipped the blend windows a horizon misses.
+- `compute_regions`, which scans its 5 cm grid with `pose`, and the scalar
+  `sample_path` as it was before the program's found its segment with
+  `bisect`, each probe locating its segment with a numpy `searchsorted` on
+  one float. Uncached, with its own bisection, so that spying on or clearing
+  the program's caches leaves it untouched.
 """
 
 import math
@@ -43,12 +45,12 @@ def pose(path, s):
     return x, y, psi, kappa
 
 
-def smoothed(table, s, kappa):
+def smoothed(path, s, kappa):
     """Smoothed curvature and its slope d/ds at s, given the exact kappa
-    there: every blend window of the table is tested against every sample."""
+    there: every blend window of the path is tested against every sample."""
     smooth = kappa.copy()
     dsmooth = np.zeros_like(kappa)
-    for z0, z1, k1, k2, w in table.blends:
+    for z0, z1, k1, k2, w in path.blends:
         m = (s >= z0) & (s <= z1)
         if m.any():
             t = (s[m] - z0) / w
@@ -62,7 +64,7 @@ _REGION_SCAN_STEP = 0.05
 def sample_path(path, s):
     if s < 0.0 or s > path.total_length:
         s = min(max(s, 0.0), path.total_length)
-    cum = path.table.cum
+    cum = np.asarray(path.cumulative)
     # last segment whose start is <= s; s == total_length falls in the final one
     idx = min(int(np.searchsorted(cum, s, side="right")) - 1, len(path.segments) - 1)
     seg = path.segments[idx]
@@ -102,7 +104,7 @@ def compute_regions(path, geometry, v_max, a_x_min):
     half = geometry.cr_half_width
     grid = np.arange(0.0, path.total_length + _REGION_SCAN_STEP, _REGION_SCAN_STEP)
     grid[-1] = path.total_length
-    x, y, _, _ = path.table.pose(grid)
+    x, y, _, _ = pose(path, grid)
 
     in_cr = (np.abs(x) <= half) & (np.abs(y) <= half)
     if not np.any(in_cr):

@@ -182,7 +182,7 @@ def reference_geometry(prob, s):
     s_cl = np.clip(s, 0.0, total)
     inside = ((s > 0.0) & (s < total)).astype(float)
     x, y, psi, kap_exact = paths_reference.pose(prob.path, s_cl)
-    kap, dkap = paths_reference.smoothed(prob.path.table, s_cl, kap_exact)
+    kap, dkap = paths_reference.smoothed(prob.path, s_cl, kap_exact)
     return x, y, psi, kap, dkap, kap_exact, inside
 
 
@@ -322,7 +322,7 @@ def random_problems(rng, count):
         if trial % 10 == 9:  # rolling back past the path start, or running off its end
             s0 = rng.choice([rng.uniform(0.0, 0.5), path.total_length - rng.uniform(0.0, 20.0)])
             state = AgentState(rng.uniform(-2.0, 0.0), rng.uniform(0.0, 1.0) + (s0 > 1.0) * 14.0, s0)
-            end = path.table.pose(np.array([path.total_length]))
+            end = path.pose(np.array([path.total_length]))
             parked = PredictedTrajectory(*(np.full(51, c[0]) for c in end[:3]), np.zeros(51), 5.0, 2.0)
             tracks = (parked,) + tracks[1:]
         else:
@@ -342,12 +342,12 @@ def kernel_cases(prob, u):
     a, v, s = states[1:, 0], states[1:, 1], states[1:, 2]
     total = prob.path.total_length
     s_cl = np.clip(s, 0.0, total)
-    segment = np.searchsorted(prob.path.table.cum[1:-1], s_cl, side="right")
+    segment = np.searchsorted(prob.path.cumulative[1:-1], s_cl, side="right")
     cases = {("one segment", bool(np.all(segment == segment[0])))}
     if prob.tracks:
         cases |= {("inside", bool(np.all((s > 0.0) & (s < total)))), ("tracks", min(len(prob.tracks), 2))}
     shrink = 1.0 - OcpProblem.ENFORCE_BACKOFF
-    kap = paths_reference.smoothed(prob.path.table, s_cl, paths_reference.pose(prob.path, s_cl)[3])[0]
+    kap = paths_reference.smoothed(prob.path, s_cl, paths_reference.pose(prob.path, s_cl)[3])[0]
     ay = kap * v * v
     families = {
         "speed": np.maximum(0.0, -v) + np.maximum(0.0, v - p.v_max * shrink),
@@ -936,7 +936,7 @@ def test_rollout_consistency_bit_exact():
         assert report.second_start == outcome
         prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
         _, v, s = prob.states(u).T
-        x, y, psi, _ = path.table.pose(np.clip(s, 0.0, path.total_length))
+        x, y, psi, _ = path.pose(np.clip(s, 0.0, path.total_length))
         assert same_bits(traj.v, v)
         assert same_bits(traj.x_g, x) and same_bits(traj.y_g, y) and same_bits(traj.psi, psi)
         assert (traj.v[0], traj.length, traj.width) == (state.v, PARAMS.length, PARAMS.width)

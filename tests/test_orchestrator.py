@@ -208,6 +208,32 @@ def test_huge_finite_position_is_rejected_with_a_finite_distance():
     assert len(str(err.value)) < 80
 
 
+# each of these loaded as a number: a boolean as 0 or 1, a numeric string as
+# its value ("sampling_time_s": true as 1 s steps, "id": true as agent 1)
+NON_NUMBERS = [
+    ("sampling_time_s", True, "sampling_time_s", "True"),
+    ("horizon", "50", "horizon", "'50'"),
+    ("agents[0].id", True, "agents[0].id", "True"),
+    ("topology", [["1", 2], [2, 1]], "topology[0]", "'1'"),
+    ("agents[0].initial_position_m", ["-2", "82"], "agents[0].initial_position_m[0]", "'-2'"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, where, got", NON_NUMBERS,
+    ids=["bool step", "string horizon", "bool id", "string arc", "string position"],
+)
+def test_only_json_numbers_are_numbers(field, value, where, got, capsys):
+    doc = spoil(TWO_AGENTS, field, value)
+    message = rf"{re.escape(where)}: expected a number, got {re.escape(got)}"
+    with pytest.raises(ScenarioError, match=rf"^{message}$"):
+        load_scenario(doc)
+    from intersim.cli import main
+
+    assert main(["check", "--scenario", json.dumps(doc)]) == 1
+    assert re.fullmatch(rf"scenario error: {message}\n", capsys.readouterr().err)
+
+
 def test_scenario_field_errors_name_their_path():
     with pytest.raises(ScenarioError, match=r"^horizon: must be an integer"):
         load_scenario(dict(TWO_AGENTS, horizon=50.5))

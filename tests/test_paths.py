@@ -3,7 +3,7 @@
 import math
 import struct
 import warnings
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple
 
 import numpy as np
 import paths_reference
@@ -134,8 +134,8 @@ def test_unit_speed_parameterization(maker):
     rng = np.random.default_rng(42)
     h = 1e-6
     s = rng.uniform(0.0, path.total_length - h, 1000)
-    x0, y0, _, _ = path.table.pose(s)
-    x1, y1, _, _ = path.table.pose(s + h)
+    x0, y0, _, _ = path.pose(s)
+    x1, y1, _, _ = path.pose(s + h)
     speed = np.hypot(x1 - x0, y1 - y0) / h
     assert np.all(np.abs(speed - 1.0) < 1e-4)
 
@@ -146,12 +146,12 @@ def test_curvature_is_heading_rate(maker):
     rng = np.random.default_rng(3)
     h = 1e-6
     s = rng.uniform(0.0, path.total_length - h, 1000)
-    _, _, psi0, kappa = path.table.pose(s)
-    _, _, psi1, _ = path.table.pose(s + h)
+    _, _, psi0, kappa = path.pose(s)
+    _, _, psi1, _ = path.pose(s + h)
     assert np.all(np.abs(kappa * h - (psi1 - psi0)) < 1e-4)
 
 
-# -- the sampling table -------------------------------------------------------
+# -- array sampling -----------------------------------------------------------
 
 ROUTE_PATHS = st.builds(
     lambda arms, radius: build_path(RouteSpec(*arms, turn_radius=radius)),
@@ -164,24 +164,23 @@ FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20)
 def kernel_points(path, fractions, margin=0.0):
     """Coordinates spread along the path, inside every curvature blend window,
     and at every junction and window edge, kept `margin` inside the ends."""
-    table = path.table
     f = np.asarray(fractions)
-    pieces = [f * path.total_length, table.cum]
-    for z0, z1, *_ in table.blends:
+    pieces = [f * path.total_length, np.asarray(path.cumulative)]
+    for z0, z1, *_ in path.blends:
         pieces += [z0 + f * (z1 - z0), np.array([z0, z1])]
     return np.clip(np.concatenate(pieces), margin, path.total_length - margin)
 
 
-def curve(table, s):
-    """The table's pose, smoothed curvature and slope at s, in one lookup."""
-    return table.pose_and_curvature(s, float(s.min()), float(s.max()))
+def curve(path, s):
+    """The path's pose, smoothed curvature and slope at s, in one lookup."""
+    return path.pose_and_curvature(s, float(s.min()), float(s.max()))
 
 
 @settings(deadline=None)
 @given(ROUTE_PATHS, FRACTIONS)
 def test_kernel_matches_scalar_sampler(path, fractions):
     s = kernel_points(path, fractions)
-    x, y, psi, kappa = path.table.pose(s)
+    x, y, psi, kappa = path.pose(s)
     scalar = [sample_path(path, float(v)) for v in s]
     # array and scalar cosines may differ in the last ulp; nothing else does
     np.testing.assert_allclose(x, [p.x_g for p in scalar], rtol=0, atol=1e-12)
@@ -194,7 +193,7 @@ def test_kernel_matches_scalar_sampler(path, fractions):
 @given(ROUTE_PATHS, FRACTIONS)
 def test_smoothed_curvature_bounds_exact_magnitude(path, fractions):
     s = kernel_points(path, fractions)
-    *_, kappa, smooth, _ = curve(path.table, s)
+    *_, kappa, smooth, _ = curve(path, s)
     assert np.all(np.abs(smooth) >= np.abs(kappa))
 
 
@@ -203,9 +202,9 @@ def test_smoothed_curvature_bounds_exact_magnitude(path, fractions):
 def test_curvature_slope_matches_central_differences(path, fractions):
     h = 1e-6
     s = kernel_points(path, fractions, margin=h)
-    slope = curve(path.table, s)[5]
-    above = curve(path.table, s + h)[4]
-    below = curve(path.table, s - h)[4]
+    slope = curve(path, s)[5]
+    above = curve(path, s + h)[4]
+    below = curve(path, s - h)[4]
     np.testing.assert_allclose(slope, (above - below) / (2.0 * h), rtol=0, atol=1e-5)
 
 
@@ -222,31 +221,33 @@ def test_pose_matches_masked_loop_oracle_bit_for_bit(arms, radius):
     # the dense compute_regions grid
     grid = np.arange(0.0, total + 0.05, 0.05)
     grid[-1] = total
-    assert_same_bits(path.table.pose(grid), paths_reference.pose(path, grid))
+    assert_same_bits(path.pose(grid), paths_reference.pose(path, grid))
     # 50-point horizons: random windows, windows across every junction and
     # blend-window edge, and the path end; plus the junctions themselves
     rng = np.random.default_rng(len(arms[0] + arms[1]) * 100 + int(radius))
-    marks = [*path.table.cum, *(z for b in path.table.blends for z in b[:2])]
+    marks = [*path.cumulative, *(z for b in path.blends for z in b[:2])]
     starts = [*rng.uniform(0.0, total - 30.0, 8), *(max(0.0, m - 3.0) for m in marks)]
     for s0 in starts:
         s = np.minimum(s0 + np.sort(rng.uniform(0.0, 6.0, 50)), total)
-        assert_same_bits(path.table.pose(s), paths_reference.pose(path, s))
+        assert_same_bits(path.pose(s), paths_reference.pose(path, s))
     at = np.asarray(marks)
-    assert_same_bits(path.table.pose(at), paths_reference.pose(path, at))
+    assert_same_bits(path.pose(at), paths_reference.pose(path, at))
 
 
 def lookup_grids(path, rng):
     """50-point horizons around the path's marks (0, total_length, every
     junction and blend-window edge) and the floats next to them: each mark
-    alone, windows that end at, start at and straddle it, and random windows
-    along the path; all clamped to [0, total_length]."""
-    table, total = path.table, path.total_length
-    marks = np.array([0.0, total, *table.cum[1:-1], *(z for b in table.blends for z in b[:2])])
+    alone, windows that end at, start at and straddle it, one that runs back
+    across it (predicted speeds can be negative, so a horizon need not be
+    sorted), and random windows along the path; all clamped to
+    [0, total_length]."""
+    total = path.total_length
+    marks = np.array([0.0, total, *path.cumulative[1:-1], *(z for b in path.blends for z in b[:2])])
     marks = np.clip(np.concatenate([marks, np.nextafter(marks, -np.inf), np.nextafter(marks, np.inf)]), 0.0, total)
     ramp = np.linspace(0.0, 0.2, 50)
     grids = []
     for m in marks:
-        grids += [np.array([m]), m - ramp, m + ramp, m + 5.0 * (ramp - 0.1)]
+        grids += [np.array([m]), m - ramp, m + ramp, m + 5.0 * (ramp - 0.1), m + 0.1 - ramp]
     for s0, width in zip(rng.uniform(0.0, total, 40), rng.uniform(0.0, 8.0, 40)):
         grids.append(s0 + rng.uniform(0.0, width, 50))
     return [np.clip(s, 0.0, total) for s in grids]
@@ -259,18 +260,17 @@ def test_one_lookup_matches_reference_pose_and_smoothing_bit_for_bit(arms, radiu
     smoothing that tests every blend window, bit for bit, on horizons that lie
     on one segment and on several, and that reach or miss each window."""
     path = build_path(RouteSpec(*arms, turn_radius=radius))
-    table = path.table
     seen = set()
     for s in lookup_grids(path, np.random.default_rng(int(radius) + 17 * ARMS.index(arms[0]))):
         lo, hi = float(s.min()), float(s.max())
         want = paths_reference.pose(path, s)
-        assert_same_bits(table.pose(s), want)
-        assert_same_bits(table.pose_and_curvature(s, lo, hi), (*want, *paths_reference.smoothed(table, s, want[3])))
-        segment = np.searchsorted(table.cum[1:-1], s, side="right")
+        assert_same_bits(path.pose(s), want)
+        assert_same_bits(path.pose_and_curvature(s, lo, hi), (*want, *paths_reference.smoothed(path, s, want[3])))
+        segment = np.searchsorted(path.cumulative[1:-1], s, side="right")
         seen.add(("one segment", bool(np.all(segment == segment[0]))))
-        seen |= {("window missed", z1 < lo or hi < z0) for z0, z1, *_ in table.blends}
+        seen |= {("window missed", z1 < lo or hi < z0) for z0, z1, *_ in path.blends}
     expected = {("one segment", True), ("one segment", False)} if len(path.segments) > 1 else {("one segment", True)}
-    if table.blends:
+    if path.blends:
         expected |= {("window missed", True), ("window missed", False)}
     assert seen == expected
 
@@ -279,23 +279,30 @@ def test_pose_matches_masked_loop_oracle_on_two_arcs():
     # an S-bend: left quarter arc, right quarter arc, then a straight
     left = ArcSegment(0.0, 10.0, 10.0, -math.pi / 2, math.pi / 2)
     right = ArcSegment(20.0, 10.0, 10.0, math.pi, -math.pi / 2)
-    end = right.pose_at(right.length)
-    exit_ = StraightSegment(end.x_g, end.y_g, 0.0, 5.0)
+    x_end, y_end, _, _ = right.pose_at(right.length)
+    exit_ = StraightSegment(x_end, y_end, 0.0, 5.0)
     path = PathSpec((left, right, exit_))
     s = np.linspace(0.0, path.total_length, 997)
-    assert_same_bits(path.table.pose(s), paths_reference.pose(path, s))
+    assert_same_bits(path.pose(s), paths_reference.pose(path, s))
     for s in lookup_grids(path, np.random.default_rng(5)):
         want = paths_reference.pose(path, s)
-        got = path.table.pose_and_curvature(s, float(s.min()), float(s.max()))
-        assert_same_bits(got, (*want, *paths_reference.smoothed(path.table, s, want[3])))
+        got = path.pose_and_curvature(s, float(s.min()), float(s.max()))
+        assert_same_bits(got, (*want, *paths_reference.smoothed(path, s, want[3])))
 
 
-def test_shared_table_is_read_only():
-    table = build_path(RouteSpec("S", "E")).table
-    arrays = [arr for arr in vars(table).values() if isinstance(arr, np.ndarray)]
-    assert arrays and not any(arr.flags.writeable for arr in arrays)
-    with pytest.raises(ValueError, match="read-only"):
-        table.cum[1] = 0.0
+def test_shared_path_is_read_only():
+    """One PathSpec serves every vehicle on its route (see build_path): it
+    cannot be reassigned, and writing into the arrays one lookup returns
+    leaves the next lookup unchanged, on one segment and across several."""
+    path = build_path(RouteSpec("S", "E"))
+    with pytest.raises(FrozenInstanceError):
+        path.segments = ()
+    for s in (np.linspace(1.0, 2.0, 50), np.linspace(0.0, path.total_length, 200)):
+        got = path.pose_and_curvature(s, float(s.min()), float(s.max()))
+        want = tuple(arr.copy() for arr in got)
+        for arr in got:
+            arr.fill(-1.0)
+        assert_same_bits(path.pose_and_curvature(s, float(s.min()), float(s.max())), want)
 
 
 def test_c0_continuity_validation():
@@ -467,7 +474,7 @@ def test_sign_of_zero_lane_offset_reaches_no_sample():
         plus = build(RouteSpec(entry, exit_, lane_offset=0.0))
         minus = build(RouteSpec(entry, exit_, lane_offset=-0.0))
         grid = np.append(np.arange(0.0, plus.total_length, 0.05), plus.total_length)
-        assert_same_bits(minus.table.pose(grid), plus.table.pose(grid))
+        assert_same_bits(minus.pose(grid), plus.pose(grid))
         for s in [*plus.cumulative, 1.0, 100.0]:
             assert bits(sample_path(minus, s)) == bits(sample_path(plus, s))
         probes = projection_probes(plus, np.random.default_rng(5)) + [(0.0, 0.0), (-0.0, -0.0)]
