@@ -41,6 +41,12 @@ MAX_OUTER_ITERATIONS = 6  # weight rounds per start point
 INNER_TOLERANCE = 1e-4  # box_solve's stopping displacement in the first round
 MAX_INNER_ITERATIONS = 500  # box_solve's iteration cap
 LBFGS_MEMORY = 10  # (s, y) pairs box_solve keeps
+# a chosen candidate that ends above this violation also gets a start from
+# braking throughout: that far above the tolerance the warm start may sit in
+# a basin the penalty loop cannot leave, such as full throttle behind a
+# leader; below it, a solve that merely ends unconverged pays for no
+# extra start
+BRAKE_START_VIOLATION = 1.0
 
 
 @dataclass(frozen=True)
@@ -55,7 +61,11 @@ class PenaltyConfig:
 @dataclass(frozen=True, eq=False)
 class PredictedTrajectory:
     """What a vehicle broadcasts after its solve: its predicted poses at
-    steps 0..N of the horizon, and its own footprint."""
+    steps 0..N of the horizon, and its own footprint. `s` holds the path
+    coordinates of those poses, clipped to the path, and `path` the sender's
+    route; a receiver on that same route holds the sender as a 1-D gap
+    when it drives ahead. A broadcast that names no path is held by its
+    poses alone."""
 
     x_g: np.ndarray
     y_g: np.ndarray
@@ -63,6 +73,8 @@ class PredictedTrajectory:
     v: np.ndarray
     length: float
     width: float
+    s: np.ndarray | None = None
+    path: PathSpec | None = None
 
 
 @dataclass
@@ -75,6 +87,9 @@ class SolverReport:
     # none), "unreachable" (skipped: no speed-limited input reaches the
     # crossing side), "won", "lost_feasible" or "lost_infeasible"
     second_start: str
+    # the braking start, tried when the chosen candidate ends above
+    # BRAKE_START_VIOLATION: "not_run", "won" or "lost"
+    brake_start: str
     # objective evaluations and gradient builds over every start
     evaluations: int
     gradients: int
@@ -109,8 +124,12 @@ class OcpProblem:
     bounds without needing extreme weights. Reported residuals
     (residual_stack) are measured against the true bounds.
 
-    The neighbor tracks are stacked into (T, N) arrays, so one evaluation
-    handles every track with a single smooth_overlap_core call.
+    A track that drives ahead on the own path, a lane leader, is held as
+    the car-following gap in metres, r = (s + g - s_l)+ with the gap
+    g = (L + L_l)/2 + long + headway·(v - v_l)+, which is linear in the
+    state. Every other track is held as the x-y box surrogate; those tracks
+    are stacked into (T, N) arrays, so one evaluation handles them with a
+    single smooth_overlap_core call, and their sums come first.
 
     `value_and_grad` evaluates the penalty objective and returns a function
     that builds the gradient from that evaluation's intermediates, so a
@@ -150,27 +169,48 @@ class OcpProblem:
         f_mat, self.g_mat, self._g_flat = _sensitivities(model.a_d.tobytes(), model.b_d.tobytes(), horizon)
         self.base = f_mat @ state.as_array()
 
-        # the V2V input boundary: every broadcast holds N+1 finite poses
+        # the V2V input boundary: every broadcast holds N+1 finite poses, and
+        # N+1 finite path coordinates where it holds any
         self.tracks = tuple(neighbours)
         n_poses = horizon + 1
         fields = [[getattr(nb, name) for nb in self.tracks] for name in ("x_g", "y_g", "psi", "v")]
-        if any(len(arr) != n_poses for field in fields for arr in field):
+        coords = [nb.s for nb in self.tracks if nb.s is not None]
+        if any(len(arr) != n_poses for field in (*fields, coords) for arr in field):
             raise ValueError(f"a neighbour broadcast does not hold horizon+1 = {n_poses} poses")
         poses = np.array(fields, dtype=float).reshape(4, len(self.tracks), n_poses)
         extents = np.array([(nb.length, nb.width) for nb in self.tracks], dtype=float).reshape(-1, 2)
-        if not (np.all(np.isfinite(poses)) and np.all(np.isfinite(extents))):
+        finite = np.isfinite(poses).all() and np.isfinite(extents).all()
+        if not (finite and np.isfinite(np.array(coords, dtype=float)).all()):
             raise ValueError("a neighbour broadcast holds a non-finite value")
+        # the lane leaders: tracks on this very route that started ahead; every
+        # other track is held as a box. Each list is in track order.
+        lead = [nb.path == path and nb.s is not None and nb.s[0] > state.s for nb in self.tracks]
+        self._leads = [k for k, is_lead in enumerate(lead) if is_lead]
+        self._boxes = [k for k, is_lead in enumerate(lead) if not is_lead]
         # a broadcast is one step old: prediction step j reads the sender's
         # step j+1, and its last pose is held
         shift = np.minimum(np.arange(2, n_poses + 1), horizon)
-        # (T, N) neighbour poses at prediction steps 1..N and half extents:
-        # with one track every operand of the collision terms then has the
-        # shape of the own (1, N) rows, which numpy combines fastest
-        self._ox, self._oy, self._opsi, self._ov = poses.take(shift, axis=2)
-        self._neg_ov = -self._ov
-        half = extents / 2.0
-        self._oa = np.repeat(half[:, :1], horizon, axis=1)
-        self._ob = np.repeat(half[:, 1:], horizon, axis=1)
+        if self._leads:
+            # (G, N) leader coordinates and speeds at prediction steps 1..N,
+            # and the (G, 1) gaps at standstill. take() keeps the rows
+            # C-contiguous, so each row's sum is the pairwise sum of a 1-D
+            # array; a[:, shift] would store them column-major
+            self._ls = np.array([self.tracks[k].s for k in self._leads], dtype=float).take(shift, axis=1)
+            self._lv = poses[3, self._leads].take(shift, axis=1)
+            self._lgap = np.array(
+                [[(params.length + self.tracks[k].length) / 2.0 + margins.long] for k in self._leads]
+            )
+        if self._boxes:
+            if self._leads:
+                poses, extents = poses[:, self._boxes], extents[self._boxes]
+            # (T, N) box poses at prediction steps 1..N and half extents: with
+            # one track every operand of the collision terms then has the
+            # shape of the own (1, N) rows, which numpy combines fastest
+            self._ox, self._oy, self._opsi, self._ov = poses.take(shift, axis=2)
+            self._neg_ov = -self._ov
+            half = extents / 2.0
+            self._oa = np.repeat(half[:, :1], horizon, axis=1)
+            self._ob = np.repeat(half[:, 1:], horizon, axis=1)
         self.stop_line: tuple[np.ndarray, float] | None = None
         self.evaluations = 0
         self.gradients = 0
@@ -230,8 +270,9 @@ class OcpProblem:
         with s clamped to the path, the smoothed curvature and its slope; the
         lateral acceleration; the speed (low, high), lateral and
         total-acceleration violations against the limits scaled by `shrink`;
-        the collision terms and their derivative builder (None without
-        tracks); and the preview hinge's factors (s_cr_out - s_N)+ and
+        the collision terms and their derivative builder (None without box
+        tracks); the (G, N) leader gaps and their speed slope (None without
+        leaders); and the preview hinge's factors (s_cr_out - s_N)+ and
         (s_N - s_stop)+."""
         p = self.params
         total = self.path.total_length
@@ -248,17 +289,24 @@ class OcpProblem:
             np.maximum(0.0, np.abs(ay) - p.a_y_max * shrink),
             np.maximum(0.0, aj * aj + ay * ay - (p.a_tot_max * shrink) ** 2),
         )
-        collision = None
-        if self.tracks:
+        collision = gap = None
+        if self._boxes:
             # the heading chain uses the exact curvature: the evaluated pose is
             # the exact path map, so only this keeps gradients FD-consistent
             inside = None
             if not (0.0 < lo and hi < total):
                 inside = ((s[1:] > 0.0) & (s[1:] < total)).astype(float)[None]
             collision = self._ca_terms(x[None], y[None], psi[None], vj[None], kap_exact[None], inside)
+        if self._leads:
+            closing = vj - self._lv
+            headway = self.margins.headway
+            gap = (
+                np.maximum(0.0, s[1:] + (self._lgap + headway * np.maximum(0.0, closing)) - self._ls),
+                headway * (closing > 0),
+            )
         s_n = float(s[-1])
         hinge = (max(0.0, self.regions.s_cr_out - s_n), max(0.0, s_n - self.regions.s_stop))
-        return states, (kap, dkap), ay, limits, collision, hinge
+        return states, (kap, dkap), ay, limits, collision, gap, hinge
 
     # -- penalty objective -------------------------------------------------
 
@@ -278,7 +326,7 @@ class OcpProblem:
         p = self.params
         n = self.horizon
         total = np.add.reduce
-        states, (kap, dkap), ay, (r_lo, r_hi, r_ay, r_tot), collision, (h1, h2) = self._forward(
+        states, (kap, dkap), ay, (r_lo, r_hi, r_ay, r_tot), collision, gap, (h1, h2) = self._forward(
             u, 1.0 - self.ENFORCE_BACKOFF
         )
         a, v = states[:, 0], states[:, 1]
@@ -303,6 +351,11 @@ class OcpProblem:
             ca, ca_derivatives = collision
             # one track at a time, in order, so the sums round as they always have
             for sq in total(ca**2, axis=1).tolist():
+                value += weight * sq
+        following = gap is not None and nonzero(gap[0])
+        if following:
+            r_gap, dgap_dv = gap
+            for sq in total(r_gap**2, axis=1).tolist():
                 value += weight * sq
 
         hinge = self.stop_line is None
@@ -338,6 +391,12 @@ class OcpProblem:
                 for row_s, row_v in zip(scaled * dca_ds, scaled * dca_dv):
                     adj[1:, 2] += row_s
                     adj[1:, 1] += row_v
+            if following:
+                # dr/ds = 1 and dr/dv = headway·[v > v_l], leader by leader
+                scaled = weight * 2.0 * r_gap
+                for row_s, row_v in zip(scaled, scaled * dgap_dv):
+                    adj[1:, 2] += row_s
+                    adj[1:, 1] += row_v
 
             if hinge:
                 d_prev = -float(h1 > 0) * h2 + h1 * float(h2 > 0)
@@ -358,12 +417,17 @@ class OcpProblem:
 
         Layout of the violations: speed below zero, speed above v_max,
         lateral and total acceleration (N entries each), one block of N per
-        neighbor track, then the preview hinge product.
+        neighbor track in track order, then the preview hinge product. A
+        track's block is its surrogate overlap, or for a lane leader the
+        gap shortfall in metres.
         """
-        states, _, _, limits, collision, (h1, h2) = self._forward(u, 1.0)
+        states, _, _, limits, collision, gap, (h1, h2) = self._forward(u, 1.0)
         pieces = list(limits)
-        if collision is not None:
-            pieces.append(collision[0].ravel())
+        blocks = [family[0] for family in (collision, gap) if family is not None]
+        if len(blocks) == 2:  # the box rows, then the leaders': back to track order
+            blocks = [np.concatenate(blocks)[np.argsort(self._boxes + self._leads)]]
+        if blocks:
+            pieces.append(blocks[0].ravel())
         pieces.append(np.array([h1 * h2]))
         return np.concatenate(pieces), self._tracking(u, states[:, 1] - self.params.v_ref), states
 
@@ -550,8 +614,9 @@ def initial_broadcast(
 
 
 def _broadcast(s: np.ndarray, v: np.ndarray, path: PathSpec, params: AgentParams) -> PredictedTrajectory:
-    x, y, psi, _ = path.pose(np.clip(s, 0.0, path.total_length))
-    return PredictedTrajectory(x, y, psi, v, params.length, params.width)
+    s = np.clip(s, 0.0, path.total_length)
+    x, y, psi, _ = path.pose(s)
+    return PredictedTrajectory(x, y, psi, v, params.length, params.width, s, path)
 
 
 @dataclass
@@ -668,6 +733,10 @@ def solve_ocp(
     box_solve projects onto in place of a penalty that needs several weight
     rounds. It is stricter than the tolerated hinge by at most the slack
     below.
+
+    When the chosen candidate still ends above BRAKE_START_VIOLATION, the
+    loop runs once more from braking throughout, u = a_x_min, and that
+    candidate replaces it if it ranks first.
     """
     t_start = time.perf_counter()
     problem = OcpProblem(model, params, path, regions, margins, state, neighbours, horizon)
@@ -705,6 +774,11 @@ def solve_ocp(
             chosen, second_start = go, "won"
         else:
             second_start = "lost_feasible" if go.violation <= tol else "lost_infeasible"
+    brake_start = "not_run"
+    if chosen.violation > BRAKE_START_VIOLATION:
+        brake = _penalty_loop(problem, np.full(horizon, params.a_x_min), tol)
+        won = _rank(brake.violation, brake.tracking, tol) < _rank(chosen.violation, chosen.tracking, tol)
+        chosen, brake_start = (brake, "won") if won else (chosen, "lost")
 
     # a non-finite input is refused before its prediction is broadcast
     if not np.all(np.isfinite(chosen.u)):
@@ -716,6 +790,7 @@ def solve_ocp(
         converged=chosen.violation <= tol,
         violation_history=chosen.history,
         second_start=second_start,
+        brake_start=brake_start,
         evaluations=problem.evaluations,
         gradients=problem.gradients,
     )

@@ -703,6 +703,44 @@ def test_event_applies_from_the_first_step_at_or_after_its_time(t_s, time_s, fir
     assert flagged == [first]
 
 
+@pytest.mark.parametrize("time_s", [0.5, 1.5])
+def test_late_emergency_call_crosses_first_without_contact(time_s):
+    """use_case_1 with agent 1 (N->S) an emergency vehicle from 0.5 s or
+    1.5 s, for the 70 steps that include agent 1's critical-region exit.
+    Agent 3 (E->W), which must then yield, used to hold its solves far
+    above violation 1 at full throttle past v_max, and the two footprints
+    touched (0.968 and 0.287 m^2, at 16.12 and 15.67 m/s); braking starts
+    now free it. No two footprints overlap at any step, no speed exceeds
+    v_max + tol, and agent 1 is the first out of the critical region."""
+    from intersim.geometry import OrientedBox, area_overlap
+
+    cfg = replace(use_case_1(), steps=70, events=(EventSpec(time_s, 1),))
+    log, _ = run_simulation(cfg)
+    params = {a.agent_id: a.params for a in cfg.agents}
+
+    def footprint(row):
+        p = params[row.agent]
+        return OrientedBox(row.x_g_m, row.y_g_m, row.psi_rad, p.length / 2.0, p.width / 2.0)
+
+    by_step: dict[int, list] = {}
+    for row in log.trajectory:
+        by_step.setdefault(row.step, []).append(row)
+    contact = max(
+        area_overlap(footprint(a), footprint(b))
+        for rows in by_step.values()
+        for k, a in enumerate(rows)
+        for b in rows[k + 1:]
+    )
+    assert contact == 0.0
+    tol = cfg.penalty.constraint_tolerance
+    assert all(row.v_mps <= params[row.agent].v_max + tol for row in log.trajectory)
+    out: dict[int, float] = {}
+    for row in log.trajectory:
+        if row.region == "past":
+            out.setdefault(row.agent, row.time_s)
+    assert 1 in out and all(out[1] < t for agent, t in out.items() if agent != 1)
+
+
 def test_no_events_no_flags():
     cfg = small_cfg(steps=6)
     log, _ = run_simulation(cfg)
