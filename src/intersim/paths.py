@@ -21,9 +21,8 @@ ARMS = ("N", "E", "S", "W")
 _INBOUND = {"N": (0.0, -1.0), "E": (-1.0, 0.0), "S": (0.0, 1.0), "W": (1.0, 0.0)}
 _OUTBOUND = {"N": (0.0, 1.0), "E": (1.0, 0.0), "S": (0.0, -1.0), "W": (-1.0, 0.0)}
 
-_REGION_SCAN_STEP = 0.05
-# longest path compute_regions scans: 200,000 samples, so the dozen arrays
-# of the scan's length stay within 20 MB together (see README)
+# longest path: every coordinate on it, a vehicle's start among them, stays
+# far inside the solver's state range, mpc.STATE_LIMIT (see README)
 MAX_PATH_LENGTH = 10_000.0
 _CURVATURE_BLEND = 0.5
 
@@ -177,7 +176,7 @@ class PathSpec:
             m = (s >= z0) & (s <= z1)
             if m.any():
                 t = (s[m] - z0) / w
-                smooth[m] = k1 + (k2 - k1) * (3.0 * t * t - 2.0 * t**3)
+                smooth[m] = k1 + (k2 - k1) * (3.0 * t * t - 2.0 * t * t * t)
                 dsmooth[m] = (k2 - k1) * (6.0 * t - 6.0 * t * t) / w
         return x, y, psi, kappa, smooth, dsmooth
 
@@ -321,17 +320,31 @@ def sample_path(path: PathSpec, s: float) -> PathSample:
     return PathSample(*path.segments[idx].pose_at(s - starts[idx]))
 
 
-def _refine_crossing(inside, s_out: float, s_in: float) -> float:
-    """Bisect the boundary between an outside and an inside coordinate, to 1e-10."""
-    for _ in range(80):
-        mid = 0.5 * (s_out + s_in)
-        if inside(mid):
-            s_in = mid
-        else:
-            s_out = mid
-        if abs(s_in - s_out) < 1e-10:
-            break
-    return s_in
+def _crossings(seg: Segment, half: float, radius: float) -> list[float]:
+    """Offsets along seg's line or circle, on the segment or off it, where
+    it meets x = +-half, y = +-half or the circle x^2 + y^2 = radius^2."""
+    if isinstance(seg, StraightSegment):
+        dx, dy = math.cos(seg.heading), math.sin(seg.heading)
+        out = [(c - p0) / d for p0, d in ((seg.x0, dx), (seg.y0, dy)) if d for c in (-half, half)]
+        # |p0 + ds * d|^2 = radius^2 with |d| = 1: ds^2 + 2 b ds + c = 0
+        b = seg.x0 * dx + seg.y0 * dy
+        disc = b * b - (seg.x0 * seg.x0 + seg.y0 * seg.y0 - radius * radius)
+        if disc >= 0.0:
+            out += [-b - math.sqrt(disc), -b + math.sqrt(disc)]
+        return out
+    # each boundary is A cos(a) + B sin(a) = C in the arc's angle a: a =
+    # atan2(B, A) +- acos(C / hypot(A, B)), turned from the start as driven
+    r, cx, cy = seg.radius, seg.cx, seg.cy
+    sgn = 1.0 if seg.sweep >= 0 else -1.0
+    equations = [(r, 0.0, c - cx) for c in (-half, half)] + [(0.0, r, c - cy) for c in (-half, half)]
+    equations.append((cx, cy, (radius * radius - cx * cx - cy * cy - r * r) / (2.0 * r)))
+    out = []
+    for a, b, c in equations:
+        norm = math.hypot(a, b)
+        if norm > 0.0 and abs(c) <= norm:
+            mid, spread = math.atan2(b, a), math.acos(c / norm)
+            out += [r * ((sgn * (mid + k * spread - seg.start_angle)) % math.tau) for k in (-1.0, 1.0)]
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -343,6 +356,12 @@ def compute_regions(
 ) -> RegionBounds:
     """Locate the control/brake-safe/critical region boundaries along a path.
 
+    Each crossing of the critical region's square or the control region's
+    circle is a closed-form root on a segment. The roots and the junctions
+    cut the path into pieces, each inside or outside as its midpoint is; the
+    first and last inside pieces give the bounds, each within a few ulps of
+    its boundary, on either side (callers compare path coordinates only).
+
     The brake-safe window is sized so a vehicle at v_max can stop ahead of
     the critical region with a_x_min plus the configured margin. Cached:
     the scenario check and the run's set-up share one RegionBounds per
@@ -352,45 +371,22 @@ def compute_regions(
         raise ValueError("need v_max > 0 and a_x_min < 0")
     if not path.total_length <= MAX_PATH_LENGTH:
         raise ValueError(f"the path is {path.total_length:g} m long, over {MAX_PATH_LENGTH:g} m")
-    half = geometry.cr_half_width
-    grid = np.arange(0.0, path.total_length + _REGION_SCAN_STEP, _REGION_SCAN_STEP)
-    grid[-1] = path.total_length
-    x, y, _, _ = path.pose(grid)
-
-    in_cr = (np.abs(x) <= half) & (np.abs(y) <= half)
-    if not np.any(in_cr):
+    half, radius, total = geometry.cr_half_width, geometry.icr_radius, path.total_length
+    cuts = set(path.cumulative)
+    for start, seg in zip(path.cumulative, path.segments):
+        cuts.update(start + ds for ds in _crossings(seg, half, radius) if 0.0 < ds < seg.length)
+    cuts = sorted(cuts)
+    pieces = [(lo, hi, sample_path(path, 0.5 * (lo + hi))) for lo, hi in zip(cuts, cuts[1:])]
+    cr = [(lo, hi) for lo, hi, p in pieces if abs(p.x_g) <= half and abs(p.y_g) <= half]
+    icr = [(lo, hi) for lo, hi, p in pieces if math.hypot(p.x_g, p.y_g) <= radius]
+    if not cr:
         raise ValueError("path never enters the critical region")
-
-    def cr_inside(s: float) -> bool:
-        p = sample_path(path, s)
-        return abs(p.x_g) <= half and abs(p.y_g) <= half
-
-    first = int(np.argmax(in_cr))
-    if first == 0:
+    if cr[0][0] == 0.0:
         raise ValueError("path starts inside the critical region")
-    s_cr_in = _refine_crossing(cr_inside, grid[first - 1], grid[first])
-    last = len(in_cr) - 1 - int(np.argmax(in_cr[::-1]))
-    if last == len(grid) - 1:
+    if cr[-1][1] == total:
         raise ValueError("path ends inside the critical region")
-    s_cr_out = _refine_crossing(cr_inside, grid[last + 1], grid[last])
-
-    dist = np.hypot(x, y)
-    in_icr = dist <= geometry.icr_radius
-
-    def icr_inside(s: float) -> bool:
-        p = sample_path(path, s)
-        return math.hypot(p.x_g, p.y_g) <= geometry.icr_radius
-
-    first_icr = int(np.argmax(in_icr))
-    if first_icr == 0:
-        s_icr_in = 0.0
-    else:
-        s_icr_in = _refine_crossing(icr_inside, grid[first_icr - 1], grid[first_icr])
-    last_icr = len(in_icr) - 1 - int(np.argmax(in_icr[::-1]))
-    if last_icr == len(grid) - 1:
-        s_icr_out = path.total_length
-    else:
-        s_icr_out = _refine_crossing(icr_inside, grid[last_icr + 1], grid[last_icr])
+    s_cr_in, s_cr_out = cr[0][0], cr[-1][1]
+    s_icr_in, s_icr_out = (icr[0][0], icr[-1][1]) if icr else (0.0, total)
 
     bsr_length = v_max * v_max / (2.0 * abs(a_x_min)) + geometry.brake_margin
     return RegionBounds(

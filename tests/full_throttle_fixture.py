@@ -2,8 +2,13 @@
 
 The closed loop is `benchmarks/workloads.scenario_sources("queue", 4)[1]`,
 run for 56 steps; the captured call is agent 7's solve at step 55 (W->S,
-default parameters, one neighbour broadcast). Floats are written by `repr`
-through `json`, so they read back exactly. Run from the repository root:
+default parameters, one neighbour broadcast). Each broadcast is recorded
+with its poses, footprint and path coordinates `s`; its `path` is the
+sender's route, which the record does not hold. Floats are written by `repr`
+through `json`, so they read back exactly. The committed
+full_throttle_fixture.json predates `s` and has none; the closed loop has
+changed since it was captured, so a new capture gives other inputs, and the
+tests read the committed file. Run from the repository root:
 
     PYTHONPATH=src python tests/full_throttle_fixture.py tests/full_throttle_fixture.json
 
@@ -48,6 +53,7 @@ def capture() -> dict:
                     {
                         "x_g": nb.x_g.tolist(), "y_g": nb.y_g.tolist(), "psi": nb.psi.tolist(),
                         "v": nb.v.tolist(), "length": nb.length, "width": nb.width,
+                        "s": None if nb.s is None else nb.s.tolist(),
                     }
                     for nb in neighbours
                 ],

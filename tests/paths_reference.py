@@ -1,16 +1,19 @@
-"""Reference path samplers, kept to check that `intersim.paths` returns the
-same region bounds and samples bit for bit. None of them calls a sampler of
-the program: they read a path's segments, `cumulative` and `blends` only,
-and write each segment kind's formula out themselves.
+"""Reference path samplers and region bounds, kept to check `intersim.paths`:
+samples bit for bit, region bounds within 1e-9 m. None of them calls a
+sampler of the program: they read a path's segments, `cumulative` and
+`blends` only, and write each segment kind's formula out themselves.
 
 - `pose`, a per-segment masked loop, and `smoothed`, the curvature
   smoothing as it was before it shared the pose's segment lookup and
   skipped the blend windows a horizon misses.
-- `compute_regions`, which scans its 5 cm grid with `pose`, and the scalar
-  `sample_path` as it was before the program's found its segment with
-  `bisect`, each probe locating its segment with a numpy `searchsorted` on
-  one float. Uncached, with its own bisection, so that spying on or clearing
-  the program's caches leaves it untouched.
+- `compute_regions`, the grid oracle: it scans the path every 5 cm with
+  `pose` and bisects each crossing to 1e-10 m, as the program did before it
+  solved for the crossings in closed form. So it misses a clip of a region
+  shorter than its step. Uncached, so that clearing the program's caches
+  leaves it untouched.
+- the scalar `sample_path` as it was before the program's found its segment
+  with `bisect`, each probe locating its segment with a numpy `searchsorted`
+  on one float.
 """
 
 import math
@@ -54,7 +57,7 @@ def smoothed(path, s, kappa):
         m = (s >= z0) & (s <= z1)
         if m.any():
             t = (s[m] - z0) / w
-            smooth[m] = k1 + (k2 - k1) * (3.0 * t * t - 2.0 * t**3)
+            smooth[m] = k1 + (k2 - k1) * (3.0 * t * t - 2.0 * t * t * t)
             dsmooth[m] = (k2 - k1) * (6.0 * t - 6.0 * t * t) / w
     return smooth, dsmooth
 

@@ -27,7 +27,7 @@ from intersim.mpc import (
     initial_broadcast,
     solve_ocp,
 )
-from intersim.paths import IntersectionGeometry, RouteSpec, build_path, compute_regions
+from intersim.paths import IntersectionGeometry, RouteSpec, build_path, compute_regions, project_onto_path
 
 PARAMS = AgentParams(0.3, -7.0, 4.0, 15.0, 3.5, 7.0, 5.0, 2.0, 1.0, 1.0, 20.0, 14.0)
 MODEL = discretize(0.3, 0.1)
@@ -1650,19 +1650,28 @@ def test_use_case_1_window_second_start_tally(monkeypatch):
 # -- the full-throttle basin (ROADMAP item 1) ------------------------------------------
 
 
-def full_throttle_case(warm=None):
+def full_throttle_case(warm=None, lane_leader=False):
     """solve_ocp on the inputs in full_throttle_fixture.json (see
     full_throttle_fixture.py): a follower on a W->S right turn with one
-    neighbour broadcast, from the captured warm start or from `warm`."""
+    neighbour broadcast, from the captured warm start or from `warm`. The
+    committed fixture records no broadcast `s` or `path`, so the broadcast
+    is held by its poses alone; with `lane_leader` it carries its poses'
+    projections onto the follower's own path, and that path."""
     fixture = json.loads((Path(__file__).parent / "full_throttle_fixture.json").read_text(encoding="utf-8"))
     from intersim.scenario import load_scenario
 
     assert PARAMS == load_scenario("use_case_1").agents[0].params  # the scenario defaults
     path, bounds = make_env(RouteSpec(**fixture["route"]))
-    neighbours = tuple(
-        PredictedTrajectory(*(np.array(nb[key]) for key in ("x_g", "y_g", "psi", "v")), nb["length"], nb["width"])
-        for nb in fixture["neighbours"]
-    )
+    neighbours = []
+    for nb in fixture["neighbours"]:
+        poses = [np.array(nb[key]) for key in ("x_g", "y_g", "psi", "v")]
+        lane = {}
+        if lane_leader:
+            projected = [project_onto_path(path, x, y) for x, y in zip(nb["x_g"], nb["y_g"])]
+            assert all(offset == 0.0 for _, offset in projected)  # it drives the follower's path
+            lane = {"s": np.array([s for s, _ in projected]), "path": path}
+        neighbours.append(PredictedTrajectory(*poses, nb["length"], nb["width"], **lane))
+    neighbours = tuple(neighbours)
     start = np.array(fixture["warm"]) if warm is None else warm
     return solve_ocp(AgentState(*fixture["state"]), neighbours, discretize(PARAMS.t_ax, fixture["t_s"]),
                      PARAMS, path, bounds, CFG, MARGINS, fixture["horizon"], start)
@@ -1674,6 +1683,16 @@ def test_full_throttle_basin_warm_start_brakes_and_converges():
     u, _, report = full_throttle_case()
     assert u[0] < PARAMS.a_x_max
     assert report.max_violation <= CFG.constraint_tolerance
+
+
+def test_full_throttle_basin_lane_leader_needs_the_braking_start():
+    """The same broadcast held as a lane leader, by the exact 1-D gap: the
+    warm solve still ends above violation 1, so the gap alone does not leave
+    the basin; the braking start runs, wins and converges."""
+    u, _, report = full_throttle_case(lane_leader=True)
+    assert report.brake_start == "won"
+    assert report.converged and report.max_violation <= CFG.constraint_tolerance
+    assert u[0] < 0.0
 
 
 def test_full_throttle_basin_brake_start_converges():

@@ -618,18 +618,9 @@ class SetUpDone(Exception):
     pass
 
 
-def test_setup_builds_each_route_once(monkeypatch):
+def test_setup_builds_each_route_once():
     import intersim.orchestrator as orch
-    import intersim.paths as paths
-
-    refine = paths._refine_crossing
-    bisections = []
-
-    def spy(*args, **kwargs):
-        bisections.append(args)
-        return refine(*args, **kwargs)
-
-    monkeypatch.setattr(paths, "_refine_crossing", spy)
+    from intersim.paths import compute_regions
 
     def set_up():
         """Load QUEUE and run it up to the first solve; the runtimes."""
@@ -645,8 +636,9 @@ def test_setup_builds_each_route_once(monkeypatch):
 
     clear_program_caches()
     rts = set_up()
-    # four crossings per route (critical and control region, in and out)
-    assert len(bisections) == 16
+    # the load check and the set-up compute each route's regions once
+    # between them: one cache miss per route
+    assert compute_regions.cache_info().misses == 4
     for i in range(1, 5):
         assert rts[i].path is rts[i + 4].path and rts[i].bounds is rts[i + 4].bounds
     # of the 28 vehicle pairs, each unordered pair of routes, a route with
@@ -655,10 +647,10 @@ def test_setup_builds_each_route_once(monkeypatch):
     assert (info.misses, info.hits) == (4 + 6, 28 - 10)
 
     set_up()
-    assert len(bisections) == 16
+    assert compute_regions.cache_info().misses == 4
     clear_program_caches()
     set_up()
-    assert len(bisections) == 32
+    assert compute_regions.cache_info().misses == 4
 
 
 # -- run_simulation ----------------------------------------------------------------

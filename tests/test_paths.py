@@ -8,7 +8,7 @@ from dataclasses import FrozenInstanceError, astuple
 import numpy as np
 import paths_reference
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intersim.paths import (
@@ -218,7 +218,7 @@ def assert_same_bits(got, want):
 def test_pose_matches_masked_loop_oracle_bit_for_bit(arms, radius):
     path = build_path(RouteSpec(*arms, turn_radius=radius))
     total = path.total_length
-    # the dense compute_regions grid
+    # the grid oracle's dense compute_regions grid
     grid = np.arange(0.0, total + 0.05, 0.05)
     grid[-1] = total
     assert_same_bits(path.pose(grid), paths_reference.pose(path, grid))
@@ -356,21 +356,109 @@ def bits(sample):
     return struct.pack("<%dd" % len(astuple(sample)), *astuple(sample))
 
 
+OTHER_GEOM = IntersectionGeometry(cr_half_width=8.0, icr_radius=50.0, brake_margin=1.0, stop_setback=2.0)
+
+
 @pytest.mark.parametrize("radius", [4.0, 8.0, 12.0])
 @pytest.mark.parametrize("arms", [(e, x) for e in ARMS for x in ARMS if e != x])
 def test_regions_and_samples_match_reference_bit_for_bit(arms, radius):
+    """Region bounds agree with the grid oracle within 1e-9 m (its bisection
+    stops at 1e-10 m; 9.3e-11 m was the largest difference seen), and
+    samples at the path ends and on both sides of every junction equal the
+    reference sampler's bit for bit."""
     path = build_path(RouteSpec(*arms, turn_radius=radius))
-    other = IntersectionGeometry(cr_half_width=8.0, icr_radius=50.0, brake_margin=1.0, stop_setback=2.0)
-    for geometry in (GEOM, other):
+    for geometry in (GEOM, OTHER_GEOM):
         for v_max in (15.0, 10.0):
-            got = compute_regions(path, geometry, v_max, -7.0)
-            assert bits(got) == bits(paths_reference.compute_regions(path, geometry, v_max, -7.0))
+            got = astuple(compute_regions(path, geometry, v_max, -7.0))
+            want = astuple(paths_reference.compute_regions(path, geometry, v_max, -7.0))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
     total = path.total_length
     at = [0.0, total]
     for junction in path.cumulative[1:-1]:
         at += [math.nextafter(junction, 0.0), junction, math.nextafter(junction, total)]
     for s in at:
         assert bits(sample_path(path, s)) == bits(paths_reference.sample_path(path, s))
+
+
+def assert_on_boundaries(path, geometry, b):
+    """The pose at each bound lies on its boundary: |x| or |y| equals the
+    half-width at the critical region's bounds, and the distance from the
+    centre equals the control region's radius at its bounds (unless the path
+    starts or ends inside it), within 4 ulps of the path's length. The
+    largest miss seen was 1.33 ulps, on 113,844 accepted random cases drawn
+    as in test_region_bounds_bracket_a_fine_grid."""
+    tol = 4.0 * math.ulp(path.total_length)
+    half = geometry.cr_half_width
+    for s in (b.s_cr_in, b.s_cr_out):
+        p = sample_path(path, s)
+        assert min(abs(abs(p.x_g) - half), abs(abs(p.y_g) - half)) <= tol
+        assert max(abs(p.x_g), abs(p.y_g)) <= half + tol
+    for s in (b.s_icr_in, b.s_icr_out):
+        p = sample_path(path, s)
+        if s not in (0.0, path.total_length):
+            assert abs(math.hypot(p.x_g, p.y_g) - geometry.icr_radius) <= tol
+
+
+@pytest.mark.parametrize("radius", [4.0, 8.0, 12.0])
+@pytest.mark.parametrize("arms", [(e, x) for e in ARMS for x in ARMS if e != x])
+def test_region_bounds_lie_on_their_boundaries(arms, radius):
+    path = build_path(RouteSpec(*arms, turn_radius=radius))
+    for geometry in (GEOM, OTHER_GEOM):
+        assert_on_boundaries(path, geometry, compute_regions(path, geometry, 15.0, -7.0))
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([(e, x) for e in ARMS for x in ARMS if e != x]),
+    st.floats(0.0, 8.0),
+    st.floats(1.0, 30.0),
+    st.floats(2.0, 12.0),
+    st.floats(1.05, 8.0),
+    st.floats(0.5, 15.0),
+)
+# the control region's circle cuts the right turn's arc on the way in and out
+@example(("W", "S"), 2.0, 8.0, 6.0, 1.5, 1.0)
+def test_region_bounds_bracket_a_fine_grid(arms, lane_offset, turn_radius, half, radius_factor, v_max):
+    """On random routes, region sizes and speed limits (a low one leaves
+    room to enter the control region on an arc), the bounds lie on their boundaries
+    and a 1 cm grid agrees with them: no grid point before s_cr_in or after
+    s_cr_out lies inside the critical region, none outside [s_icr_in,
+    s_icr_out] inside the control region, and on a path said never to enter
+    the critical region no grid point does. Points within 1e-9 m of a
+    boundary count either way."""
+    path = build_path(RouteSpec(*arms, lane_offset=lane_offset, turn_radius=turn_radius))
+    geometry = IntersectionGeometry(cr_half_width=half, icr_radius=half * radius_factor)
+    s = np.linspace(0.0, path.total_length, int(path.total_length * 100.0) + 1)
+    x, y, _, _ = path.pose(s)
+    in_cr = np.maximum(np.abs(x), np.abs(y)) < half - 1e-9
+    in_icr = np.hypot(x, y) < geometry.icr_radius - 1e-9
+    try:
+        b = compute_regions(path, geometry, v_max, -7.0)
+    except ValueError as err:
+        assert str(err) in ("path never enters the critical region", "region bounds out of order")
+        assert str(err) != "path never enters the critical region" or not in_cr.any()
+        return
+    assert_on_boundaries(path, geometry, b)
+    assert not in_cr[(s < b.s_cr_in) | (s > b.s_cr_out)].any()
+    assert not in_icr[(s < b.s_icr_in) | (s > b.s_icr_out)].any()
+
+
+def test_corner_clip_shorter_than_the_grid_step_is_found():
+    """A W->S right turn whose 8 m arc cuts the critical region's corner
+    (-6, -6) by about 1 mm: its point nearest the corner lies
+    lane_offset + 8 (1 - 1/sqrt 2) = 5.99895 m from both centre lines, so
+    about 3 mm of the arc lies inside. The closed form finds that stretch;
+    the oracle's 5 cm scan steps over it and reports that the path never
+    enters."""
+    path = build_path(RouteSpec("W", "S", lane_offset=3.6558, turn_radius=8.0))
+    b = compute_regions(path, GEOM, 15.0, -7.0)
+    assert 0.0 < b.s_cr_out - b.s_cr_in < 0.005
+    assert path.cumulative[1] < b.s_cr_in < b.s_cr_out < path.cumulative[2]
+    for s in (b.s_cr_in, 0.5 * (b.s_cr_in + b.s_cr_out), b.s_cr_out):
+        p = sample_path(path, s)
+        assert max(abs(p.x_g), abs(p.y_g)) <= 6.0 + 1e-12
+    with pytest.raises(ValueError, match="never enters the critical region"):
+        paths_reference.compute_regions(path, GEOM, 15.0, -7.0)
 
 
 # -- region_of ----------------------------------------------------------------
