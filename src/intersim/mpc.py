@@ -7,6 +7,16 @@ broadcast neighbor trajectories, and the spatial-preview requirement) is a
 squared penalty with an escalating weight. Because the plant model is
 linear, predicted states are affine in the inputs, so objective gradients
 reduce to a few precomputed sensitivity matmuls.
+
+The tracking cost J(u) alone is a strictly convex quadratic, so its
+minimiser over all inputs is a fixed linear law of the free-response
+speeds, u* = gain @ (v_free - v_ref): the unconstrained region of explicit
+MPC. Every penalty term is >= 0, so each round's objective has
+f_w(u) >= J(u) >= J(u*). Where u* lies in the input box, meets the stop
+line where one is set, and leaves every penalty term exactly 0 (without
+box tracks, whose surrogate is never 0), f_w(u*) = J(u*) for every weight
+w, and u* is the point every round of the penalty loop approaches. A solve
+then takes u* as its warm candidate without running that loop.
 """
 
 from __future__ import annotations
@@ -30,8 +40,8 @@ from .paths import PathSpec, RegionBounds
 # (the squared total-acceleration residual), stay far from overflowing
 STATE_LIMIT = 1e6
 # longest horizon a scenario may set: it keeps the (N+1, 3, N) sensitivities
-# at 24 MB and the (2N, N) kink matrix of _project_box_halfspace at 16 MB,
-# within a budget of 32 MB per array
+# at 24 MB, the (2N, N) kink matrix of _project_box_halfspace at 16 MB and
+# the (N, N+1) tracking gain at 8 MB, within a budget of 32 MB per array
 MAX_HORIZON = 1000
 
 # the numerics of the penalty loop and of box_solve
@@ -90,9 +100,13 @@ class SolverReport:
     # the braking start, tried when the chosen candidate ends above
     # BRAKE_START_VIOLATION: "not_run", "won" or "lost"
     brake_start: str
-    # objective evaluations and gradient builds over every start
+    # objective evaluations and gradient builds over every start; the
+    # closed-form check is neither
     evaluations: int
     gradients: int
+    # the warm candidate is the tracking cost's unconstrained minimiser,
+    # taken without a penalty loop (_closed_form)
+    closed_form: bool
 
 
 @lru_cache(maxsize=64)
@@ -113,6 +127,25 @@ def _sensitivities(a_d: bytes, b_d: bytes, horizon: int) -> tuple[np.ndarray, np
     for arr in (f_mat, g_mat):
         arr.setflags(write=False)
     return f_mat, g_mat, g_mat.reshape(-1, horizon)
+
+
+@lru_cache(maxsize=64)
+def _tracking_gain(a_d: bytes, b_d: bytes, horizon: int, q: float, q_n: float, r: float) -> np.ndarray:
+    """The (N, N+1) gain M of the tracking cost's minimiser over all of R^N,
+    u* = M @ (v_free - v_ref), with v_free the free-response speeds at steps
+    0..N. The cost q·Σdv² + q_n·dv_N² + r·Σu² has the Hessian
+    2(G_vᵀ·W·G_v + r·I), W = diag(q, ..., q, q_n), which r > 0 makes
+    positive definite, so M = -(G_vᵀ·W·G_v + r·I)⁻¹·G_vᵀ·W. The weights are
+    scaled by their largest first, which leaves M unchanged and keeps every
+    product in range. Read-only and shared like _sensitivities."""
+    g_v = _sensitivities(a_d, b_d, horizon)[1][:, 1, :]
+    scale = max(q, q_n, r)
+    w = np.full(horizon + 1, q / scale)
+    w[horizon] = q_n / scale
+    wg = g_v * w[:, None]
+    gain = np.linalg.solve(g_v.T @ wg + (r / scale) * np.eye(horizon), -wg.T)
+    gain.setflags(write=False)
+    return gain
 
 
 class OcpProblem:
@@ -166,7 +199,8 @@ class OcpProblem:
                 f"state {state} is out of range: |a_x|, |v| and |s| must not exceed "
                 f"{STATE_LIMIT:g}, which keeps every penalty term far from where float64 overflows"
             )
-        f_mat, self.g_mat, self._g_flat = _sensitivities(model.a_d.tobytes(), model.b_d.tobytes(), horizon)
+        model_key = (model.a_d.tobytes(), model.b_d.tobytes(), horizon)
+        f_mat, self.g_mat, self._g_flat = _sensitivities(*model_key)
         self.base = f_mat @ state.as_array()
 
         # the V2V input boundary: every broadcast holds N+1 finite poses, and
@@ -211,6 +245,9 @@ class OcpProblem:
             half = extents / 2.0
             self._oa = np.repeat(half[:, :1], horizon, axis=1)
             self._ob = np.repeat(half[:, 1:], horizon, axis=1)
+        # a box surrogate is never 0, so only a problem without box tracks
+        # can take the closed-form candidate (_closed_form)
+        self.gain = None if self._boxes else _tracking_gain(*model_key, params.q, params.q_n, params.r)
         self.stop_line: tuple[np.ndarray, float] | None = None
         self.evaluations = 0
         self.gradients = 0
@@ -267,13 +304,18 @@ class OcpProblem:
 
     def _forward(self, u: np.ndarray, shrink: float):
         """The forward pass of both evaluators: the states; along the horizon,
-        with s clamped to the path, the smoothed curvature and its slope; the
-        lateral acceleration; the speed (low, high), lateral and
-        total-acceleration violations against the limits scaled by `shrink`;
-        the collision terms and their derivative builder (None without box
-        tracks); the (G, N) leader gaps and their speed slope (None without
-        leaders); and the preview hinge's factors (s_cr_out - s_N)+ and
-        (s_N - s_stop)+."""
+        with s clamped to the path, the smoothed curvature, its slope and the
+        lateral acceleration (None on a straight stretch, where all three are
+        +0.0); the speed (low, high), lateral and total-acceleration
+        violations against the limits scaled by `shrink`; the collision terms
+        and their derivative builder (None without box tracks); the (G, N)
+        leader gaps and their speed slope (None without leaders); and the
+        preview hinge's factors (s_cr_out - s_N)+ and (s_N - s_stop)+.
+
+        Only the box surrogate reads the pose, so without box tracks the path
+        gives the curvature alone. On a straight stretch ay ≡ +0.0, so the
+        lateral violation is +0.0 throughout and a_x² + ay² is a_x², bit for
+        bit; the box path keeps the general form."""
         p = self.params
         total = self.path.total_length
         states = self.states(u)
@@ -281,14 +323,22 @@ class OcpProblem:
         aj, vj = a[1:], v[1:]
         s_cl = np.minimum(np.maximum(0.0, s[1:]), total)
         lo, hi = float(s_cl.min()), float(s_cl.max())
-        x, y, psi, kap_exact, kap, dkap = self.path.pose_and_curvature(s_cl, lo, hi)
-        ay = kap * vj * vj
-        limits = (
-            np.maximum(0.0, -vj),
-            np.maximum(0.0, vj - p.v_max * shrink),
-            np.maximum(0.0, np.abs(ay) - p.a_y_max * shrink),
-            np.maximum(0.0, aj * aj + ay * ay - (p.a_tot_max * shrink) ** 2),
-        )
+        if self._boxes:
+            x, y, psi, kap_exact, kap, dkap = self.path.pose_and_curvature(s_cl, lo, hi)
+            curve = (kap, dkap)
+        else:
+            curve = self.path.curvature(s_cl, lo, hi)
+        cap = p.a_tot_max * shrink
+        if curve is None:
+            r_ay = np.zeros(self.horizon)
+            r_tot = np.maximum(0.0, aj * aj - cap**2)
+        else:
+            kap, dkap = curve
+            ay = kap * vj * vj
+            curve = (kap, dkap, ay)
+            r_ay = np.maximum(0.0, np.abs(ay) - p.a_y_max * shrink)
+            r_tot = np.maximum(0.0, aj * aj + ay * ay - cap**2)
+        limits = (np.maximum(0.0, -vj), np.maximum(0.0, vj - p.v_max * shrink), r_ay, r_tot)
         collision = gap = None
         if self._boxes:
             # the heading chain uses the exact curvature: the evaluated pose is
@@ -306,7 +356,7 @@ class OcpProblem:
             )
         s_n = float(s[-1])
         hinge = (max(0.0, self.regions.s_cr_out - s_n), max(0.0, s_n - self.regions.s_stop))
-        return states, (kap, dkap), ay, limits, collision, gap, hinge
+        return states, curve, limits, collision, gap, hinge
 
     # -- penalty objective -------------------------------------------------
 
@@ -326,7 +376,7 @@ class OcpProblem:
         p = self.params
         n = self.horizon
         total = np.add.reduce
-        states, (kap, dkap), ay, (r_lo, r_hi, r_ay, r_tot), collision, gap, (h1, h2) = self._forward(
+        states, curve, (r_lo, r_hi, r_ay, r_tot), collision, gap, (h1, h2) = self._forward(
             u, 1.0 - self.ENFORCE_BACKOFF
         )
         a, v = states[:, 0], states[:, 1]
@@ -375,14 +425,17 @@ class OcpProblem:
             adj[n, 1] += 2.0 * p.q_n * dv_ref[n]
             if speed:
                 adj[1:, 1] += weight * (2.0 * r_hi - 2.0 * r_lo)
+            if curve is not None:  # else ay ≡ +0.0: its terms add +-0.0
+                kap, dkap, ay = curve
             if lateral:
                 sgn = np.sign(ay)
                 adj[1:, 1] += weight * 4.0 * r_ay * sgn * kap * vj
                 adj[1:, 2] += weight * 2.0 * r_ay * sgn * dkap * vj * vj
             if accel:
                 adj[1:, 0] += weight * 4.0 * r_tot * aj
-                adj[1:, 1] += weight * 8.0 * r_tot * ay * kap * vj
-                adj[1:, 2] += weight * 4.0 * r_tot * ay * dkap * vj * vj
+                if curve is not None:
+                    adj[1:, 1] += weight * 8.0 * r_tot * ay * kap * vj
+                    adj[1:, 2] += weight * 4.0 * r_tot * ay * dkap * vj * vj
 
             if collision is not None:
                 dca_ds, dca_dv = ca_derivatives()
@@ -421,7 +474,7 @@ class OcpProblem:
         track's block is its surrogate overlap, or for a lane leader the
         gap shortfall in metres.
         """
-        states, _, _, limits, collision, gap, (h1, h2) = self._forward(u, 1.0)
+        states, _, limits, collision, gap, (h1, h2) = self._forward(u, 1.0)
         pieces = list(limits)
         blocks = [family[0] for family in (collision, gap) if family is not None]
         if len(blocks) == 2:  # the box rows, then the leaders': back to track order
@@ -655,6 +708,35 @@ def _reach_bound(
     return state.s + speed + horizon * (abs(k_a) * a_cap + abs(k_u) * u_cap)
 
 
+def _closed_form(problem: OcpProblem) -> _Candidate | None:
+    """The tracking cost's unconstrained minimiser u* = gain @ (v_free -
+    v_ref) as the warm candidate, where no constraint can bind it; else None.
+
+    It is taken when u* lies in the input box, meets the stop-line
+    halfspace where one is set, and leaves every penalty family (speed,
+    lateral, total acceleration and the leader gaps, at the backed-off
+    limits the objective uses) and the preview hinge exactly 0. Then every
+    weight round's objective f_w has f_w(u*) = J(u*) <= J(u) <= f_w(u) for
+    every u the solver may return, so u* is the point each round
+    approaches, and its violation against the true limits, which are
+    looser, is 0.0. A problem with box tracks has no gain: the surrogate is
+    never 0. A refusal costs one matvec and at most one forward pass."""
+    if problem.gain is None:
+        return None
+    p = problem.params
+    u = problem.gain @ (problem.base[:, 1] - p.v_ref)
+    # a NaN fails both comparisons
+    if not (p.a_x_min <= float(u.min()) and float(u.max()) <= p.a_x_max):
+        return None
+    if problem.stop_line is not None and not float(problem.stop_line[0] @ u) <= problem.stop_line[1]:
+        return None
+    states, _, limits, _, gap, (h1, h2) = problem._forward(u, 1.0 - problem.ENFORCE_BACKOFF)
+    nonzero = np.count_nonzero
+    if any(nonzero(r) for r in limits) or (gap is not None and nonzero(gap[0])) or h1 * h2 != 0.0:
+        return None
+    return _Candidate(u, 0.0, problem._tracking(u, states[:, 1] - p.v_ref), states, (0.0,))
+
+
 def _penalty_loop(
     problem: OcpProblem, u0: np.ndarray, tol: float, incumbent: _Candidate | None = None
 ) -> _Candidate:
@@ -737,6 +819,10 @@ def solve_ocp(
     When the chosen candidate still ends above BRAKE_START_VIOLATION, the
     loop runs once more from braking throughout, u = a_x_min, and that
     candidate replaces it if it ranks first.
+
+    Where no constraint can bind the tracking cost's unconstrained
+    minimiser (_closed_form), that minimiser is the warm candidate, and the
+    warm start's penalty loop does not run; the other starts are as above.
     """
     t_start = time.perf_counter()
     problem = OcpProblem(model, params, path, regions, margins, state, neighbours, horizon)
@@ -758,7 +844,10 @@ def solve_ocp(
         if float(c @ np.full(horizon, params.a_x_min)) <= d:
             problem.stop_line = (c, d)
 
-    chosen = _penalty_loop(problem, u0, tol)
+    chosen = _closed_form(problem)
+    closed_form = chosen is not None
+    if not closed_form:
+        chosen = _penalty_loop(problem, u0, tol)
     s_end = float(chosen.states[-1, 2])
     # the second start matters only when the stop-before-the-line branch is
     # binding: the horizon end sits near or past the stop line yet short of
@@ -793,5 +882,6 @@ def solve_ocp(
         brake_start=brake_start,
         evaluations=problem.evaluations,
         gradients=problem.gradients,
+        closed_form=closed_form,
     )
     return chosen.u, broadcast, report

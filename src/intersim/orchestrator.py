@@ -85,6 +85,7 @@ class SimulationLog:
     priorities: list[PriorityRow] = field(default_factory=list)
     speed_clamps: list[tuple[int, int, float]] = field(default_factory=list)  # (step, agent, v)
     solver_violation_histories: list[tuple[float, ...]] = field(default_factory=list)
+    closed_form_solves: int = 0  # solves whose warm candidate took the closed form
 
     @property
     def overlap_violations(self) -> int:
@@ -289,6 +290,7 @@ def run_simulation(
             next_broadcasts[i] = broadcast
             max_mpc_ms = max(max_mpc_ms, report.wall_ms)
             sim_log.solver_violation_histories.append(report.violation_history)
+            sim_log.closed_form_solves += report.closed_form
             if not report.converged:
                 log.warning(
                     "step %d agent %d: penalty loop left violation %.3g",

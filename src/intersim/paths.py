@@ -54,6 +54,8 @@ class StraightSegment:
     heading: float
     length: float
 
+    kappa = 0.0
+
     def pose_at(self, ds: float | np.ndarray):
         """(x, y, psi, kappa) ds along the segment: floats for one float,
         arrays of its shape for an array."""
@@ -76,13 +78,17 @@ class ArcSegment:
     def length(self) -> float:
         return self.radius * abs(self.sweep)
 
+    @property
+    def kappa(self) -> float:
+        return (1.0 if self.sweep >= 0 else -1.0) / self.radius
+
     def pose_at(self, ds: float | np.ndarray):
         """(x, y, psi, kappa) ds of arc along the segment: floats for one
         float, arrays of its shape for an array. One float takes libm's
         cosine and sine, an array numpy's."""
         sgn = 1.0 if self.sweep >= 0 else -1.0
         angle = self.start_angle + sgn * ds / self.radius
-        kappa = sgn / self.radius
+        kappa = self.kappa
         if isinstance(ds, np.ndarray):
             cos, sin, kappa = np.cos, np.sin, np.full(ds.shape, kappa)
         else:
@@ -137,7 +143,7 @@ class PathSpec:
         jumps from k1 to k2; the window [z0, z1] sits on the lower-|kappa|
         side of the junction."""
         segs = self.segments
-        kappa = [seg.pose_at(0.0)[3] for seg in segs]
+        kappa = [seg.kappa for seg in segs]
         out = []
         for j in range(1, len(segs)):
             k1, k2 = kappa[j - 1], kappa[j]
@@ -168,7 +174,25 @@ class PathSpec:
         and is skipped.
         """
         x, y, psi, kappa = self._pose(s, lo, hi)
-        smooth = kappa.copy()
+        return x, y, psi, kappa, *self._smoothed(s, kappa.copy(), lo, hi)
+
+    def curvature(self, s: np.ndarray, lo: float, hi: float):
+        """pose_and_curvature's smoothed curvature and slope alone, bit for
+        bit, without the pose; or None where [lo, hi] lies on one straight
+        segment and reaches no blend window, as both are +0.0 throughout
+        there."""
+        j, k = self._span(lo, hi)
+        segs = self.segments
+        if j == k and segs[j].kappa == 0.0 and all(z1 < lo or hi < z0 for z0, z1, *_ in self.blends):
+            return None
+        kappa = np.full(s.shape, segs[j].kappa)
+        for i, m in self._masks(s, j, k):
+            kappa[m] = segs[i].kappa
+        return self._smoothed(s, kappa, lo, hi)
+
+    def _smoothed(self, s: np.ndarray, smooth: np.ndarray, lo: float, hi: float):
+        """The smoothing of the exact curvature `smooth`, in place, and its
+        slope, over the blend windows that [lo, hi] reaches."""
         dsmooth = np.zeros(s.shape)
         for z0, z1, k1, k2, w in self.blends:
             if z1 < lo or hi < z0:
@@ -178,24 +202,32 @@ class PathSpec:
                 t = (s[m] - z0) / w
                 smooth[m] = k1 + (k2 - k1) * (3.0 * t * t - 2.0 * t * t * t)
                 dsmooth[m] = (k2 - k1) * (6.0 * t - 6.0 * t * t) / w
-        return x, y, psi, kappa, smooth, dsmooth
+        return smooth, dsmooth
 
-    def _pose(self, s: np.ndarray, lo: float, hi: float):
-        """pose(s), given the least and greatest coordinates lo and hi."""
+    def _span(self, lo: float, hi: float) -> tuple[int, int]:
+        """The segments of lo and hi: the last whose start is <= each;
+        total_length falls in the final one."""
+        return bisect_right(self.starts, lo) - 1, bisect_right(self.starts, hi) - 1
+
+    def _masks(self, s: np.ndarray, j: int, k: int):
+        """(i, mask of the coordinates on segment i) for segments j+1..k. The
+        upper bound only spares work on coordinates a later segment overwrites."""
         starts = self.starts
-        # the segments of lo and hi: the last whose start is <= each;
-        # total_length falls in the final one
-        j = bisect_right(starts, lo) - 1
-        k = bisect_right(starts, hi) - 1
-        # segment j's pose fills every coordinate, and each later segment
-        # overwrites the coordinates that lie on it; the upper bound only
-        # spares the work on coordinates that a later segment overwrites
-        x, y, psi, kappa = self.segments[j].pose_at(s - starts[j])
         for i in range(j + 1, k + 1):
             m = s >= starts[i]
             if i < k:
                 m &= s < starts[i + 1]
-            x[m], y[m], psi[m], kappa[m] = self.segments[i].pose_at(s[m] - starts[i])
+            yield i, m
+
+    def _pose(self, s: np.ndarray, lo: float, hi: float):
+        """pose(s), given the least and greatest coordinates lo and hi:
+        segment j's pose fills every coordinate, and each later segment
+        overwrites the coordinates that lie on it."""
+        j, k = self._span(lo, hi)
+        starts, segs = self.starts, self.segments
+        x, y, psi, kappa = segs[j].pose_at(s - starts[j])
+        for i, m in self._masks(s, j, k):
+            x[m], y[m], psi[m], kappa[m] = segs[i].pose_at(s[m] - starts[i])
         return x, y, psi, kappa
 
 

@@ -371,7 +371,9 @@ def kernel_cases(prob, u):
     that is not, the horizon
     strictly inside the path or not, on one path segment or not, and the
     track count (1, or 2 for two or more; the collision terms are the only
-    ones that depend on it)."""
+    ones that depend on it). Without tracks: whether the horizon lies on one
+    straight segment missing every blend window, where the path gives no
+    curvature and the lateral terms are skipped, and with which families."""
     p = prob.params
     states = prob.base + prob.g_mat @ u
     a, v, s = states[1:, 0], states[1:, 1], states[1:, 2]
@@ -391,6 +393,12 @@ def kernel_cases(prob, u):
     }
     nonzero = {name for name, r in families.items() if np.any(r)}
     cases |= {(name, name in nonzero) for name in families}
+    if not prob.tracks:
+        lo, hi = float(s_cl.min()), float(s_cl.max())
+        flat = (np.all(segment == segment[0]) and prob.path.segments[segment[0]].kappa == 0.0
+                and all(z1 < lo or hi < z0 for z0, z1, *_ in prob.path.blends))
+        cases.add(("flat", bool(flat)))
+        cases |= {("flat", name) for name in nonzero if flat}
     return cases | {("only", name) for name in nonzero if len(nonzero) == 1}
 
 
@@ -419,6 +427,7 @@ def test_kernel_matches_per_track_reference_bit_for_bit():
     names = ("speed", "lateral", "accel", "inside", "one segment")
     assert {(name, hit) for name in names for hit in (False, True)} <= seen
     assert {("only", "speed"), ("only", "lateral"), ("only", "accel"), ("tracks", 1), ("tracks", 2)} <= seen
+    assert {("flat", False), ("flat", True), ("flat", "speed"), ("flat", "accel")} <= seen
 
 
 def test_value_matches_value_and_grad_bit_for_bit():
@@ -1114,21 +1123,20 @@ def test_blocked_agent_stops_before_line():
     assert np.min(gaps) > 5.0
 
 
-def test_rollout_consistency_bit_exact():
-    """The broadcast is the solver's own prediction OcpProblem.states(u) of
-    the returned inputs, bit for bit, whichever start won."""
+def without_closed_form(monkeypatch):
+    """Every solve runs the warm start's penalty loop, as before the closed form."""
+    monkeypatch.setattr(mpc, "_closed_form", lambda problem: None)
+
+
+PARKED = PredictedTrajectory(np.full(51, -2.0), np.zeros(51), np.full(51, math.pi), np.zeros(51), 5.0, 2.0)
+
+
+def check_rollout_consistency(cases, closed_form):
     path, bounds = make_env()
-    parked = PredictedTrajectory(np.full(51, -2.0), np.zeros(51), np.full(51, math.pi),
-                                 np.zeros(51), 5.0, 2.0)
-    brake = np.full(50, PARAMS.a_x_min)
-    cases = [
-        (AgentState(0.3, 12.0, 30.0), (), None, "not_run"),
-        (AgentState(0.0, 10.0, 40.0), (parked,), None, "lost_infeasible"),
-        (AgentState(0.0, 10.0, 40.0), (), brake, "won"),  # from a braking warm start
-    ]
     for state, tracks, warm, outcome in cases:
         u, traj, report = solve_ocp(state, tracks, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50, warm)
         assert report.second_start == outcome
+        assert report.closed_form == (closed_form and not tracks)
         prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
         _, v, s = prob.states(u).T
         x, y, psi, _ = path.pose(np.clip(s, 0.0, path.total_length))
@@ -1137,10 +1145,33 @@ def test_rollout_consistency_bit_exact():
         assert (traj.v[0], traj.length, traj.width) == (state.v, PARAMS.length, PARAMS.width)
 
 
+def test_rollout_consistency_bit_exact():
+    """The broadcast is the solver's own prediction OcpProblem.states(u) of
+    the returned inputs, bit for bit, whichever start won. From a braking warm
+    start without tracks the tracking minimiser is unconstrained, so the
+    closed form is the warm candidate and no second start runs."""
+    check_rollout_consistency([
+        (AgentState(0.3, 12.0, 30.0), (), None, "not_run"),
+        (AgentState(0.0, 10.0, 40.0), (PARKED,), None, "lost_infeasible"),
+        (AgentState(0.0, 10.0, 40.0), (), np.full(50, PARAMS.a_x_min), "not_run"),  # from a braking warm start
+    ], closed_form=True)
+
+
+def test_rollout_consistency_bit_exact_when_the_second_start_wins(monkeypatch):
+    """Without the closed form the braking warm start's penalty loop ends
+    before the line, and the full-throttle second start wins: its broadcast
+    is its own prediction too."""
+    without_closed_form(monkeypatch)
+    check_rollout_consistency([(AgentState(0.0, 10.0, 40.0), (), np.full(50, PARAMS.a_x_min), "won")],
+                              closed_form=False)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_solve_refuses_a_non_finite_input(monkeypatch, bad):
-    """A start that returned a non-finite input is refused, not broadcast."""
+    """A start that returned a non-finite input is refused, not broadcast.
+    The closed form, which refuses a non-finite minimiser itself, is off."""
     path, bounds = make_env()
+    without_closed_form(monkeypatch)
 
     def broken(problem, u0, tol, incumbent=None):
         u = np.zeros(problem.horizon)
@@ -1316,9 +1347,12 @@ def test_second_start_gets_the_warm_candidate_as_incumbent(monkeypatch):
 )
 def test_brake_start_runs_above_the_gate_and_keeps_the_better_candidate(monkeypatch, warm, brake, outcome):
     """A chosen candidate above BRAKE_START_VIOLATION gets one more penalty
-    loop from u = a_x_min, which replaces it where it ranks first."""
+    loop from u = a_x_min, which replaces it where it ranks first. The
+    scripted warm start stands in for the closed form, which this cruising
+    state would otherwise take."""
     path, bounds = make_env()
     state = AgentState(0.0, 14.0, 30.0)  # cruising clear: no second start
+    without_closed_form(monkeypatch)
     starts = []
 
     def scripted(problem, u0, tol, incumbent=None):
@@ -1332,6 +1366,148 @@ def test_brake_start_runs_above_the_gate_and_keeps_the_better_candidate(monkeypa
     assert starts == ([0.0] if brake is None else [0.0, PARAMS.a_x_min])
     kept = brake if outcome == "won" else warm
     assert report.max_violation == kept and u[0] == (PARAMS.a_x_min if outcome == "won" else 0.0)
+
+
+# -- the closed form ---------------------------------------------------------------
+
+
+def tracking_least_squares(model, params, state, horizon):
+    """The tracking cost's minimiser over all of R^N, as a weighted linear
+    least-squares problem built from dynamics.step alone: the speeds are the
+    free response plus one unit-input response per step."""
+    free = step_states(model, state, np.zeros(horizon))[:, 1]
+    zero = AgentState(0.0, 0.0, 0.0)
+    g_v = np.column_stack([step_states(model, zero, e)[:, 1] for e in np.eye(horizon)])
+    w = np.sqrt(np.r_[np.full(horizon, params.q), params.q_n])
+    a = np.vstack([w[:, None] * g_v, math.sqrt(params.r) * np.eye(horizon)])
+    b = np.r_[w * (params.v_ref - free), np.zeros(horizon)]
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def test_closed_form_is_the_least_squares_minimiser_and_converged(monkeypatch):
+    """Where a solve takes the closed form, its u is the tracking cost's
+    minimiser, to 1e-9 against an independent least-squares solve; it is
+    converged with violation 0.0 against the true limits, and the penalty
+    loop, run from the same warm start without the closed form, ends near it
+    at no lower tracking cost. Random cruising states, some
+    behind a lane leader, on a straight and a right turn; some solves refuse."""
+    rng = np.random.default_rng(40)
+    envs = [make_env(RouteSpec("N", "S"), approach=300.0), make_env(RouteSpec("W", "S"))]
+    taken = refused = 0
+    for trial in range(24):
+        path, bounds = envs[trial % 2]
+        state = AgentState(rng.uniform(-0.5, 0.5), rng.uniform(6.0, 14.5), rng.uniform(0.0, 40.0))
+        tracks = ()
+        if trial % 3 == 2:
+            tracks = (leader_broadcast(path, state.s + rng.uniform(15.0, 60.0), rng.uniform(8.0, 14.0), 0.0),)
+        warm = np.clip(rng.normal(0.0, 0.3, 50), -7.0, 4.0)
+        u, _, report = solve_ocp(state, tracks, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50, warm)
+        if not report.closed_form:
+            refused += 1
+            continue
+        taken += 1
+        np.testing.assert_allclose(u, tracking_least_squares(MODEL, PARAMS, state, 50), rtol=0.0, atol=1e-9)
+        assert report.converged and report.max_violation == 0.0 and report.violation_history == (0.0,)
+        assert (report.evaluations, report.gradients) == (0, 0)
+        prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
+        assert np.max(prob.residual_stack(u)[0]) == 0.0
+        with monkeypatch.context() as patch:
+            without_closed_form(patch)
+            loop_u = solve_ocp(state, tracks, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50, warm)[0]
+        # no worse in tracking cost, and near: 1.04e-4 m/s^2 was the widest seen
+        tracking = prob.residual_stack(u)[1]
+        assert prob.residual_stack(loop_u)[1] >= tracking * (1.0 - 1e-12)
+        assert np.max(np.abs(loop_u - u)) <= 1e-3
+    assert taken >= 10 and refused >= 1
+
+
+def closed_form_problem(route=RouteSpec("N", "S"), state=AgentState(0.0, 12.0, 20.0), tracks=()):
+    path, bounds = make_env(route, approach=300.0 if route == RouteSpec("N", "S") else None)
+    return OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
+
+
+def test_closed_form_refuses_a_box_track():
+    """A box surrogate is never 0: a problem with a box track has no gain and
+    never tries the closed form; the same state alone takes it."""
+    assert mpc._closed_form(closed_form_problem()) is not None
+    prob = closed_form_problem(tracks=(crossing_neighbor(offset=-60.0),))
+    assert prob.gain is None and mpc._closed_form(prob) is None
+    path, bounds = make_env(approach=300.0)
+    report = solve_ocp(AgentState(0.0, 12.0, 20.0), prob.tracks, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)[2]
+    assert not report.closed_form and report.evaluations > 0
+
+
+def test_closed_form_refuses_a_minimiser_outside_the_box():
+    """With a light input weight, the tracking minimiser from a standstill
+    asks for more than a_x_max."""
+    path, bounds = make_env(approach=300.0)
+    params = replace(PARAMS, r=0.1)
+    prob = OcpProblem(MODEL, params, path, bounds, MARGINS, AgentState(0.0, 0.0, 0.0), (), 50)
+    assert float(np.max(prob.gain @ (prob.base[:, 1] - params.v_ref))) > params.a_x_max
+    assert mpc._closed_form(prob) is None
+
+
+@pytest.mark.parametrize("family", ["ay", "atot", "gap"])
+def test_closed_form_refuses_an_active_family(family):
+    """Cruising into a right turn at 12 m/s breaks the lateral limit (12²/8
+    m/s² against 3.5); on a straight, a drivetrain still braking at -10 m/s²
+    breaks the total-acceleration limit alone; a slow lane leader 12 m ahead
+    breaks the gap. In each, the minimiser is inside the box and the speeds
+    keep their limits."""
+    turn = RouteSpec("W", "S")
+    path, _ = make_env(turn)
+    arc_start, arc_end = path.cumulative[1], path.cumulative[2]
+    route, state, tracks = {
+        "ay": (turn, AgentState(0.0, 12.0, arc_start - 30.0), ()),
+        "atot": (RouteSpec("N", "S"), AgentState(-10.0, 12.0, 20.0), ()),
+        "gap": (turn, AgentState(0.0, 12.0, arc_end + 5.0), (leader_broadcast(path, arc_end + 17.0, 4.0, 0.0),)),
+    }[family]
+    prob = closed_form_problem(route, state, tracks)
+    u = prob.gain @ (prob.base[:, 1] - PARAMS.v_ref)
+    assert PARAMS.a_x_min <= u.min() and u.max() <= PARAMS.a_x_max
+    _, _, (r_lo, r_hi, r_ay, r_tot), _, gap, _ = prob._forward(u, 1.0 - OcpProblem.ENFORCE_BACKOFF)
+    active = {"ay": np.any(r_ay), "atot": np.any(r_tot), "gap": gap is not None and np.any(gap[0])}
+    assert active[family] and not np.any(r_lo) and not np.any(r_hi)
+    if family == "atot":
+        assert not np.any(r_ay)
+    assert mpc._closed_form(prob) is None
+
+
+def test_closed_form_refuses_a_violated_stop_line():
+    """The same cruising minimiser is taken without a stop line, and with one
+    it meets, but not with one it crosses."""
+    prob = closed_form_problem()
+    taken = mpc._closed_form(prob)
+    assert taken is not None
+    c = prob.g_mat[50, 2]
+    prob.stop_line = (c, float(c @ taken.u) + 1e-9)
+    assert mpc._closed_form(prob) is not None
+    prob.stop_line = (c, float(c @ taken.u) - 1e-9)
+    assert mpc._closed_form(prob) is None
+
+
+def test_closed_form_gain_is_shared_read_only_and_within_budget():
+    """Problems on an equal model and weights share one read-only gain, like
+    the sensitivities; other weights or another model get another. At
+    MAX_HORIZON it is (1000, 1001) floats, 8 MB, within the 32 MB per-array
+    budget."""
+    path, bounds = make_env()
+    state = AgentState(0.0, 14.0, 10.0)
+
+    def problem(t_ax=0.3, params=PARAMS, horizon=50):
+        return OcpProblem(discretize(t_ax, 0.1), params, path, bounds, MARGINS, state, (), horizon)
+
+    first, second = problem(), problem()
+    assert first.gain is second.gain and first.gain.shape == (50, 51)
+    assert problem(0.5).gain is not first.gain
+    assert problem(params=replace(PARAMS, r=2.0)).gain is not first.gain
+    assert problem(horizon=40).gain.shape == (40, 41)
+    assert mpc._tracking_gain.cache_info().maxsize is not None
+    with pytest.raises(ValueError):
+        first.gain[0, 0] = 0.0
+    big = mpc._tracking_gain(MODEL.a_d.tobytes(), MODEL.b_d.tobytes(), mpc.MAX_HORIZON, PARAMS.q, PARAMS.q_n, PARAMS.r)
+    assert big.shape == (mpc.MAX_HORIZON, mpc.MAX_HORIZON + 1) and big.nbytes <= 32 << 20
+    assert np.isfinite(big).all()
 
 
 # -- reach of the second start ------------------------------------------------------
@@ -1513,16 +1689,19 @@ def test_use_case_1_window_stays_within_its_evaluation_budget(monkeypatch):
 
 
 def test_use_case_1_window_evaluation_counts(monkeypatch):
-    """The same 10-step window evaluates 243 points and builds 168 gradients,
-    counted both around OcpProblem.value_and_grad and in the solver reports.
+    """The same 10-step window evaluates 224 points and builds 149 gradients,
+    counted both around OcpProblem.value_and_grad and in the solver reports
+    (the closed-form check is neither; 19 of the 40 solves take it).
     It evaluated 2,555 points and built 1,546 gradients while the
     full-throttle second start ran 26 times here: of the 2,753 evaluations
     above, 198 had repeated a point already evaluated, and 1,009 had built a
     gradient that nothing read. Running a second start only where the
     crossing side is reachable under v_max cut that to 767 and 486. Holding
     the stop line as a constraint where the crossing side is out of reach,
-    instead of escalating the hinge's weight, cut it to 243 and 168. The run
-    is deterministic."""
+    instead of escalating the hinge's weight, cut it to 243 and 168. Taking
+    the tracking minimiser where no constraint binds it, instead of running
+    the penalty loop toward it, cut it to 224 and 149. The run is
+    deterministic."""
     from intersim import orchestrator
     from intersim.scenario import load_scenario
 
@@ -1553,7 +1732,7 @@ def test_use_case_1_window_evaluation_counts(monkeypatch):
     monkeypatch.setattr(OcpProblem, "value_and_grad", counted)
     monkeypatch.setattr(orchestrator, "solve_ocp", solve)
     orchestrator.run_simulation(replace(load_scenario("use_case_1"), steps=10), workers=1)
-    assert calls == reported == {"evaluations": 243, "gradients": 168}
+    assert calls == reported == {"evaluations": 224, "gradients": 149}
 
 
 # `benchmarks/workloads.scenario_sources("queue", 1)[0]`, the first scenario of
@@ -1584,12 +1763,13 @@ QUEUE_SEED_1_FIRST = {
 
 def test_queue_window_evaluation_counts(monkeypatch):
     """The first queue scenario of the benchmark at seed 1 makes 48 solves,
-    529 evaluations and 324 gradient builds over its 6 steps, every solve
-    converged. The run is deterministic. Every track here is a lane leader:
-    while its broadcast was held as the x-y box surrogate, which stays
-    positive for boxes well apart, the window made 670 evaluations and 397
-    gradient builds, with 2 solves unconverged; holding it as the exact 1-D
-    gap gave these counts. Like the use_case_1
+    337 evaluations and 189 gradient builds over its 6 steps, every solve
+    converged, 26 of them in closed form. The run is deterministic. Every
+    track here is a lane leader: while its broadcast was held as the x-y box
+    surrogate, which stays positive for boxes well apart, the window made 670
+    evaluations and 397 gradient builds, with 2 solves unconverged; holding
+    it as the exact 1-D gap made 529 and 324, and taking the tracking
+    minimiser where no constraint binds it gave these counts. Like the use_case_1
     window's counts, these hold for the arithmetic kernels that numpy and
     OpenBLAS pick on an AVX-512 x86-64 CPU; other kernels round differently
     (ROADMAP item 16).
@@ -1603,7 +1783,7 @@ def test_queue_window_evaluation_counts(monkeypatch):
 
     cfg = load_scenario(QUEUE_SEED_1_FIRST)
     tol = cfg.penalty.constraint_tolerance
-    counts = {"solves": 0, "evaluations": 0, "gradients": 0, "unconverged": 0}
+    counts = {"solves": 0, "evaluations": 0, "gradients": 0, "unconverged": 0, "closed_form": 0}
     original = orchestrator.solve_ocp
 
     def counted(*args, **kwargs):
@@ -1612,6 +1792,7 @@ def test_queue_window_evaluation_counts(monkeypatch):
         counts["solves"] += 1
         counts["evaluations"] += report.evaluations
         counts["gradients"] += report.gradients
+        counts["closed_form"] += report.closed_form
         least = min(report.violation_history)
         assert report.converged == (least <= tol)
         if not report.converged:
@@ -1621,7 +1802,7 @@ def test_queue_window_evaluation_counts(monkeypatch):
 
     monkeypatch.setattr(orchestrator, "solve_ocp", counted)
     orchestrator.run_simulation(cfg, workers=1)
-    assert counts == {"solves": 48, "evaluations": 529, "gradients": 324, "unconverged": 0}
+    assert counts == {"solves": 48, "evaluations": 337, "gradients": 189, "unconverged": 0, "closed_form": 26}
 
 
 def test_use_case_1_window_second_start_tally(monkeypatch):

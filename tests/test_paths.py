@@ -275,6 +275,32 @@ def test_one_lookup_matches_reference_pose_and_smoothing_bit_for_bit(arms, radiu
     assert seen == expected
 
 
+@pytest.mark.parametrize("radius", [4.0, 8.0, 12.0])
+@pytest.mark.parametrize("arms", [(e, x) for e in ARMS for x in ARMS if e != x])
+def test_curvature_alone_matches_reference_smoothing_bit_for_bit(arms, radius):
+    """curvature gives the reference smoothing of the exact curvature bit
+    for bit, on the lookup grids above; it gives None exactly where the
+    horizon lies on one straight segment and misses every blend window, and
+    there the reference's smoothed curvature and slope are +0.0 throughout."""
+    path = build_path(RouteSpec(*arms, turn_radius=radius))
+    seen = set()
+    for s in lookup_grids(path, np.random.default_rng(int(radius) + 31 * ARMS.index(arms[1]))):
+        lo, hi = float(s.min()), float(s.max())
+        want = paths_reference.smoothed(path, s, paths_reference.pose(path, s)[3])
+        segment = np.searchsorted(path.cumulative[1:-1], s, side="right")
+        one = bool(np.all(segment == segment[0]))
+        straight = one and isinstance(path.segments[segment[0]], StraightSegment)
+        flat = straight and all(z1 < lo or hi < z0 for z0, z1, *_ in path.blends)
+        got = path.curvature(s, lo, hi)
+        if flat:
+            assert got is None
+            assert all(arr.tobytes() == np.zeros(s.shape).tobytes() for arr in want)
+        else:
+            assert_same_bits(got, want)
+        seen.add(flat)
+    assert seen == ({True, False} if path.blends else {True})
+
+
 def test_pose_matches_masked_loop_oracle_on_two_arcs():
     # an S-bend: left quarter arc, right quarter arc, then a straight
     left = ArcSegment(0.0, 10.0, 10.0, -math.pi / 2, math.pi / 2)
