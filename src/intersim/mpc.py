@@ -324,20 +324,19 @@ class OcpProblem:
         s_cl = np.minimum(np.maximum(0.0, s[1:]), total)
         lo, hi = float(s_cl.min()), float(s_cl.max())
         if self._boxes:
-            x, y, psi, kap_exact, kap, dkap = self.path.pose_and_curvature(s_cl, lo, hi)
-            curve = (kap, dkap)
+            x, y, psi, kap_exact, *curve = self.path.pose_and_curvature(s_cl, lo, hi)
         else:
             curve = self.path.curvature(s_cl, lo, hi)
-        cap = p.a_tot_max * shrink
+        cap = (p.a_tot_max * shrink) ** 2
         if curve is None:
             r_ay = np.zeros(self.horizon)
-            r_tot = np.maximum(0.0, aj * aj - cap**2)
+            r_tot = np.maximum(0.0, aj * aj - cap)
         else:
             kap, dkap = curve
             ay = kap * vj * vj
             curve = (kap, dkap, ay)
             r_ay = np.maximum(0.0, np.abs(ay) - p.a_y_max * shrink)
-            r_tot = np.maximum(0.0, aj * aj + ay * ay - cap**2)
+            r_tot = np.maximum(0.0, aj * aj + ay * ay - cap)
         limits = (np.maximum(0.0, -vj), np.maximum(0.0, vj - p.v_max * shrink), r_ay, r_tot)
         collision = gap = None
         if self._boxes:

@@ -1,18 +1,19 @@
-"""Capture the full-throttle-basin fixture: one solve_ocp call's inputs.
+"""Capture a solve fixture: one solve_ocp call's inputs from a queue run.
 
-The closed loop is `benchmarks/workloads.scenario_sources("queue", 4)[1]`,
-run for 56 steps; the captured call is agent 7's solve at step 55 (W->S,
-default parameters, one neighbour broadcast). Each broadcast is recorded
-with its poses, footprint and path coordinates `s`; its `path` is the
-sender's route, which the record does not hold. Floats are written by `repr`
-through `json`, so they read back exactly. The committed
-full_throttle_fixture.json predates `s` and has none; the closed loop has
-changed since it was captured, so a new capture gives other inputs, and the
-tests read the committed file. Run from the repository root:
+The closed loop is `benchmarks/workloads.scenario_sources("queue", SEED)[INDEX]`,
+run for STEP + 1 steps; the captured call is agent AGENT's solve at step
+STEP (default parameters). Each broadcast is recorded with its poses,
+footprint and path coordinates `s`; its `path` is the sender's route, which
+the record does not hold. Floats are written by `repr` through `json`, so
+they read back exactly. Run from the repository root:
 
-    PYTHONPATH=src python tests/full_throttle_fixture.py tests/full_throttle_fixture.json
+    PYTHONPATH=src python tests/full_throttle_fixture.py OUT [SEED INDEX AGENT STEP]
 
-It takes about 30 s.
+The default, 4 1 7 55, is the full-throttle basin (W->S, one neighbour
+broadcast), about 30 s. The committed full_throttle_fixture.json predates
+`s` and has none; the closed loop has changed since it was captured, so a
+new capture gives other inputs, and the tests read the committed file.
+trackless_basin_fixture.json is 2 2 3 17 (W->S, no broadcast), about 10 s.
 """
 
 from __future__ import annotations
@@ -23,19 +24,18 @@ from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-AGENT, STEP, STEPS = 7, 55, 56
 
 
-def capture() -> dict:
+def capture(seed: int = 4, index: int = 1, agent_id: int = 7, step: int = 55) -> dict:
     sys.path.insert(0, str(ROOT / "benchmarks"))
     from workloads import scenario_sources
 
     from intersim import orchestrator
     from intersim.scenario import load_scenario
 
-    doc = scenario_sources("queue", 4)[1]
-    cfg = replace(load_scenario(doc), steps=STEPS)
-    agent = next(a for a in cfg.agents if a.agent_id == AGENT)
+    doc = scenario_sources("queue", seed)[index]
+    cfg = replace(load_scenario(doc), steps=step + 1)
+    agent = next(a for a in cfg.agents if a.agent_id == agent_id)
     found: dict = {}
     runtimes: dict = {}
     original = orchestrator.solve_ocp
@@ -44,7 +44,7 @@ def capture() -> dict:
         runtimes.update(step=k, rts=rts)
 
     def solve(state, neighbours, *args, **kwargs):
-        if runtimes["step"] == STEP and state is runtimes["rts"][AGENT].state:
+        if runtimes["step"] == step and state is runtimes["rts"][agent_id].state:
             warm = args[-1] if len(args) == 8 else kwargs["warm"]
             found.update(
                 state=[state.a_x, state.v, state.s],
@@ -66,7 +66,8 @@ def capture() -> dict:
     finally:
         orchestrator.solve_ocp = original
     return {
-        "source": 'benchmarks/workloads.scenario_sources("queue", 4)[1], 56 steps; agent 7 at step 55',
+        "source": f'benchmarks/workloads.scenario_sources("queue", {seed})[{index}], {step + 1} steps; '
+        f"agent {agent_id} at step {step}",
         "route": {"entry": agent.route.entry, "exit": agent.route.exit},
         "t_s": cfg.t_s,
         "horizon": cfg.horizon,
@@ -75,4 +76,5 @@ def capture() -> dict:
 
 
 if __name__ == "__main__":
-    Path(sys.argv[1]).write_text(json.dumps(capture(), indent=1) + "\n", encoding="utf-8")
+    out, *where = sys.argv[1:]
+    Path(out).write_text(json.dumps(capture(*map(int, where)), indent=1) + "\n", encoding="utf-8")

@@ -1831,14 +1831,15 @@ def test_use_case_1_window_second_start_tally(monkeypatch):
 # -- the full-throttle basin (ROADMAP item 1) ------------------------------------------
 
 
-def full_throttle_case(warm=None, lane_leader=False):
+def full_throttle_case(warm=None, lane_leader=False, name="full_throttle_fixture.json"):
     """solve_ocp on the inputs in full_throttle_fixture.json (see
     full_throttle_fixture.py): a follower on a W->S right turn with one
     neighbour broadcast, from the captured warm start or from `warm`. The
     committed fixture records no broadcast `s` or `path`, so the broadcast
     is held by its poses alone; with `lane_leader` it carries its poses'
-    projections onto the follower's own path, and that path."""
-    fixture = json.loads((Path(__file__).parent / "full_throttle_fixture.json").read_text(encoding="utf-8"))
+    projections onto the follower's own path, and that path. `name` reads
+    another fixture of the same format."""
+    fixture = json.loads((Path(__file__).parent / name).read_text(encoding="utf-8"))
     from intersim.scenario import load_scenario
 
     assert PARAMS == load_scenario("use_case_1").agents[0].params  # the scenario defaults
@@ -1881,3 +1882,33 @@ def test_full_throttle_basin_brake_start_converges():
     u, _, report = full_throttle_case(np.full(50, PARAMS.a_x_min))
     assert report.converged and report.max_violation <= CFG.constraint_tolerance
     assert u[0] < PARAMS.a_x_max
+
+
+# -- the trackless basin (ROADMAP items 1 and 10) -------------------------------------
+
+TRACKLESS = "trackless_basin_fixture.json"
+
+
+def test_trackless_basin_needs_the_braking_start():
+    """trackless_basin_fixture.json: a vehicle alone on a W->S right turn,
+    8.1 m/s, 37 m before the arc. The tracking minimiser breaks the lateral
+    and total-acceleration limits, so the closed form refuses; the warm
+    start's penalty loop ends
+    above BRAKE_START_VIOLATION (1.0105, `ay`, after six rounds), so the
+    braking start runs, wins and converges."""
+    u, _, report = full_throttle_case(name=TRACKLESS)
+    assert not report.closed_form and report.brake_start == "won"
+    assert report.converged and report.max_violation <= CFG.constraint_tolerance
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 1 and 10: the warm penalty loop oscillates on a trackless turn")
+def test_trackless_basin_warm_start_converges():
+    """The target: from the captured warm start the penalty loop alone
+    converges on a problem with no track. Today its rounds end at 2.47,
+    1.66, 2.88, 1.78, 1.01 and 1.38, all on the lateral limit."""
+    fixture = json.loads((Path(__file__).parent / TRACKLESS).read_text(encoding="utf-8"))
+    assert fixture["neighbours"] == []
+    path, bounds = make_env(RouteSpec(**fixture["route"]))
+    prob = OcpProblem(discretize(PARAMS.t_ax, fixture["t_s"]), PARAMS, path, bounds, MARGINS,
+                      AgentState(*fixture["state"]), (), fixture["horizon"])
+    assert mpc._penalty_loop(prob, np.array(fixture["warm"]), TOL).violation <= TOL
