@@ -1422,7 +1422,8 @@ def test_closed_form_is_the_least_squares_minimiser_and_converged(monkeypatch):
 
 
 def closed_form_problem(route=RouteSpec("N", "S"), state=AgentState(0.0, 12.0, 20.0), tracks=()):
-    path, bounds = make_env(route, approach=300.0 if route == RouteSpec("N", "S") else None)
+    """A problem on a 300 m approach, whose horizon ends far before the stop line."""
+    path, bounds = make_env(route, approach=300.0)
     return OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
 
 
@@ -1455,7 +1456,7 @@ def test_closed_form_refuses_an_active_family(family):
     breaks the gap. In each, the minimiser is inside the box and the speeds
     keep their limits."""
     turn = RouteSpec("W", "S")
-    path, _ = make_env(turn)
+    path, _ = make_env(turn, approach=300.0)
     arc_start, arc_end = path.cumulative[1], path.cumulative[2]
     route, state, tracks = {
         "ay": (turn, AgentState(0.0, 12.0, arc_start - 30.0), ()),
