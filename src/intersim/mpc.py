@@ -1,12 +1,10 @@
 """Per-vehicle optimal control: penalty reformulation and a PANOC-style solver.
 
 The decision variable is the reference-acceleration sequence over the
-horizon. Input bounds stay hard via projection; every other constraint
-(speed range, lateral and total acceleration, collision avoidance against
-broadcast neighbor trajectories, and the spatial-preview requirement) is a
-squared penalty with an escalating weight. Because the plant model is
-linear, predicted states are affine in the inputs, so objective gradients
-reduce to a few precomputed sensitivity matmuls.
+horizon. Input bounds stay hard via projection; every other constraint is
+a squared penalty with an escalating weight, one family of OcpProblem's
+table (its docstring gives the format). States are affine in the inputs,
+so gradients reduce to precomputed sensitivity matmuls.
 
 The tracking cost J(u) alone is a strictly convex quadratic, so its
 minimiser over all inputs is a fixed linear law of the free-response
@@ -58,6 +56,11 @@ LBFGS_MEMORY = 10  # (s, y) pairs box_solve keeps
 # extra start
 BRAKE_START_VIOLATION = 1.0
 
+# the rows of the family table's speed, ay and atot families (OcpProblem),
+# and the speed family's partials: dr/dv = -1 for v_lo and +1 for v_hi
+_SPEED, _AY, _ATOT = slice(0, 2), slice(2, 3), slice(3, 4)
+_SPEED_PARTIALS = (0, 1, -2.0, ()), (1, 1, 2.0, ())
+
 
 @dataclass(frozen=True)
 class PenaltyConfig:
@@ -107,6 +110,10 @@ class SolverReport:
     # the warm candidate is the tracking cost's unconstrained minimiser,
     # taken without a penalty loop (_closed_form)
     closed_form: bool
+    # the family and horizon step of the largest violation (OcpProblem.locate):
+    # v_lo, v_hi, ay, atot, box k, gap k or hinge, and 1..N; None at 0.0
+    worst_family: str | None
+    worst_step: int | None
 
 
 @lru_cache(maxsize=64)
@@ -151,24 +158,33 @@ def _tracking_gain(a_d: bytes, b_d: bytes, horizon: int, q: float, q_n: float, r
 class OcpProblem:
     """Precomputed sensitivities and penalty evaluation for one agent/step.
 
-    The penalty terms enforce the speed and acceleration bounds with a
-    small backoff: a quadratic penalty always leaves a weight-dependent
-    residual, and the backoff keeps the closed-loop state inside the true
-    bounds without needing extreme weights. Reported residuals
-    (residual_stack) are measured against the true bounds.
+    The penalty terms hold the speed and acceleration limits backed off by
+    ENFORCE_BACKOFF, which keeps the closed loop inside the true limits
+    without extreme weights; residual_stack measures against the true ones.
 
     A track that drives ahead on the own path, a lane leader, is held as
     the car-following gap in metres, r = (s + g - s_l)+ with the gap
     g = (L + L_l)/2 + long + headway·(v - v_l)+, which is linear in the
     state. Every other track is held as the x-y box surrogate; those tracks
     are stacked into (T, N) arrays, so one evaluation handles them with a
-    single smooth_overlap_core call, and their sums come first.
+    single smooth_overlap_core call.
 
-    `value_and_grad` evaluates the penalty objective and returns a function
-    that builds the gradient from that evaluation's intermediates, so a
-    caller that reads only the value pays for the value alone. The problem
-    counts its evaluations and gradient builds in `evaluations` and
-    `gradients`.
+    Every penalised constraint but the preview hinge is one family of
+    `_forward`'s table, and the objective only sums their squares:
+
+    - `rows`, the (K, N) residuals at steps 1..N: v_lo, v_hi, ay, atot,
+      one row per box track, then one per leader (`row_names`);
+    - per family, its rows and its partials (row selection, column, c,
+      factors) with dr/dx_column = c/2 · f1 · f2 ..., so the gradient adds
+      ((weight·c)·r)·f1·f2... to the adjoint's column 0 (a), 1 (v) or 2 (s),
+      left to right. The collision family's partials are built lazily.
+
+    The value adds weight·(row sum of r²) per row, the speed family's two
+    rows summed first. The hinge stays outside the table: its value
+    (weight·r)·r rounds unlike weight·(r·r), and a stop line replaces it.
+
+    `value_and_grad` returns the value and a function that builds the
+    gradient on first call; `evaluations` and `gradients` count both.
 
     `stop_line`, when set, is the pair (c, d) of the linear constraint
     c @ u <= d that holds the horizon end at or before the stop line. It
@@ -245,6 +261,18 @@ class OcpProblem:
             half = extents / 2.0
             self._oa = np.repeat(half[:, :1], horizon, axis=1)
             self._ob = np.repeat(half[:, 1:], horizon, axis=1)
+        # the table's layout, residual_stack's track-order names and order,
+        # and the rows at which the value's terms start (speed's two are one)
+        self._stack_names = ("v_lo", "v_hi", "ay", "atot",
+                             *(f"gap {k}" if is_lead else f"box {k}" for k, is_lead in enumerate(lead)))
+        n_rows = len(self._stack_names)
+        self.row_names = self._stack_names[:4] + tuple(self._stack_names[4 + k] for k in self._boxes + self._leads)
+        self._stack_order = None
+        if self._boxes and self._leads:
+            self._stack_order = np.r_[0:4, 4 + np.argsort(self._boxes + self._leads)]
+        self._box_rows = slice(4, 4 + len(self._boxes))
+        self._gap_rows = slice(4 + len(self._boxes), n_rows)
+        self._terms = np.array([0, *range(2, n_rows)])
         # a box surrogate is never 0, so only a problem without box tracks
         # can take the closed-form candidate (_closed_form)
         self.gain = None if self._boxes else _tracking_gain(*model_key, params.q, params.q_n, params.r)
@@ -262,7 +290,8 @@ class OcpProblem:
     def _ca_terms(self, x, y, psi, v, kap, inside):
         """Surrogate overlap with every track as a (T, N) array, from the own
         pose, speed and exact curvature as (1, N) rows, and a function that
-        builds its derivatives w.r.t. the own path coordinate and speed.
+        builds the collision family's partials w.r.t. the own path coordinate
+        and speed.
 
         `inside` is None where every coordinate lies strictly inside the
         path, and else the (1, N) 0/1 mask of those that do: the pose is held
@@ -284,7 +313,7 @@ class OcpProblem:
             self._oa, self._ob, OVERLAP_SHARPNESS,
         )
 
-        def derivatives():
+        def partials():
             active = (closing > 0).astype(float)
             dext_dv = m.headway * active
             dext_dpsi = dext_dv * (self._neg_ov * sin_rel)
@@ -298,25 +327,19 @@ class OcpProblem:
             dcry_ds = dy_ds + 0.5 * (dext_ds * sin_p + ext * cos_p * dpsi_ds)
             dv_ds = dcrx * dcrx_ds + dcry * dcry_ds + dth * dpsi_ds + dar * 0.5 * dext_ds
             dv_dv = dcrx * 0.5 * dext_dv * cos_p + dcry * 0.5 * dext_dv * sin_p + dar * 0.5 * dext_dv
-            return dv_ds, dv_dv
+            box = self._box_rows
+            return (box, 2, 2.0, (dv_ds,)), (box, 1, 2.0, (dv_dv,))
 
-        return value, derivatives
+        return value, partials
 
     def _forward(self, u: np.ndarray, shrink: float):
-        """The forward pass of both evaluators: the states; along the horizon,
-        with s clamped to the path, the smoothed curvature, its slope and the
-        lateral acceleration (None on a straight stretch, where all three are
-        +0.0); the speed (low, high), lateral and total-acceleration
-        violations against the limits scaled by `shrink`; the collision terms
-        and their derivative builder (None without box tracks); the (G, N)
-        leader gaps and their speed slope (None without leaders); and the
-        preview hinge's factors (s_cr_out - s_N)+ and (s_N - s_stop)+.
-
-        Only the box surrogate reads the pose, so without box tracks the path
-        gives the curvature alone. On a straight stretch ay ≡ +0.0, so the
-        lateral violation is +0.0 throughout and a_x² + ay² is a_x², bit for
-        bit; the box path keeps the general form."""
-        p = self.params
+        """The states, the family table (`rows`, `families`) against the
+        limits scaled by `shrink`, and the hinge's factors (s_cr_out - s_N)+
+        and (s_N - s_stop)+: each family is written here alone. s is clamped
+        to the path; only boxes read the pose. On a straight stretch ay ≡ +0.0,
+        so its row is +0.0 with no partials and a_x² + ay² is a_x², bit for
+        bit."""
+        p, n = self.params, self.horizon
         total = self.path.total_length
         states = self.states(u)
         a, v, s = states[:, 0], states[:, 1], states[:, 2]
@@ -327,35 +350,41 @@ class OcpProblem:
             x, y, psi, kap_exact, *curve = self.path.pose_and_curvature(s_cl, lo, hi)
         else:
             curve = self.path.curvature(s_cl, lo, hi)
+        rows = np.zeros((len(self.row_names), n))
+        np.maximum(0.0, -vj, out=rows[0])
+        np.maximum(0.0, vj - p.v_max * shrink, out=rows[1])
         cap = (p.a_tot_max * shrink) ** 2
         if curve is None:
-            r_ay = np.zeros(self.horizon)
-            r_tot = np.maximum(0.0, aj * aj - cap)
+            np.maximum(0.0, aj * aj - cap, out=rows[3])
+            ay_partials, atot_partials = (), ((3, 0, 4.0, (aj,)),)
         else:
             kap, dkap = curve
             ay = kap * vj * vj
-            curve = (kap, dkap, ay)
-            r_ay = np.maximum(0.0, np.abs(ay) - p.a_y_max * shrink)
-            r_tot = np.maximum(0.0, aj * aj + ay * ay - cap)
-        limits = (np.maximum(0.0, -vj), np.maximum(0.0, vj - p.v_max * shrink), r_ay, r_tot)
-        collision = gap = None
+            np.maximum(0.0, np.abs(ay) - p.a_y_max * shrink, out=rows[2])
+            np.maximum(0.0, aj * aj + ay * ay - cap, out=rows[3])
+            sgn = np.sign(ay)
+            ay_partials = (2, 1, 4.0, (sgn, kap, vj)), (2, 2, 2.0, (sgn, dkap, vj, vj))
+            atot_partials = (3, 0, 4.0, (aj,)), (3, 1, 8.0, (ay, kap, vj)), (3, 2, 4.0, (ay, dkap, vj, vj))
+        families = [(_SPEED, _SPEED_PARTIALS), (_AY, ay_partials), (_ATOT, atot_partials)]
         if self._boxes:
             # the heading chain uses the exact curvature: the evaluated pose is
             # the exact path map, so only this keeps gradients FD-consistent
             inside = None
             if not (0.0 < lo and hi < total):
                 inside = ((s[1:] > 0.0) & (s[1:] < total)).astype(float)[None]
-            collision = self._ca_terms(x[None], y[None], psi[None], vj[None], kap_exact[None], inside)
+            rows[self._box_rows], ca_partials = self._ca_terms(
+                x[None], y[None], psi[None], vj[None], kap_exact[None], inside
+            )
+            families.append((self._box_rows, ca_partials))
         if self._leads:
+            gap = self._gap_rows
             closing = vj - self._lv
             headway = self.margins.headway
-            gap = (
-                np.maximum(0.0, s[1:] + (self._lgap + headway * np.maximum(0.0, closing)) - self._ls),
-                headway * (closing > 0),
-            )
+            np.maximum(0.0, s[1:] + (self._lgap + headway * np.maximum(0.0, closing)) - self._ls, out=rows[gap])
+            families.append((gap, ((gap, 2, 2.0, ()), (gap, 1, 2.0, (headway * (closing > 0),)))))
         s_n = float(s[-1])
         hinge = (max(0.0, self.regions.s_cr_out - s_n), max(0.0, s_n - self.regions.s_stop))
-        return states, curve, limits, collision, gap, hinge
+        return states, rows, families, hinge
 
     # -- penalty objective -------------------------------------------------
 
@@ -374,39 +403,12 @@ class OcpProblem:
         self.evaluations += 1
         p = self.params
         n = self.horizon
-        total = np.add.reduce
-        states, curve, (r_lo, r_hi, r_ay, r_tot), collision, gap, (h1, h2) = self._forward(
-            u, 1.0 - self.ENFORCE_BACKOFF
-        )
-        a, v = states[:, 0], states[:, 1]
-        aj, vj = a[1:], v[1:]
-
-        dv_ref = v - p.v_ref
+        states, rows, families, (h1, h2) = self._forward(u, 1.0 - self.ENFORCE_BACKOFF)
+        dv_ref = states[:, 1] - p.v_ref
         value = self._tracking(u, dv_ref)
-        # a penalty family that is zero throughout adds +0.0 to the value,
-        # which is >= +0.0, and +-0.0 to the gradient's adjoint entries,
-        # which no round-to-nearest sum from +0.0 makes -0.0: so it is skipped
-        # (count_nonzero is ndarray.any without its Python wrapper; a NaN counts)
-        nonzero = np.count_nonzero
-        speed, lateral, accel = nonzero(r_lo) or nonzero(r_hi), nonzero(r_ay), nonzero(r_tot)
-        if speed:
-            value += weight * float(total(r_lo**2) + total(r_hi**2))
-        if lateral:
-            value += weight * float(total(r_ay**2))
-        if accel:
-            value += weight * float(total(r_tot**2))
-
-        if collision is not None:
-            ca, ca_derivatives = collision
-            # one track at a time, in order, so the sums round as they always have
-            for sq in total(ca**2, axis=1).tolist():
-                value += weight * sq
-        following = gap is not None and nonzero(gap[0])
-        if following:
-            r_gap, dgap_dv = gap
-            for sq in total(r_gap**2, axis=1).tolist():
-                value += weight * sq
-
+        # one row sum of squares per row, then one sum per term, added in order
+        for sq in np.add.reduceat(np.add.reduce(rows * rows, axis=1), self._terms).tolist():
+            value += weight * sq
         hinge = self.stop_line is None
         if hinge:
             r_prev = h1 * h2
@@ -422,34 +424,24 @@ class OcpProblem:
             adj = np.zeros((n + 1, 3))
             adj[:n, 1] += 2.0 * p.q * dv_ref[:n]
             adj[n, 1] += 2.0 * p.q_n * dv_ref[n]
-            if speed:
-                adj[1:, 1] += weight * (2.0 * r_hi - 2.0 * r_lo)
-            if curve is not None:  # else ay ≡ +0.0: its terms add +-0.0
-                kap, dkap, ay = curve
-            if lateral:
-                sgn = np.sign(ay)
-                adj[1:, 1] += weight * 4.0 * r_ay * sgn * kap * vj
-                adj[1:, 2] += weight * 2.0 * r_ay * sgn * dkap * vj * vj
-            if accel:
-                adj[1:, 0] += weight * 4.0 * r_tot * aj
-                if curve is not None:
-                    adj[1:, 1] += weight * 8.0 * r_tot * ay * kap * vj
-                    adj[1:, 2] += weight * 4.0 * r_tot * ay * dkap * vj * vj
-
-            if collision is not None:
-                dca_ds, dca_dv = ca_derivatives()
-                scaled = weight * 2.0 * ca
-                # track by track, in order, as the value sums
-                for row_s, row_v in zip(scaled * dca_ds, scaled * dca_dv):
-                    adj[1:, 2] += row_s
-                    adj[1:, 1] += row_v
-            if following:
-                # dr/ds = 1 and dr/dv = headway·[v > v_l], leader by leader
-                scaled = weight * 2.0 * r_gap
-                for row_s, row_v in zip(scaled, scaled * dgap_dv):
-                    adj[1:, 2] += row_s
-                    adj[1:, 1] += row_v
-
+            # a family that is zero throughout adds +-0.0 to entries that no
+            # round-to-nearest sum from +0.0 makes -0.0, so it is skipped. The
+            # rows are >= 0, so a row sums to 0 exactly when it is 0 throughout
+            # (a NaN counts as nonzero)
+            live = np.add.reduce(rows, axis=1).tolist()
+            for selection, partials in families:
+                if not any(live[selection]):
+                    continue
+                if callable(partials):
+                    partials = partials()
+                for sel, column, c, factors in partials:
+                    term = (weight * c) * rows[sel]
+                    for factor in factors:
+                        term *= factor
+                    target = adj[1:, column]
+                    # row by row, in order, as the value sums
+                    for row in term if term.ndim == 2 else (term,):
+                        target += row
             if hinge:
                 d_prev = -float(h1 > 0) * h2 + h1 * float(h2 > 0)
                 adj[n, 2] += weight * 2.0 * r_prev * d_prev
@@ -467,21 +459,24 @@ class OcpProblem:
         cost is value_and_grad's at weight 0 bit for bit: there every penalty
         term adds +0.0.
 
-        Layout of the violations: speed below zero, speed above v_max,
-        lateral and total acceleration (N entries each), one block of N per
-        neighbor track in track order, then the preview hinge product. A
-        track's block is its surrogate overlap, or for a lane leader the
-        gap shortfall in metres.
-        """
-        states, _, limits, collision, gap, (h1, h2) = self._forward(u, 1.0)
-        pieces = list(limits)
-        blocks = [family[0] for family in (collision, gap) if family is not None]
-        if len(blocks) == 2:  # the box rows, then the leaders': back to track order
-            blocks = [np.concatenate(blocks)[np.argsort(self._boxes + self._leads)]]
-        if blocks:
-            pieces.append(blocks[0].ravel())
-        pieces.append(np.array([h1 * h2]))
-        return np.concatenate(pieces), self._tracking(u, states[:, 1] - self.params.v_ref), states
+        The violations are the table's rows with the tracks' rows in track
+        order, flattened, then the preview hinge product: speed below zero,
+        speed above v_max, lateral and total acceleration, then per track
+        its surrogate overlap, or for a lane leader the gap shortfall in
+        metres (N entries each). `locate` names an entry."""
+        states, rows, _, (h1, h2) = self._forward(u, 1.0)
+        if self._stack_order is not None:
+            rows = rows[self._stack_order]
+        violations = np.concatenate((rows.ravel(), [h1 * h2]))
+        return violations, self._tracking(u, states[:, 1] - self.params.v_ref), states
+
+    def locate(self, index: int) -> tuple[str, int]:
+        """Family and horizon step of residual_stack's entry `index` (box k
+        and gap k name track k)."""
+        row, step = divmod(index, self.horizon)
+        if row == len(self.row_names):
+            return "hinge", self.horizon
+        return self._stack_names[row], step + 1
 
 
 def _lbfgs_direction(pairs: deque, r: np.ndarray) -> np.ndarray:
@@ -678,6 +673,7 @@ class _Candidate:
     tracking: float
     states: np.ndarray  # problem.states(u), from the round's residual_stack
     history: tuple[float, ...]
+    worst: tuple[str, int] | None = None  # problem.locate of the largest violation; None at 0.0
 
 
 def _rank(violation: float, tracking: float, tol: float) -> tuple[bool, float, float]:
@@ -712,9 +708,9 @@ def _closed_form(problem: OcpProblem) -> _Candidate | None:
     v_ref) as the warm candidate, where no constraint can bind it; else None.
 
     It is taken when u* lies in the input box, meets the stop-line
-    halfspace where one is set, and leaves every penalty family (speed,
-    lateral, total acceleration and the leader gaps, at the backed-off
-    limits the objective uses) and the preview hinge exactly 0. Then every
+    halfspace where one is set, and leaves every row of the family table
+    (at the backed-off limits the objective uses) and the preview hinge
+    exactly 0. Then every
     weight round's objective f_w has f_w(u*) = J(u*) <= J(u) <= f_w(u) for
     every u the solver may return, so u* is the point each round
     approaches, and its violation against the true limits, which are
@@ -729,9 +725,8 @@ def _closed_form(problem: OcpProblem) -> _Candidate | None:
         return None
     if problem.stop_line is not None and not float(problem.stop_line[0] @ u) <= problem.stop_line[1]:
         return None
-    states, _, limits, _, gap, (h1, h2) = problem._forward(u, 1.0 - problem.ENFORCE_BACKOFF)
-    nonzero = np.count_nonzero
-    if any(nonzero(r) for r in limits) or (gap is not None and nonzero(gap[0])) or h1 * h2 != 0.0:
+    states, rows, _, (h1, h2) = problem._forward(u, 1.0 - problem.ENFORCE_BACKOFF)
+    if np.count_nonzero(rows) or h1 * h2 != 0.0:
         return None
     return _Candidate(u, 0.0, problem._tracking(u, states[:, 1] - p.v_ref), states, (0.0,))
 
@@ -757,7 +752,7 @@ def _penalty_loop(
     weight = INITIAL_WEIGHT
     u = u0
     history: list[float] = []
-    best: tuple | None = None  # (rank, violation, tracking, u, states) of the best round
+    best: tuple | None = None  # (rank, violation, tracking, u, states, peak) of the best round
     while True:
         # the displacement criterion weakens as the weight stiffens the
         # objective, so tighten it with the weight to keep outer progress
@@ -765,18 +760,20 @@ def _penalty_loop(
         objective = partial(problem.value_and_grad, weight=weight)
         u = box_solve(objective, lo, hi, u, tolerance, MAX_INNER_ITERATIONS, problem.stop_line)[0]
         residuals, tracking, states = problem.residual_stack(u)
-        violation = float(np.max(residuals))
+        peak = int(np.argmax(residuals))
+        violation = float(residuals[peak])
         history.append(violation)
         rank = _rank(violation, tracking, tol)
         if best is None or rank < best[0]:
-            best = (rank, violation, tracking, u, states)
+            best = (rank, violation, tracking, u, states, peak)
         if violation <= tol or len(history) >= MAX_OUTER_ITERATIONS:
             break
         if stop_on_stall and len(history) >= 2 and not violation < history[-2] / stall:
             break
         weight *= WEIGHT_MULTIPLIER
-    _, violation, tracking, u, states = best
-    return _Candidate(u, violation, tracking, states, tuple(history))
+    _, violation, tracking, u, states, peak = best
+    worst = None if violation == 0.0 else problem.locate(peak)
+    return _Candidate(u, violation, tracking, states, tuple(history), worst)
 
 
 def solve_ocp(
@@ -882,5 +879,7 @@ def solve_ocp(
         evaluations=problem.evaluations,
         gradients=problem.gradients,
         closed_form=closed_form,
+        worst_family=chosen.worst and chosen.worst[0],
+        worst_step=chosen.worst and chosen.worst[1],
     )
     return chosen.u, broadcast, report

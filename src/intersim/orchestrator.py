@@ -16,6 +16,7 @@ import csv
 import logging
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -86,6 +87,9 @@ class SimulationLog:
     speed_clamps: list[tuple[int, int, float]] = field(default_factory=list)  # (step, agent, v)
     solver_violation_histories: list[tuple[float, ...]] = field(default_factory=list)
     closed_form_solves: int = 0  # solves whose warm candidate took the closed form
+    # unconverged solves by the family of their largest violation (box, gap,
+    # ay, atot, v_lo, v_hi or hinge)
+    unconverged_families: Counter = field(default_factory=Counter)
 
     @property
     def overlap_violations(self) -> int:
@@ -292,9 +296,10 @@ def run_simulation(
             sim_log.solver_violation_histories.append(report.violation_history)
             sim_log.closed_form_solves += report.closed_form
             if not report.converged:
+                sim_log.unconverged_families[report.worst_family.split()[0]] += 1
                 log.warning(
-                    "step %d agent %d: penalty loop left violation %.3g",
-                    k, i, report.max_violation,
+                    "step %d agent %d: penalty loop left violation %.3g (%s at horizon step %d)",
+                    k, i, report.max_violation, report.worst_family, report.worst_step,
                 )
 
         # per vehicle: the log row (the state at step k with the input applied

@@ -1466,11 +1466,11 @@ def test_closed_form_refuses_an_active_family(family):
     prob = closed_form_problem(route, state, tracks)
     u = prob.gain @ (prob.base[:, 1] - PARAMS.v_ref)
     assert PARAMS.a_x_min <= u.min() and u.max() <= PARAMS.a_x_max
-    _, _, (r_lo, r_hi, r_ay, r_tot), _, gap, _ = prob._forward(u, 1.0 - OcpProblem.ENFORCE_BACKOFF)
-    active = {"ay": np.any(r_ay), "atot": np.any(r_tot), "gap": gap is not None and np.any(gap[0])}
-    assert active[family] and not np.any(r_lo) and not np.any(r_hi)
+    rows = prob._forward(u, 1.0 - OcpProblem.ENFORCE_BACKOFF)[1]
+    active = {name.split()[0] for name, row in zip(prob.row_names, rows) if np.any(row)}
+    assert family in active and not {"v_lo", "v_hi"} & active
     if family == "atot":
-        assert not np.any(r_ay)
+        assert "ay" not in active
     assert mpc._closed_form(prob) is None
 
 
@@ -1913,3 +1913,24 @@ def test_trackless_basin_warm_start_converges():
     prob = OcpProblem(discretize(PARAMS.t_ax, fixture["t_s"]), PARAMS, path, bounds, MARGINS,
                       AgentState(*fixture["state"]), (), fixture["horizon"])
     assert mpc._penalty_loop(prob, np.array(fixture["warm"]), TOL).violation <= TOL
+
+
+def test_report_names_the_family_of_the_largest_violation():
+    """SolverReport names the family and horizon step of the chosen plan's
+    largest true-limit violation, the argmax of its residual_stack, or None
+    where the violation is 0.0: the trackless fixture's braking start ends at
+    0.0, and the full-throttle fixture's plan, with a box track, ends on the
+    preview hinge at step N."""
+    report = full_throttle_case(name=TRACKLESS)[2]
+    assert report.max_violation == 0.0 and (report.worst_family, report.worst_step) == (None, None)
+    u, _, report = full_throttle_case()
+    fixture = json.loads((Path(__file__).parent / "full_throttle_fixture.json").read_text(encoding="utf-8"))
+    path, bounds = make_env(RouteSpec(**fixture["route"]))
+    tracks = tuple(PredictedTrajectory(*(np.array(nb[k]) for k in ("x_g", "y_g", "psi", "v")), nb["length"],
+                                       nb["width"]) for nb in fixture["neighbours"])
+    prob = OcpProblem(discretize(PARAMS.t_ax, fixture["t_s"]), PARAMS, path, bounds, MARGINS,
+                      AgentState(*fixture["state"]), tracks, fixture["horizon"])
+    assert prob.row_names == ("v_lo", "v_hi", "ay", "atot", "box 0")
+    stack = prob.residual_stack(u)[0]
+    assert float(stack.max()) == report.max_violation > 0.0
+    assert prob.locate(int(np.argmax(stack))) == (report.worst_family, report.worst_step) == ("hinge", 50)
