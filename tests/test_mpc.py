@@ -578,6 +578,14 @@ def gradient_fd_check(prob, u, weight, h=1e-6):
     return float(np.max(np.abs(fd - grad) / denom))
 
 
+def active_families(prob, u):
+    """The families of the penalty table that are nonzero at u, by kind (box,
+    gap, v_lo, ...), with the preview hinge."""
+    _, rows, _, (h1, h2) = prob._forward(u, 1.0 - OcpProblem.ENFORCE_BACKOFF)
+    active = {name.split()[0] for name, row in zip(prob.row_names, rows) if np.any(row)}
+    return active | ({"hinge"} if h1 * h2 > 0.0 else set())
+
+
 def test_gradient_matches_finite_differences_on_random_instances():
     """30 randomized instances with active avoidance and preview terms.
 
@@ -585,10 +593,13 @@ def test_gradient_matches_finite_differences_on_random_instances():
     the objective stays moderate; wildly infeasible points make the
     finite-difference oracle itself noisier than the target tolerance.
     Trials 20-29 carry two or three neighbors, so every row of the stacked
-    track arrays feeds the gradient.
+    track arrays feeds the gradient. Two more trials brake to a standstill
+    and drive above v_max at the partial solve's start, and every family of
+    the table (read from it) is active in at least one trial.
     """
     rng = np.random.default_rng(17)
     worst = 0.0
+    seen = set()
     for trial in range(30):
         route = RouteSpec("W", "N") if trial % 2 else RouteSpec("N", "S")
         path, bounds = make_env(route)
@@ -606,7 +617,15 @@ def test_gradient_matches_finite_differences_on_random_instances():
         u_mid, _, _ = box_solve(lambda w: prob.value_and_grad(w, 10.0), -7.0, 4.0, u0, mpc.INNER_TOLERANCE, 40)
         u_test = np.clip(u_mid + rng.normal(0.0, 0.05, 50), -7, 4)
         worst = max(worst, gradient_fd_check(prob, u_test, 10.0))
+        seen |= active_families(prob, u_test)
+    path, bounds = make_env()
+    for state, u0 in ((AgentState(-3.0, 2.0, 40.0), np.full(50, -7.0)), (AgentState(2.0, 15.2, 20.0), np.full(50, 4.0))):
+        prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, (), 50)
+        u_test = np.clip(u0 + rng.normal(0.0, 0.05, 50), -7, 4)
+        worst = max(worst, gradient_fd_check(prob, u_test, 10.0))
+        seen |= active_families(prob, u_test)
     assert worst < 1e-5
+    assert {"v_lo", "v_hi", "ay", "atot", "box", "hinge"} <= seen
 
 
 # -- lane leaders held as a 1-D gap -------------------------------------------------
@@ -704,6 +723,7 @@ def test_leader_gap_gradient_matches_finite_differences():
         if np.max(r) < 1e-3 or np.min(np.abs(closing[r > 0])) < 1e-2 or prob.value_and_grad(u, 10.0)[0] > 1e4:
             continue
         worst = max(worst, gradient_fd_check(prob, u, 10.0))
+        assert "gap" in active_families(prob, u)
         checked += 1
     assert checked >= 10
     assert worst < 1e-5
