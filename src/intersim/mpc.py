@@ -24,6 +24,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -55,11 +56,6 @@ LBFGS_MEMORY = 10  # (s, y) pairs box_solve keeps
 # leader; below it, a solve that merely ends unconverged pays for no
 # extra start
 BRAKE_START_VIOLATION = 1.0
-
-# the rows of the family table's speed, ay and atot families (OcpProblem),
-# and the speed family's partials: dr/dv = -1 for v_lo and +1 for v_hi
-_SPEED, _AY, _ATOT = slice(0, 2), slice(2, 3), slice(3, 4)
-_SPEED_PARTIALS = (0, 1, -2.0, ()), (1, 1, 2.0, ())
 
 
 @dataclass(frozen=True)
@@ -174,17 +170,15 @@ class OcpProblem:
 
     - `rows`, the (K, N) residuals at steps 1..N: v_lo, v_hi, ay, atot,
       one row per box track, then one per leader (`row_names`);
-    - per family, its rows and its partials (row selection, column, c,
-      factors) with dr/dx_column = c/2 · f1 · f2 ..., so the gradient adds
-      ((weight·c)·r)·f1·f2... to the adjoint's column 0 (a), 1 (v) or 2 (s),
-      left to right. The collision family's partials are built lazily.
+    - per family, in that order, its partials: groups (row selection, c,
+      ((column, factors), ...)) with dr/dx_column = c/2 · f1 · f2 ..., so
+      the gradient adds ((weight·c)·r)·f1·f2... to the adjoint's column 0
+      (a), 1 (v) or 2 (s), left to right. The collision family's are a
+      generator, which computes them only where a gradient reads them.
 
     The value adds weight·(row sum of r²) per row, the speed family's two
     rows summed first. The hinge stays outside the table: its value
     (weight·r)·r rounds unlike weight·(r·r), and a stop line replaces it.
-
-    `value_and_grad` returns the value and a function that builds the
-    gradient on first call; `evaluations` and `gradients` count both.
 
     `stop_line`, when set, is the pair (c, d) of the linear constraint
     c @ u <= d that holds the horizon end at or before the stop line. It
@@ -261,18 +255,21 @@ class OcpProblem:
             half = extents / 2.0
             self._oa = np.repeat(half[:, :1], horizon, axis=1)
             self._ob = np.repeat(half[:, 1:], horizon, axis=1)
-        # the table's layout, residual_stack's track-order names and order,
-        # and the rows at which the value's terms start (speed's two are one)
-        self._stack_names = ("v_lo", "v_hi", "ay", "atot",
-                             *(f"gap {k}" if is_lead else f"box {k}" for k, is_lead in enumerate(lead)))
-        n_rows = len(self._stack_names)
-        self.row_names = self._stack_names[:4] + tuple(self._stack_names[4 + k] for k in self._boxes + self._leads)
+        # the table's rows; residual_stack lists the tracks in track order,
+        # which _stack_order restores where boxes and leaders mix
+        tracks = [f"box {k}" for k in self._boxes] + [f"gap {k}" for k in self._leads]
+        self.row_names = ("v_lo", "v_hi", "ay", "atot", *tracks)
+        n_rows = len(self.row_names)
         self._stack_order = None
         if self._boxes and self._leads:
             self._stack_order = np.r_[0:4, 4 + np.argsort(self._boxes + self._leads)]
         self._box_rows = slice(4, 4 + len(self._boxes))
-        self._gap_rows = slice(4 + len(self._boxes), n_rows)
-        self._terms = np.array([0, *range(2, n_rows)])
+        self._gap_rows = slice(self._box_rows.stop, n_rows)
+        # value_and_grad sums the rows of a (2K, N) table, the rows and their
+        # squares, from the first row of each family (speed, ay, atot, boxes,
+        # leaders) and of each value term (K - 1: speed's two rows make one)
+        starts = sorted({0, 2, 3, 4, self._gap_rows.start} - {n_rows})
+        self._sums_at = np.array([*starts, n_rows, *range(n_rows + 2, 2 * n_rows)])
         # a box surrogate is never 0, so only a problem without box tracks
         # can take the closed-form candidate (_closed_form)
         self.gain = None if self._boxes else _tracking_gain(*model_key, params.q, params.q_n, params.r)
@@ -289,9 +286,9 @@ class OcpProblem:
 
     def _ca_terms(self, x, y, psi, v, kap, inside):
         """Surrogate overlap with every track as a (T, N) array, from the own
-        pose, speed and exact curvature as (1, N) rows, and a function that
-        builds the collision family's partials w.r.t. the own path coordinate
-        and speed.
+        pose, speed and exact curvature as (1, N) rows, and the collision
+        family's partials w.r.t. the own path coordinate and speed, as a
+        generator that computes them where a gradient reads them.
 
         `inside` is None where every coordinate lies strictly inside the
         path, and else the (1, N) 0/1 mask of those that do: the pose is held
@@ -327,18 +324,16 @@ class OcpProblem:
             dcry_ds = dy_ds + 0.5 * (dext_ds * sin_p + ext * cos_p * dpsi_ds)
             dv_ds = dcrx * dcrx_ds + dcry * dcry_ds + dth * dpsi_ds + dar * 0.5 * dext_ds
             dv_dv = dcrx * 0.5 * dext_dv * cos_p + dcry * 0.5 * dext_dv * sin_p + dar * 0.5 * dext_dv
-            box = self._box_rows
-            return (box, 2, 2.0, (dv_ds,)), (box, 1, 2.0, (dv_dv,))
+            yield self._box_rows, 2.0, ((2, (dv_ds,)), (1, (dv_dv,)))
 
-        return value, partials
+        return value, partials()
 
-    def _forward(self, u: np.ndarray, shrink: float):
-        """The states, the family table (`rows`, `families`) against the
+    def _forward(self, u: np.ndarray, shrink: float, rows: np.ndarray | None = None):
+        """The states, the family table (`rows` and `families`) against the
         limits scaled by `shrink`, and the hinge's factors (s_cr_out - s_N)+
-        and (s_N - s_stop)+: each family is written here alone. s is clamped
-        to the path; only boxes read the pose. On a straight stretch ay ≡ +0.0,
-        so its row is +0.0 with no partials and a_x² + ay² is a_x², bit for
-        bit."""
+        and (s_N - s_stop)+. Each family is written here alone, its rows into
+        `rows` where a zeroed (K, N) array is given. s is clamped to the path.
+        On a straight stretch ay ≡ +0.0, so a_x² + ay² is a_x², bit for bit."""
         p, n = self.params, self.horizon
         total = self.path.total_length
         states = self.states(u)
@@ -350,38 +345,38 @@ class OcpProblem:
             x, y, psi, kap_exact, *curve = self.path.pose_and_curvature(s_cl, lo, hi)
         else:
             curve = self.path.curvature(s_cl, lo, hi)
-        rows = np.zeros((len(self.row_names), n))
+        rows = np.zeros((len(self.row_names), n)) if rows is None else rows
         np.maximum(0.0, -vj, out=rows[0])
         np.maximum(0.0, vj - p.v_max * shrink, out=rows[1])
         cap = (p.a_tot_max * shrink) ** 2
         if curve is None:
             np.maximum(0.0, aj * aj - cap, out=rows[3])
-            ay_partials, atot_partials = (), ((3, 0, 4.0, (aj,)),)
+            ay_partials, atot_partials = (), ((3, 4.0, ((0, (aj,)),)),)
         else:
             kap, dkap = curve
             ay = kap * vj * vj
             np.maximum(0.0, np.abs(ay) - p.a_y_max * shrink, out=rows[2])
             np.maximum(0.0, aj * aj + ay * ay - cap, out=rows[3])
             sgn = np.sign(ay)
-            ay_partials = (2, 1, 4.0, (sgn, kap, vj)), (2, 2, 2.0, (sgn, dkap, vj, vj))
-            atot_partials = (3, 0, 4.0, (aj,)), (3, 1, 8.0, (ay, kap, vj)), (3, 2, 4.0, (ay, dkap, vj, vj))
-        families = [(_SPEED, _SPEED_PARTIALS), (_AY, ay_partials), (_ATOT, atot_partials)]
+            ay_partials = (2, 4.0, ((1, (sgn, kap, vj)),)), (2, 2.0, ((2, (sgn, dkap, vj, vj)),))
+            atot_partials = (3, 4.0, ((0, (aj,)), (2, (ay, dkap, vj, vj)))), (3, 8.0, ((1, (ay, kap, vj)),))
+        # the speed family's partials: dr/dv = -1 for v_lo and +1 for v_hi
+        families = [((0, -2.0, ((1, ()),)), (1, 2.0, ((1, ()),))), ay_partials, atot_partials]
         if self._boxes:
             # the heading chain uses the exact curvature: the evaluated pose is
             # the exact path map, so only this keeps gradients FD-consistent
             inside = None
             if not (0.0 < lo and hi < total):
                 inside = ((s[1:] > 0.0) & (s[1:] < total)).astype(float)[None]
-            rows[self._box_rows], ca_partials = self._ca_terms(
-                x[None], y[None], psi[None], vj[None], kap_exact[None], inside
-            )
-            families.append((self._box_rows, ca_partials))
+            own = x[None], y[None], psi[None], vj[None], kap_exact[None]
+            rows[self._box_rows], ca_partials = self._ca_terms(*own, inside)
+            families.append(ca_partials)
         if self._leads:
             gap = self._gap_rows
             closing = vj - self._lv
             headway = self.margins.headway
             np.maximum(0.0, s[1:] + (self._lgap + headway * np.maximum(0.0, closing)) - self._ls, out=rows[gap])
-            families.append((gap, ((gap, 2, 2.0, ()), (gap, 1, 2.0, (headway * (closing > 0),)))))
+            families.append(((gap, 2.0, ((2, ()), (1, (headway * (closing > 0),)))),))
         s_n = float(s[-1])
         hinge = (max(0.0, self.regions.s_cr_out - s_n), max(0.0, s_n - self.regions.s_stop))
         return states, rows, families, hinge
@@ -399,16 +394,23 @@ class OcpProblem:
     def value_and_grad(self, u: np.ndarray, weight: float):
         """The penalty objective at u, and a zero-argument function that builds
         its gradient from this evaluation's intermediates on its first call
-        and returns that same array on every later one."""
+        and returns that same array on every later one (counted in
+        `evaluations` and `gradients`)."""
         self.evaluations += 1
-        p = self.params
-        n = self.horizon
-        states, rows, families, (h1, h2) = self._forward(u, 1.0 - self.ENFORCE_BACKOFF)
+        p, n, k = self.params, self.horizon, len(self.row_names)
+        table = np.zeros((2 * k, n))
+        states, rows, families, (h1, h2) = self._forward(u, 1.0 - self.ENFORCE_BACKOFF, table[:k])
         dv_ref = states[:, 1] - p.v_ref
         value = self._tracking(u, dv_ref)
-        # one row sum of squares per row, then one sum per term, added in order
-        for sq in np.add.reduceat(np.add.reduce(rows * rows, axis=1), self._terms).tolist():
-            value += weight * sq
+        # each family's plain sum, then each value term's, added in order; a
+        # table of zeros adds nothing, and its families are not live
+        live = ()
+        if np.count_nonzero(rows):
+            np.multiply(rows, rows, out=table[k:])
+            sums = np.add.reduceat(np.add.reduce(table, axis=1), self._sums_at).tolist()
+            live = sums[: 1 - k]
+            for sq in sums[1 - k :]:
+                value += weight * sq
         hinge = self.stop_line is None
         if hinge:
             r_prev = h1 * h2
@@ -422,27 +424,26 @@ class OcpProblem:
                 return grad
             self.gradients += 1
             adj = np.zeros((n + 1, 3))
-            adj[:n, 1] += 2.0 * p.q * dv_ref[:n]
+            # += on a view adds in place; on adj[...] it would also copy back
+            dv_steps = adj[:n, 1]
+            dv_steps += 2.0 * p.q * dv_ref[:n]
             adj[n, 1] += 2.0 * p.q_n * dv_ref[n]
-            # a family that is zero throughout adds +-0.0 to entries that no
-            # round-to-nearest sum from +0.0 makes -0.0, so it is skipped. The
-            # rows are >= 0, so a row sums to 0 exactly when it is 0 throughout
-            # (a NaN counts as nonzero)
-            live = np.add.reduce(rows, axis=1).tolist()
-            for selection, partials in families:
-                if not any(live[selection]):
-                    continue
-                if callable(partials):
-                    partials = partials()
-                for sel, column, c, factors in partials:
-                    term = (weight * c) * rows[sel]
-                    for factor in factors:
-                        term *= factor
-                    target = adj[1:, column]
-                    # row by row, in order, as the value sums
-                    for row in term if term.ndim == 2 else (term,):
-                        target += row
-            if hinge:
+            # the rows are >= 0, so a family sums to 0 exactly when it is 0
+            # throughout (a NaN counts); it would add +-0.0 to entries that no
+            # round-to-nearest sum from +0.0 makes -0.0, so it is skipped
+            for partials in compress(families, live):
+                for selection, c, targets in partials:
+                    scaled = (weight * c) * rows[selection]
+                    for column, factors in targets:
+                        term, target = scaled, adj[1:, column]
+                        for factor in factors:
+                            term = term * factor
+                        if term.ndim == 1:
+                            target += term
+                        else:  # row by row, in order, as the value sums
+                            for row in term:
+                                target += row
+            if hinge and r_prev != 0.0:  # likewise
                 d_prev = -float(h1 > 0) * h2 + h1 * float(h2 > 0)
                 adj[n, 2] += weight * 2.0 * r_prev * d_prev
             # the (1, 3(N+1)) x (3(N+1), N) product that tensordot(adj, g_mat) performs
@@ -459,11 +460,9 @@ class OcpProblem:
         cost is value_and_grad's at weight 0 bit for bit: there every penalty
         term adds +0.0.
 
-        The violations are the table's rows with the tracks' rows in track
-        order, flattened, then the preview hinge product: speed below zero,
-        speed above v_max, lateral and total acceleration, then per track
-        its surrogate overlap, or for a lane leader the gap shortfall in
-        metres (N entries each). `locate` names an entry."""
+        The violations are the table's rows, the tracks' in track order
+        (a lane leader's is its gap shortfall in metres), flattened, then the
+        preview hinge product; `locate` names an entry."""
         states, rows, _, (h1, h2) = self._forward(u, 1.0)
         if self._stack_order is not None:
             rows = rows[self._stack_order]
@@ -476,7 +475,9 @@ class OcpProblem:
         row, step = divmod(index, self.horizon)
         if row == len(self.row_names):
             return "hinge", self.horizon
-        return self._stack_names[row], step + 1
+        if self._stack_order is not None:
+            row = int(self._stack_order[row])
+        return self.row_names[row], step + 1
 
 
 def _lbfgs_direction(pairs: deque, r: np.ndarray) -> np.ndarray:
@@ -710,12 +711,11 @@ def _closed_form(problem: OcpProblem) -> _Candidate | None:
     It is taken when u* lies in the input box, meets the stop-line
     halfspace where one is set, and leaves every row of the family table
     (at the backed-off limits the objective uses) and the preview hinge
-    exactly 0. Then every
-    weight round's objective f_w has f_w(u*) = J(u*) <= J(u) <= f_w(u) for
-    every u the solver may return, so u* is the point each round
-    approaches, and its violation against the true limits, which are
-    looser, is 0.0. A problem with box tracks has no gain: the surrogate is
-    never 0. A refusal costs one matvec and at most one forward pass."""
+    exactly 0. Then every weight round's objective f_w has f_w(u*) = J(u*)
+    <= J(u) <= f_w(u) for every u the solver may return, so u* is the point
+    each round approaches, and its violation against the true limits, which
+    are looser, is 0.0. A problem with box tracks has no gain: the surrogate
+    is never 0. A refusal costs one matvec and at most one forward pass."""
     if problem.gain is None:
         return None
     p = problem.params

@@ -6,22 +6,26 @@ of use_case_1) and `queue` window (the seeded queue scenarios, 6 steps each)
 once, and records every `OcpProblem` it builds with the points its solves
 evaluate: each `value_and_grad` call (and whether its gradient was built) and
 each `residual_stack` call. The two trees must record the same points, bit
-for bit.
+for bit, with the same weights and the same gradient builds.
 
 The recorded points are then timed on each tree's own problems, per class of
 problem (box tracks 0, 1 or 2+, lane leaders 0 or 1+): µs per value, per
 gradient build and per `residual_stack`. The trees alternate call by call,
 the first of each pair changing each round, and every figure is the median
-of the per-round means, with the base tree's interquartile range beside it. A class whose head median
-exceeds the base median by more than the base IQR is flagged.
+of the per-round means, with the base tree's interquartile range beside
+it. A class whose head median exceeds the base median by more than the
+base IQR is flagged. The paired column, the median over rounds of the
+head's mean minus the base's, cancels most of a drift that meets both
+trees in the same round.
 
 Not a test module (pytest does not collect it); run from the repository root:
 
     python tests/eval_cost.py BASE_SRC [HEAD_SRC] [--rounds 8] [--seed 1]
 
 where BASE_SRC is the `src` directory of another checkout (HEAD_SRC defaults
-to this checkout's). With 8 rounds it takes about two minutes on a 2-core
-Xeon.
+to this checkout's). It takes about 30 s with 8 rounds and 70 s with 30 on
+a shared 2-core Xeon; the machine's noise shows in the base IQR, so more
+rounds tighten the comparison.
 """
 
 from __future__ import annotations
@@ -151,8 +155,12 @@ def main(argv=None) -> int:
     trees = {name: load_tree(src.resolve(), name) for name, src in (("base", args.base), ("head", args.head))}
     points = {name: capture(tree, sources) for name, tree in trees.items()}
     base_points, head_points = points["base"], points["head"]
+    # the same kind at the same u, and for a value the same weight and
+    # whether its gradient was built, so that by_class pairs like with like
     same = len(base_points) == len(head_points) and all(
-        a[0] == b[0] and a[2].tobytes() == b[2].tobytes() for a, b in zip(base_points, head_points)
+        a[0] == b[0] and a[2].tobytes() == b[2].tobytes() and a[3:4] == b[3:4]
+        and (a[0] == "stack" or a[4][0] == b[4][0])
+        for a, b in zip(base_points, head_points)
     )
     if not same:
         print("the two trees evaluate different points; their costs do not compare", file=sys.stderr)
@@ -171,14 +179,16 @@ def main(argv=None) -> int:
         gc.enable()
 
     print(f"{len(base_points)} recorded calls, {args.rounds} rounds; µs per call, median over rounds "
-          "(base IQR in brackets); * marks a head median above base median + base IQR")
-    print(f"{'class':18s}{'kind':>10s}{'calls':>8s}{'base':>16s}{'head':>10s}{'change':>9s}")
+          "(base IQR in brackets); * marks a head median above base median + base IQR; paired: the "
+          "median over rounds of head - base")
+    print(f"{'class':18s}{'kind':>10s}{'calls':>8s}{'base':>16s}{'head':>10s}{'change':>9s}{'paired':>9s}")
     for (cls, kind), (base_samples, head_samples) in sorted(samples.items()):
         q1, base, q3 = quartiles(base_samples)
         head = statistics.median(head_samples)
+        paired = statistics.median(h - b for b, h in zip(base_samples, head_samples))
         flag = "*" if head > base + (q3 - q1) else ""
         print(f"{cls:18s}{kind:>10s}{len(classes['base'][cls][kind]):8d}{base:9.1f} [{q3 - q1:4.1f}]"
-              f"{head:10.1f}{100.0 * (head / base - 1.0):+8.1f}%{flag}")
+              f"{head:10.1f}{100.0 * (head / base - 1.0):+8.1f}%{paired:+9.2f}{flag}")
     return 0
 
 

@@ -7,6 +7,7 @@ to see the per-criterion lines.
 
 import math
 import time
+from collections import Counter
 from dataclasses import replace
 
 import golden_environment
@@ -15,6 +16,7 @@ import pytest
 
 import intersim as xs
 from intersim.auction import run_cbaam
+from intersim.cli import _summary
 from intersim.dynamics import discretize
 from intersim.mpc import INNER_TOLERANCE, OcpProblem, PredictedTrajectory, box_solve
 from intersim.network import Topology, graph_ell
@@ -132,6 +134,20 @@ def test_criterion_4_use_case_1_constraint_satisfaction(uc1):
         "use_case_1: u in [-7,4] exactly, v in [0,15]+1e-2, |a_y|<=3.5+1e-2, a_tot<=7+1e-2",
         u_ok and v_ok and ay_ok and atot_ok,
     )
+
+
+@pytest.mark.slow
+def test_use_case_1_unconverged_solves_by_family(uc1):
+    """The CLI summary splits the unconverged solves by the family of their
+    largest violation (SimulationLog.unconverged_families), which counts
+    exactly the solves the summary calls unconverged: on use_case_1 all 19
+    of 550 end on a box track."""
+    cfg, log, timing = uc1
+    tol = cfg.penalty.constraint_tolerance
+    unconverged = sum(min(history) > tol for history in log.solver_violation_histories)
+    assert sum(log.unconverged_families.values()) == unconverged
+    assert log.unconverged_families == Counter(box=19)
+    assert "; unconverged solves: 19 of 550 (box 19); " in _summary(cfg, log, timing)
 
 
 def _rank_table(log):

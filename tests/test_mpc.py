@@ -698,6 +698,32 @@ def test_leader_gap_matches_per_step_reference_bit_for_bit():
     assert mixed >= 20
 
 
+def test_locate_names_every_entry_where_boxes_and_leaders_mix():
+    """The table holds the box tracks before the lane leaders, while
+    residual_stack lists the tracks in track order: with a box, a leader and
+    another box, locate names for every entry of the stack the table row and
+    step it holds, and the largest entry of each track's block is that
+    track's largest residual."""
+    path, bounds = make_env()
+    tracks = (crossing_neighbor(), leader_broadcast(path, 48.0, 8.0, -2.0), crossing_neighbor(offset=4.0))
+    prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 14.0, 40.0), tracks, 50)
+    assert prob.row_names == ("v_lo", "v_hi", "ay", "atot", "box 0", "box 2", "gap 1")
+    u = np.full(50, 2.0)
+    stack, rows = prob.residual_stack(u)[0], prob._forward(u, 1.0)[1]
+    names = [prob.locate(i) for i in range(stack.size)]
+    assert names[-1] == ("hinge", 50) and stack[-1] == reference_residual_stack(prob, u)[-1]
+    assert [names[50 * k] for k in range(7)] == [
+        ("v_lo", 1), ("v_hi", 1), ("ay", 1), ("atot", 1), ("box 0", 1), ("gap 1", 1), ("box 2", 1)
+    ]
+    for i, (name, step) in enumerate(names[:-1]):
+        assert stack[i] == rows[prob.row_names.index(name), step - 1]
+    for k, name in enumerate(("box 0", "gap 1", "box 2")):
+        block = stack[50 * (4 + k): 50 * (5 + k)]
+        row = rows[prob.row_names.index(name)]
+        assert block.max() > 0.0 and block.argmax() == row.argmax()
+        assert prob.locate(50 * (4 + k) + int(block.argmax())) == (name, int(row.argmax()) + 1)
+
+
 def test_leader_gap_gradient_matches_finite_differences():
     """Criterion 7's central-difference check on followers of a braking
     lane leader on a straight route, from a partial solve, at points where
