@@ -75,8 +75,8 @@ def main(argv=None) -> int:
 def _summary(cfg, sim_log, timing) -> str:
     """One line on the run: step time against the per-step budget, the
     solves whose best violation exceeds the constraint tolerance, split by
-    the family of their largest violation, and the solves that took the
-    closed form."""
+    the family of their largest violation, and the solves that the exact
+    QP settled."""
     p50, p95 = np.percentile([row.total_ms for row in timing.rows], [50, 95])
     over = sum(not row.within_budget for row in timing.rows)
     histories = sim_log.solver_violation_histories
@@ -86,7 +86,7 @@ def _summary(cfg, sim_log, timing) -> str:
     return (
         f"total_ms p50={p50:.1f} p95={p95:.1f}; steps over the {1000.0 * cfg.t_s:g} ms budget: "
         f"{over} of {len(timing.rows)}; unconverged solves: {unconverged} of {len(histories)}"
-        f"{f' ({families})' if families else ''}; closed-form solves: {sim_log.closed_form_solves}"
+        f"{f' ({families})' if families else ''}; exact solves: {sim_log.exact_solves}"
     )
 
 

@@ -1,4 +1,5 @@
-"""Per-vehicle optimal control: penalty reformulation and a PANOC-style solver.
+"""Per-vehicle optimal control: an exact active-set QP where it applies,
+else a penalty reformulation and a PANOC-style solver.
 
 The decision variable is the reference-acceleration sequence over the
 horizon. Input bounds stay hard via projection; every other constraint is
@@ -6,19 +7,22 @@ a squared penalty with an escalating weight, one family of OcpProblem's
 table (its docstring gives the format). States are affine in the inputs,
 so gradients reduce to precomputed sensitivity matmuls.
 
-The tracking cost J(u) alone is a strictly convex quadratic, so its
-minimiser over all inputs is a fixed linear law of the free-response
-speeds, u* = gain @ (v_free - v_ref): the unconstrained region of explicit
-MPC. Every penalty term is >= 0, so each round's objective has
-f_w(u) >= J(u) >= J(u*). Where u* lies in the input box, meets the stop
-line where one is set, and leaves every penalty term exactly 0 (without
-box tracks, whose surrogate is never 0), f_w(u*) = J(u*) for every weight
-w, and u* is the point every round of the penalty loop approaches. A solve
-then takes u* as its warm candidate without running that loop.
+The tracking cost J(u) alone is a strictly convex quadratic. Without box
+tracks, whose surrogate is never 0, and on a straight stretch, every other
+constraint is linear in u: the speed range, |a_j| <= a_tot_max, each lane
+leader's gap (two halfspaces, one on each side of the headway kink) and the
+stop line. So J over those rows is a QP, which a dual active-set method
+solves exactly (_ActiveSetQP); its empty active set is the unconstrained
+minimiser u* = gain @ (v_free - v_ref). The QP's feasible set contains the
+set where every penalty term is exactly 0, curves included. So where the
+QP's optimum lies in that set, it minimises J there: it is the point the
+penalty loop's rounds approach as the weight grows, and a solve takes it
+without running that loop (_exact).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from collections import deque
@@ -39,9 +43,11 @@ from .paths import PathSpec, RegionBounds
 # (the squared total-acceleration residual), stay far from overflowing
 STATE_LIMIT = 1e6
 # longest horizon a scenario may set: it keeps the (N+1, 3, N) sensitivities
-# at 24 MB, the (2N, N) kink matrix of _project_box_halfspace at 16 MB and
-# the (N, N+1) tracking gain at 8 MB, within a budget of 32 MB per array
+# at 24 MB, the (2N, N) kink matrix of _project_box_halfspace at 16 MB, the
+# (N, N+1) tracking gain and the (N, N) QP factor at 8 MB each, within a
+# budget of 32 MB per array, which _exact also keeps its QP rows to
 MAX_HORIZON = 1000
+ARRAY_BUDGET = 32 << 20
 
 # the numerics of the penalty loop and of box_solve
 INITIAL_WEIGHT = 10.0  # penalty weight of the first round
@@ -99,13 +105,18 @@ class SolverReport:
     # the braking start, tried when the chosen candidate ends above
     # BRAKE_START_VIOLATION: "not_run", "won" or "lost"
     brake_start: str
-    # objective evaluations and gradient builds over every start; the
-    # closed-form check is neither
+    # objective evaluations and gradient builds over every start; the exact
+    # QP makes neither
     evaluations: int
     gradients: int
-    # the warm candidate is the tracking cost's unconstrained minimiser,
-    # taken without a penalty loop (_closed_form)
-    closed_form: bool
+    # what settled the warm candidate: "exact", the active-set QP (_exact),
+    # or "penalty", the penalty loop
+    settled_by: str
+    # the exact QP's active rows at its optimum (0: the tracking cost's
+    # unconstrained minimiser) and, where it branched on the preview hinge,
+    # the branch it took ("stop" or "cross"); None for the penalty loop
+    active_rows: int | None
+    branch: str | None
     # the family and horizon step of the largest violation (OcpProblem.locate):
     # v_lo, v_hi, ay, atot, box k, gap k or hinge, and 1..N; None at 0.0
     worst_family: str | None
@@ -132,23 +143,64 @@ def _sensitivities(a_d: bytes, b_d: bytes, horizon: int) -> tuple[np.ndarray, np
     return f_mat, g_mat, g_mat.reshape(-1, horizon)
 
 
-@lru_cache(maxsize=64)
-def _tracking_gain(a_d: bytes, b_d: bytes, horizon: int, q: float, q_n: float, r: float) -> np.ndarray:
-    """The (N, N+1) gain M of the tracking cost's minimiser over all of R^N,
-    u* = M @ (v_free - v_ref), with v_free the free-response speeds at steps
-    0..N. The cost q·Σdv² + q_n·dv_N² + r·Σu² has the Hessian
-    2(G_vᵀ·W·G_v + r·I), W = diag(q, ..., q, q_n), which r > 0 makes
-    positive definite, so M = -(G_vᵀ·W·G_v + r·I)⁻¹·G_vᵀ·W. The weights are
-    scaled by their largest first, which leaves M unchanged and keeps every
-    product in range. Read-only and shared like _sensitivities."""
+def _tracking_hessian(a_d: bytes, b_d: bytes, horizon: int, q: float, q_n: float, r: float):
+    """Half the tracking cost's Hessian, G_vᵀ·W·G_v + r·I with
+    W = diag(q, ..., q, q_n), and W·G_v, the weights scaled by their largest,
+    which keeps every product in range."""
     g_v = _sensitivities(a_d, b_d, horizon)[1][:, 1, :]
     scale = max(q, q_n, r)
     w = np.full(horizon + 1, q / scale)
     w[horizon] = q_n / scale
     wg = g_v * w[:, None]
-    gain = np.linalg.solve(g_v.T @ wg + (r / scale) * np.eye(horizon), -wg.T)
+    return g_v.T @ wg + (r / scale) * np.eye(horizon), wg
+
+
+@lru_cache(maxsize=64)
+def _tracking_gain(a_d: bytes, b_d: bytes, horizon: int, q: float, q_n: float, r: float) -> np.ndarray:
+    """The (N, N+1) gain M of the tracking cost's minimiser over all of R^N,
+    u* = M @ (v_free - v_ref), with v_free the free-response speeds at steps
+    0..N. The cost q·Σdv² + q_n·dv_N² + r·Σu² has the Hessian
+    2(G_vᵀ·W·G_v + r·I), which r > 0 makes positive definite, so
+    M = -(G_vᵀ·W·G_v + r·I)⁻¹·G_vᵀ·W; scaling the weights leaves M
+    unchanged. Read-only and shared like _sensitivities."""
+    hessian, wg = _tracking_hessian(a_d, b_d, horizon, q, q_n, r)
+    gain = np.linalg.solve(hessian, -wg.T)
     gain.setflags(write=False)
     return gain
+
+
+@lru_cache(maxsize=64)
+def _tracking_factor(a_d: bytes, b_d: bytes, horizon: int, q: float, q_n: float, r: float) -> np.ndarray:
+    """The (N, N) upper-triangular L⁻ᵀ of the Cholesky factor L·Lᵀ of
+    _tracking_hessian: the active-set QP's basis at the empty active set.
+    Read-only and shared like the gain."""
+    factor = np.linalg.inv(np.linalg.cholesky(_tracking_hessian(a_d, b_d, horizon, q, q_n, r)[0])).T
+    factor.setflags(write=False)
+    return factor
+
+
+@lru_cache(maxsize=256)
+def _table_layout(boxes: tuple[int, ...], leads: tuple[int, ...]):
+    """OcpProblem's table layout for these box and leader track indices:
+    the row names; the permutation that lists the tracks' rows in track
+    order, which residual_stack applies where boxes and leaders mix (else
+    None); the box and leader row slices; and the indices from which
+    value_and_grad sums the rows of its (2K, N) table, the rows and their
+    squares: the first row of each family (speed, ay, atot, boxes, leaders)
+    and of each value term (K - 1: speed's two rows make one). Read-only and
+    shared by every problem with this layout."""
+    row_names = ("v_lo", "v_hi", "ay", "atot", *(f"box {k}" for k in boxes), *(f"gap {k}" for k in leads))
+    n_rows = len(row_names)
+    stack_order = None
+    if boxes and leads:
+        stack_order = np.r_[0:4, 4 + np.argsort(boxes + leads)]
+        stack_order.setflags(write=False)
+    box_rows = slice(4, 4 + len(boxes))
+    gap_rows = slice(box_rows.stop, n_rows)
+    starts = sorted({0, 2, 3, 4, gap_rows.start} - {n_rows})
+    sums_at = np.array([*starts, n_rows, *range(n_rows + 2, 2 * n_rows)])
+    sums_at.setflags(write=False)
+    return row_names, stack_order, box_rows, gap_rows, sums_at
 
 
 class OcpProblem:
@@ -255,23 +307,11 @@ class OcpProblem:
             half = extents / 2.0
             self._oa = np.repeat(half[:, :1], horizon, axis=1)
             self._ob = np.repeat(half[:, 1:], horizon, axis=1)
-        # the table's rows; residual_stack lists the tracks in track order,
-        # which _stack_order restores where boxes and leaders mix
-        tracks = [f"box {k}" for k in self._boxes] + [f"gap {k}" for k in self._leads]
-        self.row_names = ("v_lo", "v_hi", "ay", "atot", *tracks)
-        n_rows = len(self.row_names)
-        self._stack_order = None
-        if self._boxes and self._leads:
-            self._stack_order = np.r_[0:4, 4 + np.argsort(self._boxes + self._leads)]
-        self._box_rows = slice(4, 4 + len(self._boxes))
-        self._gap_rows = slice(self._box_rows.stop, n_rows)
-        # value_and_grad sums the rows of a (2K, N) table, the rows and their
-        # squares, from the first row of each family (speed, ay, atot, boxes,
-        # leaders) and of each value term (K - 1: speed's two rows make one)
-        starts = sorted({0, 2, 3, 4, self._gap_rows.start} - {n_rows})
-        self._sums_at = np.array([*starts, n_rows, *range(n_rows + 2, 2 * n_rows)])
+        layout = _table_layout(tuple(self._boxes), tuple(self._leads))
+        self.row_names, self._stack_order, self._box_rows, self._gap_rows, self._sums_at = layout
         # a box surrogate is never 0, so only a problem without box tracks
-        # can take the closed-form candidate (_closed_form)
+        # can take an exact solve (_exact)
+        self._model_key = model_key
         self.gain = None if self._boxes else _tracking_gain(*model_key, params.q, params.q_n, params.r)
         self.stop_line: tuple[np.ndarray, float] | None = None
         self.evaluations = 0
@@ -675,6 +715,7 @@ class _Candidate:
     states: np.ndarray  # problem.states(u), from the round's residual_stack
     history: tuple[float, ...]
     worst: tuple[str, int] | None = None  # problem.locate of the largest violation; None at 0.0
+    exact: tuple[int, str | None] | None = None  # _exact's active rows and branch; None for the loop
 
 
 def _rank(violation: float, tracking: float, tol: float) -> tuple[bool, float, float]:
@@ -704,31 +745,202 @@ def _reach_bound(
     return state.s + speed + horizon * (abs(k_a) * a_cap + abs(k_u) * u_cap)
 
 
-def _closed_form(problem: OcpProblem) -> _Candidate | None:
-    """The tracking cost's unconstrained minimiser u* = gain @ (v_free -
-    v_ref) as the warm candidate, where no constraint can bind it; else None.
+@lru_cache(maxsize=64)
+def _qp_rows(a_d: bytes, b_d: bytes, horizon: int, headway: float, leads: int, stop: bool):
+    """The exact QP's row normals over u, in _exact's order, and their
+    Euclidean norms: v_lo (-v), v_hi (v) and the two sides of |a| at steps
+    1..N; per lane leader, s and s + headway·v; the horizon end s_N where a
+    stop line is set; then the input box, u and -u. Read-only and shared
+    like _sensitivities."""
+    g = _sensitivities(a_d, b_d, horizon)[1][1:]
+    a, v, s = g[:, 0], g[:, 1], g[:, 2]
+    eye = np.eye(horizon)
+    rows = np.concatenate((-v, v, a, -a, *(s, s + headway * v) * leads, s[-1:] if stop else s[:0], eye, -eye))
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    for arr in (rows, norms):
+        arr.setflags(write=False)
+    return rows, norms
 
-    It is taken when u* lies in the input box, meets the stop-line
-    halfspace where one is set, and leaves every row of the family table
-    (at the backed-off limits the objective uses) and the preview hinge
-    exactly 0. Then every weight round's objective f_w has f_w(u*) = J(u*)
-    <= J(u) <= f_w(u) for every u the solver may return, so u* is the point
-    each round approaches, and its violation against the true limits, which
-    are looser, is 0.0. A problem with box tracks has no gain: the surrogate
-    is never 0. A refusal costs one matvec and at most one forward pass."""
+
+class _ActiveSetQP:
+    """The dual active-set method of Goldfarb and Idnani (Math. Programming
+    27, 1983) for min ½uᵀHu + gᵀu subject to rows @ u <= bounds, started at
+    the unconstrained minimiser u = -H⁻¹g. H = L·Lᵀ enters only through the
+    basis J = L⁻ᵀ·Q, where L⁻¹·N = Q·[R; 0] for the normals N of the active
+    rows: J's first q columns span the active rows' directions, the rest
+    their null space in the metric of H.
+
+    A step takes the row that the point violates farthest by Euclidean
+    distance, and moves the point and the multipliers together until that
+    row holds (it joins the active set) or an active row's multiplier falls
+    to 0 (that row leaves). Every point is the optimum over its active set,
+    with multipliers >= 0, so the first point that meets every row within
+    `slack` is the optimum. `branch` continues from that optimum with one
+    more row."""
+
+    def __init__(self, factor, u, rows, norms, bounds, slack):
+        self.factor, self.u = factor, u
+        self.rows, self.norms, self.bounds, self.slack = rows, norms, bounds, slack
+        self.basis = factor.copy()
+        self.tri = np.zeros(factor.shape)  # R, in its leading q x q block
+        self.active: list[int] = []
+        self.lam = np.zeros(0)
+
+    def branch(self, row, bound, slack) -> _ActiveSetQP:
+        qp = copy.copy(self)
+        qp.rows, qp.norms = np.vstack((self.rows, row)), np.append(self.norms, math.sqrt(row @ row))
+        qp.bounds, qp.slack = np.append(self.bounds, bound), np.append(self.slack, slack)
+        qp.basis, qp.tri, qp.active = self.basis.copy(), self.tri.copy(), list(self.active)
+        return qp
+
+    def solve(self, cap: int) -> bool | None:
+        """True at the optimum, False where the rows cannot all hold, None
+        after `cap` steps without either."""
+        rows, basis, tri, active = self.rows, self.basis, self.tri, self.active
+        u, lam, p = self.u, self.lam, None
+        for _ in range(cap):
+            if p is None:
+                excess = (rows @ u - self.bounds - self.slack) / self.norms
+                p = int(np.argmax(excess))
+                if not excess[p] > 0.0:  # a NaN ends here too, and fails acceptance
+                    self.u, self.lam = u, lam
+                    return True
+                lam_p = 0.0
+            a, q = rows[p], len(active)
+            d = basis.T @ a
+            z = basis[:, q:] @ d[q:]
+            r = np.linalg.solve(tri[:q, :q], d[:q])
+            zz = float(d[q:] @ d[q:])
+            # the full step makes row p hold; none where p depends on the active rows
+            full = (float(a @ u) - self.bounds[p]) / zz if zz > 1e-14 * float(d @ d) else math.inf
+            ratios = np.where(r > 0.0, lam / np.where(r > 0.0, r, 1.0), math.inf)
+            drop = int(np.argmin(ratios)) if q else -1
+            partial = float(ratios[drop]) if q else math.inf
+            t = min(full, partial)
+            if not t < math.inf:
+                return False
+            if full < math.inf:
+                u = u - t * z
+            lam, lam_p = lam - t * r, lam_p + t
+            if full <= partial:  # p joins: a Householder reflection puts d[q:] on e_q
+                v = d[q:].copy()
+                alpha = -math.copysign(math.sqrt(zz), v[0])
+                v[0] -= alpha
+                basis[:, q:] -= np.outer(basis[:, q:] @ v, v * (2.0 / float(v @ v)))
+                tri[:q, q], tri[q, q] = d[:q], alpha
+                active.append(p)
+                lam, p = np.append(lam, lam_p), None
+            else:  # the blocking row leaves, and the basis is factored anew
+                del active[drop]
+                lam = np.delete(lam, drop)
+                q_mat, r_mat = np.linalg.qr(self.factor.T @ rows[active].T, mode="complete")
+                basis[:] = self.factor @ q_mat
+                tri[:] = 0.0
+                tri[: len(active), : len(active)] = r_mat[: len(active)]
+        return None
+
+
+def _exact(problem: OcpProblem, tol: float) -> _Candidate | None:
+    """The exact optimum of the tracking cost over every input that leaves
+    each family row and the preview hinge 0 at the backed-off limits, where
+    the active-set QP finds it; else None, and the penalty loop solves.
+
+    Without box tracks (a problem with them has no gain) the QP's rows are
+    the input box and, at those limits, v >= 0, v <= v_max, |a_j| <=
+    a_tot_max, each lane leader's gap on both sides of the headway kink,
+    s_j + g0 - s_l <= 0 and s_j + g0 + h·(v_j - v_l) - s_l <= 0, and the
+    stop line where one is set (_qp_rows). On a straight stretch these are
+    the family rows; on a curve the lateral and total limits are stricter.
+    Each row but the box's is tightened by 1e-10·(1 + |bound|), so rounding
+    leaves its family row at exact 0. A QP optimum is taken only where
+    _forward leaves every row 0 there, curves included: it then lies in the
+    zero-penalty set that the QP's feasible set contains, so it minimises
+    the tracking cost over that set. The empty active set, the tracking
+    cost's unconstrained minimiser u* = gain @ (v_free - v_ref), is checked
+    first, before any row is built.
+
+    Where the hinge (s_cr_out - s_N)+·(s_N - s_stop)+ is not 0 at an
+    optimum that passes the check otherwise, the zero-penalty set is the
+    union of two branches, s_N <= s_stop and s_N >= s_cr_out, and each
+    continues from that optimum with its row. The branch whose QP optimum
+    ranks first (`_rank`) is taken if that optimum passes the check; a
+    branch without a feasible plan drops out. Every other branch's QP
+    optimum, a lower bound on its tracking cost, then ranks behind, so a
+    second start has nothing left to find.
+
+    Anything else returns None: rows that cannot all hold, more than 2N
+    steps, rows beyond the array budget or a refused optimum. A refusal
+    whose QP takes no step, a turn's lateral limit say, costs one forward
+    pass and one product with the rows."""
     if problem.gain is None:
         return None
-    p = problem.params
+    p, n, regions = problem.params, problem.horizon, problem.regions
+    shrink = 1.0 - problem.ENFORCE_BACKOFF
+
+    def check(u):
+        """u's states, and whether every family row and the hinge are 0 at u."""
+        states, rows, _, (h1, h2) = problem._forward(u, shrink)
+        return states, not np.count_nonzero(rows), h1 * h2 == 0.0
+
+    def taken(u, states, active, branch):
+        tracking = problem._tracking(u, states[:, 1] - p.v_ref)
+        return _Candidate(u, 0.0, tracking, states, (0.0,), exact=(active, branch))
+
     u = problem.gain @ (problem.base[:, 1] - p.v_ref)
-    # a NaN fails both comparisons
-    if not (p.a_x_min <= float(u.min()) and float(u.max()) <= p.a_x_max):
+    stop = problem.stop_line
+    unconstrained = None  # a NaN fails every comparison
+    meets = stop is None or float(stop[0] @ u) <= stop[1]
+    if p.a_x_min <= float(u.min()) and float(u.max()) <= p.a_x_max and meets:
+        unconstrained = states, clear, hinge_clear = check(u)
+        if clear and hinge_clear:
+            return taken(u, states, 0, None)
+    leads, headway = len(problem._leads), problem.margins.headway
+    if ((6 + 2 * leads) * n + 1) * n * 8 > ARRAY_BUDGET:
         return None
-    if problem.stop_line is not None and not float(problem.stop_line[0] @ u) <= problem.stop_line[1]:
+    base, cap = problem.base[1:], p.a_tot_max * shrink
+    bounds = [base[:, 1], p.v_max * shrink - base[:, 1], cap - base[:, 0], cap + base[:, 0]]
+    for s_l, v_l, (g0,) in zip(problem._ls, problem._lv, problem._lgap) if leads else ():
+        room = s_l - g0 - base[:, 2]
+        bounds += [room, room - headway * (base[:, 1] - v_l)]
+    if stop is not None:
+        bounds.append([stop[1]])
+    bounds = np.concatenate(bounds)
+    margin = 1e-10 * (1.0 + np.abs(bounds))
+    # the box is not tightened: its rows hold within 1e-13, and the optimum is clipped to it
+    box = np.repeat((p.a_x_max, -p.a_x_min), n)
+    factor = _tracking_factor(*problem._model_key, p.q, p.q_n, p.r)
+    rows, norms = _qp_rows(*problem._model_key, headway, leads, stop is not None)
+    slack = np.concatenate((margin / 2.0, 1e-13 * (1.0 + np.abs(box))))
+    qp = _ActiveSetQP(factor, u, rows, norms, np.concatenate((bounds - margin, box)), slack)
+
+    def settle(qp):
+        """qp's optimum clipped to the box, and check() there."""
+        if qp.u is u and unconstrained is not None:
+            return (u, *unconstrained)
+        x = np.minimum(p.a_x_max, np.maximum(p.a_x_min, qp.u))
+        return (x, *check(x))
+
+    if not qp.solve(2 * n):
         return None
-    states, rows, _, (h1, h2) = problem._forward(u, 1.0 - problem.ENFORCE_BACKOFF)
-    if np.count_nonzero(rows) or h1 * h2 != 0.0:
+    x, states, clear, hinge_clear = settle(qp)
+    if not clear:
         return None
-    return _Candidate(u, 0.0, problem._tracking(u, states[:, 1] - p.v_ref), states, (0.0,))
+    if hinge_clear:
+        return taken(x, states, len(qp.active), None)
+    c, s_n = problem.g_mat[n, 2], float(problem.base[n, 2])
+    branches = []
+    for name, row, bound in (("stop", c, regions.s_stop - s_n), ("cross", -c, s_n - regions.s_cr_out)):
+        margin = 1e-10 * (1.0 + abs(bound))
+        sub = qp.branch(row, bound - margin, margin / 2.0)
+        solved = sub.solve(2 * n)
+        if solved is None:
+            return None
+        if solved:
+            x, states, clear, hinge_clear = settle(sub)
+            found = taken(x, states, len(sub.active), name)
+            branches.append((_rank(0.0, found.tracking, tol), clear and hinge_clear, found))
+    best = min(branches, key=lambda branch: branch[0], default=None)
+    return best[2] if best and best[1] else None
 
 
 def _penalty_loop(
@@ -816,9 +1028,9 @@ def solve_ocp(
     loop runs once more from braking throughout, u = a_x_min, and that
     candidate replaces it if it ranks first.
 
-    Where no constraint can bind the tracking cost's unconstrained
-    minimiser (_closed_form), that minimiser is the warm candidate, and the
-    warm start's penalty loop does not run; the other starts are as above.
+    Where the active-set QP settles the problem exactly (_exact), its
+    optimum is the warm candidate, and no penalty loop runs: its violation
+    is 0.0, and where the hinge binds it has ranked both of its branches.
     """
     t_start = time.perf_counter()
     problem = OcpProblem(model, params, path, regions, margins, state, neighbours, horizon)
@@ -840,18 +1052,15 @@ def solve_ocp(
         if float(c @ np.full(horizon, params.a_x_min)) <= d:
             problem.stop_line = (c, d)
 
-    chosen = _closed_form(problem)
-    closed_form = chosen is not None
-    if not closed_form:
-        chosen = _penalty_loop(problem, u0, tol)
+    chosen = _exact(problem, tol) or _penalty_loop(problem, u0, tol)
     s_end = float(chosen.states[-1, 2])
     # the second start matters only when the stop-before-the-line branch is
     # binding: the horizon end sits near or past the stop line yet short of
-    # the critical-region exit
+    # the critical-region exit; an exact solve has ranked both branches
     near_line = state.s < regions.s_cr_out and regions.s_stop - 2.0 <= s_end < regions.s_cr_out - 1e-9
     if problem.stop_line is not None or (near_line and out_of_reach):
         second_start = "unreachable"
-    elif not near_line:
+    elif not near_line or chosen.exact:
         second_start = "not_run"
     else:
         go = _penalty_loop(problem, np.full(horizon, params.a_x_max), tol, incumbent=chosen)
@@ -878,7 +1087,9 @@ def solve_ocp(
         brake_start=brake_start,
         evaluations=problem.evaluations,
         gradients=problem.gradients,
-        closed_form=closed_form,
+        settled_by="exact" if chosen.exact else "penalty",
+        active_rows=chosen.exact and chosen.exact[0],
+        branch=chosen.exact and chosen.exact[1],
         worst_family=chosen.worst and chosen.worst[0],
         worst_step=chosen.worst and chosen.worst[1],
     )

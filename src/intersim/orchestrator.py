@@ -86,7 +86,7 @@ class SimulationLog:
     priorities: list[PriorityRow] = field(default_factory=list)
     speed_clamps: list[tuple[int, int, float]] = field(default_factory=list)  # (step, agent, v)
     solver_violation_histories: list[tuple[float, ...]] = field(default_factory=list)
-    closed_form_solves: int = 0  # solves whose warm candidate took the closed form
+    exact_solves: int = 0  # solves that the exact QP settled (SolverReport.settled_by)
     # unconverged solves by the family of their largest violation (box, gap,
     # ay, atot, v_lo, v_hi or hinge)
     unconverged_families: Counter = field(default_factory=Counter)
@@ -294,7 +294,7 @@ def run_simulation(
             next_broadcasts[i] = broadcast
             max_mpc_ms = max(max_mpc_ms, report.wall_ms)
             sim_log.solver_violation_histories.append(report.violation_history)
-            sim_log.closed_form_solves += report.closed_form
+            sim_log.exact_solves += report.settled_by == "exact"
             if not report.converged:
                 sim_log.unconverged_families[report.worst_family.split()[0]] += 1
                 log.warning(

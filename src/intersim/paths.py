@@ -27,6 +27,27 @@ MAX_PATH_LENGTH = 10_000.0
 _CURVATURE_BLEND = 0.5
 
 
+def _hash_once(cls):
+    """Keep a frozen dataclass's generated __hash__, the hash of its field
+    tuple, after its first call: the specs key lru_caches, and rehashing a
+    path's segment tuple on every lookup was a share of each set-up. The
+    value is the generated one, bit for bit. Pickling drops it, since a str
+    field hashes differently in another process."""
+    generated = cls.__hash__
+
+    def __hash__(self):
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = generated(self)
+        return cached
+
+    def __getstate__(self):
+        return {key: value for key, value in self.__dict__.items() if key != "_hash"}
+
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
+
+
 class RouteGeometryError(ValueError):
     """The requested route cannot be realized with the given geometry."""
 
@@ -104,6 +125,7 @@ class ArcSegment:
 Segment = StraightSegment | ArcSegment
 
 
+@_hash_once
 @dataclass(frozen=True)
 class PathSpec:
     """A chain of segments; its length, segment starts and curvature blend
@@ -231,6 +253,7 @@ class PathSpec:
         return x, y, psi, kappa
 
 
+@_hash_once
 @dataclass(frozen=True)
 class RouteSpec:
     entry: str
@@ -251,6 +274,7 @@ class RouteSpec:
             raise ValueError("approach_length must be > 0")
 
 
+@_hash_once
 @dataclass(frozen=True)
 class IntersectionGeometry:
     cr_half_width: float = 6.0

@@ -13,6 +13,7 @@ import box_solve_reference
 import numpy as np
 import paths_reference
 import pytest
+import qp_oracle
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -1169,20 +1170,20 @@ def test_blocked_agent_stops_before_line():
     assert np.min(gaps) > 5.0
 
 
-def without_closed_form(monkeypatch):
-    """Every solve runs the warm start's penalty loop, as before the closed form."""
-    monkeypatch.setattr(mpc, "_closed_form", lambda problem: None)
+def without_exact(monkeypatch):
+    """Every solve runs the warm start's penalty loop, as without the exact QP."""
+    monkeypatch.setattr(mpc, "_exact", lambda problem, tol: None)
 
 
 PARKED = PredictedTrajectory(np.full(51, -2.0), np.zeros(51), np.full(51, math.pi), np.zeros(51), 5.0, 2.0)
 
 
-def check_rollout_consistency(cases, closed_form):
+def check_rollout_consistency(cases, exact):
     path, bounds = make_env()
     for state, tracks, warm, outcome in cases:
         u, traj, report = solve_ocp(state, tracks, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50, warm)
         assert report.second_start == outcome
-        assert report.closed_form == (closed_form and not tracks)
+        assert report.settled_by == ("exact" if exact and not tracks else "penalty")
         prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
         _, v, s = prob.states(u).T
         x, y, psi, _ = path.pose(np.clip(s, 0.0, path.total_length))
@@ -1194,30 +1195,31 @@ def check_rollout_consistency(cases, closed_form):
 def test_rollout_consistency_bit_exact():
     """The broadcast is the solver's own prediction OcpProblem.states(u) of
     the returned inputs, bit for bit, whichever start won. From a braking warm
-    start without tracks the tracking minimiser is unconstrained, so the
-    closed form is the warm candidate and no second start runs."""
+    start without tracks the exact QP settles the solve, so no second start
+    runs."""
     check_rollout_consistency([
         (AgentState(0.3, 12.0, 30.0), (), None, "not_run"),
         (AgentState(0.0, 10.0, 40.0), (PARKED,), None, "lost_infeasible"),
         (AgentState(0.0, 10.0, 40.0), (), np.full(50, PARAMS.a_x_min), "not_run"),  # from a braking warm start
-    ], closed_form=True)
+    ], exact=True)
 
 
 def test_rollout_consistency_bit_exact_when_the_second_start_wins(monkeypatch):
-    """Without the closed form the braking warm start's penalty loop ends
+    """Without the exact QP the braking warm start's penalty loop ends
     before the line, and the full-throttle second start wins: its broadcast
     is its own prediction too."""
-    without_closed_form(monkeypatch)
+    without_exact(monkeypatch)
     check_rollout_consistency([(AgentState(0.0, 10.0, 40.0), (), np.full(50, PARAMS.a_x_min), "won")],
-                              closed_form=False)
+                              exact=False)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_solve_refuses_a_non_finite_input(monkeypatch, bad):
     """A start that returned a non-finite input is refused, not broadcast.
-    The closed form, which refuses a non-finite minimiser itself, is off."""
+    The exact QP, whose acceptance check refuses a non-finite optimum
+    itself, is off."""
     path, bounds = make_env()
-    without_closed_form(monkeypatch)
+    without_exact(monkeypatch)
 
     def broken(problem, u0, tol, incumbent=None):
         u = np.zeros(problem.horizon)
@@ -1394,11 +1396,11 @@ def test_second_start_gets_the_warm_candidate_as_incumbent(monkeypatch):
 def test_brake_start_runs_above_the_gate_and_keeps_the_better_candidate(monkeypatch, warm, brake, outcome):
     """A chosen candidate above BRAKE_START_VIOLATION gets one more penalty
     loop from u = a_x_min, which replaces it where it ranks first. The
-    scripted warm start stands in for the closed form, which this cruising
-    state would otherwise take."""
+    scripted warm start stands in for the exact QP, which would otherwise
+    settle this cruising state."""
     path, bounds = make_env()
     state = AgentState(0.0, 14.0, 30.0)  # cruising clear: no second start
-    without_closed_form(monkeypatch)
+    without_exact(monkeypatch)
     starts = []
 
     def scripted(problem, u0, tol, incumbent=None):
@@ -1448,7 +1450,7 @@ def test_closed_form_is_the_least_squares_minimiser_and_converged(monkeypatch):
             tracks = (leader_broadcast(path, state.s + rng.uniform(15.0, 60.0), rng.uniform(8.0, 14.0), 0.0),)
         warm = np.clip(rng.normal(0.0, 0.3, 50), -7.0, 4.0)
         u, _, report = solve_ocp(state, tracks, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50, warm)
-        if not report.closed_form:
+        if report.active_rows != 0:
             refused += 1
             continue
         taken += 1
@@ -1458,7 +1460,7 @@ def test_closed_form_is_the_least_squares_minimiser_and_converged(monkeypatch):
         prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
         assert np.max(prob.residual_stack(u)[0]) == 0.0
         with monkeypatch.context() as patch:
-            without_closed_form(patch)
+            without_exact(patch)
             loop_u = solve_ocp(state, tracks, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50, warm)[0]
         # no worse in tracking cost, and near: 1.04e-4 m/s^2 was the widest seen
         tracking = prob.residual_stack(u)[1]
@@ -1475,23 +1477,29 @@ def closed_form_problem(route=RouteSpec("N", "S"), state=AgentState(0.0, 12.0, 2
 
 def test_closed_form_refuses_a_box_track():
     """A box surrogate is never 0: a problem with a box track has no gain and
-    never tries the closed form; the same state alone takes it."""
-    assert mpc._closed_form(closed_form_problem()) is not None
+    never tries the exact QP; the same state alone takes the closed form,
+    the QP's empty active set."""
+    assert mpc._exact(closed_form_problem(), TOL).exact == (0, None)
     prob = closed_form_problem(tracks=(crossing_neighbor(offset=-60.0),))
-    assert prob.gain is None and mpc._closed_form(prob) is None
+    assert prob.gain is None and mpc._exact(prob, TOL) is None
     path, bounds = make_env(approach=300.0)
     report = solve_ocp(AgentState(0.0, 12.0, 20.0), prob.tracks, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)[2]
-    assert not report.closed_form and report.evaluations > 0
+    assert (report.settled_by, report.active_rows, report.branch) == ("penalty", None, None)
+    assert report.evaluations > 0
 
 
 def test_closed_form_refuses_a_minimiser_outside_the_box():
     """With a light input weight, the tracking minimiser from a standstill
-    asks for more than a_x_max."""
+    asks for more than a_x_max, so the empty active set is refused; the QP
+    holds the box instead, with its upper rows active from the first step."""
     path, bounds = make_env(approach=300.0)
     params = replace(PARAMS, r=0.1)
     prob = OcpProblem(MODEL, params, path, bounds, MARGINS, AgentState(0.0, 0.0, 0.0), (), 50)
     assert float(np.max(prob.gain @ (prob.base[:, 1] - params.v_ref))) > params.a_x_max
-    assert mpc._closed_form(prob) is None
+    found = mpc._exact(prob, TOL)
+    assert found.exact[0] >= 1 and found.exact[1] is None
+    assert found.u[0] == params.a_x_max and params.a_x_min <= found.u.min() and found.u.max() <= params.a_x_max
+    assert found.violation == 0.0 and np.max(prob.residual_stack(found.u)[0]) == 0.0
 
 
 @pytest.mark.parametrize("family", ["ay", "atot", "gap"])
@@ -1500,7 +1508,10 @@ def test_closed_form_refuses_an_active_family(family):
     m/s² against 3.5); on a straight, a drivetrain still braking at -10 m/s²
     breaks the total-acceleration limit alone; a slow lane leader 12 m ahead
     breaks the gap. In each, the minimiser is inside the box and the speeds
-    keep their limits."""
+    keep their limits, and the empty active set is refused. The QP refuses
+    the lateral limit, which it does not hold, and the gap, which no input
+    can meet from 12 m/s that close; it holds the total limit on the
+    straight exactly, with the first steps' acceleration rows active."""
     turn = RouteSpec("W", "S")
     path, _ = make_env(turn, approach=300.0)
     arc_start, arc_end = path.cumulative[1], path.cumulative[2]
@@ -1515,22 +1526,34 @@ def test_closed_form_refuses_an_active_family(family):
     rows = prob._forward(u, 1.0 - OcpProblem.ENFORCE_BACKOFF)[1]
     active = {name.split()[0] for name, row in zip(prob.row_names, rows) if np.any(row)}
     assert family in active and not {"v_lo", "v_hi"} & active
+    found = mpc._exact(prob, TOL)
     if family == "atot":
         assert "ay" not in active
-    assert mpc._closed_form(prob) is None
+        assert found.exact[0] >= 1 and found.u[0] > u[0]
+        assert np.max(prob.residual_stack(found.u)[0]) == 0.0
+    else:
+        assert found is None
 
 
 def test_closed_form_refuses_a_violated_stop_line():
     """The same cruising minimiser is taken without a stop line, and with one
-    it meets, but not with one it crosses."""
+    it meets, bit for bit; with one it crosses by 1e-9 m the empty active set
+    is refused, and the QP holds the stop row instead: one active row, the
+    horizon end within the stop line's tightened bound, at no lower
+    tracking cost."""
     prob = closed_form_problem()
-    taken = mpc._closed_form(prob)
-    assert taken is not None
+    taken = mpc._exact(prob, TOL)
+    assert taken.exact == (0, None)
     c = prob.g_mat[50, 2]
     prob.stop_line = (c, float(c @ taken.u) + 1e-9)
-    assert mpc._closed_form(prob) is not None
-    prob.stop_line = (c, float(c @ taken.u) - 1e-9)
-    assert mpc._closed_form(prob) is None
+    met = mpc._exact(prob, TOL)
+    assert met.exact == (0, None) and same_bits(met.u, taken.u)
+    d = float(c @ taken.u) - 1e-9
+    prob.stop_line = (c, d)
+    held = mpc._exact(prob, TOL)
+    assert held.exact == (1, None)
+    assert d - 1e-9 * (1.0 + abs(d)) <= float(c @ held.u) <= d - 1e-10 * (1.0 + abs(d)) / 2.0
+    assert not same_bits(held.u, taken.u) and held.tracking >= taken.tracking and held.violation == 0.0
 
 
 def test_closed_form_gain_is_shared_read_only_and_within_budget():
@@ -1555,6 +1578,162 @@ def test_closed_form_gain_is_shared_read_only_and_within_budget():
     big = mpc._tracking_gain(MODEL.a_d.tobytes(), MODEL.b_d.tobytes(), mpc.MAX_HORIZON, PARAMS.q, PARAMS.q_n, PARAMS.r)
     assert big.shape == (mpc.MAX_HORIZON, mpc.MAX_HORIZON + 1) and big.nbytes <= 32 << 20
     assert np.isfinite(big).all()
+
+
+# -- the exact QP against an independent oracle ------------------------------------
+
+SHRINK = 1.0 - OcpProblem.ENFORCE_BACKOFF
+
+
+def exact_trial(family, rng):
+    """A random box-free problem on a straight N->S approach whose exact
+    optimum should hold `family`'s rows, and the oracle's bounds on the
+    horizon end (None, None) or, for the hinge, the two branches'."""
+    path, bounds = make_env(approach=300.0)
+    params, leaders, stop = PARAMS, (), None
+    state = AgentState(rng.uniform(-0.5, 0.5), rng.uniform(8.0, 14.0), rng.uniform(0.0, 40.0))
+    if family == "stop":
+        stop = state.s + rng.uniform(30.0, 50.0)
+    elif family == "gap":
+        ahead = rng.uniform(10.0, 25.0)
+        leaders = (leader_broadcast(path, state.s + ahead, rng.uniform(6.0, 14.0), rng.uniform(-1.5, 1.0)),)
+    elif family == "v_hi":
+        params = replace(PARAMS, v_ref=16.0)
+        state = AgentState(0.0, rng.uniform(12.0, 14.5), state.s)
+    elif family == "a_cap":  # slow down or speed up harder than a_tot_max allows
+        params = replace(PARAMS, a_y_max=0.2, a_tot_max=0.3, v_ref=rng.choice([4.0, 14.5]))
+        state = AgentState(0.0, rng.uniform(9.0, 11.0), state.s)
+    else:  # the hinge: the horizon end falls between the stop line and the exit
+        state = AgentState(0.0, rng.uniform(4.0, 14.0), bounds.s_stop - rng.uniform(20.0, 70.0))
+    prob = OcpProblem(MODEL, params, path, bounds, MARGINS, state, leaders, 50)
+    if stop is not None:
+        prob.stop_line = (prob.g_mat[50, 2], stop - float(prob.base[50, 2]))
+    return prob, params, state, leaders, stop
+
+
+@pytest.mark.parametrize("family", ["stop", "gap", "v_hi", "a_cap", "hinge"])
+def test_exact_qp_matches_an_independent_solve(family):
+    """On random straight box-free problems the exact QP's optimum meets the
+    KKT conditions of the problem rebuilt from dynamics.step (qp_oracle) to
+    1e-8, its tracking cost matches the oracle's NNLS solve, and it leaves
+    every residual 0. Across the trials each family's rows are active: the
+    stop row, a leader's gap on both sides of the headway kink, v_hi, both
+    sides of the |a| cap, and both hinge branches, each the cheaper one
+    where it is taken."""
+    rng = np.random.default_rng(43)
+    seen, settled = set(), 0
+    for _ in range(20):
+        prob, params, state, leaders, stop = exact_trial(family, rng)
+        found = mpc._exact(prob, TOL)
+        if found is None:  # a leader no input can follow, say
+            continue
+        settled += 1
+        branch = found.exact[1]
+        assert found.violation == 0.0
+        assert np.max(prob.residual_stack(found.u)[0]) == 0.0
+        _, _, k, y = qp_oracle.tracking_least_squares(MODEL, params, state, 50)
+        ends = {None: (stop, None), "stop": (prob.regions.s_stop, None), "cross": (None, prob.regions.s_cr_out)}
+        rows = partial(qp_oracle.straight_rows, MODEL, params, MARGINS, state, 50, SHRINK, leaders)
+        a, b, names = rows(*ends[branch])
+        residual, active = qp_oracle.kkt_residual(k, y, a, b, found.u)
+        assert residual <= 1e-8
+        reference = qp_oracle.solve(k, y, a, b)
+        assert found.tracking == pytest.approx(float(np.sum((k @ reference - y) ** 2)), rel=1e-7, abs=1e-9)
+        seen |= {names[i] for i in active}
+        if branch is not None:
+            seen.add(branch)
+            other = qp_oracle.solve(k, y, *rows(*ends["cross" if branch == "stop" else "stop"])[:2])
+            assert other is None or float(np.sum((k @ other - y) ** 2)) >= found.tracking
+    assert settled >= 6
+    assert {"stop": {"stop"}, "gap": {"gap", "headway"}, "v_hi": {"v_hi"}, "a_cap": {"a_hi", "a_lo"},
+            "hinge": {"stop", "cross"}}[family] <= seen
+
+
+def closed_form_reference(problem):
+    """The closed form as the tracking minimiser alone: u* = gain @ (v_free -
+    v_ref), taken where it lies in the box, meets the stop line and leaves
+    every family row and the hinge 0 at the backed-off limits."""
+    p = problem.params
+    u = problem.gain @ (problem.base[:, 1] - p.v_ref)
+    if not (p.a_x_min <= u.min() and u.max() <= p.a_x_max):
+        return None
+    if problem.stop_line is not None and not problem.stop_line[0] @ u <= problem.stop_line[1]:
+        return None
+    states, rows, _, (h1, h2) = problem._forward(u, SHRINK)
+    if np.count_nonzero(rows) or h1 * h2 != 0.0:
+        return None
+    return u, states, problem._tracking(u, states[:, 1] - p.v_ref)
+
+
+def test_empty_active_set_is_the_closed_form_bit_for_bit():
+    """Where the tracking minimiser meets every row, the exact QP returns it
+    with no active row, its states and tracking cost bit for bit; where it
+    does not, the QP's answer has an active row or is a refusal. Random
+    cruising states on a straight and a right turn, some behind a leader,
+    some with a stop line."""
+    rng = np.random.default_rng(7)
+    envs = [make_env(RouteSpec("N", "S"), approach=300.0), make_env(RouteSpec("W", "S"))]
+    outcomes = set()
+    for trial in range(40):
+        path, bounds = envs[trial % 2]
+        state = AgentState(rng.uniform(-0.5, 0.5), rng.uniform(6.0, 14.5), rng.uniform(0.0, 40.0))
+        tracks = ()
+        if trial % 3 == 2:
+            tracks = (leader_broadcast(path, state.s + rng.uniform(15.0, 60.0), rng.uniform(8.0, 14.0), 0.0),)
+        prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, tracks, 50)
+        if trial % 4 == 3:
+            prob.stop_line = (prob.g_mat[50, 2], rng.uniform(40.0, 80.0) - float(prob.base[50, 2]))
+        reference, found = closed_form_reference(prob), mpc._exact(prob, TOL)
+        if reference is None:
+            outcomes.add("refused" if found is None else "active")
+            assert found is None or found.exact[0] >= 1
+            continue
+        outcomes.add("closed form")
+        u, states, tracking = reference
+        assert found.exact == (0, None) and (found.violation, found.history) == (0.0, (0.0,))
+        assert same_bits(found.u, u) and same_bits(found.states, states) and found.tracking == tracking
+    assert outcomes == {"closed form", "active", "refused"}
+
+
+def test_exact_qp_falls_back_on_an_infeasible_leader_and_on_a_curve():
+    """A leader stopped 6 m ahead of a car at 12 m/s leaves no input that
+    keeps the gap: the QP finds its rows infeasible. Cruising into a right
+    turn, the tracking minimiser meets every straight-stretch row but
+    breaks the lateral limit on the arc, which the QP does not hold. Both
+    return None, and the solve runs the penalty loop."""
+    straight, turn = make_env(approach=300.0), make_env(RouteSpec("W", "S"), approach=300.0)
+    state = AgentState(0.0, 12.0, 20.0)
+    stopped = leader_broadcast(straight[0], 26.0, 0.0, 0.0)
+    cases = [(*straight, state, (stopped,)), (*turn, AgentState(0.0, 12.0, turn[0].cumulative[1] - 30.0), ())]
+    for path, bounds, start, tracks in cases:
+        prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, start, tracks, 50)
+        assert prob.gain is not None and mpc._exact(prob, TOL) is None
+        report = solve_ocp(start, tracks, MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)[2]
+        assert (report.settled_by, report.active_rows, report.branch) == ("penalty", None, None)
+    # the oracle agrees that no input meets the leader's rows
+    _, _, k, y = qp_oracle.tracking_least_squares(MODEL, PARAMS, state, 50)
+    a, b, _ = qp_oracle.straight_rows(MODEL, PARAMS, MARGINS, state, 50, SHRINK, (stopped,))
+    assert qp_oracle.solve(k, y, a, b) is None
+
+
+def test_exact_qp_factor_is_the_hessians_and_shared():
+    """The cached factor F = L⁻ᵀ of the tracking Hessian H = G_vᵀWG_v + rI
+    (weights scaled by their largest) has F·Fᵀ = H⁻¹, is upper triangular,
+    read-only and shared by problems on an equal model; the cached rows and
+    norms are read-only too."""
+    path, bounds = make_env()
+    prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 14.0, 10.0), (), 50)
+    key = (*prob._model_key, PARAMS.q, PARAMS.q_n, PARAMS.r)
+    factor = mpc._tracking_factor(*key)
+    assert factor is mpc._tracking_factor(*key) and not factor.flags.writeable
+    assert np.allclose(np.tril(factor, -1), 0.0)
+    g_v = prob.g_mat[:, 1, :]
+    scale = max(PARAMS.q, PARAMS.q_n, PARAMS.r)
+    w = np.r_[np.full(50, PARAMS.q), PARAMS.q_n] / scale
+    hessian = g_v.T @ (w[:, None] * g_v) + PARAMS.r / scale * np.eye(50)
+    np.testing.assert_allclose(factor @ factor.T @ hessian, np.eye(50), atol=1e-9)
+    rows, norms = mpc._qp_rows(*prob._model_key, MARGINS.headway, 1, True)
+    assert rows.shape == (8 * 50 + 1, 50) and not rows.flags.writeable and not norms.flags.writeable
 
 
 # -- reach of the second start ------------------------------------------------------
@@ -1622,9 +1801,12 @@ def test_reach_bound_is_tight_at_the_speed_cap():
 
 def test_no_second_start_where_the_crossing_side_is_out_of_reach(monkeypatch):
     """A use_case_1-like approach, 79 m short of the critical-region exit at
-    14 m/s: the warm solve ends at the stop line, and no input that keeps
-    v <= v_max carries the horizon end past the exit, so the full-throttle
-    start could only polish another stop-before-the-line solution."""
+    14 m/s: no input that keeps v <= v_max carries the horizon end past the
+    exit, so the full-throttle start could only polish another
+    stop-before-the-line solution. The exact QP settles the solve, its plan
+    ending at the stop line, without a penalty loop; with the QP off, the
+    warm penalty loop is the only start, and it ends where the second start
+    used to run."""
     path, bounds = make_env()
     starts = []
     original = mpc._penalty_loop
@@ -1635,12 +1817,16 @@ def test_no_second_start_where_the_crossing_side_is_out_of_reach(monkeypatch):
 
     monkeypatch.setattr(mpc, "_penalty_loop", spy)
     state = AgentState(0.0, 13.99, 11.2)
-    u, _, report = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
-    s_end = step_states(MODEL, state, u)[-1, 2]
-    # the warm solution sits where the second start used to run
-    assert bounds.s_stop - 2.0 <= s_end < bounds.s_cr_out
-    assert len(starts) == 1
-    assert report.second_start == "unreachable" and report.converged
+    for exact in (True, False):
+        if not exact:
+            without_exact(monkeypatch)
+        starts.clear()
+        u, _, report = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+        s_end = step_states(MODEL, state, u)[-1, 2]
+        assert bounds.s_stop - 2.0 <= s_end < bounds.s_cr_out
+        assert len(starts) == (0 if exact else 1)
+        assert report.settled_by == ("exact" if exact else "penalty")
+        assert report.second_start == "unreachable" and report.converged
 
 
 def spy_halfspaces(monkeypatch):
@@ -1659,15 +1845,24 @@ def spy_halfspaces(monkeypatch):
 def test_out_of_reach_approach_holds_the_stop_line_in_one_round(monkeypatch):
     """The approach above meets the hinge on the stop side alone: its
     crossing side is out of reach, and braking throughout ends before the
-    stop line, so s_N <= s_stop is a linear constraint that box_solve
-    projects onto, and one weight round solves it."""
+    stop line, so s_N <= s_stop is a linear constraint. The exact QP holds
+    it as its one active row, without a box_solve call, at the penalty
+    loop's tracking cost but for its 1e-10 tightening; with the QP off,
+    box_solve projects onto it and one weight round solves it."""
     path, bounds = make_env()
     halfspaces = spy_halfspaces(monkeypatch)
     state = AgentState(0.0, 13.99, 11.2)
     u, _, report = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+    assert halfspaces == [] and (report.settled_by, report.active_rows, report.branch) == ("exact", 1, None)
+    assert report.violation_history == (0.0,) and report.second_start == "unreachable"
+    assert step_states(MODEL, state, u)[-1, 2] <= bounds.s_stop
+    without_exact(monkeypatch)
+    loop_u, _, loop = solve_ocp(state, (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
     assert len(halfspaces) == 1 and halfspaces[0] is not None
-    assert len(report.violation_history) == 1 and report.converged and report.second_start == "unreachable"
-    assert step_states(MODEL, state, u)[-1, 2] <= bounds.s_stop + 1e-9
+    assert len(loop.violation_history) == 1 and loop.converged and loop.second_start == "unreachable"
+    assert step_states(MODEL, state, loop_u)[-1, 2] <= bounds.s_stop + 1e-9
+    prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, (), 50)
+    assert prob.residual_stack(u)[1] <= prob.residual_stack(loop_u)[1] * (1.0 + 1e-9)
 
 
 def test_out_of_reach_vehicle_past_the_stop_line_keeps_the_hinge(monkeypatch):
@@ -1736,9 +1931,10 @@ def test_use_case_1_window_stays_within_its_evaluation_budget(monkeypatch):
 
 
 def test_use_case_1_window_evaluation_counts(monkeypatch):
-    """The same 10-step window evaluates 224 points and builds 149 gradients,
+    """The same 10-step window evaluates 132 points and builds 77 gradients,
     counted both around OcpProblem.value_and_grad and in the solver reports
-    (the closed-form check is neither; 19 of the 40 solves take it).
+    (the exact QP makes neither; it settles 37 of the 40 solves, 19 at the
+    unconstrained minimiser and 18 with the stop row active).
     It evaluated 2,555 points and built 1,546 gradients while the
     full-throttle second start ran 26 times here: of the 2,753 evaluations
     above, 198 had repeated a point already evaluated, and 1,009 had built a
@@ -1747,7 +1943,9 @@ def test_use_case_1_window_evaluation_counts(monkeypatch):
     the stop line as a constraint where the crossing side is out of reach,
     instead of escalating the hinge's weight, cut it to 243 and 168. Taking
     the tracking minimiser where no constraint binds it, instead of running
-    the penalty loop toward it, cut it to 224 and 149. The run is
+    the penalty loop toward it, cut it to 224 and 149. Settling the
+    stop-line solves with the exact QP, instead of a weight round around
+    box_solve's projection, cut it to 132 and 77. The run is
     deterministic."""
     from intersim import orchestrator
     from intersim.scenario import load_scenario
@@ -1779,7 +1977,7 @@ def test_use_case_1_window_evaluation_counts(monkeypatch):
     monkeypatch.setattr(OcpProblem, "value_and_grad", counted)
     monkeypatch.setattr(orchestrator, "solve_ocp", solve)
     orchestrator.run_simulation(replace(load_scenario("use_case_1"), steps=10), workers=1)
-    assert calls == reported == {"evaluations": 224, "gradients": 149}
+    assert calls == reported == {"evaluations": 132, "gradients": 77}
 
 
 # `benchmarks/workloads.scenario_sources("queue", 1)[0]`, the first scenario of
@@ -1810,13 +2008,14 @@ QUEUE_SEED_1_FIRST = {
 
 def test_queue_window_evaluation_counts(monkeypatch):
     """The first queue scenario of the benchmark at seed 1 makes 48 solves,
-    337 evaluations and 189 gradient builds over its 6 steps, every solve
-    converged, 26 of them in closed form. The run is deterministic. Every
+    259 evaluations and 138 gradient builds over its 6 steps, every solve
+    converged, 28 of them settled by the exact QP. The run is deterministic. Every
     track here is a lane leader: while its broadcast was held as the x-y box
     surrogate, which stays positive for boxes well apart, the window made 670
     evaluations and 397 gradient builds, with 2 solves unconverged; holding
-    it as the exact 1-D gap made 529 and 324, and taking the tracking
-    minimiser where no constraint binds it gave these counts. Like the use_case_1
+    it as the exact 1-D gap made 529 and 324; taking the tracking minimiser
+    where no constraint binds it made 337 and 189 (26 solves); and settling
+    the leader-gap solves with the exact QP gave these counts. Like the use_case_1
     window's counts, these hold for the arithmetic kernels that numpy and
     OpenBLAS pick on an AVX-512 x86-64 CPU; other kernels round differently
     (ROADMAP item 16).
@@ -1830,7 +2029,7 @@ def test_queue_window_evaluation_counts(monkeypatch):
 
     cfg = load_scenario(QUEUE_SEED_1_FIRST)
     tol = cfg.penalty.constraint_tolerance
-    counts = {"solves": 0, "evaluations": 0, "gradients": 0, "unconverged": 0, "closed_form": 0}
+    counts = {"solves": 0, "evaluations": 0, "gradients": 0, "unconverged": 0, "exact": 0}
     original = orchestrator.solve_ocp
 
     def counted(*args, **kwargs):
@@ -1839,7 +2038,7 @@ def test_queue_window_evaluation_counts(monkeypatch):
         counts["solves"] += 1
         counts["evaluations"] += report.evaluations
         counts["gradients"] += report.gradients
-        counts["closed_form"] += report.closed_form
+        counts["exact"] += report.settled_by == "exact"
         least = min(report.violation_history)
         assert report.converged == (least <= tol)
         if not report.converged:
@@ -1849,7 +2048,7 @@ def test_queue_window_evaluation_counts(monkeypatch):
 
     monkeypatch.setattr(orchestrator, "solve_ocp", counted)
     orchestrator.run_simulation(cfg, workers=1)
-    assert counts == {"solves": 48, "evaluations": 337, "gradients": 189, "unconverged": 0, "closed_form": 26}
+    assert counts == {"solves": 48, "evaluations": 259, "gradients": 138, "unconverged": 0, "exact": 28}
 
 
 def test_use_case_1_window_second_start_tally(monkeypatch):
@@ -1939,12 +2138,12 @@ TRACKLESS = "trackless_basin_fixture.json"
 def test_trackless_basin_needs_the_braking_start():
     """trackless_basin_fixture.json: a vehicle alone on a W->S right turn,
     8.1 m/s, 37 m before the arc. The tracking minimiser breaks the lateral
-    and total-acceleration limits, so the closed form refuses; the warm
-    start's penalty loop ends
-    above BRAKE_START_VIOLATION (1.0105, `ay`, after six rounds), so the
-    braking start runs, wins and converges."""
+    and total-acceleration limits, which the exact QP does not hold, so it
+    refuses; the warm start's penalty loop ends above BRAKE_START_VIOLATION
+    (1.0105, `ay`, after six rounds), so the braking start runs, wins and
+    converges."""
     u, _, report = full_throttle_case(name=TRACKLESS)
-    assert not report.closed_form and report.brake_start == "won"
+    assert report.settled_by == "penalty" and report.brake_start == "won"
     assert report.converged and report.max_violation <= CFG.constraint_tolerance
 
 
@@ -1980,3 +2179,21 @@ def test_report_names_the_family_of_the_largest_violation():
     stack = prob.residual_stack(u)[0]
     assert float(stack.max()) == report.max_violation > 0.0
     assert prob.locate(int(np.argmax(stack))) == (report.worst_family, report.worst_step) == ("hinge", 50)
+
+
+def test_eval_cost_flags_a_paired_change_that_the_base_spread_hides():
+    """tests/eval_cost.py flags a class on the paired head - base column
+    against that column's own spread: a +4.5 µs change under a drift of the
+    machine that meets both trees alike (base IQR about 30 µs) is flagged,
+    the same rounds without the change are not."""
+    import eval_cost
+
+    drift = [0.0, 35.0, 5.0, 60.0, 12.0, 28.0, 3.0, 41.0, 18.0, 9.0]
+    noise = [0.4, -0.3, 0.1, -0.5, 0.2, 0.0, -0.2, 0.3, -0.1, 0.5]
+    base = [90.0 + d for d in drift]
+    q1, _, q3 = eval_cost.quartiles(base)
+    assert q3 - q1 > 25.0
+    slower = [b + 4.5 + e for b, e in zip(base, noise)]
+    paired, spread, flagged = eval_cost.paired_change(base, slower)
+    assert flagged and paired == pytest.approx(4.5, abs=0.5) and spread < 1.0
+    assert not eval_cost.paired_change(base, [b + e for b, e in zip(base, noise)])[2]

@@ -1036,13 +1036,27 @@ def test_cli_check_and_simulate(tmp_path, capsys):
     summary = capsys.readouterr().out.splitlines()[-1]
     match = re.fullmatch(
         r"total_ms p50=(\d+\.\d) p95=(\d+\.\d); steps over the 100 ms budget: (\d+) of 5; "
-        r"unconverged solves: 0 of 10; closed-form solves: (\d+)",
+        r"unconverged solves: 0 of 10; exact solves: (\d+)",
         summary,
     )
     assert match, summary
-    # the run's closed-form tally: some solves on the straight approaches take it
-    closed = run_simulation(load_scenario(doc))[0].closed_form_solves
-    assert int(match[4]) == closed and 0 < closed < 10
+    # the run's exact tally, counted from the reports: over these 5 steps
+    # neither vehicle holds a track and both stay on their straight
+    # approaches, so the exact QP settles all 10 solves
+    import intersim.orchestrator as orch
+
+    settled = []
+    original = orch.solve_ocp
+
+    def solve(*args, **kwargs):
+        result = original(*args, **kwargs)
+        settled.append(result[2].settled_by)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orch, "solve_ocp", solve)
+        exact = run_simulation(load_scenario(doc))[0].exact_solves
+    assert int(match[4]) == exact == settled.count("exact") == 10
     rows = (tmp_path / "logs" / "timing.csv").read_text().splitlines()[1:]
     total_ms = [float(row.split(",")[3]) for row in rows]
     assert float(match[1]) == pytest.approx(np.median(total_ms), abs=0.051)
