@@ -28,23 +28,32 @@ _CURVATURE_BLEND = 0.5
 
 
 def _hash_once(cls):
-    """Keep a frozen dataclass's generated __hash__, the hash of its field
-    tuple, after its first call: the specs key lru_caches, and rehashing a
-    path's segment tuple on every lookup was a share of each set-up. The
-    value is the generated one, bit for bit. Pickling drops it, since a str
-    field hashes differently in another process."""
-    generated = cls.__hash__
+    """Compute a frozen dataclass's generated __hash__, the hash of its field
+    tuple, once, as __post_init__ ends, and keep it: the specs key
+    lru_caches, and rehashing a path's segment tuple on every lookup was a
+    share of each set-up. The value is the generated one, bit for bit. It is
+    stored before any cached property, so every instance's __dict__ holds its
+    keys in one order and shares their layout. Pickling drops it and
+    unpickling recomputes it, since a str field hashes differently in
+    another process."""
+    generated, post_init = cls.__hash__, cls.__post_init__
+
+    def __post_init__(self):
+        post_init(self)
+        self.__dict__["_hash"] = generated(self)
 
     def __hash__(self):
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = self.__dict__["_hash"] = generated(self)
-        return cached
+        return self.__dict__["_hash"]
 
     def __getstate__(self):
         return {key: value for key, value in self.__dict__.items() if key != "_hash"}
 
-    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__dict__["_hash"] = generated(self)
+
+    cls.__post_init__, cls.__hash__ = __post_init__, __hash__
+    cls.__getstate__, cls.__setstate__ = __getstate__, __setstate__
     return cls
 
 

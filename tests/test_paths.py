@@ -605,10 +605,11 @@ def test_sign_of_zero_lane_offset_reaches_no_sample():
      {"segments": build_path(RouteSpec("W", "S", turn_radius=9.5)).segments[:1]}),
 ], ids=["RouteSpec", "IntersectionGeometry", "PathSpec"])
 def test_spec_hash_is_kept_and_equal_specs_still_match(make, change):
-    """A spec used as an lru_cache key keeps its hash after the first call:
-    the generated one, the hash of its field tuple, bit for bit. Specs built
-    apart still compare and hash equal and find each other in a dict; a
-    pickled copy recomputes its hash, and a changed copy gets its own."""
+    """A spec used as an lru_cache key keeps the hash it computed once
+    built: the generated one, the hash of its field tuple, bit for bit.
+    Specs built apart still compare and hash equal and find each other in a
+    dict; a pickled copy recomputes its hash, and a changed copy gets its
+    own."""
     def generated(spec):
         return hash(tuple(getattr(spec, field.name) for field in fields(spec)))
 
@@ -616,7 +617,8 @@ def test_spec_hash_is_kept_and_equal_specs_still_match(make, change):
     assert first is not second and first == second
     assert hash(first) == hash(first) == hash(second) == generated(first)
     assert first.__dict__["_hash"] == generated(first) and {first: 1}[second] == 1
+    assert "_hash" not in first.__getstate__()
     copied = pickle.loads(pickle.dumps(first))
-    assert "_hash" not in copied.__dict__ and copied == first and hash(copied) == generated(first)
+    assert copied == first and hash(copied) == generated(first) == copied.__dict__["_hash"]
     other = replace(first, **change)
     assert other != first and hash(other) == generated(other)
