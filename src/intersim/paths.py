@@ -27,36 +27,6 @@ MAX_PATH_LENGTH = 10_000.0
 _CURVATURE_BLEND = 0.5
 
 
-def _hash_once(cls):
-    """Compute a frozen dataclass's generated __hash__, the hash of its field
-    tuple, once, as __post_init__ ends, and keep it: the specs key
-    lru_caches, and rehashing a path's segment tuple on every lookup was a
-    share of each set-up. The value is the generated one, bit for bit. It is
-    stored before any cached property, so every instance's __dict__ holds its
-    keys in one order and shares their layout. Pickling drops it and
-    unpickling recomputes it, since a str field hashes differently in
-    another process."""
-    generated, post_init = cls.__hash__, cls.__post_init__
-
-    def __post_init__(self):
-        post_init(self)
-        self.__dict__["_hash"] = generated(self)
-
-    def __hash__(self):
-        return self.__dict__["_hash"]
-
-    def __getstate__(self):
-        return {key: value for key, value in self.__dict__.items() if key != "_hash"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.__dict__["_hash"] = generated(self)
-
-    cls.__post_init__, cls.__hash__ = __post_init__, __hash__
-    cls.__getstate__, cls.__setstate__ = __getstate__, __setstate__
-    return cls
-
-
 class RouteGeometryError(ValueError):
     """The requested route cannot be realized with the given geometry."""
 
@@ -134,7 +104,6 @@ class ArcSegment:
 Segment = StraightSegment | ArcSegment
 
 
-@_hash_once
 @dataclass(frozen=True)
 class PathSpec:
     """A chain of segments; its length, segment starts and curvature blend
@@ -262,7 +231,6 @@ class PathSpec:
         return x, y, psi, kappa
 
 
-@_hash_once
 @dataclass(frozen=True)
 class RouteSpec:
     entry: str
@@ -283,7 +251,6 @@ class RouteSpec:
             raise ValueError("approach_length must be > 0")
 
 
-@_hash_once
 @dataclass(frozen=True)
 class IntersectionGeometry:
     cr_half_width: float = 6.0

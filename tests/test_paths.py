@@ -1,10 +1,9 @@
 """Path construction, sampling, and region boundary tests."""
 
 import math
-import pickle
 import struct
 import warnings
-from dataclasses import FrozenInstanceError, astuple, fields, replace
+from dataclasses import FrozenInstanceError, astuple
 
 import numpy as np
 import paths_reference
@@ -596,29 +595,3 @@ def test_sign_of_zero_lane_offset_reaches_no_sample():
         for px, py in probes:
             got, want = project_onto_path(minus, px, py), project_onto_path(plus, px, py)
             assert struct.pack("<2d", *got) == struct.pack("<2d", *want)
-
-
-@pytest.mark.parametrize("make, change", [
-    (lambda: RouteSpec("W", "S", turn_radius=9.5), {"exit": "E"}),
-    (lambda: IntersectionGeometry(cr_half_width=7.0), {"icr_radius": 80.0}),
-    (lambda: build_path.__wrapped__(RouteSpec("W", "S", turn_radius=9.5)),
-     {"segments": build_path(RouteSpec("W", "S", turn_radius=9.5)).segments[:1]}),
-], ids=["RouteSpec", "IntersectionGeometry", "PathSpec"])
-def test_spec_hash_is_kept_and_equal_specs_still_match(make, change):
-    """A spec used as an lru_cache key keeps the hash it computed once
-    built: the generated one, the hash of its field tuple, bit for bit.
-    Specs built apart still compare and hash equal and find each other in a
-    dict; a pickled copy recomputes its hash, and a changed copy gets its
-    own."""
-    def generated(spec):
-        return hash(tuple(getattr(spec, field.name) for field in fields(spec)))
-
-    first, second = make(), make()
-    assert first is not second and first == second
-    assert hash(first) == hash(first) == hash(second) == generated(first)
-    assert first.__dict__["_hash"] == generated(first) and {first: 1}[second] == 1
-    assert "_hash" not in first.__getstate__()
-    copied = pickle.loads(pickle.dumps(first))
-    assert copied == first and hash(copied) == generated(first) == copied.__dict__["_hash"]
-    other = replace(first, **change)
-    assert other != first and hash(other) == generated(other)
