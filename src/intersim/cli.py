@@ -61,8 +61,17 @@ def main(argv=None) -> int:
         )
         return 0
 
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the run
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     sim_log, timing = run_simulation(cfg)
-    files = export_logs(sim_log, timing, args.out)
+    try:
+        files = export_logs(sim_log, timing, args.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     violations = sim_log.overlap_violations
     print(f"wrote {', '.join(str(f) for f in files)}")
     print(f"steps={cfg.steps} agents={len(cfg.agents)} overlap_violations={violations}")

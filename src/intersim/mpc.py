@@ -79,8 +79,7 @@ class PredictedTrajectory:
     steps 0..N of the horizon, and its own footprint. `s` holds the path
     coordinates of those poses, clipped to the path, and `path` the sender's
     route; a receiver on that same route holds the sender as a 1-D gap
-    when it drives ahead. A broadcast that names no path is held by its
-    poses alone."""
+    when it drives ahead."""
 
     x_g: np.ndarray
     y_g: np.ndarray
@@ -88,8 +87,8 @@ class PredictedTrajectory:
     v: np.ndarray
     length: float
     width: float
-    s: np.ndarray | None = None
-    path: PathSpec | None = None
+    s: np.ndarray
+    path: PathSpec
 
 
 @dataclass
@@ -143,64 +142,48 @@ def _sensitivities(a_d: bytes, b_d: bytes, horizon: int) -> tuple[np.ndarray, np
     return f_mat, g_mat, g_mat.reshape(-1, horizon)
 
 
-def _tracking_hessian(a_d: bytes, b_d: bytes, horizon: int, q: float, q_n: float, r: float):
-    """Half the tracking cost's Hessian, G_vᵀ·W·G_v + r·I with
-    W = diag(q, ..., q, q_n), and W·G_v, the weights scaled by their largest,
-    which keeps every product in range."""
+@lru_cache(maxsize=64)
+def _tracking(a_d: bytes, b_d: bytes, horizon: int, q: float, q_n: float, r: float):
+    """The tracking cost's minimiser gain and QP factor, from one Hessian.
+
+    The cost q·Σdv² + q_n·dv_N² + r·Σu² has the Hessian 2H with
+    H = G_vᵀ·W·G_v + r·I and W = diag(q, ..., q, q_n), which r > 0 makes
+    positive definite; the weights are scaled by their largest, which keeps
+    every product in range. The (N, N+1) gain M = -H⁻¹·G_vᵀ·W gives the
+    minimiser over all of R^N, u* = M @ (v_free - v_ref), with v_free the
+    free-response speeds at steps 0..N; scaling the weights leaves M
+    unchanged. The (N, N) upper-triangular factor L⁻ᵀ, for H = L·Lᵀ, is the
+    active-set QP's basis at the empty active set. Read-only and shared like
+    _sensitivities."""
     g_v = _sensitivities(a_d, b_d, horizon)[1][:, 1, :]
     scale = max(q, q_n, r)
     w = np.full(horizon + 1, q / scale)
     w[horizon] = q_n / scale
     wg = g_v * w[:, None]
-    return g_v.T @ wg + (r / scale) * np.eye(horizon), wg
-
-
-@lru_cache(maxsize=64)
-def _tracking_gain(a_d: bytes, b_d: bytes, horizon: int, q: float, q_n: float, r: float) -> np.ndarray:
-    """The (N, N+1) gain M of the tracking cost's minimiser over all of R^N,
-    u* = M @ (v_free - v_ref), with v_free the free-response speeds at steps
-    0..N. The cost q·Σdv² + q_n·dv_N² + r·Σu² has the Hessian
-    2(G_vᵀ·W·G_v + r·I), which r > 0 makes positive definite, so
-    M = -(G_vᵀ·W·G_v + r·I)⁻¹·G_vᵀ·W; scaling the weights leaves M
-    unchanged. Read-only and shared like _sensitivities."""
-    hessian, wg = _tracking_hessian(a_d, b_d, horizon, q, q_n, r)
+    hessian = g_v.T @ wg + (r / scale) * np.eye(horizon)
     gain = np.linalg.solve(hessian, -wg.T)
-    gain.setflags(write=False)
-    return gain
-
-
-@lru_cache(maxsize=64)
-def _tracking_factor(a_d: bytes, b_d: bytes, horizon: int, q: float, q_n: float, r: float) -> np.ndarray:
-    """The (N, N) upper-triangular L⁻ᵀ of the Cholesky factor L·Lᵀ of
-    _tracking_hessian: the active-set QP's basis at the empty active set.
-    Read-only and shared like the gain."""
-    factor = np.linalg.inv(np.linalg.cholesky(_tracking_hessian(a_d, b_d, horizon, q, q_n, r)[0])).T
-    factor.setflags(write=False)
-    return factor
+    factor = np.linalg.inv(np.linalg.cholesky(hessian)).T
+    for arr in (gain, factor):
+        arr.setflags(write=False)
+    return gain, factor
 
 
 @lru_cache(maxsize=256)
 def _table_layout(boxes: tuple[int, ...], leads: tuple[int, ...]):
     """OcpProblem's table layout for these box and leader track indices:
-    the row names; the permutation that lists the tracks' rows in track
-    order, which residual_stack applies where boxes and leaders mix (else
-    None); the box and leader row slices; and the indices from which
+    the row names; the box and leader row slices; and the indices from which
     value_and_grad sums the rows of its (2K, N) table, the rows and their
     squares: the first row of each family (speed, ay, atot, boxes, leaders)
     and of each value term (K - 1: speed's two rows make one). Read-only and
     shared by every problem with this layout."""
     row_names = ("v_lo", "v_hi", "ay", "atot", *(f"box {k}" for k in boxes), *(f"gap {k}" for k in leads))
     n_rows = len(row_names)
-    stack_order = None
-    if boxes and leads:
-        stack_order = np.r_[0:4, 4 + np.argsort(boxes + leads)]
-        stack_order.setflags(write=False)
     box_rows = slice(4, 4 + len(boxes))
     gap_rows = slice(box_rows.stop, n_rows)
     starts = sorted({0, 2, 3, 4, gap_rows.start} - {n_rows})
     sums_at = np.array([*starts, n_rows, *range(n_rows + 2, 2 * n_rows)])
     sums_at.setflags(write=False)
-    return row_names, stack_order, box_rows, gap_rows, sums_at
+    return row_names, box_rows, gap_rows, sums_at
 
 
 class OcpProblem:
@@ -265,22 +248,20 @@ class OcpProblem:
         f_mat, self.g_mat, self._g_flat = _sensitivities(*model_key)
         self.base = f_mat @ state.as_array()
 
-        # the V2V input boundary: every broadcast holds N+1 finite poses, and
-        # N+1 finite path coordinates where it holds any
+        # the V2V input boundary: every broadcast holds N+1 finite poses and
+        # path coordinates
         self.tracks = tuple(neighbours)
         n_poses = horizon + 1
-        fields = [[getattr(nb, name) for nb in self.tracks] for name in ("x_g", "y_g", "psi", "v")]
-        coords = [nb.s for nb in self.tracks if nb.s is not None]
-        if any(len(arr) != n_poses for field in (*fields, coords) for arr in field):
+        fields = [[getattr(nb, name) for nb in self.tracks] for name in ("x_g", "y_g", "psi", "v", "s")]
+        if any(len(arr) != n_poses for field in fields for arr in field):
             raise ValueError(f"a neighbour broadcast does not hold horizon+1 = {n_poses} poses")
-        poses = np.array(fields, dtype=float).reshape(4, len(self.tracks), n_poses)
+        poses = np.array(fields, dtype=float).reshape(5, len(self.tracks), n_poses)
         extents = np.array([(nb.length, nb.width) for nb in self.tracks], dtype=float).reshape(-1, 2)
-        finite = np.isfinite(poses).all() and np.isfinite(extents).all()
-        if not (finite and np.isfinite(np.array(coords, dtype=float)).all()):
+        if not (np.isfinite(poses).all() and np.isfinite(extents).all()):
             raise ValueError("a neighbour broadcast holds a non-finite value")
         # the lane leaders: tracks on this very route that started ahead; every
         # other track is held as a box. Each list is in track order.
-        lead = [nb.path == path and nb.s is not None and nb.s[0] > state.s for nb in self.tracks]
+        lead = [nb.path == path and nb.s[0] > state.s for nb in self.tracks]
         self._leads = [k for k, is_lead in enumerate(lead) if is_lead]
         self._boxes = [k for k, is_lead in enumerate(lead) if not is_lead]
         # a broadcast is one step old: prediction step j reads the sender's
@@ -291,7 +272,7 @@ class OcpProblem:
             # and the (G, 1) gaps at standstill. take() keeps the rows
             # C-contiguous, so each row's sum is the pairwise sum of a 1-D
             # array; a[:, shift] would store them column-major
-            self._ls = np.array([self.tracks[k].s for k in self._leads], dtype=float).take(shift, axis=1)
+            self._ls = poses[4, self._leads].take(shift, axis=1)
             self._lv = poses[3, self._leads].take(shift, axis=1)
             self._lgap = np.array(
                 [[(params.length + self.tracks[k].length) / 2.0 + margins.long] for k in self._leads]
@@ -302,17 +283,19 @@ class OcpProblem:
             # (T, N) box poses at prediction steps 1..N and half extents: with
             # one track every operand of the collision terms then has the
             # shape of the own (1, N) rows, which numpy combines fastest
-            self._ox, self._oy, self._opsi, self._ov = poses.take(shift, axis=2)
+            self._ox, self._oy, self._opsi, self._ov = poses[:4].take(shift, axis=2)
             self._neg_ov = -self._ov
             half = extents / 2.0
             self._oa = np.repeat(half[:, :1], horizon, axis=1)
             self._ob = np.repeat(half[:, 1:], horizon, axis=1)
         layout = _table_layout(tuple(self._boxes), tuple(self._leads))
-        self.row_names, self._stack_order, self._box_rows, self._gap_rows, self._sums_at = layout
+        self.row_names, self._box_rows, self._gap_rows, self._sums_at = layout
         # a box surrogate is never 0, so only a problem without box tracks
         # can take an exact solve (_exact)
         self._model_key = model_key
-        self.gain = None if self._boxes else _tracking_gain(*model_key, params.q, params.q_n, params.r)
+        self.gain = self.factor = None
+        if not self._boxes:
+            self.gain, self.factor = _tracking(*model_key, params.q, params.q_n, params.r)
         self.stop_line: tuple[np.ndarray, float] | None = None
         self.evaluations = 0
         self.gradients = 0
@@ -500,12 +483,10 @@ class OcpProblem:
         cost is value_and_grad's at weight 0 bit for bit: there every penalty
         term adds +0.0.
 
-        The violations are the table's rows, the tracks' in track order
-        (a lane leader's is its gap shortfall in metres), flattened, then the
-        preview hinge product; `locate` names an entry."""
+        The violations are the table's rows in its order (a lane leader's
+        is its gap shortfall in metres), flattened, then the preview hinge
+        product; `locate` names an entry."""
         states, rows, _, (h1, h2) = self._forward(u, 1.0)
-        if self._stack_order is not None:
-            rows = rows[self._stack_order]
         violations = np.concatenate((rows.ravel(), [h1 * h2]))
         return violations, self._tracking(u, states[:, 1] - self.params.v_ref), states
 
@@ -515,8 +496,6 @@ class OcpProblem:
         row, step = divmod(index, self.horizon)
         if row == len(self.row_names):
             return "hinge", self.horizon
-        if self._stack_order is not None:
-            row = int(self._stack_order[row])
         return self.row_names[row], step + 1
 
 
@@ -908,10 +887,9 @@ def _exact(problem: OcpProblem, tol: float) -> _Candidate | None:
     margin = 1e-10 * (1.0 + np.abs(bounds))
     # the box is not tightened: its rows hold within 1e-13, and the optimum is clipped to it
     box = np.repeat((p.a_x_max, -p.a_x_min), n)
-    factor = _tracking_factor(*problem._model_key, p.q, p.q_n, p.r)
     rows, norms = _qp_rows(*problem._model_key, headway, leads, stop is not None)
     slack = np.concatenate((margin / 2.0, 1e-13 * (1.0 + np.abs(box))))
-    qp = _ActiveSetQP(factor, u, rows, norms, np.concatenate((bounds - margin, box)), slack)
+    qp = _ActiveSetQP(problem.factor, u, rows, norms, np.concatenate((bounds - margin, box)), slack)
 
     def settle(qp):
         """qp's optimum clipped to the box, and check() there."""

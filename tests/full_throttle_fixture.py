@@ -3,16 +3,17 @@
 The closed loop is `benchmarks/workloads.scenario_sources("queue", SEED)[INDEX]`,
 run for STEP + 1 steps; the captured call is agent AGENT's solve at step
 STEP (default parameters). Each broadcast is recorded with its poses,
-footprint and path coordinates `s`; its `path` is the sender's route, which
-the record does not hold. Floats are written by `repr` through `json`, so
-they read back exactly. Run from the repository root:
+footprint, path coordinates `s` and the sender's route (entry and exit),
+from which `build_path` rebuilds its `path`. Floats are written by `repr`
+through `json`, so they read back exactly. Run from the repository root:
 
     PYTHONPATH=src python tests/full_throttle_fixture.py OUT [SEED INDEX AGENT STEP]
 
 The default, 4 1 7 55, is the full-throttle basin (W->S, one neighbour
 broadcast), about 30 s. The committed full_throttle_fixture.json predates
-`s` and has none; the closed loop has changed since it was captured, so a
-new capture gives other inputs, and the tests read the committed file.
+`s` and the route, which its loader in test_mpc.py supplies; the closed loop
+has changed since it was captured, so a new capture gives other inputs, and
+the tests read the committed file.
 trackless_basin_fixture.json is 2 2 3 17 (W->S, no broadcast), about 10 s.
 """
 
@@ -46,6 +47,8 @@ def capture(seed: int = 4, index: int = 1, agent_id: int = 7, step: int = 55) ->
     def solve(state, neighbours, *args, **kwargs):
         if runtimes["step"] == step and state is runtimes["rts"][agent_id].state:
             warm = args[-1] if len(args) == 8 else kwargs["warm"]
+            # each sender's route, by its path
+            routes = {rt.path: rt.config.route for rt in runtimes["rts"].values()}
             found.update(
                 state=[state.a_x, state.v, state.s],
                 warm=[float(x) for x in warm],
@@ -53,7 +56,8 @@ def capture(seed: int = 4, index: int = 1, agent_id: int = 7, step: int = 55) ->
                     {
                         "x_g": nb.x_g.tolist(), "y_g": nb.y_g.tolist(), "psi": nb.psi.tolist(),
                         "v": nb.v.tolist(), "length": nb.length, "width": nb.width,
-                        "s": None if nb.s is None else nb.s.tolist(),
+                        "s": nb.s.tolist(),
+                        "route": {"entry": routes[nb.path].entry, "exit": routes[nb.path].exit},
                     }
                     for nb in neighbours
                 ],

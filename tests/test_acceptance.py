@@ -230,14 +230,18 @@ def test_criterion_7_gradient_check_with_active_terms():
         t = np.arange(51) * 0.1
         neighbors = ()
         if trial % 3:
+            # westbound on the E->W route, which starts at x = 84
+            x = 81.0 - rng.uniform(0, 15) - 14.0 * t
             neighbors = (
                 PredictedTrajectory(
-                    81.0 - rng.uniform(0, 15) - 14.0 * t,
+                    x,
                     np.full(51, 2.0),
                     np.full(51, math.pi),
                     np.full(51, 14.0),
                     5.0,
                     2.0,
+                    84.0 - x,
+                    xs.build_path(xs.RouteSpec("E", "W")),
                 ),
             )
         state = xs.AgentState(rng.uniform(-0.5, 0.5), rng.uniform(8.0, 14.0), rng.uniform(30.0, 70.0))

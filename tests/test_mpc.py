@@ -28,7 +28,16 @@ from intersim.mpc import (
     initial_broadcast,
     solve_ocp,
 )
-from intersim.paths import IntersectionGeometry, RouteSpec, build_path, compute_regions, project_onto_path
+from intersim.paths import (
+    ARMS,
+    IntersectionGeometry,
+    PathSpec,
+    RouteSpec,
+    StraightSegment,
+    build_path,
+    compute_regions,
+    project_onto_path,
+)
 
 PARAMS = AgentParams(0.3, -7.0, 4.0, 15.0, 3.5, 7.0, 5.0, 2.0, 1.0, 1.0, 20.0, 14.0)
 MODEL = discretize(0.3, 0.1)
@@ -49,16 +58,30 @@ def make_env(route=RouteSpec("N", "S"), approach=None):
 
 
 def crossing_neighbor(offset=0.0, speed=14.0, horizon=50, t_s=0.1):
-    """Westbound neighbor on the y=2 lane, crossing the N-S path."""
+    """Westbound neighbor on the y=2 lane, crossing the N-S path: it drives
+    the E->W route, which starts at x = 84."""
     t = np.arange(horizon + 1) * t_s
+    x = 81.0 - offset - speed * t
     return PredictedTrajectory(
-        81.0 - offset - speed * t,
+        x,
         np.full(horizon + 1, 2.0),
         np.full(horizon + 1, math.pi),
         np.full(horizon + 1, speed),
         5.0,
         2.0,
+        84.0 - x,
+        build_path(RouteSpec("E", "W")),
     )
+
+
+def straight_path(x0, y0, heading):
+    """A one-segment path, 100 m from (x0, y0) along `heading`."""
+    return PathSpec((StraightSegment(float(x0), float(y0), float(heading), 100.0),))
+
+
+# a vehicle parked across the N-S path's critical region, on a path of its own
+PARKED = PredictedTrajectory(np.full(51, -2.0), np.zeros(51), np.full(51, math.pi), np.zeros(51), 5.0, 2.0,
+                             np.zeros(51), straight_path(-2.0, 0.0, math.pi))
 
 
 def step_states(model, x0, u):
@@ -223,7 +246,7 @@ def reference_ca_terms(prob, x, y, psi, kap, inside, v, track):
 
 def reference_is_leader(prob, track):
     """A lane leader: a broadcast from this very route that started ahead."""
-    return track.path == prob.path and track.s is not None and track.s[0] > prob.base[0, 2]
+    return track.path == prob.path and track.s[0] > prob.base[0, 2]
 
 
 def reference_gap_terms(prob, s, v, track):
@@ -297,6 +320,7 @@ def reference_value_and_grad(prob, u, weight):
 
 
 def reference_residual_stack(prob, u):
+    """Residual-stack oracle, in the order of reference_value_and_grad's terms."""
     p = prob.params
     states = prob.base + prob.g_mat @ u
     a, v, s = states[:, 0], states[:, 1], states[:, 2]
@@ -310,17 +334,20 @@ def reference_residual_stack(prob, u):
         np.maximum(0.0, aj * aj + ay * ay - p.a_tot_max**2),
     ]
     for track in prob.tracks:
+        if not reference_is_leader(prob, track):
+            pieces.append(reference_ca_terms(prob, x, y, psi, kap_exact, inside, vj, track)[0])
+    for track in prob.tracks:
         if reference_is_leader(prob, track):
             pieces.append(reference_gap_terms(prob, s, v, track)[0])
-        else:
-            pieces.append(reference_ca_terms(prob, x, y, psi, kap_exact, inside, vj, track)[0])
     s_n = float(s[-1])
     r_prev = max(0.0, prob.regions.s_cr_out - s_n) * max(0.0, s_n - prob.regions.s_stop)
     return np.concatenate(pieces + [np.array([r_prev])])
 
 
 def random_neighbor(rng, horizon=50):
-    """A crossing or oncoming vehicle near the intersection, or a slow leader."""
+    """A crossing vehicle, a vehicle near the intersection on a straight path
+    of its own, or one ahead on the southbound N-S lane on the N->W route,
+    which shares that lane with the N->S route."""
     kind = rng.integers(3)
     if kind == 0:
         return crossing_neighbor(offset=rng.uniform(-10.0, 20.0),
@@ -331,13 +358,21 @@ def random_neighbor(rng, horizon=50):
     x0, y0 = rng.uniform(-15.0, 15.0, 2)
     if kind == 2:  # ahead on the southbound N-S lane
         x0, y0, heading = -2.0, rng.uniform(-10.0, 40.0), -math.pi / 2
+    x, y = x0 + speed * t * math.cos(heading), y0 + speed * t * math.sin(heading)
+    if kind == 2:  # the N->W route starts at y = 84
+        path = build_path(RouteSpec("N", "W"))
+        s = np.clip(84.0 - y, 0.0, path.total_length)
+    else:
+        path, s = straight_path(x0, y0, heading), speed * t
     return PredictedTrajectory(
-        x0 + speed * t * math.cos(heading),
-        y0 + speed * t * math.sin(heading),
+        x,
+        y,
         np.full(horizon + 1, heading) + rng.normal(0.0, 0.05, horizon + 1),
         np.full(horizon + 1, speed),
         rng.uniform(3.0, 6.0),
         rng.uniform(1.5, 2.5),
+        s,
+        path,
     )
 
 
@@ -358,8 +393,9 @@ def random_problems(rng, count):
         if trial % 10 == 9:  # rolling back past the path start, or running off its end
             s0 = rng.choice([rng.uniform(0.0, 0.5), path.total_length - rng.uniform(0.0, 20.0)])
             state = AgentState(rng.uniform(-2.0, 0.0), rng.uniform(0.0, 1.0) + (s0 > 1.0) * 14.0, s0)
-            end = path.pose(np.array([path.total_length]))
-            parked = PredictedTrajectory(*(np.full(51, c[0]) for c in end[:3]), np.zeros(51), 5.0, 2.0)
+            x, y, psi, _ = (c[0] for c in path.pose(np.array([path.total_length])))
+            parked = PredictedTrajectory(*(np.full(51, c) for c in (x, y, psi)), np.zeros(51), 5.0, 2.0,
+                                         np.zeros(51), straight_path(x, y, psi))
             tracks = (parked,) + tracks[1:]
         else:
             state = AgentState(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 16.0), rng.uniform(0.0, 110.0))
@@ -540,11 +576,11 @@ def spoilt(field, how):
     return replace(nb, **{field: bad})
 
 
-@pytest.mark.parametrize("field", ["x_g", "y_g", "psi", "v"])
+@pytest.mark.parametrize("field", ["x_g", "y_g", "psi", "v", "s"])
 @pytest.mark.parametrize("how", ["nan", "short"])
 def test_broadcast_check_rejects_before_any_evaluation(field, how, monkeypatch):
-    """A neighbour broadcast with a NaN pose, or with arrays of unequal
-    length, is refused at the V2V input boundary."""
+    """A neighbour broadcast with a NaN pose or path coordinate, or with
+    arrays of unequal length, is refused at the V2V input boundary."""
     path, bounds = make_env()
     state = AgentState(0.0, 14.0, 40.0)
     neighbours = (crossing_neighbor(offset=20.0), spoilt(field, how))
@@ -644,8 +680,8 @@ def leader_problems(rng, count):
     """`count` (trial, problem) pairs on straight and turning routes: a
     follower whose tracks, in shuffled order, are a lane leader and up to
     two more of: another leader, a vehicle behind on the same route, one
-    ahead on another route that shares the approach lane, and a broadcast
-    that names no path."""
+    ahead on another route that shares the approach lane, and a
+    random_neighbor."""
     routes = [RouteSpec("N", "S"), RouteSpec("W", "S"), RouteSpec("W", "N")]
     envs = [make_env(r) for r in routes]
     for trial in range(count):
@@ -675,7 +711,7 @@ def leader_problems(rng, count):
 
 def test_leader_gap_matches_per_step_reference_bit_for_bit():
     """120 followers of a lane leader, some beside a second leader, a
-    vehicle behind, one on another route or a broadcast that names no path:
+    vehicle behind, one on another route or a random_neighbor:
     value and gradient at weights 0, 10 and 1250, and the residual stack,
     equal the per-step reference bit for bit on random, full-throttle and
     braking inputs. The gap is active on both sides of its headway kink."""
@@ -700,8 +736,8 @@ def test_leader_gap_matches_per_step_reference_bit_for_bit():
 
 
 def test_locate_names_every_entry_where_boxes_and_leaders_mix():
-    """The table holds the box tracks before the lane leaders, while
-    residual_stack lists the tracks in track order: with a box, a leader and
+    """The table holds the box tracks before the lane leaders, and
+    residual_stack lists its rows in that order: with a box, a leader and
     another box, locate names for every entry of the stack the table row and
     step it holds, and the largest entry of each track's block is that
     track's largest residual."""
@@ -714,11 +750,11 @@ def test_locate_names_every_entry_where_boxes_and_leaders_mix():
     names = [prob.locate(i) for i in range(stack.size)]
     assert names[-1] == ("hinge", 50) and stack[-1] == reference_residual_stack(prob, u)[-1]
     assert [names[50 * k] for k in range(7)] == [
-        ("v_lo", 1), ("v_hi", 1), ("ay", 1), ("atot", 1), ("box 0", 1), ("gap 1", 1), ("box 2", 1)
+        ("v_lo", 1), ("v_hi", 1), ("ay", 1), ("atot", 1), ("box 0", 1), ("box 2", 1), ("gap 1", 1)
     ]
     for i, (name, step) in enumerate(names[:-1]):
         assert stack[i] == rows[prob.row_names.index(name), step - 1]
-    for k, name in enumerate(("box 0", "gap 1", "box 2")):
+    for k, name in enumerate(("box 0", "box 2", "gap 1")):
         block = stack[50 * (4 + k): 50 * (5 + k)]
         row = rows[prob.row_names.index(name)]
         assert block.max() > 0.0 and block.argmax() == row.argmax()
@@ -758,23 +794,25 @@ def test_leader_gap_gradient_matches_finite_differences():
 
 @pytest.mark.parametrize(
     "kind, surrogate",
-    [("behind on the same route", True), ("ahead on another route", True), ("no path", True),
-     ("ahead on the same route", False)],
+    [("behind on the same route", True), ("ahead on another route", True),
+     ("ahead on the entry segment alone", True), ("ahead on the same route", False)],
 )
 def test_only_a_lane_leader_leaves_the_surrogate(kind, surrogate):
     """A track behind on the same route, one ahead on another route that
-    shares the approach lane, and a broadcast that names no path are held as
-    the box surrogate, bit for bit as the bare poses are; only a track ahead
-    on the same route is not."""
+    shares the approach lane, and one ahead that names the route's entry
+    segment alone as its path are held as the box surrogate, bit for bit as
+    the same poses on a route that never meets this lane are; only a track
+    ahead on the same route is not."""
     path, bounds = make_env(RouteSpec("W", "N"))
     state = AgentState(0.0, 10.0, 40.0)
     track = {
         "behind on the same route": leader_broadcast(path, 25.0, 12.0, 0.0),
         "ahead on another route": leader_broadcast(make_env(RouteSpec("W", "S"))[0], 50.0, 6.0, 0.0),
-        "no path": replace(leader_broadcast(path, 50.0, 6.0, 0.0), path=None),
+        "ahead on the entry segment alone": replace(leader_broadcast(path, 50.0, 6.0, 0.0),
+                                                    path=PathSpec(path.segments[:1])),
         "ahead on the same route": leader_broadcast(path, 50.0, 6.0, 0.0),
     }[kind]
-    bare = replace(track, s=None, path=None)
+    bare = replace(track, path=build_path(RouteSpec("E", "W")))
     probs = [OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, state, (nb,), 50) for nb in (track, bare)]
     same, active = True, 0.0
     for u in (np.zeros(50), np.full(50, 4.0), np.full(50, -7.0)):
@@ -1152,17 +1190,8 @@ def test_accelerates_monotonically_from_stop():
 def test_blocked_agent_stops_before_line():
     path, bounds = make_env()
     # a conflicting vehicle parked in the middle of the critical region
-    horizon = 50
-    parked = PredictedTrajectory(
-        np.full(horizon + 1, -2.0),
-        np.full(horizon + 1, 0.0),
-        np.full(horizon + 1, math.pi),
-        np.zeros(horizon + 1),
-        5.0,
-        2.0,
-    )
     state = AgentState(0.0, 10.0, 40.0)
-    u, traj, report = solve_ocp(state, (parked,), MODEL, PARAMS, path, bounds, CFG, MARGINS, horizon)
+    u, traj, report = solve_ocp(state, (PARKED,), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
     s_end = step_states(MODEL, state, u)[-1, 2]
     assert s_end <= bounds.s_stop + 0.5
     # the prediction keeps clear of the parked vehicle throughout
@@ -1173,9 +1202,6 @@ def test_blocked_agent_stops_before_line():
 def without_exact(monkeypatch):
     """Every solve runs the warm start's penalty loop, as without the exact QP."""
     monkeypatch.setattr(mpc, "_exact", lambda problem, tol: None)
-
-
-PARKED = PredictedTrajectory(np.full(51, -2.0), np.zeros(51), np.full(51, math.pi), np.zeros(51), 5.0, 2.0)
 
 
 def check_rollout_consistency(cases, exact):
@@ -1373,9 +1399,7 @@ def test_second_start_gets_the_warm_candidate_as_incumbent(monkeypatch):
 
     monkeypatch.setattr(mpc, "_penalty_loop", spy)
     # stopping at the line for a parked vehicle: the second start runs
-    parked = PredictedTrajectory(np.full(51, -2.0), np.zeros(51), np.full(51, math.pi),
-                                 np.zeros(51), 5.0, 2.0)
-    solve_ocp(AgentState(0.0, 10.0, 40.0), (parked,), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+    solve_ocp(AgentState(0.0, 10.0, 40.0), (PARKED,), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
     assert len(calls) == 4 and calls[0] is None
     assert calls[2] is calls[1]  # the warm start's candidate
 
@@ -1572,11 +1596,13 @@ def test_closed_form_gain_is_shared_read_only_and_within_budget():
     assert problem(0.5).gain is not first.gain
     assert problem(params=replace(PARAMS, r=2.0)).gain is not first.gain
     assert problem(horizon=40).gain.shape == (40, 41)
-    assert mpc._tracking_gain.cache_info().maxsize is not None
+    assert mpc._tracking.cache_info().maxsize is not None
     with pytest.raises(ValueError):
         first.gain[0, 0] = 0.0
-    big = mpc._tracking_gain(MODEL.a_d.tobytes(), MODEL.b_d.tobytes(), mpc.MAX_HORIZON, PARAMS.q, PARAMS.q_n, PARAMS.r)
+    key = (MODEL.a_d.tobytes(), MODEL.b_d.tobytes(), mpc.MAX_HORIZON, PARAMS.q, PARAMS.q_n, PARAMS.r)
+    big, big_factor = mpc._tracking(*key)
     assert big.shape == (mpc.MAX_HORIZON, mpc.MAX_HORIZON + 1) and big.nbytes <= 32 << 20
+    assert big_factor.nbytes <= 32 << 20
     assert np.isfinite(big).all()
 
 
@@ -1723,9 +1749,9 @@ def test_exact_qp_factor_is_the_hessians_and_shared():
     norms are read-only too."""
     path, bounds = make_env()
     prob = OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 14.0, 10.0), (), 50)
-    key = (*prob._model_key, PARAMS.q, PARAMS.q_n, PARAMS.r)
-    factor = mpc._tracking_factor(*key)
-    assert factor is mpc._tracking_factor(*key) and not factor.flags.writeable
+    factor = mpc._tracking(*prob._model_key, PARAMS.q, PARAMS.q_n, PARAMS.r)[1]
+    assert factor is prob.factor and not factor.flags.writeable
+    assert OcpProblem(MODEL, PARAMS, path, bounds, MARGINS, AgentState(0.0, 9.0, 30.0), (), 50).factor is factor
     assert np.allclose(np.tril(factor, -1), 0.0)
     g_v = prob.g_mat[:, 1, :]
     scale = max(PARAMS.q, PARAMS.q_n, PARAMS.r)
@@ -1900,10 +1926,8 @@ def test_second_start_outcome_is_reported():
     # cruising from 30 m, the crossing side is in reach and the warm solve clears it
     _, _, cruise = solve_ocp(AgentState(0.0, 14.0, 30.0), (), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
     assert cruise.second_start == "not_run"
-    parked = PredictedTrajectory(np.full(51, -2.0), np.zeros(51), np.full(51, math.pi),
-                                 np.zeros(51), 5.0, 2.0)
     state = AgentState(0.0, 10.0, 40.0)
-    _, _, blocked = solve_ocp(state, (parked,), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
+    _, _, blocked = solve_ocp(state, (PARKED,), MODEL, PARAMS, path, bounds, CFG, MARGINS, 50)
     assert blocked.second_start in ("won", "lost_feasible", "lost_infeasible")
 
 
@@ -2077,29 +2101,41 @@ def test_use_case_1_window_second_start_tally(monkeypatch):
 # -- the full-throttle basin (ROADMAP item 1) ------------------------------------------
 
 
+def fixture_tracks(fixture, lane_leader=False):
+    """The neighbour broadcasts of a fixture written by full_throttle_fixture.py.
+    A capture records each broadcast's `s` and route. The committed
+    full_throttle_fixture.json predates both: its neighbour drives the
+    follower's own path, so its `s` are its poses' projections onto that
+    path, and it names a route that shares the follower's entry lane but
+    not its exit, which holds it as a box. With `lane_leader` it names the
+    follower's own route, which holds it as a lane leader."""
+    own = RouteSpec(**fixture["route"])
+    tracks = []
+    for nb in fixture["neighbours"]:
+        if "route" in nb:
+            s, route = np.array(nb["s"]), RouteSpec(**nb["route"])
+        else:
+            projected = [project_onto_path(build_path(own), x, y) for x, y in zip(nb["x_g"], nb["y_g"])]
+            assert all(offset == 0.0 for _, offset in projected)  # it drives the follower's path
+            s = np.array([s for s, _ in projected])
+            route = RouteSpec(own.entry, next(arm for arm in ARMS if arm not in (own.entry, own.exit)))
+        poses = [np.array(nb[key]) for key in ("x_g", "y_g", "psi", "v")]
+        path = build_path(own if lane_leader else route)
+        tracks.append(PredictedTrajectory(*poses, nb["length"], nb["width"], s, path))
+    return tuple(tracks)
+
+
 def full_throttle_case(warm=None, lane_leader=False, name="full_throttle_fixture.json"):
     """solve_ocp on the inputs in full_throttle_fixture.json (see
     full_throttle_fixture.py): a follower on a W->S right turn with one
-    neighbour broadcast, from the captured warm start or from `warm`. The
-    committed fixture records no broadcast `s` or `path`, so the broadcast
-    is held by its poses alone; with `lane_leader` it carries its poses'
-    projections onto the follower's own path, and that path. `name` reads
-    another fixture of the same format."""
+    neighbour broadcast (fixture_tracks), from the captured warm start or
+    from `warm`. `name` reads another fixture of the same format."""
     fixture = json.loads((Path(__file__).parent / name).read_text(encoding="utf-8"))
     from intersim.scenario import load_scenario
 
     assert PARAMS == load_scenario("use_case_1").agents[0].params  # the scenario defaults
     path, bounds = make_env(RouteSpec(**fixture["route"]))
-    neighbours = []
-    for nb in fixture["neighbours"]:
-        poses = [np.array(nb[key]) for key in ("x_g", "y_g", "psi", "v")]
-        lane = {}
-        if lane_leader:
-            projected = [project_onto_path(path, x, y) for x, y in zip(nb["x_g"], nb["y_g"])]
-            assert all(offset == 0.0 for _, offset in projected)  # it drives the follower's path
-            lane = {"s": np.array([s for s, _ in projected]), "path": path}
-        neighbours.append(PredictedTrajectory(*poses, nb["length"], nb["width"], **lane))
-    neighbours = tuple(neighbours)
+    neighbours = fixture_tracks(fixture, lane_leader)
     start = np.array(fixture["warm"]) if warm is None else warm
     return solve_ocp(AgentState(*fixture["state"]), neighbours, discretize(PARAMS.t_ax, fixture["t_s"]),
                      PARAMS, path, bounds, CFG, MARGINS, fixture["horizon"], start)
@@ -2171,10 +2207,8 @@ def test_report_names_the_family_of_the_largest_violation():
     u, _, report = full_throttle_case()
     fixture = json.loads((Path(__file__).parent / "full_throttle_fixture.json").read_text(encoding="utf-8"))
     path, bounds = make_env(RouteSpec(**fixture["route"]))
-    tracks = tuple(PredictedTrajectory(*(np.array(nb[k]) for k in ("x_g", "y_g", "psi", "v")), nb["length"],
-                                       nb["width"]) for nb in fixture["neighbours"])
     prob = OcpProblem(discretize(PARAMS.t_ax, fixture["t_s"]), PARAMS, path, bounds, MARGINS,
-                      AgentState(*fixture["state"]), tracks, fixture["horizon"])
+                      AgentState(*fixture["state"]), fixture_tracks(fixture), fixture["horizon"])
     assert prob.row_names == ("v_lo", "v_hi", "ay", "atot", "box 0")
     stack = prob.residual_stack(u)[0]
     assert float(stack.max()) == report.max_violation > 0.0
@@ -2197,3 +2231,39 @@ def test_eval_cost_flags_a_paired_change_that_the_base_spread_hides():
     paired, spread, flagged = eval_cost.paired_change(base, slower)
     assert flagged and paired == pytest.approx(4.5, abs=0.5) and spread < 1.0
     assert not eval_cost.paired_change(base, [b + e for b, e in zip(base, noise)])[2]
+
+
+def test_solve_paths_tallies_the_use_case_1_window(monkeypatch):
+    """tests/solve_paths.py on the benchmark's uc1 window agrees with the
+    solver reports of the same run: 40 solves, 37 settled by the exact QP
+    (19 at the unconstrained minimiser, 18 with rows active, all 37 holding
+    the stop row) and 3 by the penalty loop on box tracks, which make all
+    132 evaluations; 2 of those run under the stop halfspace. No braking
+    start runs, and the second start is out of reach in 39 solves."""
+    from collections import Counter
+
+    import solve_paths
+
+    from intersim import orchestrator
+
+    reports = []
+    original = orchestrator.solve_ocp
+
+    def reported(*args, **kwargs):
+        result = original(*args, **kwargs)
+        reports.append(result[2])
+        return result
+
+    monkeypatch.setattr(orchestrator, "solve_ocp", reported)
+    traffic = solve_paths.count([("use_case_1", 10)])
+    assert len(reports) == sum(traffic.solves.values()) == 40
+    exact = sum(traffic.solves[path] for path in solve_paths.PATHS[:3])
+    assert exact == sum(report.settled_by == "exact" for report in reports) == 37
+    assert sum(traffic.evaluations.values()) == sum(report.evaluations for report in reports) == 132
+    assert traffic.solves == Counter({"exact at u*": 19, "exact with rows": 18, "box-track penalty": 3})
+    assert traffic.evaluations == Counter({"box-track penalty": 132})
+    assert traffic.stop_row == 37 and traffic.halfspace["solves"] == 2
+    assert traffic.second_start == Counter(report.second_start for report in reports)
+    assert traffic.brake_start == Counter(report.brake_start for report in reports) == Counter(not_run=40)
+    assert traffic.second_start == Counter(unreachable=39, lost_infeasible=1)
+    assert "box-track penalty          3          132" in solve_paths.report(traffic)

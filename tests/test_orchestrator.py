@@ -1007,6 +1007,31 @@ def test_export_failure_reports_path(tmp_path):
         export_logs(log, timing, target)
 
 
+@pytest.mark.parametrize("blocker", ["file in the way", "directory named like an output file"])
+def test_cli_reports_an_output_error_in_one_line(tmp_path, capsys, monkeypatch, blocker):
+    """`simulate` reports an --out it cannot write as one line and exit code
+    1, without a traceback: a file standing in the way of the output
+    directory is found before the run starts; a directory that takes an
+    output file's name (test_export_failure_reports_path's collision), when
+    the run's logs are written."""
+    import intersim.cli as cli
+
+    runs = []
+    monkeypatch.setattr(cli, "run_simulation", lambda cfg, run=cli.run_simulation: runs.append(cfg) or run(cfg))
+    if blocker == "file in the way":
+        (tmp_path / "f").write_text("")
+        out, named = tmp_path / "f" / "out", str(tmp_path / "f" / "out")
+    else:
+        out, named = tmp_path / "blocked", "trajectory.csv"
+        (out / "trajectory.csv").mkdir(parents=True)
+    code = cli.main(["simulate", "--scenario", "use_case_1", "--steps", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("output error: ") and named in line
+    assert len(runs) == (blocker != "file in the way")
+
+
 # -- CLI ----------------------------------------------------------------------------
 
 
